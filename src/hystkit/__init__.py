@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .autodiff import Graph, Tensor, finite_diff_check
 from .dataset import (
-    FeatureMatrix,
     MeasuredSequence,
     MiniBatch,
     NormConstants,

@@ -88,11 +88,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def check_finite(self) -> "Tensor":
-        if not np.all(np.isfinite(self.data)):
-            raise NonFiniteError("tensor contains NaN or Inf")
-        return self
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -331,15 +326,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return _node(s, (a,), backward)
 
 
-def exp(a: Tensor) -> Tensor:
-    e = np.exp(a.data)
-
-    def backward(g):
-        _accum(a, g * e)
-
-    return _node(e, (a,), backward)
-
-
 def sqrt(a: Tensor) -> Tensor:
     r = np.sqrt(a.data)
 
@@ -347,29 +333,6 @@ def sqrt(a: Tensor) -> Tensor:
         _accum(a, g * 0.5 / r)
 
     return _node(r, (a,), backward)
-
-
-def absolute(a: Tensor) -> Tensor:
-    out_data = np.abs(a.data)
-
-    def backward(g):
-        _accum(a, g * np.sign(a.data))
-
-    return _node(out_data, (a,), backward)
-
-
-def coth(a: Tensor) -> Tensor:
-    """Hyperbolic cotangent, computed from the exponential form.
-
-    Unguarded: diverges at 0. Use :func:`langevin` where the
-    ``coth(x) - 1/x`` combination is wanted near the origin.
-    """
-    c = 1.0 + 2.0 / np.expm1(2.0 * a.data)
-
-    def backward(g):
-        _accum(a, g * (1.0 - c * c))
-
-    return _node(c, (a,), backward)
 
 
 def _langevin_val(x):

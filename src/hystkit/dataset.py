@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -110,35 +111,13 @@ class PredictionTask:
 
 
 @dataclass
-class FeatureMatrix:
-    """4 x L model-input rows: (B~, dB~, d2B~, theta~) over window samples k0..k2."""
-
-    values: np.ndarray  # (4, L)
-
-    @property
-    def b_norm(self):
-        return self.values[0]
-
-    @property
-    def db_norm(self):
-        return self.values[1]
-
-    @property
-    def d2b_norm(self):
-        return self.values[2]
-
-    @property
-    def theta_norm(self):
-        return self.values[3]
-
-
-@dataclass
 class MiniBatch:
     """One training batch of aligned subsequences.
 
     All blocks are ``(b, l)``; ``x`` is ``(b, l, 4)``. ``h_rms`` is the RMS
-    of raw H over each row's *full* source sequence, and ``tasks`` holds the
-    local (k0, k1, k2) indices (identical across rows).
+    of raw H over each row's *full* source sequence. Rows may come from
+    sequences with different sampling periods: features use a unit time step
+    and the Jiles-Atherton step is rate-independent.
     """
 
     x: np.ndarray
@@ -146,12 +125,9 @@ class MiniBatch:
     b_raw: np.ndarray
     h_norm: np.ndarray
     h_raw: np.ndarray
-    theta_norm: np.ndarray  # (b,)
     h_rms: np.ndarray  # (b,)
-    tasks: np.ndarray  # (b, 3) int
     sources: np.ndarray  # (b, 2) int: (sequence index, window offset)
     warmup_length: int
-    tau_s: float
 
     @property
     def rows(self) -> int:
@@ -195,13 +171,15 @@ def feature_rows(b_norm: np.ndarray, theta_norm) -> np.ndarray:
     return np.stack([b_norm, d1, d2, theta], axis=2)
 
 
-def featurize(seq: MeasuredSequence, task: PredictionTask, norm: NormConstants) -> FeatureMatrix:
-    """Feature matrix over the task window k0..k2 of one sequence."""
+def featurize(seq: MeasuredSequence, task: PredictionTask, norm: NormConstants) -> np.ndarray:
+    """Features ``(L, 4)`` over the task window k0..k2 of one sequence.
+
+    The columns are those of :func:`feature_rows`.
+    """
     task.validate_for(seq)
     window = seq.b[task.k0:task.k2 + 1] / norm.b_max
     theta = seq.temperature_c / norm.theta_max
-    block = feature_rows(window[None, :], [theta])[0]  # (L, 4)
-    return FeatureMatrix(values=block.T.copy())
+    return feature_rows(window[None, :], [theta])[0]
 
 
 def split_dataset(sequences, fractions=(0.8, 0.1, 0.1), seed: int = 0):
@@ -266,13 +244,8 @@ def make_minibatches(sequences, subseq_len: int, batch_size: int, rng_seed,
         offset = int(rng.integers(0, slack + 1))
         rows.extend((si, offset + j * subseq_len) for j in range(n_sub))
     order = rng.permutation(len(rows))
-    taus = {s.tau_s for s in sequences}
-    if len(taus) != 1:
-        raise DataError("mixed sampling periods in one batch set are not supported")
-    tau_s = taus.pop()
 
     batches = []
-    task = np.array([0, warmup_length, subseq_len - 1], dtype=np.int64)
     for start in range(0, len(rows) - batch_size + 1, batch_size):
         chosen = [rows[i] for i in order[start:start + batch_size]]
         b_raw = np.stack([sequences[si].b[off:off + subseq_len] for si, off in chosen])
@@ -283,12 +256,9 @@ def make_minibatches(sequences, subseq_len: int, batch_size: int, rng_seed,
         batches.append(MiniBatch(
             x=feature_rows(b_norm, theta),
             b_norm=b_norm, b_raw=b_raw, h_norm=h_norm, h_raw=h_raw,
-            theta_norm=theta,
             h_rms=np.array([sequences[si].h_rms() for si, _ in chosen]),
-            tasks=np.tile(task, (len(chosen), 1)),
             sources=np.array(chosen, dtype=np.int64),
             warmup_length=warmup_length,
-            tau_s=tau_s,
         ))
     return batches
 
@@ -344,10 +314,13 @@ def read_sequence(path: Path) -> MeasuredSequence:
         for lineno, row in enumerate(reader, start=2):
             try:
                 _, b_str, h_str = row
-                b_vals.append(float(b_str))
-                h_vals.append(float(h_str))
+                b, h = float(b_str), float(h_str)
             except (ValueError, TypeError):
                 raise DataError(f"{path}: corrupt row {lineno}: {row!r}")
+            if not (math.isfinite(b) and math.isfinite(h)):
+                raise DataError(f"{path}: non-finite value in row {lineno}: {row!r}")
+            b_vals.append(b)
+            h_vals.append(h)
     sidecar_path = path.with_suffix(".json")
     if not sidecar_path.exists():
         raise DataError(f"missing sidecar {sidecar_path}")
@@ -401,9 +374,12 @@ def _read_csv_matrix(path: Path) -> list[list[float]]:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError:
                 raise DataError(f"{path}: corrupt row {lineno}")
+            if not all(map(math.isfinite, values)):
+                raise DataError(f"{path}: non-finite value in row {lineno}")
+            rows.append(values)
     return rows
 
 

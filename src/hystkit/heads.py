@@ -11,9 +11,7 @@ Archetypes:
   overwrites element 0 with the true value after every step (state
   injection), so the remaining elements adapt without accumulating error.
 * ``gru-m``   — element 0 is a magnetization surrogate; the estimate is
-  tanh(B~ - g0) and warmup injects the inverse, B~ - atanh(H~). A raw-unit
-  variant (B/mu0 - g0*H_max) exists behind ``gru_m_physical`` but is
-  numerically poor and off by default.
+  tanh(B~ - g0) and warmup injects the inverse, B~ - atanh(H~).
 * ``gru-l``   — element 0 is a normalized inverse permeability; estimate
   g0 * B~, warmup injects H~/B~ (guarded against tiny B~).
 * ``lstm-p``  — like gru-p; only the hidden state receives injections, the
@@ -33,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, dtype_of, tanh, tsum
+from .autodiff import Tensor, concat, dtype_of, reshape, tanh, tsum
 from .cells import (
     GruParams,
     LstmParams,
@@ -43,10 +41,9 @@ from .cells import (
     lstm_step,
     param_count,
 )
-from .dataset import DEFAULT_TAU_S, MiniBatch, NormConstants
+from .dataset import MiniBatch, NormConstants
 from .physics import (
     DEFAULT_ETA,
-    MU0,
     ja_initial_state,
     ja_params_from_theta,
     ja_step_euler,
@@ -54,6 +51,10 @@ from .physics import (
 )
 
 ARCHETYPES = ("gru-p", "gru-m", "gru-l", "lstm-p", "gru-v", "gru-jadp", "ja")
+#: Heads whose warmup overwrites hidden element 0 with a known value.
+INJECTING = ("gru-p", "gru-m", "gru-l", "lstm-p")
+#: Heads that integrate the Jiles-Atherton model in raw units.
+JA_FAMILY = ("ja", "gru-jadp")
 
 #: Division guard for the inverse-permeability warmup.
 EPS_B = 1e-6
@@ -74,7 +75,6 @@ class HeadConfig:
     d_x: int = 4
     warmup_length: int = 16
     eta: tuple = DEFAULT_ETA
-    gru_m_physical: bool = False
 
     def __post_init__(self):
         if self.archetype not in ARCHETYPES:
@@ -113,7 +113,6 @@ class RolloutInputs:
     drive_raw: np.ndarray | None = None
     target_warm_raw: np.ndarray | None = None
     target_max: float | None = None
-    tau_s: float = DEFAULT_TAU_S
 
     @property
     def rows(self) -> int:
@@ -143,7 +142,6 @@ def inputs_from_batch(batch: MiniBatch, norm: NormConstants) -> RolloutInputs:
         drive_raw=batch.b_raw,
         target_warm_raw=batch.h_raw[:, :w],
         target_max=norm.h_max,
-        tau_s=batch.tau_s,
     )
 
 
@@ -178,9 +176,6 @@ def _inject_values(config: HeadConfig, inputs: RolloutInputs) -> np.ndarray:
         return target
     drive = np.asarray(inputs.drive_norm[:, :w], dtype=np.float64)
     if config.archetype == "gru-m":
-        if config.gru_m_physical:
-            _require_raw(inputs)
-            return inputs.drive_raw[:, :w] / (MU0 * inputs.target_max) - target
         bad = np.abs(target) >= 1.0
         if np.any(bad):
             idx = int(np.argwhere(bad)[0][1])
@@ -201,48 +196,43 @@ def _inject(state: Tensor, column: np.ndarray) -> Tensor:
     return concat([col, state[:, 1:]], axis=1)
 
 
-def warmup_direct(config: HeadConfig, params: dict, inputs: RolloutInputs):
-    """State-injection warmup; returns the conditioned state after step w-1.
+def _dtype(params: dict):
+    return params[next(iter(params))].data.dtype
 
-    The initial state is the first injection value padded with zeros; after
-    each recurrent step, element 0 is overwritten with the true value. With
-    warmup length 1 no recurrent step executes.
+
+def warmup(config: HeadConfig, params: dict, inputs: RolloutInputs):
+    """Recurrent state (hidden, cell) after warmup step w-1; the cell is None for GRU heads.
+
+    Injecting heads start from the first injection value padded with zeros
+    and overwrite element 0 with the true value after each recurrent step;
+    gru-v and gru-jadp run the same steps from a zero state without
+    injection. With warmup length 1 no recurrent step executes.
     """
-    dt = params[next(iter(params))].data.dtype
-    w = inputs.warmup_length
-    if w < 1 or inputs.target_warm_norm.shape[1] != w:
-        raise WarmupError("empty or mismatched warmup window")
-    inject = _inject_values(config, inputs)
-    if not np.all(np.isfinite(inject)):
-        raise WarmupError("non-finite warmup injection values")
-    rows = inputs.rows
-    zeros = Tensor(np.zeros((rows, config.d_g - 1), dtype=dt))
-    g = concat([Tensor(inject[:, 0:1].astype(dt)), zeros], axis=1)
-    c = None
-    if config.archetype == "lstm-p":
-        c = Tensor(np.zeros((rows, config.d_g), dtype=dt))
-        p = _lstm_container(params)
-        for t in range(1, w):
-            x_t = Tensor(inputs.x[:, t, :].astype(dt))
-            g, c = lstm_step(x_t, g, c, p)
-            g = _inject(g, inject[:, t:t + 1])
-        return g, c
-    p = _gru_container(params)
+    dt = _dtype(params)
+    rows, w = inputs.rows, inputs.warmup_length
+    inject = None
+    if config.archetype in INJECTING:
+        if w < 1 or inputs.target_warm_norm.shape[1] != w:
+            raise WarmupError("empty or mismatched warmup window")
+        inject = _inject_values(config, inputs)
+        if not np.all(np.isfinite(inject)):
+            raise WarmupError("non-finite warmup injection values")
+        zeros = Tensor(np.zeros((rows, config.d_g - 1), dtype=dt))
+        g = concat([Tensor(inject[:, 0:1].astype(dt)), zeros], axis=1)
+    else:
+        g = Tensor(np.zeros((rows, config.d_g), dtype=dt))
+    lstm = config.archetype == "lstm-p"
+    p = _lstm_container(params) if lstm else _gru_container(params)
+    c = Tensor(np.zeros((rows, config.d_g), dtype=dt)) if lstm else None
     for t in range(1, w):
         x_t = Tensor(inputs.x[:, t, :].astype(dt))
-        g = gru_step(x_t, g, p)
-        g = _inject(g, inject[:, t:t + 1])
+        if lstm:
+            g, c = lstm_step(x_t, g, c, p)
+        else:
+            g = gru_step(x_t, g, p)
+        if inject is not None:
+            g = _inject(g, inject[:, t:t + 1])
     return g, c
-
-
-def _warmup_free(config: HeadConfig, params: dict, inputs: RolloutInputs, dt):
-    """Warmup without injection (gru-v, gru-jadp): zero state, ordinary steps."""
-    rows = inputs.rows
-    g = Tensor(np.zeros((rows, config.d_g), dtype=dt))
-    p = _gru_container(params)
-    for t in range(1, inputs.warmup_length):
-        g = gru_step(Tensor(inputs.x[:, t, :].astype(dt)), g, p)
-    return g, p
 
 
 def gru_v_readout(g: Tensor, drive_col) -> Tensor:
@@ -255,95 +245,66 @@ def gru_v_readout(g: Tensor, drive_col) -> Tensor:
     return Tensor(np.asarray(drive_col, dtype=g.data.dtype)) - grid_sum
 
 
+def _open_loop(config: HeadConfig, params: dict, inputs: RolloutInputs, dt):
+    """(state after warmup, step(state, t), readout(state, t)) of one archetype."""
+    w = inputs.warmup_length
+    b_raw = inputs.drive_raw
+
+    def x(t):
+        return Tensor(inputs.x[:, t, :].astype(dt))
+
+    def drive(t):
+        return Tensor(inputs.drive_norm[:, t:t + 1].astype(dt))
+
+    if config.archetype in JA_FAMILY:
+        ja = ja_initial_state(inputs.target_warm_raw[:, w - 1:w], b_raw[:, w - 1:w])
+        inv_max = 1.0 / inputs.target_max
+    if config.archetype == "ja":
+        phys = ja_params_from_theta(reshape(params["theta_ja"], (1, 5)), config.eta)
+        return (ja,
+                lambda s, t: ja_step_euler(s, b_raw[:, t - 1:t], b_raw[:, t:t + 1], phys),
+                lambda s, t: s.h * inv_max)
+    g, c = warmup(config, params, inputs)
+    if config.archetype == "lstm-p":
+        p = _lstm_container(params)
+        return (g, c), lambda s, t: lstm_step(x(t), *s, p), lambda s, t: s[0][:, 0:1]
+    p = _gru_container(params)
+    if config.archetype == "gru-jadp":
+        return ((ja, g),
+                lambda s, t: gru_jadp_step(x(t), s[1], p, config.eta, s[0],
+                                           b_raw[:, t - 1:t], b_raw[:, t:t + 1]),
+                lambda s, t: s[0].h * inv_max)
+    readouts = {
+        "gru-p": lambda g, t: g[:, 0:1],
+        "gru-m": lambda g, t: tanh(drive(t) - g[:, 0:1]),
+        "gru-l": lambda g, t: g[:, 0:1] * drive(t),
+        "gru-v": lambda g, t: gru_v_readout(g, inputs.drive_norm[:, t:t + 1]),
+    }
+    return g, lambda g, t: gru_step(x(t), g, p), readouts[config.archetype]
+
+
 def rollout(config: HeadConfig, params: dict, inputs: RolloutInputs):
     """Full warmup + open-loop prediction for one batch of windows.
 
     ``params`` maps names to tape Tensors. Returns the normalized
     predictions as a tape Tensor of shape (rows, L - w) plus the final
-    state (Tensor, (hidden, cell) pair, or JaState).
+    state: the hidden Tensor (GRU heads), a (hidden, cell) pair (lstm-p),
+    a (JaState, hidden) pair (gru-jadp) or a JaState (ja).
     """
     if inputs.x.shape[2] != config.d_x and config.archetype != "ja":
         raise HeadError(f"feature width {inputs.x.shape[2]} != d_x {config.d_x}")
-    if config.archetype == "ja":
-        return _rollout_ja(config, params, inputs)
-    if config.archetype == "gru-jadp":
-        return _rollout_jadp(config, params, inputs)
-    dt = params[next(iter(params))].data.dtype
-    w = inputs.warmup_length
-    length = inputs.length
+    dt = _dtype(params)
+    if config.archetype in JA_FAMILY:
+        if inputs.drive_raw is None or inputs.target_warm_raw is None or inputs.target_max is None:
+            raise HeadError("JA-family rollouts need raw-unit drive/target context")
+        if dt != np.float64:
+            raise HeadError(f"{config.archetype} rollouts require double precision")
+    state, step, readout = _open_loop(config, params, inputs, dt)
     preds = []
-    if config.archetype == "gru-v":
-        g, p = _warmup_free(config, params, inputs, dt)
-        for t in range(w, length):
-            g = gru_step(Tensor(inputs.x[:, t, :].astype(dt)), g, p)
-            preds.append(gru_v_readout(g, inputs.drive_norm[:, t:t + 1]))
-        return concat(preds, axis=1), g
-    g, c = warmup_direct(config, params, inputs)
-    if config.archetype == "lstm-p":
-        p = _lstm_container(params)
-        for t in range(w, length):
-            g, c = lstm_step(Tensor(inputs.x[:, t, :].astype(dt)), g, c, p)
-            preds.append(g[:, 0:1])
-        return concat(preds, axis=1), (g, c)
-    p = _gru_container(params)
-    for t in range(w, length):
-        g = gru_step(Tensor(inputs.x[:, t, :].astype(dt)), g, p)
-        preds.append(_readout(config, g, inputs, t, dt))
-    return concat(preds, axis=1), g
-
-
-def _readout(config: HeadConfig, g: Tensor, inputs: RolloutInputs, t: int, dt):
-    if config.archetype == "gru-p":
-        return g[:, 0:1]
-    if config.archetype == "gru-m":
-        if config.gru_m_physical:
-            scale = inputs.drive_raw[:, t:t + 1] / (MU0 * inputs.target_max)
-            return Tensor(scale.astype(dt)) - g[:, 0:1]
-        return tanh(Tensor(inputs.drive_norm[:, t:t + 1].astype(dt)) - g[:, 0:1])
-    if config.archetype == "gru-l":
-        return g[:, 0:1] * Tensor(inputs.drive_norm[:, t:t + 1].astype(dt))
-    raise HeadError(f"no scalar readout for {config.archetype}")
-
-
-def _require_raw(inputs: RolloutInputs):
-    if inputs.drive_raw is None or inputs.target_warm_raw is None or inputs.target_max is None:
-        raise HeadError("JA-family rollouts need raw-unit drive/target context")
-
-
-def _rollout_ja(config: HeadConfig, params: dict, inputs: RolloutInputs):
-    _require_raw(inputs)
-    theta = params["theta_ja"]
-    if theta.data.dtype != np.float64:
-        raise HeadError("JA rollouts require double precision")
-    from .autodiff import reshape
-    phys = ja_params_from_theta(reshape(theta, (1, 5)), config.eta)
-    w = inputs.warmup_length
-    state = ja_initial_state(inputs.target_warm_raw[:, w - 1:w], inputs.drive_raw[:, w - 1:w])
-    preds = []
-    inv_max = 1.0 / inputs.target_max
-    for t in range(w, inputs.length):
-        state = ja_step_euler(state, inputs.drive_raw[:, t - 1:t], inputs.drive_raw[:, t:t + 1],
-                              inputs.tau_s, phys)
-        preds.append(state.h * inv_max)
+    for t in range(inputs.warmup_length, inputs.length):
+        state = step(state, t)
+        preds.append(readout(state, t))
     return concat(preds, axis=1), state
-
-
-def _rollout_jadp(config: HeadConfig, params: dict, inputs: RolloutInputs):
-    _require_raw(inputs)
-    dt = params[next(iter(params))].data.dtype
-    if dt != np.float64:
-        raise HeadError("gru-jadp rollouts require double precision")
-    w = inputs.warmup_length
-    g, p = _warmup_free(config, params, inputs, dt)
-    state = ja_initial_state(inputs.target_warm_raw[:, w - 1:w], inputs.drive_raw[:, w - 1:w])
-    preds = []
-    inv_max = 1.0 / inputs.target_max
-    for t in range(w, inputs.length):
-        state, g = gru_jadp_step(Tensor(inputs.x[:, t, :].astype(dt)), g, p, config.eta,
-                                 state, inputs.drive_raw[:, t - 1:t], inputs.drive_raw[:, t:t + 1],
-                                 inputs.tau_s)
-        preds.append(state.h * inv_max)
-    return concat(preds, axis=1), (state, g)
 
 
 def predict_window(config: HeadConfig, params_arrays: dict, seq, task, norm: NormConstants,
@@ -351,18 +312,17 @@ def predict_window(config: HeadConfig, params_arrays: dict, seq, task, norm: Nor
     """Open-loop prediction for one task window of one sequence."""
     from .dataset import featurize
 
-    fm = featurize(seq, task, norm)
+    x = featurize(seq, task, norm)
     w = task.warmup_length
     sl = slice(task.k0, task.k2 + 1)
     inputs = RolloutInputs(
-        x=fm.values.T[None, :, :],
+        x=x[None, :, :],
         drive_norm=(seq.b[sl] / norm.b_max)[None, :],
         target_warm_norm=(seq.h[task.k0:task.k1] / norm.h_max)[None, :],
         warmup_length=w,
         drive_raw=seq.b[sl][None, :],
         target_warm_raw=seq.h[task.k0:task.k1][None, :],
         target_max=norm.h_max,
-        tau_s=seq.tau_s,
     )
     params = wrap_params({k: np.asarray(v, dtype=dtype_of(precision)) for k, v in params_arrays.items()},
                          requires_grad=False)

@@ -31,12 +31,9 @@ from .autodiff import (
     langevin,
     langevin_deriv,
     matmul,
-    maximum,
-    minimum,
     reshape,
     sigmoid,
     sqrt,
-    tanh,
     tsum,
     where_mask,
 )
@@ -91,16 +88,6 @@ def ja_params_from_theta(theta: Tensor, eta=DEFAULT_ETA) -> JaPhysical:
     return JaPhysical(*parts)
 
 
-def theta_from_ja_params(physical, eta=DEFAULT_ETA) -> np.ndarray:
-    """Inverse mapping theta = logit(z / eta); roundtrips ja_params_from_theta."""
-    z = np.asarray(physical, dtype=np.float64)
-    eta = np.asarray(eta, dtype=np.float64)
-    ratio = z / eta
-    if np.any(ratio <= 0) or np.any(ratio >= 1):
-        raise PhysicsError("physical parameters must lie strictly inside (0, eta)")
-    return np.log(ratio / (1.0 - ratio))
-
-
 def ja_m_an(h_e, m_s, a):
     """Anhysteretic magnetization M_s * (coth(H_e/a) - a/H_e).
 
@@ -137,11 +124,13 @@ def ja_dmdh(h: Tensor, m: Tensor, delta: np.ndarray, phys: JaPhysical) -> Tensor
     return where_mask(active, num / den_safe, 0.0)
 
 
-def ja_step_euler(state: JaState, b_k, b_k1, tau: float, phys: JaPhysical) -> JaState:
+def ja_step_euler(state: JaState, b_k, b_k1, phys: JaPhysical) -> JaState:
     """One explicit-Euler step of the inverse JA model across [B_k, B_{k+1}].
 
-    A constant-flux step leaves H exactly unchanged. The magnetization is
-    re-closed through B = mu0 * (H + M) after the update.
+    The model is rate-independent: the sampling period multiplies dB/dt and
+    cancels, so the step depends only on the flux increment. A constant-flux
+    step leaves H exactly unchanged. The magnetization is re-closed through
+    B = mu0 * (H + M) after the update.
     """
     b_k = np.asarray(b_k, dtype=np.float64)
     b_k1 = np.asarray(b_k1, dtype=np.float64)
@@ -152,8 +141,7 @@ def ja_step_euler(state: JaState, b_k, b_k1, tau: float, phys: JaPhysical) -> Ja
     if np.min(np.abs(one_plus.data)) < 1e-12:
         raise SingularityError("dM/dH = -1 pole in the Euler bracket")
     bracket = 1.0 - r / one_plus
-    dbdt = Tensor(db / tau, dtype=state.h.data.dtype)
-    h_new = state.h + (tau / MU0) * dbdt * bracket
+    h_new = state.h + Tensor(db / MU0, dtype=state.h.data.dtype) * bracket
     m_new = Tensor(b_k1 / MU0, dtype=state.h.data.dtype) - h_new
     return JaState(h=h_new, m=m_new)
 
@@ -166,7 +154,7 @@ def ja_initial_state(h_known, b_known, dtype=np.float64) -> JaState:
 
 
 def gru_jadp_step(x: Tensor, g_prev: Tensor, gru_params: GruParams, eta,
-                  ja_state: JaState, b_k, b_k1, tau: float):
+                  ja_state: JaState, b_k, b_k1):
     """Coupled step: the GRU's first five hidden elements parameterize the JA substep.
 
     Returns (new JaState, new hidden state).
@@ -175,22 +163,10 @@ def gru_jadp_step(x: Tensor, g_prev: Tensor, gru_params: GruParams, eta,
         raise PhysicsError("gru-jadp needs a hidden size of at least 5")
     g = gru_step(x, g_prev, gru_params)
     phys = ja_params_from_theta(g[:, 0:5], eta)
-    return ja_step_euler(ja_state, b_k, b_k1, tau, phys), g
+    return ja_step_euler(ja_state, b_k, b_k1, phys), g
 
 
-def ja_residual_step(gru_delta: Tensor, ja_stepped_h: Tensor) -> Tensor:
-    """Sum a JA-integrated field with a recurrent residual increment.
-
-    Double precision is mandatory for this composition; the residual scale
-    is far below the JA term's.
-    """
-    for t in (gru_delta, ja_stepped_h):
-        if t.data.dtype != np.float64:
-            raise PhysicsError("JA + residual composition requires double precision")
-    return ja_stepped_h + gru_delta
-
-
-def pinn_ja_residual(h_traj: Tensor, b_traj, phys: JaPhysical, tau: float):
+def pinn_ja_residual(h_traj: Tensor, b_traj, phys: JaPhysical):
     """Physics-regularization residuals of a predicted field trajectory.
 
     ``h_traj`` is (rows, n+1) in raw units, starting at the last known
@@ -206,7 +182,7 @@ def pinn_ja_residual(h_traj: Tensor, b_traj, phys: JaPhysical, tau: float):
     for k in range(1, n_plus):
         h_prev = h_traj[:, k - 1:k]
         state = JaState(h=h_prev, m=Tensor(b_traj[:, k - 1:k] / MU0, dtype=h_traj.data.dtype) - h_prev)
-        stepped = ja_step_euler(state, b_traj[:, k - 1:k], b_traj[:, k:k + 1], tau, phys)
+        stepped = ja_step_euler(state, b_traj[:, k - 1:k], b_traj[:, k:k + 1], phys)
         dh_ja = stepped.h - h_prev
         residuals.append(dh_ja - (h_traj[:, k:k + 1] - h_prev))
     e = concat(residuals, axis=1)
@@ -256,17 +232,10 @@ def preisach_hysteron(h_k, h_prev, gamma_prev, alpha_i, beta_i, sharpness: float
 
     Rising input pushes the state up through tanh((H - beta)/|T|), falling or
     equal input pushes it down through tanh((alpha - H)/|T|); each branch is
-    clamped so the state never leaves [-1, 1]. Accepts Tensors (differentiable)
-    or plain numbers/arrays.
+    clamped so the state never leaves [-1, 1]. Plain numbers only: the
+    scalar reference for :func:`hysteron_states`.
     """
     t_mag = abs(float(sharpness))
-    if isinstance(gamma_prev, Tensor) or isinstance(h_k, Tensor):
-        h_k_t = h_k if isinstance(h_k, Tensor) else Tensor(np.asarray(h_k, dtype=np.float64))
-        g_t = gamma_prev if isinstance(gamma_prev, Tensor) else Tensor(np.asarray(gamma_prev, dtype=h_k_t.data.dtype))
-        h_prev_val = h_prev.data if isinstance(h_prev, Tensor) else h_prev
-        if np.all(np.asarray(h_k_t.data) > np.asarray(h_prev_val)):
-            return maximum(minimum(g_t + tanh((h_k_t - float(beta_i)) * (1.0 / t_mag)), 1.0), -1.0)
-        return minimum(maximum(g_t - tanh((float(alpha_i) - h_k_t) * (1.0 / t_mag)), -1.0), 1.0)
     h_k = np.asarray(h_k, dtype=np.float64)
     if np.all(h_k > np.asarray(h_prev)):
         return np.clip(gamma_prev + np.tanh((h_k - beta_i) / t_mag), -1.0, 1.0)

@@ -21,7 +21,7 @@ _FREQS_HZ = (50e3, 80e3, 125e3)
 _TEMPS_C = (25.0, 50.0, 70.0)
 
 
-def ja_generate_field(b_rows: np.ndarray, tau: float, physical=DEFAULT_JA_PHYSICAL,
+def ja_generate_field(b_rows: np.ndarray, physical=DEFAULT_JA_PHYSICAL,
                       temperatures=None) -> np.ndarray:
     """Integrate H along each flux row; H starts at 0 with M closed through B.
 
@@ -39,7 +39,7 @@ def ja_generate_field(b_rows: np.ndarray, tau: float, physical=DEFAULT_JA_PHYSIC
     h = np.zeros((rows, n), dtype=np.float64)
     state = JaState(h=Tensor(np.zeros((rows, 1))), m=Tensor(b_rows[:, 0:1] / MU0))
     for k in range(1, n):
-        state = ja_step_euler(state, b_rows[:, k - 1:k], b_rows[:, k:k + 1], tau, phys)
+        state = ja_step_euler(state, b_rows[:, k - 1:k], b_rows[:, k:k + 1], phys)
         h[:, k] = state.h.data[:, 0]
     return h
 
@@ -81,7 +81,7 @@ def generate_ja_dataset(n_sequences: int = 20, length: int = 640, seed: int = 0,
     settle = int(round(1.0 / (min(_FREQS_HZ) * tau)))
     waves, freqs = flux_waveforms(n_sequences, length + settle, rng, tau)
     temps = np.array([_TEMPS_C[i % len(_TEMPS_C)] for i in range(n_sequences)])
-    h = ja_generate_field(waves, tau, physical, temperatures=temps)
+    h = ja_generate_field(waves, physical, temperatures=temps)
     sequences = []
     for i in range(n_sequences):
         sequences.append(MeasuredSequence(

@@ -20,13 +20,15 @@ import numpy as np
 
 from .autodiff import Tensor, dtype_of, reshape
 from .dataset import MiniBatch, NormConstants, PredictionTask, compute_norm_constants, make_minibatches
-from .heads import HeadConfig, init_head_params, inputs_from_batch, predict_window, rollout, wrap_params
+from .heads import (JA_FAMILY, HeadConfig, init_head_params, inputs_from_batch, predict_window,
+                    rollout, wrap_params)
 from .metrics import MetricReport, batch_mean, mae, mse, sre, nere, wce, weighted_loss_rows
 from .physics import DEFAULT_ETA, ja_params_from_theta, pinn_ja_residual
 
 CHECKPOINT_FORMAT_VERSION = 1
-
-JA_FAMILY = ("ja", "gru-jadp")
+#: Header keys :func:`load_checkpoint` reads.
+CHECKPOINT_HEADER_KEYS = ("format_version", "archetype", "seed", "norm", "train_config",
+                          "layout", "blob", "blob_sha256")
 
 
 class ConfigError(ValueError):
@@ -155,7 +157,7 @@ def batch_loss(config: TrainConfig, params_t: dict, batch: MiniBatch, norm: Norm
         phys = ja_params_from_theta(reshape(params_t["theta_ja"], (1, 5)), config.eta)
         anchor = Tensor(batch.h_raw[:, w - 1:w].astype(pred.data.dtype))
         h_traj = _concat_traj(anchor, pred * norm.h_max)
-        _, l_ja_rows = pinn_ja_residual(h_traj, batch.b_raw[:, w - 1:], phys, batch.tau_s)
+        _, l_ja_rows = pinn_ja_residual(h_traj, batch.b_raw[:, w - 1:], phys)
         rows = rows + config.lambda_w * l_ja_rows
     return batch_mean(rows)
 
@@ -344,6 +346,9 @@ def save_checkpoint(path: Path, ckpt: ModelCheckpoint) -> tuple[Path, Path]:
 def load_checkpoint(json_path: Path) -> ModelCheckpoint:
     json_path = Path(json_path)
     header = json.loads(json_path.read_text())
+    for key in CHECKPOINT_HEADER_KEYS:
+        if key not in header:
+            raise ConfigError(f"{json_path}: checkpoint header lacks {key!r}")
     if header["format_version"] != CHECKPOINT_FORMAT_VERSION:
         raise ConfigError(f"unsupported checkpoint format {header['format_version']}")
     blob = (json_path.parent / header["blob"]).read_bytes()

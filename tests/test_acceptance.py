@@ -106,7 +106,7 @@ def _window(rows=1, length=13, w=3, seed=0):
     return RolloutInputs(
         x=x, drive_norm=drive_norm, target_warm_norm=target_norm[:, :w],
         warmup_length=w, drive_raw=0.25 * drive_norm, target_warm_raw=80.0 * target_norm[:, :w],
-        target_max=80.0, tau_s=TAU), target_norm
+        target_max=80.0), target_norm
 
 
 def _loss_fn_for(config: HeadConfig, inputs: RolloutInputs, target_norm):
@@ -266,7 +266,7 @@ def test_c05_ja_physical_sanity():
         n = int(round(1.0 / (f * TAU)))
         t = np.arange(4 * n + 1) * TAU  # 3 settling periods + 1 measured
         b = 0.25 * np.sin(2 * np.pi * f * t)
-        h = ja_generate_field(b[None, :], TAU)[0]
+        h = ja_generate_field(b[None, :])[0]
         b_loop, h_loop = b[-n - 1:], h[-n - 1:]
         gap = abs(h_loop[-1] - h_loop[0])
         assert gap < 0.01 * np.max(np.abs(h_loop))
@@ -274,7 +274,7 @@ def test_c05_ja_physical_sanity():
 
         # constant-flux segment: the field must hold exactly
         b_hold = np.concatenate([b[:n // 2], np.full(40, b[n // 2 - 1]), b[n // 2:n]])
-        h_hold = ja_generate_field(b_hold[None, :], TAU)[0]
+        h_hold = ja_generate_field(b_hold[None, :])[0]
         seg = h_hold[n // 2 - 1:n // 2 + 40]
         assert np.all(seg == seg[0])
 

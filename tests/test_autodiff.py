@@ -55,17 +55,8 @@ class TestPrimitiveGradients:
     def test_sigmoid(self):
         check_op(ad.sigmoid, [(3, 3)])
 
-    def test_exp(self):
-        check_op(ad.exp, [(3, 3)])
-
     def test_sqrt(self):
         check_op(ad.sqrt, [(3, 3)], low=0.2, high=3.0)
-
-    def test_abs(self):
-        check_op(ad.absolute, [(3, 3)], low=0.2, high=2.0)
-
-    def test_coth(self):
-        check_op(ad.coth, [(3, 3)], low=0.3, high=3.0)
 
     def test_langevin(self):
         check_op(ad.langevin, [(3, 3)], low=-3.0, high=3.0)

@@ -64,13 +64,14 @@ class TestIngest:
         raw = tmp_path / "raw" / "matBad"
         raw.mkdir(parents=True)
         rows = [f"{0.1 * k},{0.1 * k}" for k in range(20)]
-        rows[16] = "0.5,oops"  # file row 17
-        (raw / "B_waveform[T].csv").write_text("\n".join(rows) + "\n")
         (raw / "H_waveform[Am-1].csv").write_text("\n".join("1,2" for _ in range(20)) + "\n")
         (raw / "Temperature[C].csv").write_text("\n".join("25" for _ in range(20)) + "\n")
-        rc = main(["ingest", "--raw", str(tmp_path / "raw"), "--out", str(tmp_path / "out")])
-        assert rc == 1
-        assert "row 17" in capsys.readouterr().err
+        for bad in ("oops", "nan", "inf", "-inf"):
+            rows[16] = f"0.5,{bad}"  # file row 17
+            (raw / "B_waveform[T].csv").write_text("\n".join(rows) + "\n")
+            rc = main(["ingest", "--raw", str(tmp_path / "raw"), "--out", str(tmp_path / "out")])
+            assert rc == 1
+            assert "row 17" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -170,6 +171,17 @@ class TestEvalPredict:
         m1.pop("timing")
         m2.pop("timing")
         assert m1 == m2
+
+    @pytest.mark.parametrize("key", ["format_version", "archetype", "seed", "norm",
+                                     "train_config", "layout", "blob", "blob_sha256"])
+    def test_checkpoint_header_missing_key_named(self, trained, tmp_path, capsys, key):
+        header = json.loads((trained / "model.json").read_text())
+        del header[key]
+        ckpt = tmp_path / "model.json"
+        ckpt.write_text(json.dumps(header))
+        rc = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert repr(key) in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -80,19 +80,19 @@ class TestFeaturize:
     def test_constant_b_zero_differences(self):
         seq = seq_of(np.full(10, 0.4), np.zeros(10), theta=35.0)
         fm = featurize(seq, PredictionTask(0, 2, 9, 9), self.norm())
-        np.testing.assert_array_equal(fm.db_norm, np.zeros(10))
-        np.testing.assert_array_equal(fm.d2b_norm, np.zeros(10))
+        np.testing.assert_array_equal(fm[:, 1], np.zeros(10))
+        np.testing.assert_array_equal(fm[:, 2], np.zeros(10))
 
     def test_linear_ramp(self):
         seq = seq_of([0.0, 0.1, 0.2], np.zeros(3), theta=35.0)
         fm = featurize(seq, PredictionTask(0, 1, 2, 2), self.norm())
-        np.testing.assert_allclose(fm.db_norm, [0.1, 0.1, 0.1], atol=1e-15)
-        np.testing.assert_allclose(fm.d2b_norm, np.zeros(3), atol=1e-15)
+        np.testing.assert_allclose(fm[:, 1], [0.1, 0.1, 0.1], atol=1e-15)
+        np.testing.assert_allclose(fm[:, 2], np.zeros(3), atol=1e-15)
 
     def test_theta_row_all_ones_at_max(self):
         seq = seq_of(np.linspace(0, 0.1, 8), np.zeros(8), theta=70.0)
         fm = featurize(seq, PredictionTask(0, 2, 7, 7), self.norm())
-        np.testing.assert_array_equal(fm.theta_norm, np.ones(8))
+        np.testing.assert_array_equal(fm[:, 3], np.ones(8))
 
     def test_boundary_replicates_first_interior(self):
         b = np.array([0.0, 0.3, 0.35, 0.5])
@@ -109,9 +109,9 @@ class TestFeaturize:
         norm = compute_norm_constants([seq])
         a = featurize(seq, PredictionTask(4, 8, 40, 63), norm)
         b = featurize(seq, PredictionTask(5, 9, 41, 63), norm)
-        # interior columns shift by one window sample
-        np.testing.assert_allclose(a.values[1, 3:], b.values[1, 2:-1], atol=1e-15)
-        np.testing.assert_allclose(a.values[2, 3:], b.values[2, 2:-1], atol=1e-15)
+        # interior rows shift by one window sample
+        np.testing.assert_allclose(a[3:, 1], b[2:-1, 1], atol=1e-15)
+        np.testing.assert_allclose(a[3:, 2], b[2:-1, 2], atol=1e-15)
 
 
 class TestMiniBatches:
@@ -236,10 +236,11 @@ class TestSequenceIO:
         seq = ramp_sequence(n=20)
         write_sequence(tmp_path / "s.csv", seq)
         lines = (tmp_path / "s.csv").read_text().splitlines()
-        lines[17] = "16,not-a-number,3.0"
-        (tmp_path / "s.csv").write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match="row 18"):
-            read_sequence(tmp_path / "s.csv")
+        for bad in ("16,not-a-number,3.0", "16,nan,3.0", "16,0.1,inf", "16,-inf,3.0"):
+            lines[17] = bad
+            (tmp_path / "s.csv").write_text("\n".join(lines) + "\n")
+            with pytest.raises(DataError, match=r"s\.csv: .*row 18"):
+                read_sequence(tmp_path / "s.csv")
 
     def test_bad_header(self, tmp_path):
         (tmp_path / "s.csv").write_text("a,b,c\n1,2,3\n")
@@ -283,11 +284,12 @@ class TestAdapters:
     def test_corrupt_matrix_row(self, tmp_path):
         raw = tmp_path / "matB"
         raw.mkdir()
-        (raw / "B_waveform[T].csv").write_text("0.1,0.2\nbad,0.3\n")
         (raw / "H_waveform[Am-1].csv").write_text("1,2\n3,4\n")
         (raw / "Temperature[C].csv").write_text("25\n25\n")
-        with pytest.raises(DataError, match="row 2"):
-            ingest_material(raw, tmp_path / "out")
+        for bad in ("bad", "nan", "inf", "-inf"):
+            (raw / "B_waveform[T].csv").write_text(f"0.1,0.2\n{bad},0.3\n")
+            with pytest.raises(DataError, match=r"B_waveform\[T\]\.csv: .*row 2"):
+                ingest_material(raw, tmp_path / "out")
 
     def test_canonical_passthrough(self, tmp_path):
         raw = tmp_path / "matC"

@@ -16,11 +16,9 @@ from hystkit.heads import (
     init_head_params,
     predict_window,
     rollout,
-    warmup_direct,
+    warmup,
     wrap_params,
 )
-
-TAU = 62.5e-9
 
 
 def make_inputs(d_x=4, length=8, w=3, rows=1, seed=0, target=None, drive=None):
@@ -30,7 +28,7 @@ def make_inputs(d_x=4, length=8, w=3, rows=1, seed=0, target=None, drive=None):
     x = rng.uniform(-0.5, 0.5, (rows, length, d_x))
     return RolloutInputs(
         x=x, drive_norm=drive, target_warm_norm=target, warmup_length=w,
-        drive_raw=0.3 * drive, target_warm_raw=100.0 * target, target_max=100.0, tau_s=TAU)
+        drive_raw=0.3 * drive, target_warm_raw=100.0 * target, target_max=100.0)
 
 
 def zero_params(config, seed=0):
@@ -46,21 +44,21 @@ class TestWarmupDirect:
     def test_degenerate_single_step(self):
         config = HeadConfig("gru-p", d_g=5, warmup_length=1)
         inputs = make_inputs(w=1, target=[[0.37]])
-        g, c = warmup_direct(config, wrapped(init_head_params(config, 3)), inputs)
+        g, c = warmup(config, wrapped(init_head_params(config, 3)), inputs)
         np.testing.assert_array_equal(g.data, [[0.37, 0, 0, 0, 0]])
         assert c is None
 
     def test_zero_weights_two_step(self):
         config = HeadConfig("gru-p", d_g=4, warmup_length=2)
         inputs = make_inputs(w=2, target=[[0.8, -0.5]])
-        g, _ = warmup_direct(config, wrapped(zero_params(config)), inputs)
+        g, _ = warmup(config, wrapped(zero_params(config)), inputs)
         np.testing.assert_array_equal(g.data, [[-0.5, 0, 0, 0]])
 
     def test_three_step_matches_manual_composition(self):
         config = HeadConfig("gru-p", d_g=4, warmup_length=3)
         arrays = init_head_params(config, 7)
         inputs = make_inputs(w=3, seed=5)
-        g, _ = warmup_direct(config, wrapped(arrays), inputs)
+        g, _ = warmup(config, wrapped(arrays), inputs)
 
         p = GruParams(**{k: Tensor(v) for k, v in arrays.items()})
         target = inputs.target_warm_norm
@@ -82,7 +80,7 @@ class TestWarmupDirect:
         inputs = make_inputs(w=2)
         inputs.target_warm_norm = inputs.target_warm_norm[:, :1]
         with pytest.raises(WarmupError):
-            warmup_direct(config, wrapped(zero_params(config)), inputs)
+            warmup(config, wrapped(zero_params(config)), inputs)
 
 
 class TestGruP:
@@ -106,7 +104,7 @@ class TestGruP:
         pred, final = rollout(config, wrapped(arrays), inputs)
 
         p = GruParams(**{k: Tensor(v) for k, v in arrays.items()})
-        g, _ = warmup_direct(config, wrapped(arrays), inputs)
+        g, _ = warmup(config, wrapped(arrays), inputs)
         outs = []
         for t in range(3, 8):
             g = gru_step(Tensor(inputs.x[:, t, :]), g, p)
@@ -285,34 +283,6 @@ class TestJaHeads:
             rollout(config, wrapped(arrays), inputs)
 
 
-class TestGruMPhysicalVariant:
-    def test_raw_unit_readout_and_inverse(self):
-        from hystkit.physics import MU0
-
-        config = HeadConfig("gru-m", d_g=4, warmup_length=2, gru_m_physical=True)
-        arrays = init_head_params(config, 51)
-        # freeze the state: saturate the update gate and silence its inputs
-        # (the raw-scale state is ~1e3, so U_z must not reach the gate)
-        arrays["b_z"] = np.full(4, 50.0)
-        arrays["u_z"] = np.zeros_like(arrays["u_z"])
-        arrays["w_z"] = np.zeros_like(arrays["w_z"])
-        drive = np.full((1, 3), 0.5)
-        target = np.full((1, 2), 0.25)
-        inputs = RolloutInputs(
-            x=np.zeros((1, 3, 4)), drive_norm=drive, target_warm_norm=target,
-            warmup_length=2, drive_raw=0.3 * drive, target_warm_raw=100.0 * target,
-            target_max=100.0, tau_s=TAU)
-        pred, _ = rollout(config, wrap_params(arrays), inputs)
-        assert pred.data[0, 0] == pytest.approx(0.25, abs=1e-10)
-        # the readout really lives on the raw-flux scale
-        vals = _inject_values(config, inputs)
-        expect = inputs.drive_raw[0, 0] / (MU0 * 100.0) - 0.25
-        assert vals[0, 0] == pytest.approx(expect, rel=1e-12)
-
-    def test_off_by_default(self):
-        assert HeadConfig("gru-m", d_g=4).gru_m_physical is False
-
-
 class TestRolloutLossGradient:
     def test_ten_step_rollout_loss_fd(self):
         # ten open-loop steps through warmup, rollout, and the weighted
@@ -345,7 +315,7 @@ class TestPredictWindow:
         n = 40
         seq = MeasuredSequence(b=0.2 * np.sin(np.linspace(0, 7, n)),
                               h=30 * np.sin(np.linspace(0, 7, n) - 0.4),
-                              temperature_c=25.0, tau_s=TAU)
+                              temperature_c=25.0)
         norm = NormConstants(h_max=30.0, b_max=0.2, theta_max=70.0)
         config = HeadConfig("gru-p", d_g=6, warmup_length=5)
         arrays = init_head_params(config, 3)
@@ -360,7 +330,7 @@ class TestPredictWindow:
         n = 24
         seq = MeasuredSequence(b=0.1 * np.sin(np.linspace(0, 5, n)),
                               h=20 * np.sin(np.linspace(0, 5, n)),
-                              temperature_c=25.0, tau_s=TAU)
+                              temperature_c=25.0)
         norm = NormConstants(h_max=20.0, b_max=0.1, theta_max=70.0)
         config = HeadConfig("gru-p", d_g=4, warmup_length=1)
         result = predict_window(config, init_head_params(config, 5), seq,

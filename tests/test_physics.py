@@ -21,13 +21,11 @@ from hystkit.physics import (
     ja_initial_state,
     ja_m_an,
     ja_params_from_theta,
-    ja_residual_step,
     ja_step_euler,
     pinn_ja_residual,
     preisach_grid,
     preisach_hysteron,
     preisach_predict,
-    theta_from_ja_params,
 )
 from hystkit.synth import DEFAULT_JA_PHYSICAL, ja_generate_field
 
@@ -71,15 +69,6 @@ class TestParameterMapping:
         phys = ja_params_from_theta(theta, DEFAULT_ETA)
         assert phys.c.data.item() == pytest.approx(DEFAULT_ETA[4], rel=1e-12)
 
-    def test_roundtrip_logit(self):
-        eta = np.asarray(DEFAULT_ETA)
-        physical = 0.3 * eta
-        theta = theta_from_ja_params(physical, eta)
-        np.testing.assert_allclose(theta, np.log(3.0 / 7.0), rtol=1e-12)
-        assert theta[0] == pytest.approx(-0.8473, abs=5e-5)
-        back = ja_params_from_theta(Tensor(theta[None, :]), eta)
-        assert back.m_s.data.item() == pytest.approx(physical[0], rel=1e-12)
-
     @given(st.lists(st.floats(-30, 30), min_size=5, max_size=5))
     @settings(max_examples=50, deadline=None)
     def test_always_inside_open_interval(self, theta_vals):
@@ -95,8 +84,8 @@ class TestParameterMapping:
 class TestSusceptibility:
     def test_direction_parameter(self):
         state = ja_initial_state([[20.0]], [[0.1]])
-        rising = ja_step_euler(state, 0.1, 0.1001, TAU, phys_of())
-        falling = ja_step_euler(state, 0.1, 0.0999, TAU, phys_of())
+        rising = ja_step_euler(state, 0.1, 0.1001, phys_of())
+        falling = ja_step_euler(state, 0.1, 0.0999, phys_of())
         assert rising.h.data.item() > 20.0
         assert falling.h.data.item() < 20.0
 
@@ -126,13 +115,13 @@ class TestSusceptibility:
         phys = JaPhysical(m_s=3.5e5, a=30.0, alpha_w=1e-3, k_p=0.0, c=0.0)
         with pytest.raises(SingularityError):
             state = JaState(h=col(0.0), m=col(0.0))
-            ja_step_euler(state, 0.0, 1e-9, TAU, phys)
+            ja_step_euler(state, 0.0, 1e-9, phys)
 
 
 class TestEulerStep:
     def test_constant_flux_keeps_field(self):
         state = ja_initial_state([[37.5]], [[0.21]])
-        stepped = ja_step_euler(state, 0.21, 0.21, TAU, phys_of())
+        stepped = ja_step_euler(state, 0.21, 0.21, phys_of())
         assert stepped.h.data.item() == 37.5  # exact
 
     def test_vacuum_response_when_susceptibility_zero(self):
@@ -143,12 +132,12 @@ class TestEulerStep:
             m = ja_m_an(np.array([[h + 5e-5 * m]]), 3.5e5, 30.0).data.item()
         state = JaState(h=col(h), m=col(m))
         db = 1e-6
-        stepped = ja_step_euler(state, 0.2, 0.2 + db, TAU, phys)
+        stepped = ja_step_euler(state, 0.2, 0.2 + db, phys)
         assert stepped.h.data.item() - h == pytest.approx(db / MU0, rel=1e-6)
 
     def test_magnetization_closure(self):
         state = ja_initial_state([[10.0]], [[0.05]])
-        stepped = ja_step_euler(state, 0.05, 0.0503, TAU, phys_of())
+        stepped = ja_step_euler(state, 0.05, 0.0503, phys_of())
         lhs = MU0 * (stepped.h.data.item() + stepped.m.data.item())
         assert lhs == pytest.approx(0.0503, rel=1e-12)
 
@@ -157,7 +146,7 @@ class TestEulerStep:
         n = int(round(1.0 / (f * TAU)))
         t = np.arange(4 * n + 1) * TAU
         b = 0.25 * np.sin(2 * np.pi * f * t)
-        h = ja_generate_field(b[None, :], TAU)[0]
+        h = ja_generate_field(b[None, :])[0]
         b_last, h_last = b[-n - 1:], h[-n - 1:]
         gap = abs(h_last[-1] - h_last[0])
         assert gap < 0.01 * np.max(np.abs(h_last))
@@ -173,7 +162,7 @@ class TestEulerStep:
             tau = TAU / oversample
             t = np.arange(4 * n + 1) * tau
             b = 0.25 * np.sin(2 * np.pi * f * t)
-            h = ja_generate_field(b[None, :], tau)[0]
+            h = ja_generate_field(b[None, :])[0]
             return np.trapezoid(h[-n - 1:], b[-n - 1:])
 
         coarse, fine = loop_area(1), loop_area(16)
@@ -193,23 +182,23 @@ class TestJadpCoupling:
         state = ja_initial_state([[10.0]], [[0.1]])
         with pytest.raises(PhysicsError):
             gru_jadp_step(Tensor(x), Tensor(g_prev[:, :4]), params.map(Tensor), DEFAULT_ETA,
-                          state, 0.1, 0.11, TAU)
+                          state, 0.1, 0.11)
 
     def test_constant_flux_keeps_field(self):
         params, x, g_prev = self._setup()
         state = ja_initial_state([[10.0]], [[0.1]])
         new_state, _ = gru_jadp_step(Tensor(x), Tensor(g_prev), params.map(Tensor),
-                                     DEFAULT_ETA, state, 0.1, 0.1, TAU)
+                                     DEFAULT_ETA, state, 0.1, 0.1)
         assert new_state.h.data.item() == 10.0
 
     def test_matches_manual_composition(self):
         params, x, g_prev = self._setup()
         state = ja_initial_state([[10.0]], [[0.1]])
         coupled_state, coupled_g = gru_jadp_step(Tensor(x), Tensor(g_prev), params.map(Tensor),
-                                                 DEFAULT_ETA, state, 0.1, 0.1002, TAU)
+                                                 DEFAULT_ETA, state, 0.1, 0.1002)
         g_manual = gru_step(Tensor(x), Tensor(g_prev), params.map(Tensor))
         phys = ja_params_from_theta(g_manual[:, 0:5], DEFAULT_ETA)
-        state_manual = ja_step_euler(ja_initial_state([[10.0]], [[0.1]]), 0.1, 0.1002, TAU, phys)
+        state_manual = ja_step_euler(ja_initial_state([[10.0]], [[0.1]]), 0.1, 0.1002, phys)
         np.testing.assert_array_equal(coupled_g.data, g_manual.data)
         np.testing.assert_array_equal(coupled_state.h.data, state_manual.h.data)
 
@@ -218,30 +207,11 @@ class TestJadpCoupling:
         params.b_z = np.full(6, 50.0)  # update gate saturated: g stays (numerically) g_prev
         state = ja_initial_state([[10.0]], [[0.1]])
         coupled_state, coupled_g = gru_jadp_step(Tensor(x), Tensor(g_prev), params.map(Tensor),
-                                                 DEFAULT_ETA, state, 0.1, 0.1002, TAU)
+                                                 DEFAULT_ETA, state, 0.1, 0.1002)
         np.testing.assert_allclose(coupled_g.data, g_prev, atol=1e-15)
         phys = ja_params_from_theta(Tensor(coupled_g.data[:, 0:5]), DEFAULT_ETA)
-        static = ja_step_euler(ja_initial_state([[10.0]], [[0.1]]), 0.1, 0.1002, TAU, phys)
+        static = ja_step_euler(ja_initial_state([[10.0]], [[0.1]]), 0.1, 0.1002, phys)
         np.testing.assert_array_equal(coupled_state.h.data, static.h.data)
-
-
-class TestResidualComposition:
-    def test_zero_residual_is_pure_ja(self):
-        state = ja_initial_state([[10.0]], [[0.1]])
-        stepped = ja_step_euler(state, 0.1, 0.1003, TAU, phys_of())
-        out = ja_residual_step(col(0.0), stepped.h)
-        np.testing.assert_array_equal(out.data, stepped.h.data)
-
-    def test_sum_matches_components(self):
-        rng = np.random.default_rng(9)
-        a = Tensor(rng.standard_normal((3, 1)))
-        b = Tensor(rng.standard_normal((3, 1)))
-        np.testing.assert_array_equal(ja_residual_step(a, b).data, a.data + b.data)
-
-    def test_single_precision_rejected(self):
-        a = Tensor(np.zeros((1, 1)), dtype=np.float32)
-        with pytest.raises(PhysicsError, match="double"):
-            ja_residual_step(a, a)
 
 
 class TestPinnResidual:
@@ -251,11 +221,11 @@ class TestPinnResidual:
         state = ja_initial_state([[0.0]], b[:, 0:1])
         traj = [state.h]
         for k in range(1, 9):
-            state = ja_step_euler(state, b[:, k - 1:k], b[:, k:k + 1], TAU, phys)
+            state = ja_step_euler(state, b[:, k - 1:k], b[:, k:k + 1], phys)
             traj.append(state.h)
         from hystkit.autodiff import concat
         h_traj = concat(traj, axis=1)
-        e, l_rows = pinn_ja_residual(h_traj, b, phys, TAU)
+        e, l_rows = pinn_ja_residual(h_traj, b, phys)
         assert np.max(np.abs(e.data)) < 1e-9
         assert l_rows.data[0].item() < 1e-9
 
@@ -263,12 +233,12 @@ class TestPinnResidual:
         b = np.array([[0.10, 0.101, 0.1005]])
         h_vals = np.array([[20.0, 25.0, 23.0]])
         phys = phys_of()
-        e, l_rows = pinn_ja_residual(Tensor(h_vals), b, phys, TAU)
+        e, l_rows = pinn_ja_residual(Tensor(h_vals), b, phys)
         manual = []
         for k in (1, 2):
             state = JaState(h=col(h_vals[0, k - 1]),
                             m=Tensor(np.array([[b[0, k - 1] / MU0 - h_vals[0, k - 1]]])))
-            stepped = ja_step_euler(state, b[0, k - 1], b[0, k], TAU, phys)
+            stepped = ja_step_euler(state, b[0, k - 1], b[0, k], phys)
             dh = stepped.h.data.item() - h_vals[0, k - 1]
             manual.append(dh - (h_vals[0, k] - h_vals[0, k - 1]))
         np.testing.assert_allclose(e.data[0], manual, rtol=1e-12)
@@ -279,7 +249,7 @@ class TestPinnResidual:
 
         def fn(theta, h_free):
             phys = ja_params_from_theta(reshape(theta, (1, 5)), DEFAULT_ETA)
-            _, l_rows = pinn_ja_residual(reshape(h_free, (1, 4)), b, phys, TAU)
+            _, l_rows = pinn_ja_residual(reshape(h_free, (1, 4)), b, phys)
             return l_rows.sum()
 
         graph = Graph(fn, 2)
@@ -309,18 +279,6 @@ class TestHysteron:
         # H level below alpha: the falling branch pushes down even when flat
         out = preisach_hysteron(0.0, 0.0, 1.0, 0.5, -0.5)
         assert out < 1.0
-
-    def test_engine_matches_plain(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            h_k, h_prev = rng.uniform(-1.5, 1.5, 2)
-            gamma = rng.uniform(-1, 1)
-            alpha = rng.uniform(0, 1)
-            beta = rng.uniform(-1, 0)
-            plain = preisach_hysteron(h_k, h_prev, gamma, alpha, beta)
-            engine = preisach_hysteron(Tensor(np.array(h_k)), h_prev,
-                                       Tensor(np.array(gamma)), alpha, beta)
-            assert float(engine.data) == pytest.approx(float(plain), abs=1e-15)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=120, deadline=None)
@@ -418,7 +376,7 @@ class TestPhysicsGradients:
             state = ja_initial_state([[20.0]], b[:, 0:1])
             preds = []
             for k in range(1, 9):
-                state = ja_step_euler(state, b[:, k - 1:k], b[:, k:k + 1], TAU, phys)
+                state = ja_step_euler(state, b[:, k - 1:k], b[:, k:k + 1], phys)
                 preds.append(state.h)
             from hystkit.autodiff import concat
             return (concat(preds, axis=1) * 1e-2).sum()

@@ -142,6 +142,16 @@ class TestTrainLoop:
         assert len(result.eval_sre) >= 1
         assert result.best_epoch <= config.epochs - 1
 
+    def test_mixed_sampling_periods_train(self):
+        from hystkit.dataset import make_minibatches
+
+        seqs = (generate_ja_dataset(n_sequences=2, length=64, seed=3, tau=62.5e-9)
+                + generate_ja_dataset(n_sequences=2, length=64, seed=4, tau=125e-9))
+        batches = make_minibatches(seqs, 32, 8, 0, 4, compute_norm_constants(seqs))
+        assert {seqs[si].tau_s for si in batches[0].sources[:, 0]} == {62.5e-9, 125e-9}
+        result = train(small_config(archetype="gru-jadp", d_g=6, batch_size=8, epochs=1), seqs)
+        assert len(result.train_losses) == 1 and np.isfinite(result.train_losses[0])
+
     def test_empty_training_set(self):
         with pytest.raises(ConfigError):
             train(small_config(), [])
