@@ -459,8 +459,12 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def take(a: Tensor, key) -> Tensor:
-    """Basic slicing; backward scatters the gradient into a zero array."""
-    out_data = a.data[key]
+    """Basic slicing; backward scatters the gradient into a zero array.
+
+    The result owns a copy, not a view, so keeping a small slice (a
+    rollout's per-step readout) does not keep the whole source array alive.
+    """
+    out_data = a.data[key].copy()
 
     def backward(g):
         full = np.zeros_like(a.data)

@@ -303,12 +303,13 @@ def cmd_predict(args) -> int:
                          "split": args.split, "split_seed": split_seed,
                          "index": args.index, "warmup_len": warmup},
                         {"checkpoint": args.checkpoint, "dataset": Path(root) / material})
+    if head_cfg.warmup_length != warmup:
+        head_cfg = type(head_cfg)(**{**head_cfg.__dict__, "warmup_length": warmup})
+    tasks = [PredictionTask(k0=0, k1=warmup, k2=seq.k3, k3=seq.k3) for _, seq in chosen]
+    results = predict_window(head_cfg, ckpt.params, [seq for _, seq in chosen], tasks,
+                             ckpt.norm, ckpt.precision)
     meta = {}
-    for i, seq in chosen:
-        task = PredictionTask(k0=0, k1=warmup, k2=seq.k3, k3=seq.k3)
-        if head_cfg.warmup_length != warmup:
-            head_cfg = type(head_cfg)(**{**head_cfg.__dict__, "warmup_length": warmup})
-        result = predict_window(head_cfg, ckpt.params, seq, task, ckpt.norm, ckpt.precision)
+    for (i, seq), task, result in zip(chosen, tasks, results):
         rows = [[k, _fmt(seq.b[k]), _fmt(seq.h[k]), _fmt(result.pred[j])]
                 for j, k in enumerate(range(task.k1, task.k2 + 1))]
         name = f"predictions/seq_{i:05d}.csv"

@@ -325,10 +325,18 @@ def read_sequence(path: Path) -> MeasuredSequence:
     if not sidecar_path.exists():
         raise DataError(f"missing sidecar {sidecar_path}")
     meta = json.loads(sidecar_path.read_text())
+    numbers = {"temperature_C": meta.get("temperature_C"), "tau_s": meta.get("tau_s") or DEFAULT_TAU_S}
+    for name, value in numbers.items():
+        try:
+            numbers[name] = float(value)
+        except (TypeError, ValueError):
+            raise DataError(f"{sidecar_path}: {name} is not a number: {value!r}")
+        if not math.isfinite(numbers[name]):
+            raise DataError(f"{sidecar_path}: non-finite {name}: {value!r}")
     return MeasuredSequence(
         b=np.array(b_vals), h=np.array(h_vals),
-        temperature_c=float(meta["temperature_C"]),
-        tau_s=float(meta.get("tau_s") or DEFAULT_TAU_S),
+        temperature_c=numbers["temperature_C"],
+        tau_s=numbers["tau_s"],
         material_id=str(meta.get("material", "")),
         f_sw_hz=None if meta.get("f_sw_Hz") is None else float(meta["f_sw_Hz"]),
     )

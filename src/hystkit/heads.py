@@ -65,7 +65,14 @@ class HeadError(ValueError):
 
 
 class WarmupError(HeadError):
-    """A warmup sample lies outside the head's invertible domain."""
+    """A warmup sample lies outside the head's invertible domain.
+
+    ``row`` is the batch row of the offending window, when one is known.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass
@@ -125,11 +132,10 @@ class RolloutInputs:
 
 @dataclass
 class RolloutResult:
-    """Open-loop predictions over one window plus the final hidden state."""
+    """Open-loop predictions over one window, normalized and in raw units."""
 
     pred_norm: np.ndarray
     pred: np.ndarray
-    final_state: object
 
 
 def inputs_from_batch(batch: MiniBatch, norm: NormConstants) -> RolloutInputs:
@@ -168,6 +174,13 @@ def _lstm_container(params: dict) -> LstmParams:
     return LstmParams(**{k: params[k] for k in LstmParams.names()})
 
 
+def _check_warmup(bad: np.ndarray, what: str) -> None:
+    """Raise a WarmupError naming the first (row, step) where ``bad`` holds."""
+    if np.any(bad):
+        row, step = (int(i) for i in np.argwhere(bad)[0])
+        raise WarmupError(f"{what} at warmup step {step} of row {row}", row=row)
+
+
 def _inject_values(config: HeadConfig, inputs: RolloutInputs) -> np.ndarray:
     """Per-step warmup injection values for element 0 of the hidden state."""
     w = inputs.warmup_length
@@ -176,16 +189,10 @@ def _inject_values(config: HeadConfig, inputs: RolloutInputs) -> np.ndarray:
         return target
     drive = np.asarray(inputs.drive_norm[:, :w], dtype=np.float64)
     if config.archetype == "gru-m":
-        bad = np.abs(target) >= 1.0
-        if np.any(bad):
-            idx = int(np.argwhere(bad)[0][1])
-            raise WarmupError(f"|H~| >= 1 at warmup step {idx}: magnetization inverse undefined")
+        _check_warmup(np.abs(target) >= 1.0, "|H~| >= 1 (magnetization inverse undefined)")
         return drive - np.arctanh(target)
     if config.archetype == "gru-l":
-        bad = np.abs(drive) <= EPS_B
-        if np.any(bad):
-            idx = int(np.argwhere(bad)[0][1])
-            raise WarmupError(f"|B~| <= {EPS_B} at warmup step {idx}: permeability inverse undefined")
+        _check_warmup(np.abs(drive) <= EPS_B, f"|B~| <= {EPS_B} (permeability inverse undefined)")
         return target / drive
     raise HeadError(f"{config.archetype} does not use state injection")
 
@@ -215,8 +222,7 @@ def warmup(config: HeadConfig, params: dict, inputs: RolloutInputs):
         if w < 1 or inputs.target_warm_norm.shape[1] != w:
             raise WarmupError("empty or mismatched warmup window")
         inject = _inject_values(config, inputs)
-        if not np.all(np.isfinite(inject)):
-            raise WarmupError("non-finite warmup injection values")
+        _check_warmup(~np.isfinite(inject), "non-finite injection value")
         zeros = Tensor(np.zeros((rows, config.d_g - 1), dtype=dt))
         g = concat([Tensor(inject[:, 0:1].astype(dt)), zeros], axis=1)
     else:
@@ -307,25 +313,67 @@ def rollout(config: HeadConfig, params: dict, inputs: RolloutInputs):
     return concat(preds, axis=1), state
 
 
-def predict_window(config: HeadConfig, params_arrays: dict, seq, task, norm: NormConstants,
-                   precision: str = "double") -> RolloutResult:
-    """Open-loop prediction for one task window of one sequence."""
+def _predict_group(config: HeadConfig, params: dict, seqs, tasks, norm: NormConstants,
+                   dt) -> np.ndarray:
+    """Normalized float64 predictions ``(rows, L - w)`` of tasks sharing one window shape.
+
+    The feature block is filled in place in the run precision, one
+    ``featurize`` call per sequence. The group's input blocks die on
+    return, before the caller allocates the per-row results.
+    """
     from .dataset import featurize
 
-    x = featurize(seq, task, norm)
-    w = task.warmup_length
-    sl = slice(task.k0, task.k2 + 1)
+    rows, length, w = len(tasks), tasks[0].k2 - tasks[0].k0 + 1, tasks[0].warmup_length
+    x = None
+    drive_raw = np.empty((rows, length))
+    target_warm_raw = np.empty((rows, w))
+    for row, (seq, task) in enumerate(zip(seqs, tasks)):
+        features = featurize(seq, task, norm)
+        if x is None:
+            x = np.empty((rows,) + features.shape, dtype=dt)
+        x[row] = features
+        drive_raw[row] = seq.b[task.k0:task.k2 + 1]
+        target_warm_raw[row] = seq.h[task.k0:task.k1]
     inputs = RolloutInputs(
-        x=x[None, :, :],
-        drive_norm=(seq.b[sl] / norm.b_max)[None, :],
-        target_warm_norm=(seq.h[task.k0:task.k1] / norm.h_max)[None, :],
+        x=x,
+        drive_norm=drive_raw / norm.b_max,
+        target_warm_norm=target_warm_raw / norm.h_max,
         warmup_length=w,
-        drive_raw=seq.b[sl][None, :],
-        target_warm_raw=seq.h[task.k0:task.k1][None, :],
+        drive_raw=drive_raw,
+        target_warm_raw=target_warm_raw,
         target_max=norm.h_max,
     )
-    params = wrap_params({k: np.asarray(v, dtype=dtype_of(precision)) for k, v in params_arrays.items()},
+    pred_t, _ = rollout(config, params, inputs)
+    return pred_t.data.astype(np.float64)
+
+
+def predict_window(config: HeadConfig, params_arrays: dict, seqs, tasks, norm: NormConstants,
+                   precision: str = "double") -> list[RolloutResult]:
+    """Open-loop predictions for task windows, one result per ``(seq, task)`` pair in input order.
+
+    Tasks with the same window and warmup lengths run as one batched
+    rollout with frozen parameters. A batch's rows do not depend on each
+    other, but a one-row batch takes a different BLAS kernel (gemv instead
+    of gemm), so a window predicted alone can differ from the same window
+    in a batch in the last bits. A :class:`WarmupError` names the input
+    index of the offending sequence.
+    """
+    dt = dtype_of(precision)
+    params = wrap_params({k: np.asarray(v, dtype=dt) for k, v in params_arrays.items()},
                          requires_grad=False)
-    pred_t, final_state = rollout(config, params, inputs)
-    pred_norm = pred_t.data[0].astype(np.float64)
-    return RolloutResult(pred_norm=pred_norm, pred=pred_norm * norm.h_max, final_state=final_state)
+    groups: dict = {}
+    for i, task in enumerate(tasks):
+        groups.setdefault((task.k2 - task.k0 + 1, task.warmup_length), []).append(i)
+    results: list = [None] * len(tasks)
+    for members in groups.values():
+        try:
+            pred_norm = _predict_group(config, params, [seqs[i] for i in members],
+                                       [tasks[i] for i in members], norm, dt)
+        except WarmupError as exc:
+            if exc.row is None:
+                raise
+            raise WarmupError(f"sequence {members[exc.row]}: {exc}") from exc
+        pred = pred_norm * norm.h_max
+        for row, i in enumerate(members):
+            results[i] = RolloutResult(pred_norm=pred_norm[row], pred=pred[row])
+    return results

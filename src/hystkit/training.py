@@ -29,6 +29,9 @@ CHECKPOINT_FORMAT_VERSION = 1
 #: Header keys :func:`load_checkpoint` reads.
 CHECKPOINT_HEADER_KEYS = ("format_version", "archetype", "seed", "norm", "train_config",
                           "layout", "blob", "blob_sha256")
+#: Keys read inside the ``norm`` and ``train_config`` header sections.
+CHECKPOINT_SECTION_KEYS = {"norm": ("h_max", "b_max", "theta_max"),
+                           "train_config": ("d_g", "d_x", "warmup_length", "eta", "precision")}
 
 
 class ConfigError(ValueError):
@@ -184,10 +187,11 @@ def full_sequence_task(seq, warmup_length: int) -> PredictionTask:
 def evaluate_sequences(config: HeadConfig, params: dict, sequences, norm: NormConstants,
                        precision: str = "double") -> MetricReport:
     """Open-loop metrics per sequence (full-window task) plus aggregates."""
+    sequences = list(sequences)
+    tasks = [full_sequence_task(seq, config.warmup_length) for seq in sequences]
+    results = predict_window(config, params, sequences, tasks, norm, precision)
     report = MetricReport()
-    for i, seq in enumerate(sequences):
-        task = full_sequence_task(seq, config.warmup_length)
-        result = predict_window(config, params, seq, task, norm, precision)
+    for i, (seq, task, result) in enumerate(zip(sequences, tasks, results)):
         h_true = seq.h[task.k1:task.k2 + 1]
         b_prev = seq.b[task.k1 - 1:task.k2 + 1]
         report.add(
@@ -349,6 +353,10 @@ def load_checkpoint(json_path: Path) -> ModelCheckpoint:
     for key in CHECKPOINT_HEADER_KEYS:
         if key not in header:
             raise ConfigError(f"{json_path}: checkpoint header lacks {key!r}")
+    for section, keys in CHECKPOINT_SECTION_KEYS.items():
+        for key in keys:
+            if not isinstance(header[section], dict) or key not in header[section]:
+                raise ConfigError(f"{json_path}: checkpoint header lacks '{section}.{key}'")
     if header["format_version"] != CHECKPOINT_FORMAT_VERSION:
         raise ConfigError(f"unsupported checkpoint format {header['format_version']}")
     blob = (json_path.parent / header["blob"]).read_bytes()

@@ -183,6 +183,20 @@ class TestEvalPredict:
         assert rc == 1
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["norm.h_max", "norm.b_max", "norm.theta_max",
+                                     "train_config.d_g", "train_config.d_x",
+                                     "train_config.warmup_length", "train_config.eta",
+                                     "train_config.precision"])
+    def test_checkpoint_section_missing_key_named(self, trained, tmp_path, capsys, key):
+        header = json.loads((trained / "model.json").read_text())
+        section, name = key.split(".")
+        del header[section][name]
+        ckpt = tmp_path / "model.json"
+        ckpt.write_text(json.dumps(header))
+        rc = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert repr(key) in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def sweep_out(dataset_dir, tmp_path_factory):

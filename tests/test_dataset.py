@@ -1,4 +1,6 @@
 """Data pipeline tests: normalization, features, batching, splits, file I/O."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +243,18 @@ class TestSequenceIO:
             (tmp_path / "s.csv").write_text("\n".join(lines) + "\n")
             with pytest.raises(DataError, match=r"s\.csv: .*row 18"):
                 read_sequence(tmp_path / "s.csv")
+
+    @pytest.mark.parametrize("field,value", [("temperature_C", float("nan")),
+                                             ("temperature_C", float("inf")),
+                                             ("tau_s", float("inf")), ("tau_s", float("nan"))])
+    def test_nonfinite_sidecar_field_named(self, tmp_path, field, value):
+        write_sequence(tmp_path / "s.csv", ramp_sequence(n=20))
+        sidecar = tmp_path / "s.json"
+        meta = json.loads(sidecar.read_text())
+        meta[field] = value
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(DataError, match=rf"s\.json: non-finite {field}"):
+            read_sequence(tmp_path / "s.csv")
 
     def test_bad_header(self, tmp_path):
         (tmp_path / "s.csv").write_text("a,b,c\n1,2,3\n")

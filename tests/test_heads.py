@@ -320,7 +320,7 @@ class TestPredictWindow:
         config = HeadConfig("gru-p", d_g=6, warmup_length=5)
         arrays = init_head_params(config, 3)
         task = PredictionTask(0, 5, n - 1, n - 1)
-        result = predict_window(config, arrays, seq, task, norm)
+        [result] = predict_window(config, arrays, [seq], [task], norm)
         assert result.pred_norm.shape == (n - 5,)
         np.testing.assert_allclose(result.pred, result.pred_norm * 30.0, rtol=1e-12)
 
@@ -333,6 +333,54 @@ class TestPredictWindow:
                               temperature_c=25.0)
         norm = NormConstants(h_max=20.0, b_max=0.1, theta_max=70.0)
         config = HeadConfig("gru-p", d_g=4, warmup_length=1)
-        result = predict_window(config, init_head_params(config, 5), seq,
-                                PredictionTask(0, 1, n - 1, n - 1), norm)
+        [result] = predict_window(config, init_head_params(config, 5), [seq],
+                                  [PredictionTask(0, 1, n - 1, n - 1)], norm)
         assert result.pred.shape == (n - 1,)
+
+
+def _mixed_length_batch(lengths, w, seed=0):
+    """Synthetic sequences of the given lengths with full-window tasks and a norm
+    that keeps every warmup inside the gru-m and gru-l injection domains."""
+    from hystkit.synth import generate_ja_dataset
+
+    seqs = generate_ja_dataset(n_sequences=len(lengths), length=max(lengths), seed=seed)
+    for seq, n in zip(seqs, lengths):
+        seq.b, seq.h = seq.b[:n] + 0.0123, seq.h[:n]
+    norm = NormConstants(h_max=2.0 * max(np.max(np.abs(s.h)) for s in seqs),
+                         b_max=max(np.max(np.abs(s.b)) for s in seqs), theta_max=70.0)
+    tasks = [PredictionTask(0, w, s.k3, s.k3) for s in seqs]
+    return seqs, tasks, norm
+
+
+class TestBatchedPredictWindow:
+    CASES = [(a, p) for a in ("gru-p", "gru-m", "gru-l", "lstm-p", "gru-v")
+             for p in ("double", "single")] + [("gru-jadp", "double"), ("ja", "double")]
+
+    @pytest.mark.parametrize("archetype,precision", CASES)
+    def test_batched_matches_one_at_a_time(self, archetype, precision):
+        lengths = list(np.random.default_rng(7).permutation([40, 40, 40, 56, 56, 56, 72, 72, 72]))
+        seqs, tasks, norm = _mixed_length_batch(lengths, w=4)
+        config = HeadConfig(archetype, d_g=1 if archetype == "ja" else 8, warmup_length=4)
+        arrays = init_head_params(config, 3, precision)
+        batched = predict_window(config, arrays, seqs, tasks, norm, precision)
+        assert len(batched) == len(seqs)
+        rtol = 1e-12 if precision == "double" else 1e-5
+        for seq, task, got in zip(seqs, tasks, batched):
+            [alone] = predict_window(config, arrays, [seq], [task], norm, precision)
+            assert got.pred.shape == (len(seq) - 4,)
+            scale = np.max(np.abs(alone.pred))
+            assert np.isfinite(scale) and scale > 0
+            assert np.max(np.abs(got.pred - alone.pred)) <= rtol * scale
+            np.testing.assert_array_equal(got.pred, got.pred_norm * norm.h_max)
+
+    def test_empty_input(self):
+        config = HeadConfig("gru-p", d_g=4, warmup_length=2)
+        norm = NormConstants(h_max=1.0, b_max=1.0, theta_max=1.0)
+        assert predict_window(config, init_head_params(config, 0), [], [], norm) == []
+
+    def test_warmup_error_names_sequence_and_step(self):
+        seqs, tasks, norm = _mixed_length_batch([40, 56, 40, 40, 56], w=4)
+        seqs[3].b[2] = 0.0
+        config = HeadConfig("gru-l", d_g=4, warmup_length=4)
+        with pytest.raises(WarmupError, match=r"sequence 3: .*warmup step 2"):
+            predict_window(config, init_head_params(config, 0), seqs, tasks, norm)
