@@ -136,9 +136,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -274,17 +271,6 @@ def div(a, b) -> Tensor:
     return _node(out_data, (a, b), backward)
 
 
-def power(a: Tensor, exponent) -> Tensor:
-    if not isinstance(exponent, (int, float)):
-        raise EngineError("power exponent must be a Python scalar")
-    out_data = a.data ** exponent
-
-    def backward(g):
-        _accum(a, g * exponent * a.data ** (exponent - 1))
-
-    return _node(out_data, (a,), backward)
-
-
 def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     """2-D matrix product ``a @ b`` (or ``a @ b.T`` with ``transpose_b``)."""
     a, b = _coerce(a, b)
@@ -384,31 +370,6 @@ def langevin_deriv(a: Tensor) -> Tensor:
         _accum(a, g * d2)
 
     return _node(out_data, (a,), backward)
-
-
-def minimum(a, b) -> Tensor:
-    """Elementwise min; the gradient follows the selected operand (ties pick the first)."""
-    a, b = _coerce(a, b)
-    take_a = a.data <= b.data
-    out_data = np.where(take_a, a.data, b.data)
-
-    def backward(g):
-        _accum(a, _unbroadcast(g * take_a, a.data.shape))
-        _accum(b, _unbroadcast(g * ~take_a, b.data.shape))
-
-    return _node(out_data, (a, b), backward)
-
-
-def maximum(a, b) -> Tensor:
-    a, b = _coerce(a, b)
-    take_a = a.data >= b.data
-    out_data = np.where(take_a, a.data, b.data)
-
-    def backward(g):
-        _accum(a, _unbroadcast(g * take_a, a.data.shape))
-        _accum(b, _unbroadcast(g * ~take_a, b.data.shape))
-
-    return _node(out_data, (a, b), backward)
 
 
 def where_mask(mask, a, b) -> Tensor:

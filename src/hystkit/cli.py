@@ -24,8 +24,6 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .dataset import (
     DataError,
@@ -41,6 +39,7 @@ from .training import (
     load_checkpoint,
     pareto_sweep,
     save_checkpoint,
+    sweep_medians,
     train,
     write_sweep_csv,
 )
@@ -379,17 +378,11 @@ def cmd_plotdata(args) -> int:
         rows = _read_csv_dicts(source)
         if not rows or "archetype" not in rows[0] or "sre" not in rows[0]:
             raise CliError(f"{source} is not a sweep CSV (kind mismatch)")
-        grouped = {}
-        for r in rows:
-            if r["status"] != "ok":
-                continue
-            grouped.setdefault((r["archetype"], int(r["params"])), []).append(r)
+        medians = sweep_medians(rows, lambda r: (r["archetype"], int(r["params"])))
         per_arch = {}
-        for (arch, params), trials in sorted(grouped.items()):
+        for (arch, params), m in sorted(medians.items()):
             per_arch.setdefault(arch, []).append(
-                [params,
-                 _fmt(np.median([float(t["sre"]) for t in trials])),
-                 _fmt(np.median([float(t["nere"]) for t in trials]))])
+                [params, _fmt(m["median_sre"]), _fmt(m["median_nere"])])
         for arch, out_rows in per_arch.items():
             _atomic_write_rows(stage.path(f"pareto_{arch}.csv"),
                                ["params", "median_sre", "median_nere"], out_rows)

@@ -39,7 +39,6 @@ from .cells import (
     init_gru_params,
     init_lstm_params,
     lstm_step,
-    param_count,
 )
 from .dataset import MiniBatch, NormConstants
 from .physics import (
@@ -98,9 +97,6 @@ class HeadConfig:
     @property
     def grid_side(self) -> int:
         return int(np.sqrt(self.d_g / 2.0))
-
-    def count_params(self) -> int:
-        return param_count(self.archetype, max(self.d_g, 1), self.d_x)
 
 
 @dataclass

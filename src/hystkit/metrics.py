@@ -35,21 +35,16 @@ def _as_tensor(x, ref: Tensor) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x, dtype=ref.data.dtype)
 
 
-def flux_weights(b_window: np.ndarray, has_prev: bool) -> np.ndarray:
+def flux_weights(b_window: np.ndarray) -> np.ndarray:
     """|dB~| weights for the prediction window.
 
-    ``b_window`` covers k1-1..k2 when ``has_prev`` (the extra left sample
-    comes from the warmup window); without it the first weight is zero.
+    ``b_window`` covers k1-1..k2: the extra left sample comes from the
+    warmup window, which always precedes the prediction window.
     """
-    b_window = np.asarray(b_window, dtype=np.float64)
-    diffs = np.abs(np.diff(b_window, axis=-1))
-    if has_prev:
-        return diffs
-    pad = np.zeros(b_window.shape[:-1] + (1,), dtype=np.float64)
-    return np.concatenate([pad, diffs], axis=-1)
+    return np.abs(np.diff(np.asarray(b_window, dtype=np.float64), axis=-1))
 
 
-def loss_rmse(h_true, h_pred, b_window, has_prev: bool = True) -> Tensor:
+def loss_rmse(h_true, h_pred, b_window) -> Tensor:
     """Flux-weighted RMS error over the prediction window (per row for 2-D input).
 
     ``h_pred`` may be a tape Tensor (training) or an array. Output shape is
@@ -59,7 +54,7 @@ def loss_rmse(h_true, h_pred, b_window, has_prev: bool = True) -> Tensor:
     true = _as_tensor(np.asarray(h_true), pred)
     if true.data.shape != pred.data.shape:
         raise MetricError(f"length mismatch: {true.data.shape} vs {pred.data.shape}")
-    w = flux_weights(b_window, has_prev).astype(pred.data.dtype)
+    w = flux_weights(b_window).astype(pred.data.dtype)
     if w.shape[-1] != pred.data.shape[-1]:
         raise MetricError("flux window does not match the prediction window")
     err = true - pred
@@ -79,7 +74,7 @@ def loss_weighted(l_rmse, h_max: float, h_full: np.ndarray) -> Tensor:
 
 def weighted_loss_rows(h_true, h_pred, b_window_prev, h_max: float, h_rms_rows) -> Tensor:
     """Per-row flux-weighted RMSE scaled by H_max / full-sequence RMS; shape (rows,)."""
-    rows = loss_rmse(h_true, h_pred, b_window_prev, has_prev=True)
+    rows = loss_rmse(h_true, h_pred, b_window_prev)
     scale = (h_max / np.asarray(h_rms_rows, dtype=np.float64)).astype(rows.data.dtype)
     return rows * Tensor(scale, dtype=rows.data.dtype)
 

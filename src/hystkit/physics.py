@@ -27,7 +27,6 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
-    concat,
     langevin,
     langevin_deriv,
     matmul,
@@ -171,21 +170,19 @@ def pinn_ja_residual(h_traj: Tensor, b_traj, phys: JaPhysical):
 
     ``h_traj`` is (rows, n+1) in raw units, starting at the last known
     sample; ``b_traj`` matches. Step k compares the JA-predicted increment
-    from (H_{k-1}, B_{k-1}, B_k) with the actual increment. Returns the
-    per-step residuals (rows, n) and the per-row RMS penalty (rows,).
+    from (H_{k-1}, B_{k-1}, B_k) with the actual increment. Every step starts
+    from the known H_{k-1}, so all n steps run as one elementwise Euler step
+    on (rows, n) arrays. Returns the per-step residuals (rows, n) and the
+    per-row RMS penalty (rows,).
     """
     b_traj = np.asarray(b_traj, dtype=np.float64)
     n_plus = h_traj.data.shape[1]
     if n_plus < 2 or b_traj.shape != h_traj.data.shape:
         raise PhysicsError("trajectories must be (rows, n+1) with n >= 1 and matching shapes")
-    residuals = []
-    for k in range(1, n_plus):
-        h_prev = h_traj[:, k - 1:k]
-        state = JaState(h=h_prev, m=Tensor(b_traj[:, k - 1:k] / MU0, dtype=h_traj.data.dtype) - h_prev)
-        stepped = ja_step_euler(state, b_traj[:, k - 1:k], b_traj[:, k:k + 1], phys)
-        dh_ja = stepped.h - h_prev
-        residuals.append(dh_ja - (h_traj[:, k:k + 1] - h_prev))
-    e = concat(residuals, axis=1)
+    h_prev = h_traj[:, :-1]
+    state = JaState(h=h_prev, m=Tensor(b_traj[:, :-1] / MU0, dtype=h_traj.data.dtype) - h_prev)
+    stepped = ja_step_euler(state, b_traj[:, :-1], b_traj[:, 1:], phys)
+    e = (stepped.h - h_prev) - (h_traj[:, 1:] - h_prev)
     l_ja_rows = sqrt(tsum(e * e, axis=1) * (1.0 / (n_plus - 1)))
     return e, l_ja_rows
 

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, dtype_of, reshape
+from .autodiff import Tensor, concat, dtype_of, reshape
+from .cells import param_count
 from .dataset import MiniBatch, NormConstants, PredictionTask, compute_norm_constants, make_minibatches
 from .heads import (JA_FAMILY, HeadConfig, init_head_params, inputs_from_batch, predict_window,
                     rollout, wrap_params)
@@ -94,7 +95,7 @@ class TrainConfig:
 
 
 def config_param_count(config: TrainConfig) -> int:
-    n = config.head_config().count_params()
+    n = param_count(config.archetype, config.d_g, config.d_x)
     if config.lambda_w > 0 and config.archetype != "ja":
         n += 5  # co-trained JA parameters of the physics regularizer
     return n
@@ -159,15 +160,10 @@ def batch_loss(config: TrainConfig, params_t: dict, batch: MiniBatch, norm: Norm
     if config.lambda_w > 0:
         phys = ja_params_from_theta(reshape(params_t["theta_ja"], (1, 5)), config.eta)
         anchor = Tensor(batch.h_raw[:, w - 1:w].astype(pred.data.dtype))
-        h_traj = _concat_traj(anchor, pred * norm.h_max)
+        h_traj = concat([anchor, pred * norm.h_max], axis=1)
         _, l_ja_rows = pinn_ja_residual(h_traj, batch.b_raw[:, w - 1:], phys)
         rows = rows + config.lambda_w * l_ja_rows
     return batch_mean(rows)
-
-
-def _concat_traj(anchor: Tensor, pred_raw: Tensor) -> Tensor:
-    from .autodiff import concat
-    return concat([anchor, pred_raw], axis=1)
 
 
 def init_params(config: TrainConfig) -> dict:
@@ -439,9 +435,8 @@ def _run_trial(args):
                 "params": config_param_count(config), "seed": config.seed,
                 "sre": agg["avg_sre"], "nere": agg["avg_nere"], "status": "ok"}
     except Exception as exc:  # failures are recorded, never dropped
-        from .cells import param_count
         try:
-            n_params = param_count(config.archetype, config.d_g, config.d_x)
+            n_params = config_param_count(config)
         except ValueError:
             n_params = 0
         return {"archetype": config.archetype, "d_g": config.d_g,
@@ -477,18 +472,23 @@ def pareto_sweep(archetypes, d_g_values, seeds, train_seqs, eval_seqs, score_seq
     else:
         rows = [_run_trial(j) for j in jobs]
     rows.sort(key=lambda r: (r["archetype"], r["d_g"], r["seed"]))
-    medians = {}
+    return rows, sweep_medians(rows, lambda r: (r["archetype"], r["d_g"]))
+
+
+def sweep_medians(rows, key) -> dict:
+    """Median SRE and NERE of the ``ok`` trials, grouped by ``key(row)``.
+
+    Values may be numbers or CSV strings; each group keeps the ``params``
+    of its first trial.
+    """
+    groups = {}
     for row in rows:
-        if row["status"] != "ok":
-            continue
-        medians.setdefault((row["archetype"], row["d_g"]), []).append(row)
-    medians = {
-        key: {"params": trials[0]["params"],
-              "median_sre": float(np.median([t["sre"] for t in trials])),
-              "median_nere": float(np.median([t["nere"] for t in trials]))}
-        for key, trials in medians.items()
-    }
-    return rows, medians
+        if row["status"] == "ok":
+            groups.setdefault(key(row), []).append(row)
+    return {k: {"params": trials[0]["params"],
+                "median_sre": float(np.median([float(t["sre"]) for t in trials])),
+                "median_nere": float(np.median([float(t["nere"]) for t in trials]))}
+            for k, trials in groups.items()}
 
 
 def write_sweep_csv(path: Path, rows) -> None:

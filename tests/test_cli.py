@@ -87,6 +87,21 @@ class TestTrain:
         assert set(manifest["timing"]) == {"started_utc", "wall_s"}
         assert not (trained / ".partial").exists()
 
+    def test_physics_regularized_run_counts_ja_and_repeats(self, dataset_dir, tmp_path, capsys):
+        flags = ["--archetype", "gru-p", "--hidden-size", "8", "--lambda-w", "0.1",
+                 "--epochs", "1", "--subseq-len", "32", "--batch-size", "4",
+                 "--warmup-len", "4", "--seed", "0"]
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            rc = main(["train", "--data", str(dataset_dir), "--material", "synthA",
+                       "--out", str(out)] + flags)
+            assert rc == 0
+            assert "(325 params)" in capsys.readouterr().out
+        header = json.loads((outs[0] / "model.json").read_text())
+        assert header["param_count"] == 325
+        for name in ("model.bin", "train_log.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_missing_data_root(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("HSK_DATA_DIR", raising=False)
         rc = main(["train", "--material", "synthA", "--out", str(tmp_path / "o")])

@@ -42,14 +42,6 @@ class TestLossRmse:
         assert value == pytest.approx(np.sqrt(0.5), abs=1e-12)
         assert value == pytest.approx(0.7071, abs=5e-5)
 
-    def test_no_warmup_first_weight_zero(self):
-        h_true = np.array([1.0, 1.0])
-        h_pred = np.array([0.0, 0.0])
-        b = np.array([0.3, 0.8])
-        # first weight 0, second |0.8-0.3|: sqrt(0.5/2)
-        value = float(loss_rmse(h_true, h_pred, b, has_prev=False).data)
-        assert value == pytest.approx(np.sqrt(0.25), abs=1e-12)
-
     def test_length_mismatch(self):
         with pytest.raises(MetricError):
             loss_rmse(np.zeros(3), np.zeros(4), np.zeros(5))

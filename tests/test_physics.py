@@ -230,19 +230,31 @@ class TestPinnResidual:
         assert l_rows.data[0].item() < 1e-9
 
     def test_two_step_hand_evaluation(self):
-        b = np.array([[0.10, 0.101, 0.1005]])
-        h_vals = np.array([[20.0, 25.0, 23.0]])
+        inputs = [
+            (np.array([[0.10, 0.101, 0.1005]]), np.array([[20.0, 25.0, 23.0]])),
+            # 3 rows x 4 steps, each row with one zero-flux step and one flux reversal
+            (np.array([[0.10, 0.101, 0.101, 0.1005, 0.1010],
+                       [-0.05, -0.05, -0.049, -0.0495, -0.0502],
+                       [0.0, 0.0004, 0.0002, 0.0002, 0.0006]]),
+             np.array([[20.0, 25.0, 26.0, 23.0, 27.0],
+                       [-10.0, -9.0, -6.0, -7.0, -9.0],
+                       [0.0, 3.0, 1.0, 1.5, 4.0]])),
+        ]
         phys = phys_of()
-        e, l_rows = pinn_ja_residual(Tensor(h_vals), b, phys)
-        manual = []
-        for k in (1, 2):
-            state = JaState(h=col(h_vals[0, k - 1]),
-                            m=Tensor(np.array([[b[0, k - 1] / MU0 - h_vals[0, k - 1]]])))
-            stepped = ja_step_euler(state, b[0, k - 1], b[0, k], phys)
-            dh = stepped.h.data.item() - h_vals[0, k - 1]
-            manual.append(dh - (h_vals[0, k] - h_vals[0, k - 1]))
-        np.testing.assert_allclose(e.data[0], manual, rtol=1e-12)
-        assert l_rows.data[0].item() == pytest.approx(np.sqrt(np.mean(np.square(manual))), rel=1e-12)
+        for b, h_vals in inputs:
+            e, l_rows = pinn_ja_residual(Tensor(h_vals), b, phys)
+            assert e.data.shape == (h_vals.shape[0], h_vals.shape[1] - 1)
+            for r in range(h_vals.shape[0]):
+                manual = []
+                for k in range(1, h_vals.shape[1]):
+                    state = JaState(h=col(h_vals[r, k - 1]),
+                                    m=Tensor(np.array([[b[r, k - 1] / MU0 - h_vals[r, k - 1]]])))
+                    stepped = ja_step_euler(state, b[r, k - 1], b[r, k], phys)
+                    dh = stepped.h.data.item() - h_vals[r, k - 1]
+                    manual.append(dh - (h_vals[r, k] - h_vals[r, k - 1]))
+                np.testing.assert_allclose(e.data[r], manual, rtol=1e-12)
+                assert l_rows.data[r].item() == pytest.approx(
+                    np.sqrt(np.mean(np.square(manual))), rel=1e-12)
 
     def test_gradient_through_regularizer(self):
         b = np.array([[0.10, 0.1008, 0.1003, 0.1011]])
@@ -349,7 +361,8 @@ class TestPreisachPredict:
         h = np.sin(np.linspace(0, 5, 12))
 
         def fn(mu, omega):
-            return (preisach_predict(h, params, mu, omega) ** 2).sum()
+            out = preisach_predict(h, params, mu, omega)
+            return (out * out).sum()
 
         graph = Graph(fn, 2)
         err = finite_diff_check(graph, [params.mu, params.omega])

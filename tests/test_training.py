@@ -273,7 +273,16 @@ class TestParetoSweep:
         assert len(rows) == 1
         assert rows[0]["status"].startswith("failed:")
         assert np.isnan(rows[0]["sre"])
+        assert rows[0]["params"] == 112
         assert ("gru-v", 4) not in medians
+
+    def test_failed_regularized_trial_counts_ja_parameters(self):
+        seqs = tiny_dataset(n=6)
+        # windows longer than every sequence: no batch, so the trial fails
+        base = small_config(epochs=1, lambda_w=0.1, subseq_len=500)
+        rows, _ = pareto_sweep(["gru-p"], [8], [0], seqs[:4], seqs[4:], base_config=base)
+        assert rows[0]["status"] == "failed:DataError"
+        assert rows[0]["params"] == 325
 
     def test_concurrent_workers_match_sequential(self):
         seqs = tiny_dataset(n=6)
