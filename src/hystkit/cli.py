@@ -1,9 +1,10 @@
 """Command-line surface: ingest, train, eval, predict, sweep, plotdata.
 
-Every artifact-producing command stages its outputs atomically (temp file +
-rename), drops a ``.partial`` sentinel while running so interrupted runs are
-flagged, and writes a ``run_manifest.json`` capturing the command, the fully
-resolved configuration, input hashes, toolkit version, and output paths.
+Every artifact is staged by one writer, ``dataset.write_file`` (temp file +
+rename). Each command drops a ``.partial`` sentinel while running so
+interrupted runs are flagged, and writes a ``run_manifest.json`` capturing
+the command, the fully resolved configuration, input hashes, toolkit
+version, and output paths.
 All nondeterministic values (timestamps, wall time) live in the manifest's
 single ``timing`` field, so identical inputs and ``--seed`` reproduce
 identical bytes everywhere else.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -25,51 +27,18 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .dataset import (
-    DataError,
-    ingest_material,
-    load_material,
-    split_dataset,
-)
-from .training import (
-    ConfigError,
-    TrainConfig,
-    config_param_count,
-    evaluate_sequences,
-    load_checkpoint,
-    pareto_sweep,
-    save_checkpoint,
-    sweep_medians,
-    train,
-    write_sweep_csv,
-)
+from .dataset import (DataError, fmt, ingest_material, json_text, load_material, read_json,
+                      split_dataset, write_file, write_rows)
+from .training import (ConfigError, TrainConfig, TrainingError, config_param_count,
+                       evaluate_sequences, full_sequence_task, load_checkpoint, pareto_sweep,
+                       save_checkpoint, sweep_medians, train, write_sweep_csv)
 from .heads import predict_window
-from .dataset import PredictionTask
 
 _SENTINEL = ".partial"
 
 
 class CliError(RuntimeError):
     pass
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _atomic_write_rows(path: Path, header, rows) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    os.replace(tmp, path)
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.9g}"
 
 
 def _hash_file(path: Path) -> str:
@@ -121,8 +90,7 @@ class OutputStage:
                 "wall_s": round(time.monotonic() - self.started, 3),
             },
         }
-        _atomic_write_text(self.out_dir / "run_manifest.json",
-                           json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        write_file(self.out_dir / "run_manifest.json", json_text(manifest))
         (self.out_dir / _SENTINEL).unlink(missing_ok=True)
 
 
@@ -133,26 +101,27 @@ def _data_root(args) -> Path:
     return Path(root)
 
 
-_CONFIG_KEYS = ("archetype", "hidden_size", "seed", "epochs", "lr", "batch_size",
-                "subseq_len", "warmup_len", "precision", "lambda_w", "split_seed",
-                "patience", "eval_every", "clip_norm")
+#: Flag and config-file names of the TrainConfig fields the CLI exposes.
+_CONFIG_FIELDS = {
+    "archetype": "archetype", "hidden_size": "d_g", "seed": "seed", "epochs": "epochs",
+    "lr": "lr", "batch_size": "batch_size", "subseq_len": "subseq_len",
+    "warmup_len": "warmup_length", "precision": "precision", "lambda_w": "lambda_w",
+    "patience": "patience", "eval_every": "eval_every", "clip_norm": "clip_norm",
+}
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
 
 
 def _resolve_config(args) -> dict:
-    """Flags > config file > defaults; returns the fully resolved mapping."""
-    resolved = {
-        "archetype": "gru-p", "hidden_size": 8, "seed": 0, "epochs": 100,
-        "lr": 1e-3, "batch_size": 32, "subseq_len": 256, "warmup_len": 16,
-        "precision": None, "lambda_w": 0.0, "split_seed": None,
-        "patience": 20, "eval_every": 1, "clip_norm": 1.0,
-    }
+    """Flags > config file > TrainConfig defaults; returns the fully resolved mapping."""
+    resolved = {key: _DEFAULTS[name] for key, name in _CONFIG_FIELDS.items()}
+    resolved["split_seed"] = None
     if getattr(args, "config", None):
-        file_cfg = json.loads(Path(args.config).read_text())
+        file_cfg = read_json(args.config)
         unknown = set(file_cfg) - set(resolved)
         if unknown:
             raise CliError(f"unknown config file keys: {sorted(unknown)}")
         resolved.update(file_cfg)
-    for key in _CONFIG_KEYS:
+    for key in resolved:
         value = getattr(args, key, None)
         if value is not None:
             resolved[key] = value
@@ -162,21 +131,12 @@ def _resolve_config(args) -> dict:
 
 
 def _train_config(resolved: dict) -> TrainConfig:
-    return TrainConfig(
-        archetype=resolved["archetype"],
-        d_g=int(resolved["hidden_size"]),
-        subseq_len=int(resolved["subseq_len"]),
-        batch_size=int(resolved["batch_size"]),
-        epochs=int(resolved["epochs"]),
-        lr=float(resolved["lr"]),
-        clip_norm=float(resolved["clip_norm"]),
-        seed=int(resolved["seed"]),
-        precision=resolved["precision"],
-        lambda_w=float(resolved["lambda_w"]),
-        warmup_length=int(resolved["warmup_len"]),
-        patience=int(resolved["patience"]),
-        eval_every=int(resolved["eval_every"]),
-    )
+    """Cast each resolved value to the type of its field's default (``None`` casts nothing)."""
+    values = {}
+    for key, name in _CONFIG_FIELDS.items():
+        value, default = resolved[key], _DEFAULTS[name]
+        values[name] = value if default is None else type(default)(value)
+    return TrainConfig(**values)
 
 
 def _load_split(root: Path, material: str, split: str, split_seed: int):
@@ -213,10 +173,8 @@ def cmd_ingest(args) -> int:
         stage.outputs.append(f"{material}/manifest.json")
     if not counts:
         raise DataError(f"no sequences found under {raw}")
-    ingest_summary = stage.path("ingest_summary.json")
-    _atomic_write_text(ingest_summary, json.dumps(
-        {"materials": counts, "total_sequences": sum(counts.values())},
-        indent=2, sort_keys=True) + "\n")
+    write_file(stage.path("ingest_summary.json"),
+               json_text({"materials": counts, "total_sequences": sum(counts.values())}))
     stage.finish()
     for material, count in counts.items():
         print(f"ingested {material}: {count} sequences")
@@ -241,8 +199,8 @@ def cmd_train(args) -> int:
     for i, loss in enumerate(result.train_losses):
         eval_i = (i + 1) // config.eval_every - 1
         has_eval = (i + 1) % config.eval_every == 0 and 0 <= eval_i < len(result.eval_sre)
-        rows.append([i, _fmt(loss), _fmt(result.eval_sre[eval_i]) if has_eval else ""])
-    _atomic_write_rows(stage.path("train_log.csv"), ["epoch", "loss", "eval_sre"], rows)
+        rows.append([i, fmt(loss), fmt(result.eval_sre[eval_i]) if has_eval else ""])
+    write_rows(stage.path("train_log.csv"), ["epoch", "loss", "eval_sre"], rows)
     stage.finish()
     if result.eval_sre:
         print(f"trained {config.archetype} d_g={config.d_g} "
@@ -302,20 +260,18 @@ def cmd_predict(args) -> int:
                          "split": args.split, "split_seed": split_seed,
                          "index": args.index, "warmup_len": warmup},
                         {"checkpoint": args.checkpoint, "dataset": Path(root) / material})
-    if head_cfg.warmup_length != warmup:
-        head_cfg = type(head_cfg)(**{**head_cfg.__dict__, "warmup_length": warmup})
-    tasks = [PredictionTask(k0=0, k1=warmup, k2=seq.k3, k3=seq.k3) for _, seq in chosen]
+    head_cfg = dataclasses.replace(head_cfg, warmup_length=warmup)
+    tasks = [full_sequence_task(seq, warmup) for _, seq in chosen]
     results = predict_window(head_cfg, ckpt.params, [seq for _, seq in chosen], tasks,
                              ckpt.norm, ckpt.precision)
     meta = {}
     for (i, seq), task, result in zip(chosen, tasks, results):
-        rows = [[k, _fmt(seq.b[k]), _fmt(seq.h[k]), _fmt(result.pred[j])]
+        rows = [[k, fmt(seq.b[k]), fmt(seq.h[k]), fmt(result.pred[j])]
                 for j, k in enumerate(range(task.k1, task.k2 + 1))]
         name = f"predictions/seq_{i:05d}.csv"
-        _atomic_write_rows(stage.path(name), ["k", "B", "H_true", "H_pred"], rows)
+        write_rows(stage.path(name), ["k", "B", "H_true", "H_pred"], rows)
         meta[name] = {"tau_s": seq.tau_s, "k1": task.k1, "k2": task.k2}
-    _atomic_write_text(stage.path("predictions_meta.json"),
-                       json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_file(stage.path("predictions_meta.json"), json_text(meta))
     stage.finish()
     print(f"wrote {len(chosen)} prediction file(s) under {stage.out_dir}")
     return 0
@@ -336,9 +292,9 @@ def cmd_sweep(args) -> int:
     rows, medians = pareto_sweep(archetypes, sizes, seeds, train_seqs, eval_seqs,
                                  base_config=base, workers=args.workers)
     write_sweep_csv(stage.path("sweep.csv"), rows)
-    median_rows = [[a, d, m["params"], _fmt(m["median_sre"]), _fmt(m["median_nere"])]
+    median_rows = [[a, d, m["params"], fmt(m["median_sre"]), fmt(m["median_nere"])]
                    for (a, d), m in sorted(medians.items())]
-    _atomic_write_rows(stage.path("sweep_medians.csv"),
+    write_rows(stage.path("sweep_medians.csv"),
                        ["archetype", "d_g", "params", "median_sre", "median_nere"], median_rows)
     stage.finish()
     failed = sum(1 for r in rows if r["status"] != "ok")
@@ -363,16 +319,16 @@ def cmd_plotdata(args) -> int:
             raise CliError(f"{source} is not a prediction CSV (kind mismatch)")
         if args.kind == "bh_loop":
             out_rows = [[r["B"], r["H_true"], r["H_pred"]] for r in rows]
-            _atomic_write_rows(stage.path("bh_loop.csv"), ["B", "H_true", "H_pred"], out_rows)
+            write_rows(stage.path("bh_loop.csv"), ["B", "H_true", "H_pred"], out_rows)
         else:
             meta_path = source.parent.parent / "predictions_meta.json"
             if not meta_path.exists():
                 raise CliError(f"missing {meta_path} (needed for the time axis)")
-            meta = json.loads(meta_path.read_text())
+            meta = read_json(meta_path)
             tau = meta[f"predictions/{source.name}"]["tau_s"]
-            out_rows = [[_fmt(int(r["k"]) * tau * 1e6), r["B"], r["H_true"], r["H_pred"]]
+            out_rows = [[fmt(int(r["k"]) * tau * 1e6), r["B"], r["H_true"], r["H_pred"]]
                         for r in rows]
-            _atomic_write_rows(stage.path("timeseries.csv"),
+            write_rows(stage.path("timeseries.csv"),
                                ["t_us", "B", "H_true", "H_pred"], out_rows)
     elif args.kind == "pareto":
         rows = _read_csv_dicts(source)
@@ -382,9 +338,9 @@ def cmd_plotdata(args) -> int:
         per_arch = {}
         for (arch, params), m in sorted(medians.items()):
             per_arch.setdefault(arch, []).append(
-                [params, _fmt(m["median_sre"]), _fmt(m["median_nere"])])
+                [params, fmt(m["median_sre"]), fmt(m["median_nere"])])
         for arch, out_rows in per_arch.items():
-            _atomic_write_rows(stage.path(f"pareto_{arch}.csv"),
+            write_rows(stage.path(f"pareto_{arch}.csv"),
                                ["params", "median_sre", "median_nere"], out_rows)
     else:
         raise CliError(f"unknown plot kind {args.kind!r}")
@@ -474,7 +430,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, DataError, ConfigError, ValueError, OSError) as exc:
+    except (CliError, DataError, ConfigError, TrainingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

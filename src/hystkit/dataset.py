@@ -16,8 +16,10 @@ On-disk layout (one directory per material):
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -283,23 +285,65 @@ def reversed_minibatches(sequences, subseq_len: int, batch_size: int, rng_seed,
     return batches
 
 
+# -- artifact writing ---------------------------------------------------------
+
+def fmt(x) -> str:
+    """The text of a float in every artifact: ``%.9g``."""
+    return f"{float(x):.9g}"
+
+
+def json_text(obj) -> str:
+    """The text of a JSON artifact: indent 2, sorted keys, final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def write_file(path: Path, data: str | bytes) -> None:
+    """Replace ``path`` by a temp file beside it and ``os.replace``; text is written as UTF-8.
+
+    Every file hystkit writes goes through here, so a failed or interrupted
+    write leaves the previous file, or none, in place.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_rows(path: Path, header, rows) -> None:
+    """Write a CSV artifact (csv module dialect, ``\\r\\n`` line ends) with :func:`write_file`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_file(path, buf.getvalue())
+
+
+def read_json(path: Path):
+    """Parse a JSON file; malformed text raises :class:`DataError` naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise DataError(f"{path}: malformed JSON: {exc}") from None
+
+
 # -- sequence file I/O -------------------------------------------------------
 
 def write_sequence(path: Path, seq: MeasuredSequence) -> None:
     """Write one sequence as CSV (k,B_T,H_Am) plus a JSON sidecar."""
     path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "B_T", "H_Am"])
-        for k in range(len(seq)):
-            writer.writerow([k, f"{seq.b[k]:.9g}", f"{seq.h[k]:.9g}"])
+    write_rows(path, ["k", "B_T", "H_Am"],
+               ([k, fmt(b), fmt(h)] for k, (b, h) in enumerate(zip(seq.b, seq.h))))
     sidecar = {
         "material": seq.material_id,
         "temperature_C": seq.temperature_c,
         "f_sw_Hz": seq.f_sw_hz,
         "tau_s": seq.tau_s,
     }
-    path.with_suffix(".json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")
+    write_file(path.with_suffix(".json"), json.dumps(sidecar, sort_keys=True) + "\n")
 
 
 def read_sequence(path: Path) -> MeasuredSequence:
@@ -321,10 +365,12 @@ def read_sequence(path: Path) -> MeasuredSequence:
                 raise DataError(f"{path}: non-finite value in row {lineno}: {row!r}")
             b_vals.append(b)
             h_vals.append(h)
+    if not any(h_vals):
+        raise DataError(f"{path}: H is all zero")
     sidecar_path = path.with_suffix(".json")
     if not sidecar_path.exists():
         raise DataError(f"missing sidecar {sidecar_path}")
-    meta = json.loads(sidecar_path.read_text())
+    meta = read_json(sidecar_path)
     numbers = {"temperature_C": meta.get("temperature_C"), "tau_s": meta.get("tau_s") or DEFAULT_TAU_S}
     for name, value in numbers.items():
         try:
@@ -352,7 +398,7 @@ def write_material(out_dir: Path, material: str, sequences) -> Path:
         write_sequence(mat_dir / name, seq)
         names.append(name)
     manifest = {"material": material, "sequences": names, "count": len(names)}
-    (mat_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_file(mat_dir / "manifest.json", json_text(manifest))
     return mat_dir
 
 
@@ -362,7 +408,7 @@ def load_material(data_dir: Path, material: str) -> list[MeasuredSequence]:
     manifest_path = mat_dir / "manifest.json"
     if not manifest_path.exists():
         raise DataError(f"no manifest for material {material!r} under {data_dir}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = read_json(manifest_path)
     return [read_sequence(mat_dir / name) for name in manifest["sequences"]]
 
 
@@ -411,6 +457,8 @@ def _adapt_magnetx(raw_dir: Path, material: str) -> list[MeasuredSequence]:
     for i, (b_row, h_row, t_row) in enumerate(zip(b_rows, h_rows, t_rows)):
         if len(b_row) != len(h_row):
             raise DataError(f"{raw_dir}: sequence {i}: B and H lengths differ")
+        if not any(h_row):
+            raise DataError(f"{raw_dir}: sequence {i}: H is all zero")
         sequences.append(MeasuredSequence(
             b=np.array(b_row), h=np.array(h_row),
             temperature_c=t_row[0],

@@ -17,14 +17,13 @@ Evaluation metrics:
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor, sqrt, tsum
+from .dataset import fmt, json_text, write_file, write_rows
 
 
 class MetricError(ValueError):
@@ -173,15 +172,11 @@ class MetricReport:
         return agg
 
     def to_json(self) -> str:
-        return json.dumps({"sequences": self.rows, "aggregate": self.aggregate()},
-                          indent=2, sort_keys=True) + "\n"
+        return json_text({"sequences": self.rows, "aggregate": self.aggregate()})
 
     def write_csv(self, path: Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index"] + list(self.METRICS))
-            for r in self.rows:
-                writer.writerow([r["index"]] + [f"{r[m]:.9g}" for m in self.METRICS])
+        write_rows(path, ["index", *self.METRICS],
+                   ([r["index"]] + [fmt(r[m]) for m in self.METRICS] for r in self.rows))
 
     def write_json(self, path: Path) -> None:
-        Path(path).write_text(self.to_json())
+        write_file(path, self.to_json())

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor, concat, dtype_of, reshape
 from .cells import param_count
-from .dataset import MiniBatch, NormConstants, PredictionTask, compute_norm_constants, make_minibatches
+from .dataset import (MiniBatch, NormConstants, PredictionTask, compute_norm_constants, fmt,
+                      json_text, make_minibatches, read_json, write_file, write_rows)
 from .heads import (JA_FAMILY, HeadConfig, init_head_params, inputs_from_batch, predict_window,
                     rollout, wrap_params)
 from .metrics import MetricReport, batch_mean, mae, mse, sre, nere, wce, weighted_loss_rows
@@ -89,9 +90,6 @@ class TrainConfig:
         d["eta"] = list(self.eta)
         d["betas"] = list(self.betas)
         return d
-
-    def hash(self) -> str:
-        return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()[:16]
 
 
 def config_param_count(config: TrainConfig) -> int:
@@ -338,14 +336,14 @@ def save_checkpoint(path: Path, ckpt: ModelCheckpoint) -> tuple[Path, Path]:
         "blob_bytes": len(blob),
         "blob_sha256": hashlib.sha256(bytes(blob)).hexdigest(),
     }
-    json_path.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
-    bin_path.write_bytes(bytes(blob))
+    write_file(bin_path, bytes(blob))  # first, so a model.json on disk names a complete blob
+    write_file(json_path, json_text(header))
     return json_path, bin_path
 
 
 def load_checkpoint(json_path: Path) -> ModelCheckpoint:
     json_path = Path(json_path)
-    header = json.loads(json_path.read_text())
+    header = read_json(json_path)
     for key in CHECKPOINT_HEADER_KEYS:
         if key not in header:
             raise ConfigError(f"{json_path}: checkpoint header lacks {key!r}")
@@ -455,16 +453,10 @@ def pareto_sweep(archetypes, d_g_values, seeds, train_seqs, eval_seqs, score_seq
     """
     base = base_config or TrainConfig()
     score_seqs = score_seqs if score_seqs is not None else eval_seqs
-    jobs = []
-    for archetype in archetypes:
-        for d_g in d_g_values:
-            for seed in seeds:
-                cfg = dict(base.to_dict())
-                cfg.update({"archetype": archetype, "d_g": d_g, "seed": seed,
-                            "precision": None})
-                cfg["eta"] = tuple(cfg["eta"])
-                cfg["betas"] = tuple(cfg["betas"])
-                jobs.append((TrainConfig(**cfg), train_seqs, eval_seqs, score_seqs))
+    jobs = [(replace(base, archetype=a, d_g=d_g, seed=seed,
+                     precision="double" if a in JA_FAMILY else base.precision),
+             train_seqs, eval_seqs, score_seqs)
+            for a in archetypes for d_g in d_g_values for seed in seeds]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -492,11 +484,6 @@ def sweep_medians(rows, key) -> dict:
 
 
 def write_sweep_csv(path: Path, rows) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for r in rows:
-            writer.writerow([r["archetype"], r["d_g"], r["params"], r["seed"],
-                             f"{r['sre']:.9g}", f"{r['nere']:.9g}", r["status"]])
+    write_rows(path, SWEEP_COLUMNS,
+               ([r["archetype"], r["d_g"], r["params"], r["seed"], fmt(r["sre"]), fmt(r["nere"]),
+                 r["status"]] for r in rows))

@@ -1,12 +1,15 @@
 """CLI tests: command flows, manifests, idempotence, error contracts."""
 import csv
 import json
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import hystkit.training as training
+from hystkit.autodiff import Tensor
 from hystkit.cli import main
 from hystkit.dataset import write_material
 from hystkit.synth import generate_ja_dataset
@@ -114,9 +117,21 @@ class TestTrain:
         rc = main(["train", "--material", "synthA", "--out", str(out)] + TRAIN_FLAGS)
         assert rc == 0
 
+    @pytest.mark.parametrize("case", ["no_full_batch", "nonfinite_loss"])
+    def test_training_error_reported(self, dataset_dir, tmp_path, capsys, monkeypatch, case):
+        if case == "no_full_batch":
+            flags, expected = ["--batch-size", "1000"], "no full batches: 6 sequences, l=32, b=1000"
+        else:
+            monkeypatch.setattr(training, "batch_loss", lambda *args: Tensor(np.array(np.nan)))
+            flags, expected = [], "non-finite loss at epoch 0, batch 0"
+        rc = main(["train", "--data", str(dataset_dir), "--material", "synthA",
+                   "--out", str(tmp_path / "o")] + TRAIN_FLAGS + flags)
+        assert rc == 1
+        assert f"error: {expected}" in capsys.readouterr().err
+
     def test_config_file_precedence(self, dataset_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epochs": 1, "hidden_size": 4}))
+        cfg.write_text(json.dumps({"epochs": 1, "hidden_size": 4, "lr": 1}))
         out = tmp_path / "cfgout"
         rc = main(["train", "--data", str(dataset_dir), "--material", "synthA",
                    "--out", str(out), "--config", str(cfg),
@@ -126,6 +141,9 @@ class TestTrain:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["config"]["epochs"] == 1       # from file
         assert manifest["config"]["hidden_size"] == 2  # flag overrides file
+        stored = json.loads((out / "model.json").read_text())["train_config"]
+        assert stored["lr"] == 1.0 and isinstance(stored["lr"], float)
+        assert (stored["epochs"], stored["d_g"], stored["patience"]) == (1, 2, 20)
 
 
 class TestEvalPredict:
@@ -197,6 +215,19 @@ class TestEvalPredict:
         rc = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["model.json", "manifest.json", "seq_00000.json"])
+    def test_truncated_json_names_file(self, dataset_dir, trained, tmp_path, capsys, name):
+        data, run = tmp_path / "data", tmp_path / "run"
+        shutil.copytree(dataset_dir, data)
+        shutil.copytree(trained, run)
+        target = run / name if name == "model.json" else data / "synthA" / name
+        text = target.read_text()
+        target.write_text(text[:len(text) // 2])
+        rc = main(["eval", "--data", str(data), "--checkpoint", str(run / "model.json"),
+                   "--split", "all", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"error: {target}: malformed JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["norm.h_max", "norm.b_max", "norm.theta_max",
                                      "train_config.d_g", "train_config.d_x",

@@ -1,5 +1,6 @@
 """Data pipeline tests: normalization, features, batching, splits, file I/O."""
 import json
+import os
 
 import numpy as np
 import pytest
@@ -25,6 +26,9 @@ from hystkit.dataset import (
     write_material,
     write_sequence,
 )
+from hystkit.cli import build_parser
+from hystkit.metrics import MetricReport
+from hystkit.training import ModelCheckpoint, save_checkpoint, write_sweep_csv
 
 
 def seq_of(b, h, theta=25.0, f_sw=None, tau=62.5e-9):
@@ -256,6 +260,18 @@ class TestSequenceIO:
         with pytest.raises(DataError, match=rf"s\.json: non-finite {field}"):
             read_sequence(tmp_path / "s.csv")
 
+    def test_all_zero_h_named_at_load(self, tmp_path):
+        write_sequence(tmp_path / "s.csv", seq_of(np.linspace(-0.1, 0.1, 20), np.zeros(20)))
+        with pytest.raises(DataError, match=r"s\.csv: H is all zero"):
+            read_sequence(tmp_path / "s.csv")
+        raw = tmp_path / "matZ"
+        raw.mkdir()
+        (raw / "B_waveform[T].csv").write_text("0.1,0.2,0.3\n0.2,0.3,0.4\n")
+        (raw / "H_waveform[Am-1].csv").write_text("1,2,3\n0,0,-0\n")
+        (raw / "Temperature[C].csv").write_text("25\n50\n")
+        with pytest.raises(DataError, match=r"matZ: sequence 1: H is all zero"):
+            ingest_material(raw, tmp_path / "out")
+
     def test_bad_header(self, tmp_path):
         (tmp_path / "s.csv").write_text("a,b,c\n1,2,3\n")
         (tmp_path / "s.json").write_text("{}")
@@ -326,3 +342,59 @@ class TestTaskValidation:
         seq = ramp_sequence(n=16)
         with pytest.raises(DataError):
             PredictionTask(0, 4, 15, 16).validate_for(seq)
+
+
+# Each writer: (write version v under a directory, the files it writes there).
+def _write_checkpoint(d, v):
+    ckpt = ModelCheckpoint(archetype="gru-p", params={"w": np.full(3, v, np.float32)},
+                           norm=NormConstants(1.0, 1.0, 1.0),
+                           train_config={"precision": "single", "version": v}, seed=0)
+    save_checkpoint(d / "model", ckpt)
+
+
+def _report(v):
+    report = MetricReport()
+    report.add(0, sre=v, nere=v, mse=v, mae=v, wce=v)
+    return report
+
+
+def _write_plotdata(d, v):
+    source = d / f"pred_{v}.csv"
+    source.write_text(f"k,B,H_true,H_pred\n0,0.{v},{v},{v}\n")
+    args = build_parser().parse_args(["plotdata", "--source", str(source), "--kind", "bh_loop",
+                                      "--out", str(d / "plot")])
+    args.fn(args)
+
+
+ARTIFACT_WRITERS = {
+    "save_checkpoint": (_write_checkpoint, ["model.json", "model.bin"]),
+    "report_json": (lambda d, v: _report(v).write_json(d / "report.json"), ["report.json"]),
+    "report_csv": (lambda d, v: _report(v).write_csv(d / "report.csv"), ["report.csv"]),
+    "sweep_csv": (lambda d, v: write_sweep_csv(d / "sweep.csv", [
+        {"archetype": "gru-p", "d_g": 2, "params": 46, "seed": 0, "sre": v, "nere": v,
+         "status": "ok"}]), ["sweep.csv"]),
+    "write_sequence": (lambda d, v: write_sequence(d / "s.csv", ramp_sequence(n=8, seed=v)),
+                       ["s.csv", "s.json"]),
+    "write_material": (lambda d, v: write_material(d, "m", [ramp_sequence(n=8, seed=v)] * v),
+                       ["m/manifest.json", "m/seq_00000.csv", "m/seq_00000.json"]),
+    "cli_rows": (_write_plotdata, ["plot/bh_loop.csv", "plot/run_manifest.json"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_WRITERS))
+def test_failed_replace_keeps_previous_artifact(tmp_path, monkeypatch, name):
+    write, files = ARTIFACT_WRITERS[name]
+    write(tmp_path, 1)
+    before = {f: (tmp_path / f).read_bytes() for f in files}
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="replace failed"):
+        write(tmp_path, 2)
+    assert {f: (tmp_path / f).read_bytes() for f in files} == before
+    assert not list(tmp_path.rglob("*.tmp"))
+    monkeypatch.undo()
+    write(tmp_path, 2)  # version 2 differs, so the check above was not vacuous
+    assert any((tmp_path / f).read_bytes() != before[f] for f in files)

@@ -284,6 +284,27 @@ class TestParetoSweep:
         assert rows[0]["status"] == "failed:DataError"
         assert rows[0]["params"] == 325
 
+    def test_trials_keep_base_precision(self, monkeypatch):
+        import hystkit.training as training
+
+        ran = []
+
+        def record(job):
+            config = job[0]
+            ran.append(config)
+            return {"archetype": config.archetype, "d_g": config.d_g, "seed": config.seed,
+                    "status": "not run"}
+
+        monkeypatch.setattr(training, "_run_trial", record)
+        seqs = tiny_dataset(n=2)
+        pareto_sweep(["gru-p", "lstm-p", "ja"], [2], [0], seqs, seqs,
+                     base_config=small_config(precision="double"))
+        pareto_sweep(["gru-p", "ja"], [2], [0], seqs, seqs, base_config=TrainConfig())
+        assert [(c.archetype, c.precision) for c in ran] == [
+            ("gru-p", "double"), ("lstm-p", "double"), ("ja", "double"),
+            ("gru-p", "single"), ("ja", "double")]
+        assert all(c.d_g == 2 and c.subseq_len == 32 for c in ran[:3])
+
     def test_concurrent_workers_match_sequential(self):
         seqs = tiny_dataset(n=6)
         base = small_config(epochs=1)
