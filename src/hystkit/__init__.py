@@ -21,12 +21,11 @@ from .dataset import (
 )
 from .cells import GruParams, LstmParams, gru_step, lstm_step, param_count
 from .heads import HeadConfig, RolloutInputs, RolloutResult, predict_window, rollout
-from .metrics import MetricReport, loss_rmse, loss_weighted, mae, mse, nere, sre, wce
+from .metrics import MetricReport, loss_rmse, mae, mse, nere, sre, wce
 from .physics import (
     JaPhysical,
     JaState,
     PreisachParams,
-    ja_m_an,
     ja_params_from_theta,
     ja_step_euler,
     preisach_hysteron,

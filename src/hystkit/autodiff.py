@@ -57,7 +57,7 @@ class Tensor:
     receive their gradient in ``grad`` after a backward pass.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     # keep numpy from absorbing `ndarray <op> Tensor`; the reflected Tensor
     # operator must run so the operation is recorded on the tape
@@ -302,9 +302,13 @@ def tanh(a: Tensor) -> Tensor:
     return _node(t, (a,), backward)
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def _sigmoid(v):
     # 0.5*(tanh(x/2)+1): stable for large |x| and exact at 0.
-    s = 0.5 * (np.tanh(0.5 * a.data) + 1.0)
+    return 0.5 * (np.tanh(0.5 * v) + 1.0)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    s = _sigmoid(a.data)
 
     def backward(g):
         _accum(a, g * s * (1.0 - s))

@@ -8,6 +8,14 @@ The GRU update uses the convex-combination form
 ``g_k = g~_k + z_k * (g_{k-1} - g~_k)`` and keeps the candidate branch's
 second bias ``b_n`` inside the reset product: ``r_k * (U g_{k-1} + b_n)``.
 Folding ``b_n`` into ``b`` changes the function; do not.
+
+Each step is one tape node with a hand-written backward (an LSTM step is
+two: the cell node, which owns the backward, and the hidden node on top of
+it). The forward runs the numpy operations of the primitive-by-primitive
+composition (matmul, add, sigmoid, tanh, mul) in the same order, so its
+values match that composition bit for bit; the backward is the analytic
+gradient with respect to the input, the previous state(s) and every
+parameter array. Callers make one call per time step.
 """
 from __future__ import annotations
 
@@ -15,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, matmul, sigmoid, tanh
+from .autodiff import ShapeError, Tensor, _accum, _node, _sigmoid
 
 GRU_ARCHETYPES = ("gru-p", "gru-m", "gru-l", "gru-v", "gru-jadp")
 LSTM_ARCHETYPES = ("lstm-p",)
@@ -75,26 +83,101 @@ class LstmParams:
         return type(self)(**{k: fn(v) for k, v in self.as_dict().items()})
 
 
+def _check_operands(x: Tensor, w: Tensor, u: Tensor, *states: Tensor) -> None:
+    """Raise ShapeError unless x and the states are 2-D rows that fit W and U in one dtype."""
+    shape = states[0].data.shape
+    if (x.data.ndim != 2 or len(shape) != 2 or x.data.shape[0] != shape[0]
+            or any(s.data.shape != shape for s in states)
+            or x.data.shape[1] != w.data.shape[1] or shape[1] != u.data.shape[1]):
+        raise ShapeError(f"cell step: x {x.data.shape} and states {[s.data.shape for s in states]} "
+                         f"do not fit W {w.data.shape} and U {u.data.shape}")
+    if any(t.data.dtype != w.data.dtype for t in (x, *states)):
+        raise ShapeError(f"dtype mismatch: inputs {x.data.dtype} vs parameters {w.data.dtype}")
+
+
+def _gate_backward(da, x: Tensor, g_prev: Tensor, w: Tensor, u: Tensor, b: Tensor) -> None:
+    """Accumulate W, U and bias gradients of one gate from its pre-activation gradient ``da``."""
+    _accum(w, da.T @ x.data)
+    _accum(u, da.T @ g_prev.data)
+    _accum(b, da.sum(axis=0))
+
+
 def gru_step(x: Tensor, g_prev: Tensor, p: GruParams) -> Tensor:
-    """One GRU step: gates from (x, g_prev), then the convex update."""
-    z = sigmoid(matmul(x, p.w_z, transpose_b=True) + p.b_z + matmul(g_prev, p.u_z, transpose_b=True))
-    r = sigmoid(matmul(x, p.w_r, transpose_b=True) + p.b_r + matmul(g_prev, p.u_r, transpose_b=True))
-    g_cand = tanh(matmul(x, p.w, transpose_b=True) + p.b
-                  + r * (matmul(g_prev, p.u, transpose_b=True) + p.b_n))
-    return g_cand + z * (g_prev - g_cand)
+    """One GRU step: gates from (x, g_prev), then the convex update; one tape node."""
+    _check_operands(x, p.w_z, p.u_z, g_prev)
+    xd, gd = x.data, g_prev.data
+    z = _sigmoid(xd @ p.w_z.data.T + p.b_z.data + gd @ p.u_z.data.T)
+    r = _sigmoid(xd @ p.w_r.data.T + p.b_r.data + gd @ p.u_r.data.T)
+    uh = gd @ p.u.data.T + p.b_n.data
+    cand = np.tanh(xd @ p.w.data.T + p.b.data + r * uh)
+    diff = gd - cand
+    out = cand + z * diff
+
+    def backward(dh):
+        da_z = dh * diff * z * (1.0 - z)
+        da_n = (dh - dh * z) * (1.0 - cand * cand)
+        da_u = da_n * r
+        da_r = da_n * uh * r * (1.0 - r)
+        _gate_backward(da_z, x, g_prev, p.w_z, p.u_z, p.b_z)
+        _gate_backward(da_r, x, g_prev, p.w_r, p.u_r, p.b_r)
+        _accum(p.w, da_n.T @ xd)
+        _accum(p.b, da_n.sum(axis=0))
+        _accum(p.u, da_u.T @ gd)
+        _accum(p.b_n, da_u.sum(axis=0))
+        if x.requires_grad:
+            _accum(x, da_z @ p.w_z.data + da_r @ p.w_r.data + da_n @ p.w.data)
+        if g_prev.requires_grad:
+            _accum(g_prev, dh * z + da_z @ p.u_z.data + da_r @ p.u_r.data + da_u @ p.u.data)
+
+    return _node(out, (x, g_prev, p.w_z, p.u_z, p.b_z, p.w_r, p.u_r, p.b_r,
+                       p.w, p.u, p.b, p.b_n), backward)
 
 
 def lstm_step(x: Tensor, g_prev: Tensor, c_prev: Tensor, p: LstmParams):
-    """One LSTM step; returns (hidden, cell)."""
+    """One LSTM step; returns (hidden, cell).
+
+    The cell node owns the whole step's backward. The hidden node's only
+    parent is the cell node: its backward adds the hidden path to the cell
+    gradient and leaves its own gradient in a holder shared with the cell
+    node, which the output gate reads. The cell node never refers to the
+    hidden node, so a step's graph holds no reference cycle and is freed as
+    soon as the last reference to the loss goes.
+    """
     if c_prev is None:
         raise ShapeError("lstm_step requires a cell state")
-    i = sigmoid(matmul(x, p.w_i, transpose_b=True) + p.b_i + matmul(g_prev, p.u_i, transpose_b=True))
-    f = sigmoid(matmul(x, p.w_f, transpose_b=True) + p.b_f + matmul(g_prev, p.u_f, transpose_b=True))
-    m = tanh(matmul(x, p.w_m, transpose_b=True) + p.b_m + matmul(g_prev, p.u_m, transpose_b=True))
-    o = sigmoid(matmul(x, p.w_o, transpose_b=True) + p.b_o + matmul(g_prev, p.u_o, transpose_b=True))
-    c = f * c_prev + i * m
-    g = o * tanh(c)
-    return g, c
+    _check_operands(x, p.w_i, p.u_i, g_prev, c_prev)
+    xd, gd, cd = x.data, g_prev.data, c_prev.data
+    i = _sigmoid(xd @ p.w_i.data.T + p.b_i.data + gd @ p.u_i.data.T)
+    f = _sigmoid(xd @ p.w_f.data.T + p.b_f.data + gd @ p.u_f.data.T)
+    m = np.tanh(xd @ p.w_m.data.T + p.b_m.data + gd @ p.u_m.data.T)
+    o = _sigmoid(xd @ p.w_o.data.T + p.b_o.data + gd @ p.u_o.data.T)
+    c = f * cd + i * m
+    tc = np.tanh(c)
+    g = o * tc
+    hidden_grad = []
+
+    def cell_backward(dc):
+        gates = [(dc * m * i * (1.0 - i), p.w_i, p.u_i, p.b_i),
+                 (dc * cd * f * (1.0 - f), p.w_f, p.u_f, p.b_f),
+                 (dc * i * (1.0 - m * m), p.w_m, p.u_m, p.b_m)]
+        if hidden_grad:
+            gates.append((hidden_grad.pop() * tc * o * (1.0 - o), p.w_o, p.u_o, p.b_o))
+        for da, w, u, b in gates:
+            _gate_backward(da, x, g_prev, w, u, b)
+        if x.requires_grad:
+            _accum(x, sum(da @ w.data for da, w, _, _ in gates))
+        if g_prev.requires_grad:
+            _accum(g_prev, sum(da @ u.data for da, _, u, _ in gates))
+        _accum(c_prev, dc * f)
+
+    cell = _node(c, (x, g_prev, c_prev, p.w_i, p.u_i, p.b_i, p.w_f, p.u_f, p.b_f,
+                     p.w_m, p.u_m, p.b_m, p.w_o, p.u_o, p.b_o), cell_backward)
+
+    def hidden_backward(dg):
+        hidden_grad.append(dg)
+        _accum(cell, dg * o * (1.0 - tc * tc))
+
+    return _node(g, (cell,), hidden_backward), cell
 
 
 def param_count(archetype: str, d_g: int, d_x: int) -> int:

@@ -330,6 +330,14 @@ def read_json(path: Path):
         raise DataError(f"{path}: malformed JSON: {exc}") from None
 
 
+def read_json_object(path: Path) -> dict:
+    """:func:`read_json` for files whose top level must be a JSON object."""
+    data = read_json(path)
+    if not isinstance(data, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
 # -- sequence file I/O -------------------------------------------------------
 
 def write_sequence(path: Path, seq: MeasuredSequence) -> None:
@@ -370,7 +378,7 @@ def read_sequence(path: Path) -> MeasuredSequence:
     sidecar_path = path.with_suffix(".json")
     if not sidecar_path.exists():
         raise DataError(f"missing sidecar {sidecar_path}")
-    meta = read_json(sidecar_path)
+    meta = read_json_object(sidecar_path)
     numbers = {"temperature_C": meta.get("temperature_C"), "tau_s": meta.get("tau_s") or DEFAULT_TAU_S}
     for name, value in numbers.items():
         try:
@@ -408,8 +416,10 @@ def load_material(data_dir: Path, material: str) -> list[MeasuredSequence]:
     manifest_path = mat_dir / "manifest.json"
     if not manifest_path.exists():
         raise DataError(f"no manifest for material {material!r} under {data_dir}")
-    manifest = read_json(manifest_path)
-    return [read_sequence(mat_dir / name) for name in manifest["sequences"]]
+    names = read_json_object(manifest_path).get("sequences")
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise DataError(f"{manifest_path}: field 'sequences' must be a list of file names")
+    return [read_sequence(mat_dir / name) for name in names]
 
 
 def list_materials(data_dir: Path) -> list[str]:

@@ -62,15 +62,6 @@ def loss_rmse(h_true, h_pred, b_window) -> Tensor:
     return sqrt(tsum(err * err * Tensor(w, dtype=pred.data.dtype), axis=axis) * (1.0 / n))
 
 
-def loss_weighted(l_rmse, h_max: float, h_full: np.ndarray) -> Tensor:
-    """Rescale by H_max over the RMS of the full raw H sequence."""
-    rms = float(np.sqrt(np.mean(np.asarray(h_full, dtype=np.float64) ** 2)))
-    if rms == 0.0:
-        raise MetricError("full H sequence is identically zero")
-    base = l_rmse if isinstance(l_rmse, Tensor) else Tensor(l_rmse)
-    return base * (h_max / rms)
-
-
 def weighted_loss_rows(h_true, h_pred, b_window_prev, h_max: float, h_rms_rows) -> Tensor:
     """Per-row flux-weighted RMSE scaled by H_max / full-sequence RMS; shape (rows,)."""
     rows = loss_rmse(h_true, h_pred, b_window_prev)

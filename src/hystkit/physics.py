@@ -87,15 +87,6 @@ def ja_params_from_theta(theta: Tensor, eta=DEFAULT_ETA) -> JaPhysical:
     return JaPhysical(*parts)
 
 
-def ja_m_an(h_e, m_s, a):
-    """Anhysteretic magnetization M_s * (coth(H_e/a) - a/H_e).
-
-    The Langevin primitive's series guard covers H_e near 0 exactly.
-    """
-    x = h_e / a if isinstance(h_e, Tensor) else Tensor(np.asarray(h_e, dtype=np.float64)) / a
-    return m_s * langevin(x)
-
-
 def ja_dmdh(h: Tensor, m: Tensor, delta: np.ndarray, phys: JaPhysical) -> Tensor:
     """Differential susceptibility dM/dH for the current state and flux direction.
 

@@ -1,10 +1,19 @@
 """Shared independent reference implementations for oracle tests.
 
-These are deliberately written as pure-Python scalar loops (math module,
-no numpy vectorization) so they share nothing with the library's compute
-path beyond the formulas themselves.
+The scalar cell steps are deliberately written as pure-Python loops (math
+module, no numpy vectorization) so they share nothing with the library's
+compute path beyond the formulas themselves. The tape references below
+them compose engine primitives: the cell steps as the fused steps'
+oracles, and two formulas (the per-sequence loss weighting and the
+anhysteretic curve) that the library computes only inside larger
+expressions.
 """
 import math
+
+import numpy as np
+
+from hystkit.autodiff import Tensor, langevin, matmul, sigmoid, tanh
+from hystkit.metrics import MetricError
 
 
 def scalar_sigmoid(v: float) -> float:
@@ -53,3 +62,41 @@ def scalar_lstm_step(x, g_prev, c_prev, p):
 def nested(arr):
     """numpy array -> nested Python lists of floats."""
     return arr.tolist()
+
+
+# -- tape references -------------------------------------------------------
+# The cell steps as compositions of engine primitives, one tape node per
+# operation. The library's steps are single fused nodes whose forward must
+# match these bit for bit and whose backward must match their gradients.
+
+def tape_gru_step(x, g_prev, p):
+    z = sigmoid(matmul(x, p.w_z, transpose_b=True) + p.b_z + matmul(g_prev, p.u_z, transpose_b=True))
+    r = sigmoid(matmul(x, p.w_r, transpose_b=True) + p.b_r + matmul(g_prev, p.u_r, transpose_b=True))
+    g_cand = tanh(matmul(x, p.w, transpose_b=True) + p.b
+                  + r * (matmul(g_prev, p.u, transpose_b=True) + p.b_n))
+    return g_cand + z * (g_prev - g_cand)
+
+
+def tape_lstm_step(x, g_prev, c_prev, p):
+    i = sigmoid(matmul(x, p.w_i, transpose_b=True) + p.b_i + matmul(g_prev, p.u_i, transpose_b=True))
+    f = sigmoid(matmul(x, p.w_f, transpose_b=True) + p.b_f + matmul(g_prev, p.u_f, transpose_b=True))
+    m = tanh(matmul(x, p.w_m, transpose_b=True) + p.b_m + matmul(g_prev, p.u_m, transpose_b=True))
+    o = sigmoid(matmul(x, p.w_o, transpose_b=True) + p.b_o + matmul(g_prev, p.u_o, transpose_b=True))
+    c = f * c_prev + i * m
+    g = o * tanh(c)
+    return g, c
+
+
+def loss_weighted(l_rmse, h_max, h_full):
+    """Rescale a loss by H_max over the RMS of the full raw H sequence."""
+    rms = float(np.sqrt(np.mean(np.asarray(h_full, dtype=np.float64) ** 2)))
+    if rms == 0.0:
+        raise MetricError("full H sequence is identically zero")
+    base = l_rmse if isinstance(l_rmse, Tensor) else Tensor(l_rmse)
+    return base * (h_max / rms)
+
+
+def ja_m_an(h_e, m_s, a):
+    """Anhysteretic magnetization M_s * (coth(H_e/a) - a/H_e) on the tape."""
+    x = h_e / a if isinstance(h_e, Tensor) else Tensor(np.asarray(h_e, dtype=np.float64)) / a
+    return m_s * langevin(x)

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from conftest import nested, scalar_gru_step, scalar_lstm_step
-from hystkit.autodiff import Graph, ShapeError, Tensor, finite_diff_check
+from conftest import nested, scalar_gru_step, scalar_lstm_step, tape_gru_step, tape_lstm_step
+from hystkit.autodiff import Graph, ShapeError, Tensor, finite_diff_check, mul, tsum
 from hystkit.cells import (
     GruParams,
     LstmParams,
@@ -144,6 +144,96 @@ class TestLstmStep:
         graph = Graph(fn, len(names))
         err = finite_diff_check(graph, [base.as_dict()[n] for n in names])
         assert err < 1e-6
+
+
+def _case(lstm, rows, d_g, d_x, dtype, seed):
+    """Random step operands as arrays: ([x, g_prev] or [x, g_prev, c_prev], params container)."""
+    rng = np.random.default_rng(seed)
+    init = init_lstm_params if lstm else init_gru_params
+    p = init(d_g, d_x, rng, dtype)
+    p = p.map(lambda a: (a + rng.uniform(-0.3, 0.3, a.shape)).astype(dtype))  # nonzero biases
+    states = [rng.uniform(-2, 2, (rows, d_x)), rng.uniform(-1, 1, (rows, d_g))]
+    if lstm:
+        states.append(rng.uniform(-1.5, 1.5, (rows, d_g)))
+    return [a.astype(dtype) for a in states], p
+
+
+def _run(step, states, p, requires_grad=True):
+    """Apply ``step`` to fresh leaves; returns (state leaves, param container of leaves, outputs)."""
+    leaves = [Tensor(a, requires_grad=requires_grad) for a in states]
+    params = p.map(lambda a: Tensor(a, requires_grad=requires_grad))
+    out = step(*leaves, params)
+    return leaves, params, out if isinstance(out, tuple) else (out,)
+
+
+SHAPES = [(1, 1), (3, 2), (8, 4), (5, 1)]
+
+
+class TestFusedStepOracle:
+    """The one-node cell steps against their primitive-by-primitive tape references."""
+
+    @pytest.mark.parametrize("lstm", [False, True], ids=["gru", "lstm"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["single", "double"])
+    @pytest.mark.parametrize("rows", [1, 16])
+    @pytest.mark.parametrize("d_g, d_x", SHAPES)
+    def test_forward_bit_identical(self, lstm, dtype, rows, d_g, d_x):
+        states, p = _case(lstm, rows, d_g, d_x, dtype, seed=d_g * 10 + d_x)
+        fused, ref = (lstm_step, tape_lstm_step) if lstm else (gru_step, tape_gru_step)
+        _, _, out = _run(fused, states, p)
+        _, _, out_ref = _run(ref, states, p)
+        for a, b in zip(out, out_ref):
+            assert a.data.dtype == b.data.dtype == dtype
+            assert a.data.tobytes() == b.data.tobytes()
+
+    @staticmethod
+    def _gradients(step, states, p, consume, probes):
+        leaves, params, out = _run(step, states, p)
+        total = None
+        for keep, o, probe in zip(consume, out, probes):
+            if keep:
+                term = tsum(mul(o, Tensor(probe)))
+                total = term if total is None else total + term
+        total.backward()
+        named = dict(zip(["x", "g_prev", "c_prev"], leaves), **params.as_dict())
+        return {k: t.grad for k, t in named.items()}
+
+    @pytest.mark.parametrize("lstm, consume", [(False, (True,)), (True, (True, False)),
+                                               (True, (False, True)), (True, (True, True))],
+                             ids=["gru", "lstm-hidden", "lstm-cell", "lstm-both"])
+    @pytest.mark.parametrize("rows", [1, 16])
+    @pytest.mark.parametrize("d_g, d_x", SHAPES)
+    def test_gradients_match_tape(self, lstm, consume, rows, d_g, d_x):
+        states, p = _case(lstm, rows, d_g, d_x, np.float64, seed=d_g * 10 + d_x + 1)
+        rng = np.random.default_rng(rows)
+        probes = [rng.standard_normal((rows, d_g)) for _ in consume]
+        fused, ref = (lstm_step, tape_lstm_step) if lstm else (gru_step, tape_gru_step)
+        got = self._gradients(fused, states, p, consume, probes)
+        want = self._gradients(ref, states, p, consume, probes)
+        assert got.keys() == want.keys()
+        for name in want:
+            if want[name] is None:  # the output gate's arrays when only the cell is consumed
+                assert got[name] is None, name
+                continue
+            scale = np.max(np.abs(want[name]))
+            assert got[name].shape == want[name].shape, name
+            assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("lstm", [False, True], ids=["gru", "lstm"])
+    @pytest.mark.parametrize("bad", ["rows", "dtype", "ndim"])
+    def test_bad_operands_rejected(self, lstm, bad):
+        states, p = _case(lstm, 4, 3, 2, np.float64, seed=5)
+        states[1] = {"rows": states[1][:3], "dtype": states[1].astype(np.float32),
+                     "ndim": states[1][0]}[bad]
+        with pytest.raises(ShapeError):
+            _run(lstm_step if lstm else gru_step, states, p)
+
+    @pytest.mark.parametrize("lstm", [False, True], ids=["gru", "lstm"])
+    def test_frozen_step_records_no_parents(self, lstm):
+        states, p = _case(lstm, 4, 3, 2, np.float64, seed=3)
+        _, _, out = _run(lstm_step if lstm else gru_step, states, p, requires_grad=False)
+        for o in out:
+            assert not o.requires_grad
+            assert o._parents == () and o._backward is None
 
 
 class TestParamCount:

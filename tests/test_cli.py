@@ -229,7 +229,25 @@ class TestEvalPredict:
         assert rc == 1
         assert f"error: {target}: malformed JSON" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["norm.h_max", "norm.b_max", "norm.theta_max",
+    @pytest.mark.parametrize("name, content, field", [
+        ("manifest.json", {"material": "synthA"}, "'sequences'"),
+        ("manifest.json", {"sequences": "seq_00000.csv"}, "'sequences'"),
+        ("manifest.json", {"sequences": ["seq_00000.csv", 3]}, "'sequences'"),
+        ("manifest.json", ["seq_00000.csv"], "JSON object"),
+        ("seq_00000.json", [1, 2], "JSON object"),
+    ])
+    def test_wrong_json_shape_names_file(self, dataset_dir, tmp_path, capsys, name, content, field):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        target = data / "synthA" / name
+        target.write_text(json.dumps(content))
+        rc = main(["train", "--data", str(data), "--material", "synthA",
+                   "--out", str(tmp_path / "out")] + TRAIN_FLAGS)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {target}: " in err and field in err
+
+    @pytest.mark.parametrize("key",["norm.h_max", "norm.b_max", "norm.theta_max",
                                      "train_config.d_g", "train_config.d_x",
                                      "train_config.warmup_length", "train_config.eta",
                                      "train_config.precision"])

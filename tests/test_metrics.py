@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import loss_weighted
 from hystkit.autodiff import Graph, Tensor, finite_diff_check
 from hystkit.metrics import (
     MetricError,
     MetricReport,
     batch_mean,
     loss_rmse,
-    loss_weighted,
     mae,
     mse,
     nere,

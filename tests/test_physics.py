@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ja_m_an
 from hystkit.autodiff import Graph, Tensor, finite_diff_check, reshape
 from hystkit.cells import GruParams, gru_step, init_gru_params
 from hystkit.physics import (
@@ -19,7 +20,6 @@ from hystkit.physics import (
     init_preisach_params,
     ja_dmdh,
     ja_initial_state,
-    ja_m_an,
     ja_params_from_theta,
     ja_step_euler,
     pinn_ja_residual,

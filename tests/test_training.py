@@ -1,8 +1,13 @@
 """Training-loop tests: optimizer algebra, determinism, checkpoints, sweeps."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from hystkit.dataset import MeasuredSequence, compute_norm_constants
+from hystkit.autodiff import _toposort
+from hystkit.dataset import MeasuredSequence, compute_norm_constants, make_minibatches
+from hystkit.heads import wrap_params
 from hystkit.metrics import MetricReport
 from hystkit.physics import init_preisach_params
 from hystkit.synth import generate_ja_dataset
@@ -11,9 +16,11 @@ from hystkit.training import (
     ConfigError,
     TrainConfig,
     TrainingError,
+    batch_loss,
     clip_global_norm,
     config_param_count,
     evaluate_sequences,
+    init_params,
     load_checkpoint,
     optimizer_step,
     pareto_sweep,
@@ -110,7 +117,6 @@ class TestTrainLoop:
         seqs = tiny_dataset()
         config = small_config(lr=0.0, epochs=2)
         result = train(config, seqs)
-        from hystkit.training import init_params
         init = init_params(config)
         for k, v in result.params.items():
             np.testing.assert_array_equal(v, init[k])
@@ -187,6 +193,41 @@ class TestTrainLoop:
         a = batch_loss(plain, wrap_params(arrays), batch, norm)
         b = batch_loss(pinn, wrap_params(arrays), batch, norm)
         assert float(a.data) == float(b.data)
+
+
+class TestGraphLifetime:
+    """A batch's tape must be freed by reference counting alone.
+
+    A reference cycle anywhere in the graph (a backward closure that refers
+    to a node downstream of its own) keeps every batch's graph alive until
+    the cyclic collector runs, which shows up as peak-memory growth in
+    training and sweeps.
+    """
+
+    @staticmethod
+    def _loss_graph_refs(config):
+        seqs = tiny_dataset()
+        norm = compute_norm_constants(seqs)
+        batch = make_minibatches(seqs, config.subseq_len, config.batch_size, [0, 1],
+                                 config.warmup_length, norm)[0]
+        loss = batch_loss(config, wrap_params(init_params(config)), batch, norm)
+        loss.backward()
+        return [weakref.ref(node) for node in _toposort(loss)]
+
+    @pytest.mark.parametrize("archetype", ["gru-p", "lstm-p", "gru-jadp"])
+    def test_loss_graph_freed_without_gc(self, archetype):
+        config = small_config(archetype=archetype, d_g=6)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            refs = self._loss_graph_refs(config)
+            alive = sum(ref() is not None for ref in refs)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(refs) > 100
+        assert refs[-1]() is None, "the loss node outlived its last reference"
+        assert alive == 0, f"{alive} of {len(refs)} tape nodes outlived the loss"
 
 
 class TestCheckpoint:
