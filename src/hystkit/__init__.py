@@ -28,7 +28,6 @@ from .physics import (
     PreisachParams,
     ja_params_from_theta,
     ja_step_euler,
-    preisach_hysteron,
     preisach_predict,
 )
 from .training import (

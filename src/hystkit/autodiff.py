@@ -133,9 +133,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(_const_like(other, self), self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -144,10 +141,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return tsum(self, axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
 def _node(data, parents, backward_fn) -> Tensor:
@@ -240,13 +233,6 @@ def sub(a, b) -> Tensor:
         _accum(b, _unbroadcast(-g, b.data.shape))
 
     return _node(out_data, (a, b), backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward(g):
-        _accum(a, -g)
-
-    return _node(-a.data, (a,), backward)
 
 
 def mul(a, b) -> Tensor:
@@ -479,7 +465,7 @@ class Graph:
         outputs = out if isinstance(out, tuple) else (out,)
         for o in outputs:
             for node in _toposort(o):
-                if not np.all(np.isfinite(node.data)):
+                if not np.isfinite(node.data).all():
                     raise NonFiniteError("non-finite intermediate in forward pass")
         self._leaves = leaves
         self._outputs = outputs

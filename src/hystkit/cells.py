@@ -190,12 +190,11 @@ def param_count(archetype: str, d_g: int, d_x: int) -> int:
     """
     if d_g < 1 or d_x < 1:
         raise ValueError("d_g and d_x must be >= 1")
-    key = archetype.lower()
-    if key in GRU_ARCHETYPES or key == "gru":
+    if archetype in GRU_ARCHETYPES:
         return 3 * d_g * d_x + 3 * d_g * d_g + 4 * d_g
-    if key in LSTM_ARCHETYPES or key == "lstm":
+    if archetype in LSTM_ARCHETYPES:
         return 4 * (d_g * d_x + d_g * d_g + d_g)
-    if key == "ja":
+    if archetype == "ja":
         return 5
     raise ValueError(f"unknown archetype {archetype!r}")
 

@@ -135,10 +135,6 @@ class MiniBatch:
     def rows(self) -> int:
         return self.b_norm.shape[0]
 
-    @property
-    def length(self) -> int:
-        return self.b_norm.shape[1]
-
 
 def compute_norm_constants(sequences) -> NormConstants:
     """Max absolute value of each raw signal over the given (training) sequences."""

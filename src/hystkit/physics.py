@@ -45,6 +45,9 @@ DEFAULT_ETA = (5e5, 1e3, 1e-2, 1e3, 1.0)
 
 _DENOM_FLOOR = 1e-30
 
+#: Transition width |T| of every smooth hysteron, in normalized field units.
+HYSTERON_SHARPNESS = 1e-3
+
 
 class PhysicsError(ValueError):
     pass
@@ -83,8 +86,8 @@ def ja_params_from_theta(theta: Tensor, eta=DEFAULT_ETA) -> JaPhysical:
         raise PhysicsError("eta scaling factors must be positive")
     if theta.data.ndim != 2 or theta.data.shape[1] != 5:
         raise PhysicsError(f"theta must be (rows, 5), got {theta.data.shape}")
-    parts = [float(eta[i]) * sigmoid(theta[:, i:i + 1]) for i in range(5)]
-    return JaPhysical(*parts)
+    z = sigmoid(theta) * Tensor(eta.reshape(1, 5), dtype=theta.data.dtype)
+    return JaPhysical(*(z[:, i:i + 1] for i in range(5)))
 
 
 def ja_dmdh(h: Tensor, m: Tensor, delta: np.ndarray, phys: JaPhysical) -> Tensor:
@@ -136,11 +139,11 @@ def ja_step_euler(state: JaState, b_k, b_k1, phys: JaPhysical) -> JaState:
     return JaState(h=h_new, m=m_new)
 
 
-def ja_initial_state(h_known, b_known, dtype=np.float64) -> JaState:
-    """Start integration at the last known sample: H = H_known, M = B/mu0 - H."""
-    h0 = np.asarray(h_known, dtype=dtype)
-    b0 = np.asarray(b_known, dtype=dtype)
-    return JaState(h=Tensor(h0, dtype=dtype), m=Tensor(b0 / MU0 - h0, dtype=dtype))
+def ja_initial_state(h_known, b_known) -> JaState:
+    """Start integration at the last known sample: H = H_known, M = B/mu0 - H (float64)."""
+    h0 = np.asarray(h_known, dtype=np.float64)
+    b0 = np.asarray(b_known, dtype=np.float64)
+    return JaState(h=Tensor(h0), m=Tensor(b0 / MU0 - h0))
 
 
 def gru_jadp_step(x: Tensor, g_prev: Tensor, gru_params: GruParams, eta,
@@ -188,7 +191,6 @@ class PreisachParams:
     omega: np.ndarray   # (3,) output map: offset, linear bypass, hysteron gain (trainable)
     alpha: np.ndarray   # (N,) falling-branch thresholds (static, alpha >= beta)
     beta: np.ndarray    # (N,) rising-branch thresholds (static)
-    sharpness: float = 1e-3
 
     @property
     def n_hysterons(self) -> int:
@@ -198,57 +200,42 @@ class PreisachParams:
         return len(self.mu) + 3
 
 
-def preisach_grid(n_levels: int = 17, lo: float = -1.0, hi: float = 1.0):
-    """Equally spaced half-plane grid (alpha_i >= beta_i); n(n+1)/2 nodes."""
-    levels = np.linspace(lo, hi, n_levels)
+def preisach_grid(n_levels: int = 17):
+    """Equally spaced half-plane grid on [-1, 1] (alpha_i >= beta_i); n(n+1)/2 nodes."""
+    levels = np.linspace(-1.0, 1.0, n_levels)
     ii, jj = np.tril_indices(n_levels)
     return levels[ii].copy(), levels[jj].copy()
 
 
-def init_preisach_params(n_levels: int = 17, rng: np.random.Generator | None = None,
-                         sharpness: float = 1e-3) -> PreisachParams:
+def init_preisach_params(n_levels: int = 17, rng: np.random.Generator | None = None) -> PreisachParams:
     alpha, beta = preisach_grid(n_levels)
     n = len(alpha)
     rng = rng or np.random.default_rng(0)
     mu = rng.uniform(0.0, 2.0 / n, size=n)
     omega = np.array([0.0, 0.3, 0.7])
-    return PreisachParams(mu=mu, omega=omega, alpha=alpha, beta=beta, sharpness=sharpness)
+    return PreisachParams(mu=mu, omega=omega, alpha=alpha, beta=beta)
 
 
-def preisach_hysteron(h_k, h_prev, gamma_prev, alpha_i, beta_i, sharpness: float = 1e-3):
-    """One smooth hysteron update, kept inside [-1, 1].
-
-    Rising input pushes the state up through tanh((H - beta)/|T|), falling or
-    equal input pushes it down through tanh((alpha - H)/|T|); each branch is
-    clamped so the state never leaves [-1, 1]. Plain numbers only: the
-    scalar reference for :func:`hysteron_states`.
-    """
-    t_mag = abs(float(sharpness))
-    h_k = np.asarray(h_k, dtype=np.float64)
-    if np.all(h_k > np.asarray(h_prev)):
-        return np.clip(gamma_prev + np.tanh((h_k - beta_i) / t_mag), -1.0, 1.0)
-    return np.clip(gamma_prev - np.tanh((alpha_i - h_k) / t_mag), -1.0, 1.0)
-
-
-def hysteron_states(h: np.ndarray, params: PreisachParams, gamma0: float = -1.0) -> np.ndarray:
+def hysteron_states(h: np.ndarray, params: PreisachParams) -> np.ndarray:
     """Hysteron trajectories for input rows.
 
-    ``h`` is (rows, n); returns (rows, n, N). States start at ``gamma0``
-    (all -1 means negative saturation history) and the first step counts as
-    rising. The states depend only on the input, never on the trainable
+    ``h`` is (rows, n); returns (rows, n, N). States start at -1 (negative
+    saturation history) and the first step counts as rising. Rising input
+    pushes a state up through tanh((H - beta)/|T|), falling or equal input
+    pushes it down through tanh((alpha - H)/|T|); each branch is clamped to
+    [-1, 1]. The states depend only on the input, never on the trainable
     parameters, so this runs outside the tape.
     """
     h = np.atleast_2d(np.asarray(h, dtype=np.float64))
     rows, n = h.shape
-    t_mag = abs(float(params.sharpness))
-    gamma = np.full((rows, params.n_hysterons), gamma0, dtype=np.float64)
+    gamma = np.full((rows, params.n_hysterons), -1.0, dtype=np.float64)
     out = np.empty((rows, n, params.n_hysterons), dtype=np.float64)
     h_prev = np.full((rows, 1), -np.inf)
     for k in range(n):
         h_k = h[:, k:k + 1]
         rising = h_k > h_prev
-        up = np.clip(gamma + np.tanh((h_k - params.beta[None, :]) / t_mag), -1.0, 1.0)
-        down = np.clip(gamma - np.tanh((params.alpha[None, :] - h_k) / t_mag), -1.0, 1.0)
+        up = np.clip(gamma + np.tanh((h_k - params.beta[None, :]) / HYSTERON_SHARPNESS), -1.0, 1.0)
+        down = np.clip(gamma - np.tanh((params.alpha[None, :] - h_k) / HYSTERON_SHARPNESS), -1.0, 1.0)
         gamma = np.where(rising, up, down)
         out[:, k, :] = gamma
         h_prev = h_k

@@ -21,16 +21,15 @@ _FREQS_HZ = (50e3, 80e3, 125e3)
 _TEMPS_C = (25.0, 50.0, 70.0)
 
 
-def ja_generate_field(b_rows: np.ndarray, physical=DEFAULT_JA_PHYSICAL,
-                      temperatures=None) -> np.ndarray:
-    """Integrate H along each flux row; H starts at 0 with M closed through B.
+def ja_generate_field(b_rows: np.ndarray, temperatures=None) -> np.ndarray:
+    """Integrate H along each flux row with :data:`DEFAULT_JA_PHYSICAL`.
 
-    ``physical`` may be scalars or per-row columns. With ``temperatures``
-    given, saturation and pinning shrink mildly as the core heats up.
+    H starts at 0 with M closed through B. With ``temperatures`` given,
+    saturation and pinning shrink mildly as the core heats up.
     """
     b_rows = np.atleast_2d(np.asarray(b_rows, dtype=np.float64))
     rows, n = b_rows.shape
-    m_s, a, alpha_w, k_p, c = (np.asarray(p, dtype=np.float64) for p in physical)
+    m_s, a, alpha_w, k_p, c = (np.asarray(p, dtype=np.float64) for p in DEFAULT_JA_PHYSICAL)
     if temperatures is not None:
         t = np.asarray(temperatures, dtype=np.float64).reshape(rows, 1)
         m_s = m_s * (1.0 - 1.5e-3 * (t - 25.0))
@@ -70,7 +69,7 @@ def flux_waveforms(n_sequences: int, length: int, rng: np.random.Generator,
 
 
 def generate_ja_dataset(n_sequences: int = 20, length: int = 640, seed: int = 0,
-                        tau: float = DEFAULT_TAU_S, physical=DEFAULT_JA_PHYSICAL,
+                        tau: float = DEFAULT_TAU_S,
                         material_id: str = "synthetic") -> list[MeasuredSequence]:
     """Measurement sequences from the fixed-parameter forward model.
 
@@ -81,7 +80,7 @@ def generate_ja_dataset(n_sequences: int = 20, length: int = 640, seed: int = 0,
     settle = int(round(1.0 / (min(_FREQS_HZ) * tau)))
     waves, freqs = flux_waveforms(n_sequences, length + settle, rng, tau)
     temps = np.array([_TEMPS_C[i % len(_TEMPS_C)] for i in range(n_sequences)])
-    h = ja_generate_field(waves, physical, temperatures=temps)
+    h = ja_generate_field(waves, temperatures=temps)
     sequences = []
     for i in range(n_sequences):
         sequences.append(MeasuredSequence(

@@ -21,19 +21,23 @@ import numpy as np
 from .autodiff import Tensor, concat, dtype_of, reshape
 from .cells import param_count
 from .dataset import (MiniBatch, NormConstants, PredictionTask, compute_norm_constants, fmt,
-                      json_text, make_minibatches, read_json, write_file, write_rows)
+                      json_text, make_minibatches, read_json_object, write_file, write_rows)
 from .heads import (JA_FAMILY, HeadConfig, init_head_params, inputs_from_batch, predict_window,
                     rollout, wrap_params)
 from .metrics import MetricReport, batch_mean, mae, mse, sre, nere, wce, weighted_loss_rows
 from .physics import DEFAULT_ETA, ja_params_from_theta, pinn_ja_residual
 
 CHECKPOINT_FORMAT_VERSION = 1
+#: Adam's moment decay rates and denominator guard.
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 #: Header keys :func:`load_checkpoint` reads.
 CHECKPOINT_HEADER_KEYS = ("format_version", "archetype", "seed", "norm", "train_config",
                           "layout", "blob", "blob_sha256")
 #: Keys read inside the ``norm`` and ``train_config`` header sections.
 CHECKPOINT_SECTION_KEYS = {"norm": ("h_max", "b_max", "theta_max"),
-                           "train_config": ("d_g", "d_x", "warmup_length", "eta", "precision")}
+                           "train_config": ("d_g", "warmup_length", "eta", "precision",
+                                            "lambda_w")}
 
 
 class ConfigError(ValueError):
@@ -48,7 +52,6 @@ class TrainingError(RuntimeError):
 class TrainConfig:
     archetype: str = "gru-p"
     d_g: int = 8
-    d_x: int = 4
     subseq_len: int = 256
     batch_size: int = 32
     epochs: int = 100
@@ -61,8 +64,6 @@ class TrainConfig:
     patience: int = 20
     eval_every: int = 1
     eta: tuple = DEFAULT_ETA
-    betas: tuple = (0.9, 0.999)
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.lambda_w < 0:
@@ -82,18 +83,17 @@ class TrainConfig:
         return self.archetype in JA_FAMILY or self.lambda_w > 0
 
     def head_config(self) -> HeadConfig:
-        return HeadConfig(archetype=self.archetype, d_g=self.d_g, d_x=self.d_x,
+        return HeadConfig(archetype=self.archetype, d_g=self.d_g,
                           warmup_length=self.warmup_length, eta=self.eta)
 
     def to_dict(self) -> dict:
         d = asdict(self)
         d["eta"] = list(self.eta)
-        d["betas"] = list(self.betas)
         return d
 
 
 def config_param_count(config: TrainConfig) -> int:
-    n = param_count(config.archetype, config.d_g, config.d_x)
+    n = param_count(config.archetype, config.d_g, HeadConfig.d_x)
     if config.lambda_w > 0 and config.archetype != "ja":
         n += 5  # co-trained JA parameters of the physics regularizer
     return n
@@ -117,14 +117,13 @@ def clip_global_norm(grads: dict, max_norm: float):
     return grads, total
 
 
-def optimizer_step(params: dict, grads: dict, state: AdamState, lr: float,
-                   clip_norm: float, betas=(0.9, 0.999), eps: float = 1e-8):
+def optimizer_step(params: dict, grads: dict, state: AdamState, lr: float, clip_norm: float):
     """Adam with bias correction; global-norm clipping runs before the update."""
     for k, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient for parameter {k!r}")
     grads, _ = clip_global_norm(grads, clip_norm)
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state.t += 1
     t = state.t
     new_params = {}
@@ -141,7 +140,7 @@ def optimizer_step(params: dict, grads: dict, state: AdamState, lr: float,
         state.v[k] = v
         m_hat = m / (1.0 - b1 ** t)
         v_hat = v / (1.0 - b2 ** t)
-        new_params[k] = (params[k] - lr * m_hat / (np.sqrt(v_hat) + eps)).astype(params[k].dtype)
+        new_params[k] = (params[k] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(params[k].dtype)
     return new_params, state
 
 
@@ -220,7 +219,7 @@ class TrainResult:
         )
 
 
-def train(config: TrainConfig, train_seqs, eval_seqs=None, norm: NormConstants | None = None) -> TrainResult:
+def train(config: TrainConfig, train_seqs, eval_seqs=None) -> TrainResult:
     """Epoch loop: regenerate batches, roll out, backprop, Adam-update.
 
     Keeps the parameters with the best evaluation SRE (when an eval set is
@@ -230,7 +229,7 @@ def train(config: TrainConfig, train_seqs, eval_seqs=None, norm: NormConstants |
     train_seqs = list(train_seqs)
     if not train_seqs:
         raise ConfigError("empty training set")
-    norm = norm or compute_norm_constants(train_seqs)
+    norm = compute_norm_constants(train_seqs)
     params = init_params(config)
     adam = AdamState()
     head_cfg = config.head_config()
@@ -258,8 +257,7 @@ def train(config: TrainConfig, train_seqs, eval_seqs=None, norm: NormConstants |
             loss.backward()
             grads = {k: (t.grad if t.grad is not None else np.zeros_like(t.data))
                      for k, t in params_t.items()}
-            params, adam = optimizer_step(params, grads, adam, config.lr, config.clip_norm,
-                                          config.betas, config.adam_eps)
+            params, adam = optimizer_step(params, grads, adam, config.lr, config.clip_norm)
             epoch_losses.append(value)
         train_losses.append(float(np.mean(epoch_losses)))
 
@@ -295,11 +293,10 @@ class ModelCheckpoint:
     norm: NormConstants
     train_config: dict
     seed: int
-    format_version: int = CHECKPOINT_FORMAT_VERSION
 
     def head_config(self) -> HeadConfig:
         tc = self.train_config
-        return HeadConfig(archetype=self.archetype, d_g=int(tc["d_g"]), d_x=int(tc["d_x"]),
+        return HeadConfig(archetype=self.archetype, d_g=int(tc["d_g"]),
                           warmup_length=int(tc["warmup_length"]), eta=tuple(tc["eta"]))
 
     def count_params(self) -> int:
@@ -323,7 +320,7 @@ def save_checkpoint(path: Path, ckpt: ModelCheckpoint) -> tuple[Path, Path]:
         layout.append({"name": name, "shape": list(arr.shape), "dtype": wire, "offset": len(blob)})
         blob.extend(arr.astype(wire).tobytes())
     header = {
-        "format_version": ckpt.format_version,
+        "format_version": CHECKPOINT_FORMAT_VERSION,
         "archetype": ckpt.archetype,
         "seed": ckpt.seed,
         "norm": ckpt.norm.as_dict(),
@@ -342,34 +339,68 @@ def save_checkpoint(path: Path, ckpt: ModelCheckpoint) -> tuple[Path, Path]:
 
 
 def load_checkpoint(json_path: Path) -> ModelCheckpoint:
+    """Read ``<path>.json`` and the blob it names.
+
+    The parameter names and shapes the layout must list are those
+    :func:`init_params` makes for the header's ``train_config``. A header
+    that does not describe its blob raises :class:`ConfigError` naming the
+    file and the field.
+    """
     json_path = Path(json_path)
-    header = read_json(json_path)
+    header = read_json_object(json_path)
+
+    def bad(what: str) -> ConfigError:
+        return ConfigError(f"{json_path}: checkpoint {what}")
+
     for key in CHECKPOINT_HEADER_KEYS:
         if key not in header:
-            raise ConfigError(f"{json_path}: checkpoint header lacks {key!r}")
+            raise bad(f"header lacks {key!r}")
     for section, keys in CHECKPOINT_SECTION_KEYS.items():
         for key in keys:
             if not isinstance(header[section], dict) or key not in header[section]:
-                raise ConfigError(f"{json_path}: checkpoint header lacks '{section}.{key}'")
+                raise bad(f"header lacks '{section}.{key}'")
     if header["format_version"] != CHECKPOINT_FORMAT_VERSION:
-        raise ConfigError(f"unsupported checkpoint format {header['format_version']}")
-    blob = (json_path.parent / header["blob"]).read_bytes()
+        raise bad(f"format {header['format_version']!r} is unsupported")
+    for key in CHECKPOINT_SECTION_KEYS["norm"]:
+        value = header["norm"][key]
+        if not (type(value) in (int, float) and np.isfinite(value) and value > 0):
+            raise bad(f"field 'norm.{key}' is not a positive number: {value!r}")
+    tc = header["train_config"]
+    try:
+        expected = init_params(TrainConfig(
+            archetype=header["archetype"], d_g=int(tc["d_g"]),
+            warmup_length=int(tc["warmup_length"]), eta=tuple(tc["eta"]),
+            precision=tc["precision"], lambda_w=float(tc["lambda_w"])))
+    except (TypeError, ValueError) as exc:
+        raise bad(f"field 'train_config' describes no model: {exc}") from None
+    layout = header["layout"]
+    if not isinstance(layout, list) or not all(isinstance(entry, dict) for entry in layout):
+        raise bad("field 'layout' is not a list of objects")
+    names = [entry.get("name") for entry in layout]
+    if len(names) != len(expected) or any(name not in names for name in expected):
+        raise bad(f"field 'layout' lists {names}; train_config expects {sorted(expected)}")
+    blob = (json_path.parent / str(header["blob"])).read_bytes()
     if hashlib.sha256(blob).hexdigest() != header["blob_sha256"]:
-        raise ConfigError("checkpoint blob hash mismatch")
+        raise bad("blob hash mismatch")
     params = {}
-    for entry in header["layout"]:
-        dt = np.dtype(entry["dtype"])
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        flat = np.frombuffer(blob, dtype=dt, count=count, offset=entry["offset"])
-        native = "double" if dt.itemsize == 8 else "single"
-        params[entry["name"]] = flat.reshape(entry["shape"]).astype(dtype_of(native))
+    for entry in layout:
+        want = expected[entry["name"]]
+        wire, offset = entry.get("dtype"), entry.get("offset")
+        nbytes = want.size * (8 if wire == "<f8" else 4)
+        if (entry.get("shape") != list(want.shape) or wire not in ("<f4", "<f8")
+                or type(offset) is not int or not 0 <= offset <= len(blob) - nbytes):
+            raise bad(f"layout entry {entry} does not fit: train_config expects shape "
+                      f"{list(want.shape)}, dtype '<f4' or '<f8', and {nbytes} bytes "
+                      f"inside the {len(blob)}-byte blob")
+        flat = np.frombuffer(blob, dtype=wire, count=want.size, offset=offset)
+        params[entry["name"]] = flat.reshape(want.shape).astype(
+            dtype_of("double" if wire == "<f8" else "single"))
     return ModelCheckpoint(
         archetype=header["archetype"],
         params=params,
         norm=NormConstants.from_dict(header["norm"]),
-        train_config=header["train_config"],
+        train_config=tc,
         seed=header["seed"],
-        format_version=header["format_version"],
     )
 
 
@@ -377,7 +408,7 @@ def load_checkpoint(json_path: Path) -> ModelCheckpoint:
 
 def train_preisach(preisach, train_seqs, norm: NormConstants, subseq_len: int = 256,
                    batch_size: int = 16, epochs: int = 60, lr: float = 3e-3,
-                   seed: int = 0, warmup_length: int = 16, clip_norm: float = 1.0):
+                   seed: int = 0, warmup_length: int = 16):
     """Fit the hysteron density and output map in the flux-from-field direction.
 
     Uses the same flux-weighted objective as the recurrent heads with the
@@ -409,7 +440,7 @@ def train_preisach(preisach, train_seqs, norm: NormConstants, subseq_len: int = 
                 raise TrainingError(f"non-finite loss at epoch {epoch}, batch {bi}")
             loss.backward()
             grads = {"mu": mu_t.grad, "omega": omega_t.grad}
-            params, adam = optimizer_step(params, grads, adam, lr, clip_norm)
+            params, adam = optimizer_step(params, grads, adam, lr, clip_norm=1.0)
             epoch_losses.append(value)
         losses.append(float(np.mean(epoch_losses)))
     preisach.mu = params["mu"]
@@ -423,10 +454,10 @@ SWEEP_COLUMNS = ("archetype", "d_g", "params", "seed", "sre", "nere", "status")
 
 
 def _run_trial(args):
-    config, train_seqs, eval_seqs, score_seqs = args
+    config, train_seqs, eval_seqs = args
     try:
         result = train(config, train_seqs, eval_seqs)
-        report = evaluate_sequences(config.head_config(), result.params, score_seqs,
+        report = evaluate_sequences(config.head_config(), result.params, eval_seqs,
                                     result.norm, config.precision)
         agg = report.aggregate()
         return {"archetype": config.archetype, "d_g": config.d_g,
@@ -443,19 +474,18 @@ def _run_trial(args):
                 "status": f"failed:{type(exc).__name__}"}
 
 
-def pareto_sweep(archetypes, d_g_values, seeds, train_seqs, eval_seqs, score_seqs=None,
+def pareto_sweep(archetypes, d_g_values, seeds, train_seqs, eval_seqs,
                  base_config: TrainConfig | None = None, workers: int = 1):
     """Trial grid over (archetype, d_g, seed); returns (rows, medians).
 
-    ``score_seqs`` defaults to the eval set. Medians aggregate successful
+    Each trial is scored on the eval set. Medians aggregate successful
     trials per (archetype, d_g); rows are ordered by that key so merged
     concurrent results stay deterministic.
     """
     base = base_config or TrainConfig()
-    score_seqs = score_seqs if score_seqs is not None else eval_seqs
     jobs = [(replace(base, archetype=a, d_g=d_g, seed=seed,
                      precision="double" if a in JA_FAMILY else base.precision),
-             train_seqs, eval_seqs, score_seqs)
+             train_seqs, eval_seqs)
             for a in archetypes for d_g in d_g_values for seed in seeds]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -2,8 +2,9 @@
 
 The scalar cell steps are deliberately written as pure-Python loops (math
 module, no numpy vectorization) so they share nothing with the library's
-compute path beyond the formulas themselves. The tape references below
-them compose engine primitives: the cell steps as the fused steps'
+compute path beyond the formulas themselves; the scalar hysteron update
+is the reference for the vectorized Preisach states. The tape references
+below them compose engine primitives: the cell steps as the fused steps'
 oracles, and two formulas (the per-sequence loss weighting and the
 anhysteretic curve) that the library computes only inside larger
 expressions.
@@ -14,6 +15,7 @@ import numpy as np
 
 from hystkit.autodiff import Tensor, langevin, matmul, sigmoid, tanh
 from hystkit.metrics import MetricError
+from hystkit.physics import HYSTERON_SHARPNESS
 
 
 def scalar_sigmoid(v: float) -> float:
@@ -57,6 +59,21 @@ def scalar_lstm_step(x, g_prev, c_prev, p):
         c_out.append(c)
         g_out.append(gate_o * math.tanh(c))
     return g_out, c_out
+
+
+def preisach_hysteron(h_k, h_prev, gamma_prev, alpha_i, beta_i, sharpness=HYSTERON_SHARPNESS):
+    """One smooth hysteron update, kept inside [-1, 1].
+
+    Rising input pushes the state up through tanh((H - beta)/|T|), falling or
+    equal input pushes it down through tanh((alpha - H)/|T|); each branch is
+    clamped so the state never leaves [-1, 1]. Plain numbers only: the
+    scalar reference for ``hysteron_states``.
+    """
+    t_mag = abs(float(sharpness))
+    h_k = np.asarray(h_k, dtype=np.float64)
+    if np.all(h_k > np.asarray(h_prev)):
+        return np.clip(gamma_prev + np.tanh((h_k - beta_i) / t_mag), -1.0, 1.0)
+    return np.clip(gamma_prev - np.tanh((alpha_i - h_k) / t_mag), -1.0, 1.0)
 
 
 def nested(arr):

@@ -1,5 +1,6 @@
 """CLI tests: command flows, manifests, idempotence, error contracts."""
 import csv
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import hystkit.training as training
 from hystkit.autodiff import Tensor
-from hystkit.cli import main
+from hystkit.cli import _CONFIG_FIELDS, main
 from hystkit.dataset import write_material
 from hystkit.synth import generate_ja_dataset
 
@@ -248,7 +249,7 @@ class TestEvalPredict:
         assert f"error: {target}: " in err and field in err
 
     @pytest.mark.parametrize("key",["norm.h_max", "norm.b_max", "norm.theta_max",
-                                     "train_config.d_g", "train_config.d_x",
+                                     "train_config.d_g",
                                      "train_config.warmup_length", "train_config.eta",
                                      "train_config.precision"])
     def test_checkpoint_section_missing_key_named(self, trained, tmp_path, capsys, key):
@@ -260,6 +261,35 @@ class TestEvalPredict:
         rc = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda h: h["layout"][0].pop("offset"), "layout entry"),
+        (lambda h: h.update(layout=[e for e in h["layout"] if e["name"] != "b"]), "'layout'"),
+        (lambda h: h.update(layout={e["name"]: e for e in h["layout"]}), "'layout'"),
+        (lambda h: h["norm"].update(h_max="abc"), "'norm.h_max'"),
+        (lambda h: h["layout"][-1].update(offset=h["blob_bytes"] - 8), "layout entry"),
+        (lambda h: h["layout"][0].update(shape=[64]), "layout entry"),
+        (lambda h: h["train_config"].update(d_g=3), "layout entry"),
+        (lambda h: h["train_config"].update(d_g="abc"), "'train_config'"),
+    ], ids=["no-offset", "no-b", "not-a-list", "h_max-text", "offset-past-blob",
+            "shape-past-blob", "d_g-vs-layout", "d_g-text"])
+    def test_malformed_checkpoint_layout_named(self, trained, tmp_path, capsys, mutate, field):
+        run = tmp_path / "run"
+        shutil.copytree(trained, run)
+        header = json.loads((run / "model.json").read_text())
+        mutate(header)
+        (run / "model.json").write_text(json.dumps(header))
+        rc = main(["eval", "--checkpoint", str(run / "model.json"), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {run / 'model.json'}: checkpoint " in err and field in err
+
+
+def test_only_eta_is_beyond_the_cli():
+    # eta stays fixed: every checkpoint records it, and it fixes how a stored
+    # theta maps to the Jiles-Atherton parameters
+    fields = {f.name for f in dataclasses.fields(training.TrainConfig)}
+    assert fields - set(_CONFIG_FIELDS.values()) == {"eta"}
 
 
 @pytest.fixture(scope="module")

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ja_m_an
+from conftest import ja_m_an, preisach_hysteron
 from hystkit.autodiff import Graph, Tensor, finite_diff_check, reshape
 from hystkit.cells import GruParams, gru_step, init_gru_params
 from hystkit.physics import (
     DEFAULT_ETA,
+    HYSTERON_SHARPNESS,
     MU0,
     JaPhysical,
     JaState,
@@ -24,7 +25,6 @@ from hystkit.physics import (
     ja_step_euler,
     pinn_ja_residual,
     preisach_grid,
-    preisach_hysteron,
     preisach_predict,
 )
 from hystkit.synth import DEFAULT_JA_PHYSICAL, ja_generate_field
@@ -336,7 +336,7 @@ class TestPreisachPredict:
         h_prev = -np.inf
         for h_k in h:
             gammas = np.array([
-                preisach_hysteron(h_k, h_prev, g, a, bt, params.sharpness)
+                preisach_hysteron(h_k, h_prev, g, a, bt, HYSTERON_SHARPNESS)
                 for g, a, bt in zip(gammas, params.alpha, params.beta)])
             brute.append(0.6 * np.dot(params.mu, gammas) + 0.2 * h_k)
             h_prev = h_k

@@ -12,6 +12,8 @@ from hystkit.metrics import MetricReport
 from hystkit.physics import init_preisach_params
 from hystkit.synth import generate_ja_dataset
 from hystkit.training import (
+    ADAM_BETAS,
+    ADAM_EPS,
     AdamState,
     ConfigError,
     TrainConfig,
@@ -69,14 +71,14 @@ class TestOptimizerStep:
         np.testing.assert_array_equal(clipped["a"], grads["a"])
 
     def test_two_steps_match_hand_recurrence(self):
-        lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
+        lr, (b1, b2), eps = 0.05, ADAM_BETAS, ADAM_EPS
         theta = 1.0
         m = v = 0.0
         params = {"w": np.array([theta])}
         state = AdamState()
         for t, g in enumerate([0.2, -0.1], start=1):
             params, state = optimizer_step(params, {"w": np.array([g])}, state,
-                                           lr=lr, clip_norm=1e9, betas=(b1, b2), eps=eps)
+                                           lr=lr, clip_norm=1e9)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             theta -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
