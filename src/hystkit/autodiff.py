@@ -12,18 +12,12 @@ Design constraints honored here:
   fixed by construction order).
 * Two precisions, ``single`` (float32) and ``double`` (float64). Operands of
   one op must agree; Python scalars adopt the tensor's dtype.
-* The hyperbolic-cotangent family needed by hysteresis physics is exposed as
-  guarded primitives (:func:`langevin`, :func:`langevin_deriv`) whose series
-  expansions near zero make both value and gradient exact there.
 """
 from __future__ import annotations
 
 import numpy as np
 
 DTYPES = {"single": np.float32, "double": np.float64}
-
-#: Cutoff below which the Langevin family switches to its Taylor series.
-_LANGEVIN_CUT = 0.1
 
 
 class EngineError(ValueError):
@@ -309,70 +303,6 @@ def sqrt(a: Tensor) -> Tensor:
         _accum(a, g * 0.5 / r)
 
     return _node(r, (a,), backward)
-
-
-def _langevin_val(x):
-    small = np.abs(x) < _LANGEVIN_CUT
-    safe = np.where(small, 1.0, x)
-    direct = 1.0 / np.tanh(safe) - 1.0 / safe
-    x2 = x * x
-    series = x * (1.0 / 3.0 + x2 * (-1.0 / 45.0 + x2 * (2.0 / 945.0 - x2 / 4725.0)))
-    return np.where(small, series, direct)
-
-
-def _langevin_d1(x):
-    small = np.abs(x) < _LANGEVIN_CUT
-    safe = np.where(small, 1.0, x)
-    c = 1.0 / np.tanh(safe)
-    direct = 1.0 - c * c + 1.0 / (safe * safe)
-    x2 = x * x
-    series = 1.0 / 3.0 + x2 * (-1.0 / 15.0 + x2 * (2.0 / 189.0 - x2 / 675.0))
-    return np.where(small, series, direct)
-
-
-def _langevin_d2(x):
-    small = np.abs(x) < _LANGEVIN_CUT
-    safe = np.where(small, 1.0, x)
-    c = 1.0 / np.tanh(safe)
-    direct = 2.0 * c * (c * c - 1.0) - 2.0 / (safe * safe * safe)
-    x2 = x * x
-    series = x * (-2.0 / 15.0 + x2 * (8.0 / 189.0 - x2 * (2.0 / 225.0)))
-    return np.where(small, series, direct)
-
-
-def langevin(a: Tensor) -> Tensor:
-    """coth(x) - 1/x, with a series guard near 0 so value and gradient are exact."""
-    out_data = _langevin_val(a.data)
-    d1 = _langevin_d1(a.data)
-
-    def backward(g):
-        _accum(a, g * d1)
-
-    return _node(out_data, (a,), backward)
-
-
-def langevin_deriv(a: Tensor) -> Tensor:
-    """d/dx [coth(x) - 1/x], guarded like :func:`langevin`."""
-    out_data = _langevin_d1(a.data)
-    d2 = _langevin_d2(a.data)
-
-    def backward(g):
-        _accum(a, g * d2)
-
-    return _node(out_data, (a,), backward)
-
-
-def where_mask(mask, a, b) -> Tensor:
-    """Select ``a`` where the constant boolean ``mask`` holds, else ``b``."""
-    a, b = _coerce(a, b)
-    mask = np.asarray(mask, dtype=bool)
-    out_data = np.where(mask, a.data, b.data)
-
-    def backward(g):
-        _accum(a, _unbroadcast(g * mask, a.data.shape))
-        _accum(b, _unbroadcast(g * ~mask, b.data.shape))
-
-    return _node(out_data, (a, b), backward)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

@@ -140,14 +140,16 @@ def _train_config(resolved: dict) -> TrainConfig:
 
 
 def _load_split(root: Path, material: str, split: str, split_seed: int):
+    """The sequences of one split; an empty split is an error."""
     sequences = load_material(root, material)
-    if split == "all":
-        return sequences
-    parts = split_dataset(sequences, seed=split_seed)
-    index = {"train": 0, "eval": 1, "test": 2}
-    if split not in index:
-        raise CliError(f"unknown split {split!r}")
-    return parts[index[split]]
+    if split != "all":
+        index = {"train": 0, "eval": 1, "test": 2}
+        if split not in index:
+            raise CliError(f"unknown split {split!r}")
+        sequences = split_dataset(sequences, seed=split_seed)[index[split]]
+    if not sequences:
+        raise CliError(f"split {split!r} of {material} is empty")
+    return sequences
 
 
 def _load_train_eval(root: Path, material: str, split_seed: int):
@@ -225,8 +227,6 @@ def cmd_eval(args) -> int:
     ckpt, material, split_seed = _open_checkpoint(args)
     root = _data_root(args)
     sequences = _load_split(root, material, args.split, split_seed)
-    if not sequences:
-        raise CliError(f"split {args.split!r} of {material} is empty")
     stage = OutputStage(args.out, "eval",
                         {"checkpoint": str(args.checkpoint), "material": material,
                          "split": args.split, "split_seed": split_seed},

@@ -350,25 +350,37 @@ def write_sequence(path: Path, seq: MeasuredSequence) -> None:
     write_file(path.with_suffix(".json"), json.dumps(sidecar, sort_keys=True) + "\n")
 
 
+def _csv_rows(path: Path):
+    """(line number, fields) of each CSV row, read as UTF-8.
+
+    Undecodable bytes and malformed quoting raise :class:`DataError` naming
+    the file.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield from enumerate(csv.reader(fh), start=1)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: unreadable CSV: {exc}") from None
+
+
 def read_sequence(path: Path) -> MeasuredSequence:
     """Read one canonical sequence CSV and its JSON sidecar."""
     path = Path(path)
     b_vals, h_vals = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["k", "B_T", "H_Am"]:
-            raise DataError(f"{path}: expected header 'k,B_T,H_Am', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                _, b_str, h_str = row
-                b, h = float(b_str), float(h_str)
-            except (ValueError, TypeError):
-                raise DataError(f"{path}: corrupt row {lineno}: {row!r}")
-            if not (math.isfinite(b) and math.isfinite(h)):
-                raise DataError(f"{path}: non-finite value in row {lineno}: {row!r}")
-            b_vals.append(b)
-            h_vals.append(h)
+    rows = _csv_rows(path)
+    _, header = next(rows, (1, None))
+    if header is None or [c.strip() for c in header] != ["k", "B_T", "H_Am"]:
+        raise DataError(f"{path}: expected header 'k,B_T,H_Am', got {header}")
+    for lineno, row in rows:
+        try:
+            _, b_str, h_str = row
+            b, h = float(b_str), float(h_str)
+        except (ValueError, TypeError):
+            raise DataError(f"{path}: corrupt row {lineno}: {row!r}")
+        if not (math.isfinite(b) and math.isfinite(h)):
+            raise DataError(f"{path}: non-finite value in row {lineno}: {row!r}")
+        b_vals.append(b)
+        h_vals.append(h)
     if not any(h_vals):
         raise DataError(f"{path}: H is all zero")
     sidecar_path = path.with_suffix(".json")
@@ -376,6 +388,8 @@ def read_sequence(path: Path) -> MeasuredSequence:
         raise DataError(f"missing sidecar {sidecar_path}")
     meta = read_json_object(sidecar_path)
     numbers = {"temperature_C": meta.get("temperature_C"), "tau_s": meta.get("tau_s") or DEFAULT_TAU_S}
+    if meta.get("f_sw_Hz") is not None:
+        numbers["f_sw_Hz"] = meta["f_sw_Hz"]
     for name, value in numbers.items():
         try:
             numbers[name] = float(value)
@@ -383,13 +397,16 @@ def read_sequence(path: Path) -> MeasuredSequence:
             raise DataError(f"{sidecar_path}: {name} is not a number: {value!r}")
         if not math.isfinite(numbers[name]):
             raise DataError(f"{sidecar_path}: non-finite {name}: {value!r}")
-    return MeasuredSequence(
-        b=np.array(b_vals), h=np.array(h_vals),
-        temperature_c=numbers["temperature_C"],
-        tau_s=numbers["tau_s"],
-        material_id=str(meta.get("material", "")),
-        f_sw_hz=None if meta.get("f_sw_Hz") is None else float(meta["f_sw_Hz"]),
-    )
+    try:
+        return MeasuredSequence(
+            b=np.array(b_vals), h=np.array(h_vals),
+            temperature_c=numbers["temperature_C"],
+            tau_s=numbers["tau_s"],
+            material_id=str(meta.get("material", "")),
+            f_sw_hz=numbers.get("f_sw_Hz"),
+        )
+    except DataError as exc:  # too few samples or a non-positive sampling period
+        raise DataError(f"{path}: {exc}") from None
 
 
 def write_material(out_dir: Path, material: str, sequences) -> Path:
@@ -429,17 +446,16 @@ def list_materials(data_dir: Path) -> list[str]:
 
 def _read_csv_matrix(path: Path) -> list[list[float]]:
     rows = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                values = [float(v) for v in row]
-            except ValueError:
-                raise DataError(f"{path}: corrupt row {lineno}")
-            if not all(map(math.isfinite, values)):
-                raise DataError(f"{path}: non-finite value in row {lineno}")
-            rows.append(values)
+    for lineno, row in _csv_rows(path):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        try:
+            values = [float(v) for v in row]
+        except ValueError:
+            raise DataError(f"{path}: corrupt row {lineno}")
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"{path}: non-finite value in row {lineno}")
+        rows.append(values)
     return rows
 
 
@@ -459,6 +475,9 @@ def _adapt_magnetx(raw_dir: Path, material: str) -> list[MeasuredSequence]:
     f_rows = _read_csv_matrix(f_path) if f_path.exists() else None
     tau_path = raw_dir / "Sampling_Time[s].csv"
     tau_rows = _read_csv_matrix(tau_path) if tau_path.exists() else None
+    for path, rows in ((f_path, f_rows), (tau_path, tau_rows)):
+        if rows is not None and len(rows) != len(b_rows):
+            raise DataError(f"{path}: {len(rows)} rows for {len(b_rows)} sequences")
     sequences = []
     for i, (b_row, h_row, t_row) in enumerate(zip(b_rows, h_rows, t_rows)):
         if len(b_row) != len(h_row):

@@ -17,24 +17,28 @@ triangular threshold grid; only the density vector and an affine output map
 are trainable, which keeps the whole prediction differentiable.
 
 Everything here runs on the tape engine, so gradients flow through entire
-rollouts. JA-hybrid training requires double precision.
+rollouts. A JA Euler step is one tape node with an analytic backward, built
+on a pure-numpy kernel that ``synth`` also calls directly. JA-hybrid
+training requires double precision.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .autodiff import (
+    ShapeError,
     Tensor,
-    langevin,
-    langevin_deriv,
+    _accum,
+    _node,
+    _unbroadcast,
     matmul,
     reshape,
     sigmoid,
     sqrt,
     tsum,
-    where_mask,
 )
 from .cells import GruParams, gru_step
 
@@ -44,6 +48,9 @@ MU0 = 4e-7 * np.pi
 DEFAULT_ETA = (5e5, 1e3, 1e-2, 1e3, 1.0)
 
 _DENOM_FLOOR = 1e-30
+
+#: Cutoff below which the Langevin family switches to its Taylor series.
+_LANGEVIN_CUT = 0.1
 
 #: Transition width |T| of every smooth hysteron, in normalized field units.
 HYSTERON_SHARPNESS = 1e-3
@@ -90,31 +97,93 @@ def ja_params_from_theta(theta: Tensor, eta=DEFAULT_ETA) -> JaPhysical:
     return JaPhysical(*(z[:, i:i + 1] for i in range(5)))
 
 
-def ja_dmdh(h: Tensor, m: Tensor, delta: np.ndarray, phys: JaPhysical) -> Tensor:
-    """Differential susceptibility dM/dH for the current state and flux direction.
+# -- Jiles-Atherton Euler step ------------------------------------------------
+# The Langevin function L(x) = coth(x) - 1/x and its first two derivatives.
+# Below |x| < _LANGEVIN_CUT each switches to its Taylor series, so values and
+# gradients stay exact near 0.
 
-    ``delta`` is the constant sign of dB/dt per row (-1, 0, +1). Rows with
-    delta == 0 return exactly 0. The irreversibility gate zeroes the wall
+def _langevin_val(x):
+    small = np.abs(x) < _LANGEVIN_CUT
+    safe = np.where(small, 1.0, x)
+    direct = 1.0 / np.tanh(safe) - 1.0 / safe
+    x2 = x * x
+    series = x * (1.0 / 3.0 + x2 * (-1.0 / 45.0 + x2 * (2.0 / 945.0 - x2 / 4725.0)))
+    return np.where(small, series, direct)
+
+
+def _langevin_d1(x):
+    small = np.abs(x) < _LANGEVIN_CUT
+    safe = np.where(small, 1.0, x)
+    c = 1.0 / np.tanh(safe)
+    direct = 1.0 - c * c + 1.0 / (safe * safe)
+    x2 = x * x
+    series = 1.0 / 3.0 + x2 * (-1.0 / 15.0 + x2 * (2.0 / 189.0 - x2 / 675.0))
+    return np.where(small, series, direct)
+
+
+def _langevin_d2(x):
+    small = np.abs(x) < _LANGEVIN_CUT
+    safe = np.where(small, 1.0, x)
+    c = 1.0 / np.tanh(safe)
+    direct = 2.0 * c * (c * c - 1.0) - 2.0 / (safe * safe * safe)
+    x2 = x * x
+    series = x * (-2.0 / 15.0 + x2 * (8.0 / 189.0 - x2 * (2.0 / 225.0)))
+    return np.where(small, series, direct)
+
+
+class JaStepTerms(NamedTuple):
+    """One Euler step's intermediates, kept for the hand-written backward."""
+
+    x: np.ndarray        # effective field over the form factor, (H + alpha_w M) / a
+    lv: np.ndarray       # Langevin L(x)
+    ld: np.ndarray       # L'(x)
+    dman: np.ndarray     # dM_an/dH_e = (M_s / a) L'(x)
+    delta: np.ndarray    # sign of the flux increment, broadcast to M's shape
+    gate: np.ndarray     # irreversibility gate, 0 or 1
+    den_safe: np.ndarray  # denominator with rows of delta == 0 set to 1
+    r: np.ndarray        # dM/dH, exactly 0 where delta == 0
+    one_plus: np.ndarray
+    bracket: np.ndarray  # 1 - r / (1 + r)
+    step: np.ndarray     # (B_{k+1} - B_k) / mu0
+
+
+def ja_euler_kernel(h, m, b_k, b_k1, m_s, a, alpha_w, k_p, c):
+    """One explicit-Euler JA step on plain arrays; returns (H_{k+1}, terms).
+
+    ``h`` and ``m`` are arrays of one dtype, the five parameters are arrays
+    (or floats) in that dtype that broadcast against them. dM/dH uses the
+    constant sign ``delta`` of the flux increment per element: elements with
+    delta == 0 get exactly 0, and the irreversibility gate zeroes the wall
     term when the magnetization overshoots the anhysteretic curve against
     the drive direction.
     """
-    delta = np.broadcast_to(np.asarray(delta, dtype=np.float64), m.data.shape).copy()
-    x = (h + phys.alpha_w * m) / phys.a
-    m_an = phys.m_s * langevin(x)
-    dman_dhe = (phys.m_s / phys.a) * langevin_deriv(x)
+    dt = h.dtype
+    db = np.asarray(b_k1, dtype=np.float64) - np.asarray(b_k, dtype=np.float64)
+    delta = np.broadcast_to(np.sign(db), m.shape).astype(dt)
+    x = (h + alpha_w * m) / a
+    lv = _langevin_val(x)
+    ld = _langevin_d1(x)
+    m_an = m_s * lv
+    dman = (m_s / a) * ld
     gate = np.ones_like(delta)
-    gate[(delta < 0) & (m_an.data > m.data)] = 0.0
-    gate[(delta > 0) & (m_an.data < m.data)] = 0.0
-    delta_t = Tensor(delta, dtype=h.data.dtype)
-    num = Tensor(gate, dtype=h.data.dtype) * (m_an - m) + phys.c * phys.k_p * delta_t * dman_dhe
-    den = phys.k_p * delta_t - phys.alpha_w * num
+    gate[(delta < 0) & (m_an > m)] = 0.0
+    gate[(delta > 0) & (m_an < m)] = 0.0
+    num = gate * (m_an - m) + c * k_p * delta * dman
+    den = k_p * delta - alpha_w * num
     active = delta != 0.0
     if np.any(active):
-        smallest = np.min(np.abs(den.data[active]))
+        smallest = np.min(np.abs(den[active]))
         if smallest < _DENOM_FLOOR:
             raise SingularityError(f"JA denominator magnitude {smallest:.3e} below {_DENOM_FLOOR}")
-    den_safe = where_mask(active, den, 1.0)
-    return where_mask(active, num / den_safe, 0.0)
+    den_safe = np.where(active, den, 1.0)
+    r = np.where(active, num / den_safe, 0.0)
+    one_plus = r + 1.0
+    if np.min(np.abs(one_plus)) < 1e-12:
+        raise SingularityError("dM/dH = -1 pole in the Euler bracket")
+    bracket = 1.0 - r / one_plus
+    step = (db / MU0).astype(dt)
+    h_new = h + step * bracket
+    return h_new, JaStepTerms(x, lv, ld, dman, delta, gate, den_safe, r, one_plus, bracket, step)
 
 
 def ja_step_euler(state: JaState, b_k, b_k1, phys: JaPhysical) -> JaState:
@@ -124,19 +193,46 @@ def ja_step_euler(state: JaState, b_k, b_k1, phys: JaPhysical) -> JaState:
     cancels, so the step depends only on the flux increment. A constant-flux
     step leaves H exactly unchanged. The magnetization is re-closed through
     B = mu0 * (H + M) after the update.
+
+    H_{k+1} is one tape node whose backward is the analytic derivative with
+    respect to H, M and every physical parameter that is a Tensor (the
+    others are constants); the gate and the delta == 0 mask are piecewise
+    constant. M_{k+1} = B_{k+1} / mu0 - H_{k+1} is a second node.
     """
-    b_k = np.asarray(b_k, dtype=np.float64)
-    b_k1 = np.asarray(b_k1, dtype=np.float64)
-    db = b_k1 - b_k
-    delta = np.sign(db)
-    r = ja_dmdh(state.h, state.m, delta, phys)
-    one_plus = 1.0 + r
-    if np.min(np.abs(one_plus.data)) < 1e-12:
-        raise SingularityError("dM/dH = -1 pole in the Euler bracket")
-    bracket = 1.0 - r / one_plus
-    h_new = state.h + Tensor(db / MU0, dtype=state.h.data.dtype) * bracket
-    m_new = Tensor(b_k1 / MU0, dtype=state.h.data.dtype) - h_new
-    return JaState(h=h_new, m=m_new)
+    h, m = state.h, state.m
+    dt = h.data.dtype
+    fields = (phys.m_s, phys.a, phys.alpha_w, phys.k_p, phys.c)
+    if any(isinstance(v, Tensor) and v.data.dtype != dt for v in (m, *fields)):
+        raise ShapeError(f"JA step operands must all be {dt}")
+    vals = [np.asarray(v.data if isinstance(v, Tensor) else v, dtype=dt) for v in fields]
+    h_new, t = ja_euler_kernel(h.data, m.data, b_k, b_k1, *vals)
+    m_s, a, alpha_w, k_p, c = vals
+
+    def backward(g):
+        # h_new = h + step * (1 - r / (1 + r)); d(bracket)/dr = -bracket / (1 + r).
+        # step is 0 wherever delta is, so g_r needs no mask.
+        g_r = -(g * t.step) * t.bracket / t.one_plus
+        g_num = g_r * (1.0 + alpha_w * t.r) / t.den_safe
+        g_dman = g_num * (c * k_p * t.delta)
+        # g_e: gradient of the effective field H + alpha_w * M
+        g_e = (g_num * t.gate * m_s * t.ld + g_dman * (m_s / a) * _langevin_d2(t.x)) / a
+        partials = (
+            (h, lambda: g + g_e),
+            (m, lambda: g_e * alpha_w - g_num * t.gate),
+            (phys.m_s, lambda: g_num * t.gate * t.lv + g_dman * t.ld / a),
+            (phys.a, lambda: -(g_e * t.x + g_dman * t.dman / a)),
+            (phys.alpha_w, lambda: g_r * t.r * t.r + g_e * m.data),
+            (phys.k_p, lambda: (g_num * c * t.dman - g_r * t.r / t.den_safe) * t.delta),
+            (phys.c, lambda: g_num * k_p * t.delta * t.dman),
+        )
+        for leaf, partial in partials:
+            if isinstance(leaf, Tensor) and leaf.requires_grad:
+                _accum(leaf, _unbroadcast(partial(), leaf.data.shape))
+
+    parents = (h, m) + tuple(f for f in fields if isinstance(f, Tensor))
+    h_node = _node(h_new, parents, backward)
+    m_new = Tensor(np.asarray(b_k1, dtype=np.float64) / MU0, dtype=dt) - h_node
+    return JaState(h=h_node, m=m_new)
 
 
 def ja_initial_state(h_known, b_known) -> JaState:

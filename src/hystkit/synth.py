@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
 from .dataset import DEFAULT_TAU_S, MeasuredSequence
-from .physics import MU0, JaPhysical, JaState, ja_step_euler
+from .physics import MU0, ja_euler_kernel
 
 #: (M_s, a, alpha_w, k_p, c) for a plausible soft ferrite.
 DEFAULT_JA_PHYSICAL = (3.5e5, 30.0, 5e-5, 20.0, 0.25)
@@ -34,12 +33,14 @@ def ja_generate_field(b_rows: np.ndarray, temperatures=None) -> np.ndarray:
         t = np.asarray(temperatures, dtype=np.float64).reshape(rows, 1)
         m_s = m_s * (1.0 - 1.5e-3 * (t - 25.0))
         k_p = k_p * (1.0 - 4.0e-3 * (t - 25.0))
-    phys = JaPhysical(m_s=m_s, a=a, alpha_w=alpha_w, k_p=k_p, c=c)
     h = np.zeros((rows, n), dtype=np.float64)
-    state = JaState(h=Tensor(np.zeros((rows, 1))), m=Tensor(b_rows[:, 0:1] / MU0))
+    h_col = np.zeros((rows, 1))
+    m_col = b_rows[:, 0:1] / MU0
     for k in range(1, n):
-        state = ja_step_euler(state, b_rows[:, k - 1:k], b_rows[:, k:k + 1], phys)
-        h[:, k] = state.h.data[:, 0]
+        b_k1 = b_rows[:, k:k + 1]
+        h_col, _ = ja_euler_kernel(h_col, m_col, b_rows[:, k - 1:k], b_k1, m_s, a, alpha_w, k_p, c)
+        m_col = b_k1 / MU0 - h_col
+        h[:, k] = h_col[:, 0]
     return h
 
 

@@ -2,6 +2,7 @@
 import csv
 import dataclasses
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -190,6 +191,19 @@ class TestEvalPredict:
         meta = json.loads((out / "predictions_meta.json").read_text())
         assert next(iter(meta.values()))["k1"] == 1
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_empty_split_errors(self, trained, tmp_path, capsys, command):
+        # 9 frequency/temperature strata of 2-3 sequences each: the
+        # 0.8/0.1/0.1 split leaves the test split empty
+        write_material(tmp_path / "data", "sparse", generate_ja_dataset(24, 384, seed=7))
+        out = tmp_path / "out"
+        rc = main([command, "--data", str(tmp_path / "data"), "--material", "sparse",
+                   "--checkpoint", str(trained / "model.json"), "--split", "test",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "split 'test' of sparse is empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_idempotent_bytes(self, dataset_dir, trained, tmp_path):
         outs = []
         for name in ("i1", "i2"):
@@ -367,3 +381,18 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "hystkit" in proc.stdout
+
+    def test_train_bytes_independent_of_blas_threads(self, dataset_dir, tmp_path):
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "hystkit.cli", "train", "--data", str(dataset_dir),
+                 "--material", "synthA", "--out", str(out), "--archetype", "gru-jadp",
+                 "--hidden-size", "5", "--epochs", "2", "--subseq-len", "32",
+                 "--batch-size", "4", "--warmup-len", "4", "--seed", "0"],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out)
+        for name in ("model.bin", "train_log.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

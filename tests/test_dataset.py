@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hystkit.dataset import (
@@ -25,6 +25,7 @@ from hystkit.dataset import (
     split_dataset,
     write_material,
     write_sequence,
+    _read_csv_matrix,
 )
 from hystkit.cli import build_parser
 from hystkit.metrics import MetricReport
@@ -260,6 +261,23 @@ class TestSequenceIO:
         with pytest.raises(DataError, match=rf"s\.json: non-finite {field}"):
             read_sequence(tmp_path / "s.csv")
 
+    def test_bad_sidecar_frequency_named(self, tmp_path):
+        write_sequence(tmp_path / "s.csv", ramp_sequence(n=20))
+        sidecar = tmp_path / "s.json"
+        meta = json.loads(sidecar.read_text())
+        for value, message in (("fast", "f_sw_Hz is not a number"), (float("inf"), "non-finite f_sw_Hz")):
+            meta["f_sw_Hz"] = value
+            sidecar.write_text(json.dumps(meta))
+            with pytest.raises(DataError, match=rf"s\.json: {message}"):
+                read_sequence(tmp_path / "s.csv")
+
+    def test_too_short_sequence_named(self, tmp_path):
+        (tmp_path / "s.csv").write_text("k,B_T,H_Am\n0,0.1,5.0\n")
+        write_sequence(tmp_path / "t.csv", ramp_sequence(n=20))
+        (tmp_path / "t.json").rename(tmp_path / "s.json")
+        with pytest.raises(DataError, match=r"s\.csv: sequence needs at least 2 samples"):
+            read_sequence(tmp_path / "s.csv")
+
     def test_all_zero_h_named_at_load(self, tmp_path):
         write_sequence(tmp_path / "s.csv", seq_of(np.linspace(-0.1, 0.1, 20), np.zeros(20)))
         with pytest.raises(DataError, match=r"s\.csv: H is all zero"):
@@ -285,6 +303,73 @@ class TestSequenceIO:
         back = load_material(tmp_path, "demo")
         assert len(back) == 3
         np.testing.assert_allclose(back[1].h, seqs[1].h, rtol=1e-8)
+
+
+def _corrupt_bytes(data: bytes, edits) -> bytes:
+    """Apply (position, action, byte) edits: replace, insert or delete one byte."""
+    buf = bytearray(data)
+    for pos, action, byte in edits:
+        i = pos % (len(buf) + 1)
+        if action == "insert" or i == len(buf):
+            buf.insert(i, byte)
+        elif action == "replace":
+            buf[i] = byte
+        else:
+            del buf[i]
+    return bytes(buf)
+
+
+_BYTE_EDITS = st.lists(st.tuples(st.integers(0, 10_000), st.sampled_from(["replace", "insert", "delete"]),
+                                 st.integers(0, 255)), min_size=1, max_size=6)
+_ROW_TEXT = st.text(st.sampled_from(list("0123456789.,-+eE \t\"\x00nanif_x\u00e9\r\n")), max_size=24)
+_FUZZ = settings(max_examples=150, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestReaderFuzz:
+    """Corrupt input fails as a DataError that names the file, never as another exception."""
+
+    @staticmethod
+    def _read(reader, path):
+        try:
+            reader(path)
+        except DataError as exc:
+            assert str(path) in str(exc)
+
+    @_FUZZ
+    @given(edits=_BYTE_EDITS)
+    def test_sequence_bytes(self, tmp_path, edits):
+        path = tmp_path / "s.csv"
+        write_sequence(path, ramp_sequence(n=6))
+        path.write_bytes(_corrupt_bytes(path.read_bytes(), edits))
+        self._read(read_sequence, path)
+
+    @_FUZZ
+    @given(row=st.integers(0, 6), text=_ROW_TEXT)
+    def test_sequence_rows(self, tmp_path, row, text):
+        path = tmp_path / "s.csv"
+        write_sequence(path, ramp_sequence(n=6))
+        lines = path.read_text().splitlines()
+        lines[row] = text
+        path.write_text("\n".join(lines) + "\n")
+        self._read(read_sequence, path)
+
+    @_FUZZ
+    @given(edits=_BYTE_EDITS)
+    def test_matrix_bytes(self, tmp_path, edits):
+        path = tmp_path / "B_waveform[T].csv"
+        path.write_bytes(_corrupt_bytes(b"0.1,0.2,0.3\n-0.1,-0.2,-0.3\n", edits))
+        self._read(_read_csv_matrix, path)
+
+    @_FUZZ
+    @given(row=st.integers(0, 2), text=_ROW_TEXT)
+    def test_matrix_rows(self, tmp_path, row, text):
+        path = tmp_path / "B_waveform[T].csv"
+        lines = ["0.1,0.2,0.3", "-0.1,-0.2,-0.3", ""]
+        lines[row] = text
+        path.write_text("\n".join(lines))
+        self._read(_read_csv_matrix, path)
+
 
 
 class TestAdapters:
@@ -320,6 +405,17 @@ class TestAdapters:
             (raw / "B_waveform[T].csv").write_text(f"0.1,0.2\n{bad},0.3\n")
             with pytest.raises(DataError, match=r"B_waveform\[T\]\.csv: .*row 2"):
                 ingest_material(raw, tmp_path / "out")
+
+    @pytest.mark.parametrize("name", ["Frequency[Hz].csv", "Sampling_Time[s].csv"])
+    def test_optional_matrix_row_count_named(self, tmp_path, name):
+        raw = tmp_path / "matD"
+        raw.mkdir()
+        (raw / "B_waveform[T].csv").write_text("0.1,0.2\n0.2,0.3\n")
+        (raw / "H_waveform[Am-1].csv").write_text("1,2\n3,4\n")
+        (raw / "Temperature[C].csv").write_text("25\n50\n")
+        (raw / name).write_text("50000\n")
+        with pytest.raises(DataError, match=r"\]\.csv: 1 rows for 2 sequences"):
+            ingest_material(raw, tmp_path / "out")
 
     def test_canonical_passthrough(self, tmp_path):
         raw = tmp_path / "matC"

@@ -1,11 +1,13 @@
 """Hysteresis-model tests: JA integrator, parameter mapping, Preisach operator."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ja_m_an, preisach_hysteron
-from hystkit.autodiff import Graph, Tensor, finite_diff_check, reshape
+from conftest import ja_m_an, preisach_hysteron, tape_ja_step_euler
+from hystkit.autodiff import Graph, Tensor, finite_diff_check, mul, reshape, tsum
 from hystkit.cells import GruParams, gru_step, init_gru_params
 from hystkit.physics import (
     DEFAULT_ETA,
@@ -19,7 +21,7 @@ from hystkit.physics import (
     gru_jadp_step,
     hysteron_states,
     init_preisach_params,
-    ja_dmdh,
+    ja_euler_kernel,
     ja_initial_state,
     ja_params_from_theta,
     ja_step_euler,
@@ -27,7 +29,7 @@ from hystkit.physics import (
     preisach_grid,
     preisach_predict,
 )
-from hystkit.synth import DEFAULT_JA_PHYSICAL, ja_generate_field
+from hystkit.synth import DEFAULT_JA_PHYSICAL, generate_ja_dataset, ja_generate_field
 
 TAU = 62.5e-9
 
@@ -38,6 +40,13 @@ def phys_of(values=DEFAULT_JA_PHYSICAL):
 
 def col(v):
     return Tensor(np.array([[float(v)]]))
+
+
+def susceptibility(h, m, delta, phys):
+    """dM/dH of the numpy kernel at (h, m) for a flux increment of sign ``delta``."""
+    _, terms = ja_euler_kernel(np.array([[h]]), np.array([[m]]), 0.0, delta,
+                               phys.m_s, phys.a, phys.alpha_w, phys.k_p, phys.c)
+    return terms.r.item()
 
 
 class TestAnhystereticCurve:
@@ -94,8 +103,7 @@ class TestSusceptibility:
         # reversible c-term remains
         phys = JaPhysical(m_s=3.5e5, a=30.0, alpha_w=5e-5, k_p=20.0, c=0.0)
         h, m = 50.0, 1000.0  # M far below M_an(H_e)
-        out = ja_dmdh(col(h), col(m), np.array([[-1.0]]), phys)
-        assert out.data.item() == 0.0  # gate 0 and c = 0 leave nothing
+        assert susceptibility(h, m, -1.0, phys) == 0.0  # gate 0 and c = 0 leave nothing
 
     def test_zero_at_anhysteretic_fixed_point_with_c_zero(self):
         phys = JaPhysical(m_s=3.5e5, a=30.0, alpha_w=5e-5, k_p=20.0, c=0.0)
@@ -103,12 +111,10 @@ class TestSusceptibility:
         m = 0.0
         for _ in range(200):  # fixed point of M = M_an(H + alpha*M)
             m = ja_m_an(np.array([[h + 5e-5 * m]]), 3.5e5, 30.0).data.item()
-        out = ja_dmdh(col(h), col(m), np.array([[1.0]]), phys)
-        assert abs(out.data.item()) < 1e-9
+        assert abs(susceptibility(h, m, 1.0, phys)) < 1e-9
 
     def test_delta_zero_returns_zero(self):
-        out = ja_dmdh(col(30.0), col(1e4), np.array([[0.0]]), phys_of())
-        assert out.data.item() == 0.0
+        assert susceptibility(30.0, 1e4, 0.0, phys_of()) == 0.0
 
     def test_singularity_detection(self):
         # vanishing pinning with the gate closed leaves a zero denominator
@@ -119,6 +125,28 @@ class TestSusceptibility:
 
 
 class TestEulerStep:
+    def test_generated_dataset_bytes_pinned(self):
+        # c05, c07 and c09 are calibrated on these bytes (numpy 2.x, IEEE double)
+        digest = hashlib.sha256()
+        for seq in generate_ja_dataset(24, 259, seed=501):
+            digest.update(seq.b.tobytes())
+            digest.update(seq.h.tobytes())
+        assert digest.hexdigest() == "e795123cb621eba0b32af6912df495c362f3f4664307da3a1f0c459754f5680a"
+
+    def test_generated_field_matches_tape_steps(self):
+        b = 0.2 * np.sin(np.linspace(0.0, 9.0, 40))[None, :] * np.array([[1.0], [0.6], [-0.8]])
+        temps = np.array([25.0, 50.0, 70.0])
+        m_s, a, alpha_w, k_p, c = DEFAULT_JA_PHYSICAL
+        phys = JaPhysical(m_s=m_s * (1.0 - 1.5e-3 * (temps[:, None] - 25.0)), a=a, alpha_w=alpha_w,
+                          k_p=k_p * (1.0 - 4.0e-3 * (temps[:, None] - 25.0)), c=c)
+        state = JaState(h=Tensor(np.zeros((3, 1))), m=Tensor(b[:, 0:1] / MU0))
+        want = [np.zeros(3)]
+        for k in range(1, b.shape[1]):
+            state = tape_ja_step_euler(state, b[:, k - 1:k], b[:, k:k + 1], phys)
+            want.append(state.h.data[:, 0])
+        got = ja_generate_field(b, temperatures=temps)
+        assert got.tobytes() == np.stack(want, axis=1).tobytes()
+
     def test_constant_flux_keeps_field(self):
         state = ja_initial_state([[37.5]], [[0.21]])
         stepped = ja_step_euler(state, 0.21, 0.21, phys_of())
@@ -167,6 +195,110 @@ class TestEulerStep:
 
         coarse, fine = loop_area(1), loop_area(16)
         assert coarse == pytest.approx(fine, rel=0.05)
+
+
+class TestFusedJaStepOracle:
+    """The one-node Euler step against its node-by-node tape reference."""
+
+    NAMES = ("m_s", "a", "alpha_w", "k_p", "c")
+    # (state shape, parameter shape): ja, gru-jadp, and the physics
+    # regularizer's (rows, n) residual step with per-row or shared parameters
+    SHAPES = [((6, 1), (1, 1)), ((6, 1), (6, 1)), ((6, 5), (6, 1)), ((6, 5), (1, 1))]
+
+    @staticmethod
+    def _case(shape, param_shape, seed):
+        """States in every regime: delta == 0, the gate open and closed both ways, |x| < 0.1.
+
+        Element i is rising, falling, constant, rising or falling for
+        i % 5 = 0..4, with M below, above, on, above and below the
+        anhysteretic curve, so elements 3 and 4 have the gate closed.
+        """
+        rng = np.random.default_rng(seed)
+        values = [np.asarray(v) * rng.uniform(0.8, 1.2, param_shape) for v in DEFAULT_JA_PHYSICAL]
+        m_s, a, alpha_w = values[:3]
+        regime = (np.arange(shape[0] * shape[1]) % 5).reshape(shape)
+        h = rng.uniform(-80.0, 80.0, shape)
+        h.flat[:3] = (-1.5, 0.4, 2.0)  # small effective field: the Langevin series branch
+        side = np.array([-1.0, 1.0, 0.0, 1.0, -1.0])[regime]
+        offset = side * rng.uniform(500.0, 3e3, shape)
+        m = offset
+        for _ in range(30):  # M = M_an(H + alpha_w M) + offset, a contraction
+            m = ja_m_an(h + alpha_w * m, m_s, a).data + offset
+        b_k = MU0 * (h + m)
+        direction = np.array([1.0, -1.0, 0.0, 1.0, -1.0])[regime]
+        b_k1 = b_k + direction * rng.uniform(1e-4, 2e-3, shape)
+        return h, m, b_k, b_k1, values
+
+    @staticmethod
+    def _run(step, h, m, b_k, b_k1, values, requires_grad=True):
+        leaves = [Tensor(v.copy(), requires_grad=requires_grad) for v in (h, m, *values)]
+        state = JaState(h=leaves[0], m=leaves[1])
+        return leaves, step(state, b_k, b_k1, JaPhysical(*leaves[2:]))
+
+    def test_case_covers_every_regime(self):
+        for shape, param_shape in self.SHAPES:
+            h, m, b_k, b_k1, values = self._case(shape, param_shape, seed=shape[1])
+            _, terms = ja_euler_kernel(h, m, b_k, b_k1, *values)
+            x = (h + values[2] * m) / values[1]
+            assert np.any(terms.delta == 0) and np.any(np.abs(x) < 0.1)
+            assert np.any((terms.delta > 0) & (terms.gate == 0))
+            assert np.any((terms.delta < 0) & (terms.gate == 0))
+            assert np.any((terms.delta != 0) & (terms.gate == 1))
+
+    @pytest.mark.parametrize("shape, param_shape", SHAPES)
+    def test_forward_bit_identical(self, shape, param_shape):
+        case = self._case(shape, param_shape, seed=shape[1])
+        _, fused = self._run(ja_step_euler, *case)
+        _, ref = self._run(tape_ja_step_euler, *case)
+        assert fused.h.data.tobytes() == ref.h.data.tobytes()
+        assert fused.m.data.tobytes() == ref.m.data.tobytes()
+
+    # A (1, 1) parameter against a (rows, n) state sums 30 terms that cancel
+    # to a few percent of their magnitude, so that sum's max is no scale for
+    # rounding; the per-row shapes bound the same terms element by element.
+    @pytest.mark.parametrize("shape, param_shape", SHAPES[:3])
+    def test_gradients_match_tape(self, shape, param_shape):
+        case = self._case(shape, param_shape, seed=shape[1] + 1)
+        rng = np.random.default_rng(shape[1])
+        probes = [rng.standard_normal(shape) for _ in range(2)]
+
+        def grads(step):
+            leaves, out = self._run(step, *case)
+            (tsum(mul(out.h, Tensor(probes[0]))) + tsum(mul(out.m, Tensor(probes[1])))).backward()
+            return dict(zip(("h", "m") + self.NAMES, (t.grad for t in leaves)))
+
+        got, want = grads(ja_step_euler), grads(tape_ja_step_euler)
+        for name in want:
+            scale = np.max(np.abs(want[name]))
+            assert scale > 0, name
+            assert got[name].shape == want[name].shape, name
+            assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name
+
+    def test_constant_parameters(self):
+        # floats and arrays as phys values are constants: only H and M get gradients
+        h, m, b_k, b_k1, _ = self._case((6, 1), (1, 1), seed=4)
+        outs = []
+        for step in (ja_step_euler, tape_ja_step_euler):
+            h_t, m_t = Tensor(h, requires_grad=True), Tensor(m, requires_grad=True)
+            out = step(JaState(h=h_t, m=m_t), b_k, b_k1, phys_of())
+            out.h.sum().backward()
+            outs.append((out.h.data, h_t.grad, m_t.grad))
+        (fh, fgh, fgm), (rh, rgh, rgm) = outs
+        assert fh.tobytes() == rh.tobytes()
+        np.testing.assert_allclose(fgh, rgh, rtol=0, atol=1e-12 * np.max(np.abs(rgh)))
+        np.testing.assert_allclose(fgm, rgm, rtol=0, atol=1e-12 * np.max(np.abs(rgm)))
+
+    def test_frozen_step_records_no_parents(self):
+        _, out = self._run(ja_step_euler, *self._case((6, 1), (6, 1), seed=2), requires_grad=False)
+        for t in (out.h, out.m):
+            assert not t.requires_grad
+            assert t._parents == () and t._backward is None
+
+    def test_two_nodes_per_step(self):
+        _, out = self._run(ja_step_euler, *self._case((6, 1), (6, 1), seed=3))
+        h_node = out.m._parents[1]
+        assert h_node is out.h
+        assert all(p._backward is None for p in h_node._parents)
 
 
 class TestJadpCoupling:

@@ -216,7 +216,7 @@ class TestGraphLifetime:
         loss.backward()
         return [weakref.ref(node) for node in _toposort(loss)]
 
-    @pytest.mark.parametrize("archetype", ["gru-p", "lstm-p", "gru-jadp"])
+    @pytest.mark.parametrize("archetype", ["gru-p", "lstm-p", "gru-jadp", "ja"])
     def test_loss_graph_freed_without_gc(self, archetype):
         config = small_config(archetype=archetype, d_g=6)
         was_enabled = gc.isenabled()
