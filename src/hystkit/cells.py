@@ -16,6 +16,13 @@ composition (matmul, add, sigmoid, tanh, mul) in the same order, so its
 values match that composition bit for bit; the backward is the analytic
 gradient with respect to the input, the previous state(s) and every
 parameter array. Callers make one call per time step.
+
+Each cell's parameters are one record, a dataclass over :class:`CellParams`
+whose fields list the arrays in draw order. The base supplies everything
+else (names, dict conversion, ``map``, construction from a name -> array
+mapping, and seeded initialization), and a field's name prefix fixes its
+shape: ``w*`` is ``(d_g, d_x)``, ``u*`` is ``(d_g, d_g)`` and ``b*`` is
+``(d_g,)``. A new cell array needs only a field.
 """
 from __future__ import annotations
 
@@ -29,8 +36,40 @@ GRU_ARCHETYPES = ("gru-p", "gru-m", "gru-l", "gru-v", "gru-jadp")
 LSTM_ARCHETYPES = ("lstm-p",)
 
 
+class CellParams:
+    """Base of the per-cell parameter records; subclasses list only their fields."""
+
+    @classmethod
+    def names(cls):
+        return [f.name for f in fields(cls)]
+
+    @classmethod
+    def from_dict(cls, arrays):
+        """The record of the arrays named by its fields; other keys are ignored."""
+        return cls(**{k: arrays[k] for k in cls.names()})
+
+    @classmethod
+    def init(cls, d_g: int, d_x: int, rng: np.random.Generator, dtype=np.float64):
+        """Uniform +-sqrt(1/columns) for W and U, zero biases, drawn in field order."""
+        columns = {"w": d_x, "u": d_g}
+
+        def draw(name):
+            if name[0] == "b":
+                return np.zeros(d_g, dtype=dtype)
+            scale = np.sqrt(1.0 / columns[name[0]])
+            return rng.uniform(-scale, scale, size=(d_g, columns[name[0]])).astype(dtype)
+
+        return cls(**{k: draw(k) for k in cls.names()})
+
+    def as_dict(self):
+        return {k: getattr(self, k) for k in self.names()}
+
+    def map(self, fn):
+        return type(self)(**{k: fn(v) for k, v in self.as_dict().items()})
+
+
 @dataclass
-class GruParams:
+class GruParams(CellParams):
     """The ten parameter arrays of one GRU cell (update, reset, candidate)."""
 
     w_z: object
@@ -44,19 +83,9 @@ class GruParams:
     b: object
     b_n: object
 
-    @classmethod
-    def names(cls):
-        return [f.name for f in fields(cls)]
-
-    def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def map(self, fn):
-        return type(self)(**{k: fn(v) for k, v in self.as_dict().items()})
-
 
 @dataclass
-class LstmParams:
+class LstmParams(CellParams):
     """The twelve parameter arrays of one LSTM cell (input, forget, squash, output)."""
 
     w_i: object
@@ -71,16 +100,6 @@ class LstmParams:
     w_o: object
     u_o: object
     b_o: object
-
-    @classmethod
-    def names(cls):
-        return [f.name for f in fields(cls)]
-
-    def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def map(self, fn):
-        return type(self)(**{k: fn(v) for k, v in self.as_dict().items()})
 
 
 def _check_operands(x: Tensor, w: Tensor, u: Tensor, *states: Tensor) -> None:
@@ -199,31 +218,5 @@ def param_count(archetype: str, d_g: int, d_x: int) -> int:
     raise ValueError(f"unknown archetype {archetype!r}")
 
 
-def init_gru_params(d_g: int, d_x: int, rng: np.random.Generator, dtype=np.float64) -> GruParams:
-    """Uniform +-sqrt(1/d_g) for U-family, +-sqrt(1/d_x) for W-family, zero biases."""
-    su, sw = np.sqrt(1.0 / d_g), np.sqrt(1.0 / d_x)
-
-    def un(scale, shape):
-        return rng.uniform(-scale, scale, size=shape).astype(dtype)
-
-    zeros = lambda: np.zeros(d_g, dtype=dtype)
-    return GruParams(
-        w_z=un(sw, (d_g, d_x)), u_z=un(su, (d_g, d_g)), b_z=zeros(),
-        w_r=un(sw, (d_g, d_x)), u_r=un(su, (d_g, d_g)), b_r=zeros(),
-        w=un(sw, (d_g, d_x)), u=un(su, (d_g, d_g)), b=zeros(), b_n=zeros(),
-    )
-
-
-def init_lstm_params(d_g: int, d_x: int, rng: np.random.Generator, dtype=np.float64) -> LstmParams:
-    su, sw = np.sqrt(1.0 / d_g), np.sqrt(1.0 / d_x)
-
-    def un(scale, shape):
-        return rng.uniform(-scale, scale, size=shape).astype(dtype)
-
-    zeros = lambda: np.zeros(d_g, dtype=dtype)
-    return LstmParams(
-        w_i=un(sw, (d_g, d_x)), u_i=un(su, (d_g, d_g)), b_i=zeros(),
-        w_f=un(sw, (d_g, d_x)), u_f=un(su, (d_g, d_g)), b_f=zeros(),
-        w_m=un(sw, (d_g, d_x)), u_m=un(su, (d_g, d_g)), b_m=zeros(),
-        w_o=un(sw, (d_g, d_x)), u_o=un(su, (d_g, d_g)), b_o=zeros(),
-    )
+init_gru_params = GruParams.init
+init_lstm_params = LstmParams.init

@@ -16,10 +16,10 @@ is omitted.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -27,14 +27,17 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .dataset import (DataError, fmt, ingest_material, json_text, load_material, read_json,
-                      split_dataset, write_file, write_rows)
-from .training import (ConfigError, TrainConfig, TrainingError, config_param_count,
-                       evaluate_sequences, full_sequence_task, load_checkpoint, pareto_sweep,
-                       save_checkpoint, sweep_medians, train, write_sweep_csv)
+from .dataset import (DataError, fmt, ingest_material, json_text, load_material, read_csv_dicts,
+                      read_json, read_json_object, split_dataset, write_file, write_rows)
+from .training import (SWEEP_COLUMNS, ConfigError, TrainConfig, TrainingError,
+                       config_param_count, evaluate_sequences, full_sequence_task,
+                       load_checkpoint, pareto_sweep, save_checkpoint, sweep_medians, train,
+                       write_sweep_csv)
 from .heads import predict_window
 
 _SENTINEL = ".partial"
+#: Columns of the prediction CSVs that ``predict`` writes and ``plotdata`` reads.
+_PREDICTION_COLUMNS = ("k", "B", "H_true", "H_pred")
 
 
 class CliError(RuntimeError):
@@ -165,6 +168,9 @@ def cmd_ingest(args) -> int:
     if not raw.is_dir():
         raise DataError(f"raw directory {raw} does not exist")
     subdirs = sorted(p for p in raw.iterdir() if p.is_dir()) or [raw]
+    if args.material and len(subdirs) > 1:
+        raise CliError(f"--material {args.material} names one material, but {raw} holds "
+                       f"{len(subdirs)}: {', '.join(p.name for p in subdirs)}")
     stage = OutputStage(args.out, "ingest", {"raw": str(raw), "material": args.material,
                                              "adapter": args.adapter}, {"raw": raw})
     counts = {}
@@ -269,7 +275,7 @@ def cmd_predict(args) -> int:
         rows = [[k, fmt(seq.b[k]), fmt(seq.h[k]), fmt(result.pred[j])]
                 for j, k in enumerate(range(task.k1, task.k2 + 1))]
         name = f"predictions/seq_{i:05d}.csv"
-        write_rows(stage.path(name), ["k", "B", "H_true", "H_pred"], rows)
+        write_rows(stage.path(name), _PREDICTION_COLUMNS, rows)
         meta[name] = {"tau_s": seq.tau_s, "k1": task.k1, "k2": task.k2}
     write_file(stage.path("predictions_meta.json"), json_text(meta))
     stage.finish()
@@ -302,9 +308,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _read_csv_dicts(path: Path):
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+def _number(source: Path, lineno: int, record: dict, field: str, cast):
+    """``cast(record[field])``; a value it rejects raises :class:`CliError` naming the row."""
+    try:
+        return cast(record[field])
+    except ValueError:
+        raise CliError(f"{source}: row {lineno}: {field} is not a number: "
+                       f"{record[field]!r}") from None
 
 
 def cmd_plotdata(args) -> int:
@@ -313,28 +323,35 @@ def cmd_plotdata(args) -> int:
         raise CliError(f"source {source} does not exist")
     stage = OutputStage(args.out, "plotdata",
                         {"source": str(source), "kind": args.kind}, {"source": source})
+    records = read_csv_dicts(source)
     if args.kind in ("bh_loop", "timeseries"):
-        rows = _read_csv_dicts(source)
-        if not rows or "H_pred" not in rows[0]:
+        if not records or not set(_PREDICTION_COLUMNS) <= set(records[0][1]):
             raise CliError(f"{source} is not a prediction CSV (kind mismatch)")
         if args.kind == "bh_loop":
-            out_rows = [[r["B"], r["H_true"], r["H_pred"]] for r in rows]
+            out_rows = [[r["B"], r["H_true"], r["H_pred"]] for _, r in records]
             write_rows(stage.path("bh_loop.csv"), ["B", "H_true", "H_pred"], out_rows)
         else:
             meta_path = source.parent.parent / "predictions_meta.json"
             if not meta_path.exists():
                 raise CliError(f"missing {meta_path} (needed for the time axis)")
-            meta = read_json(meta_path)
-            tau = meta[f"predictions/{source.name}"]["tau_s"]
-            out_rows = [[fmt(int(r["k"]) * tau * 1e6), r["B"], r["H_true"], r["H_pred"]]
-                        for r in rows]
+            name = f"predictions/{source.name}"
+            entry = read_json_object(meta_path).get(name)
+            tau = entry.get("tau_s") if isinstance(entry, dict) else None
+            if type(tau) not in (int, float) or not 0 < tau < math.inf:
+                raise CliError(f"{meta_path}: no positive tau_s for {name!r}")
+            out_rows = [[fmt(_number(source, i, r, "k", int) * tau * 1e6),
+                         r["B"], r["H_true"], r["H_pred"]] for i, r in records]
             write_rows(stage.path("timeseries.csv"),
                                ["t_us", "B", "H_true", "H_pred"], out_rows)
     elif args.kind == "pareto":
-        rows = _read_csv_dicts(source)
-        if not rows or "archetype" not in rows[0] or "sre" not in rows[0]:
+        if not records or not set(SWEEP_COLUMNS) <= set(records[0][1]):
             raise CliError(f"{source} is not a sweep CSV (kind mismatch)")
-        medians = sweep_medians(rows, lambda r: (r["archetype"], int(r["params"])))
+        for i, r in records:
+            if r["status"] == "ok":
+                for field, cast in (("params", int), ("sre", float), ("nere", float)):
+                    _number(source, i, r, field, cast)
+        medians = sweep_medians([r for _, r in records],
+                                lambda r: (r["archetype"], int(r["params"])))
         per_arch = {}
         for (arch, params), m in sorted(medians.items()):
             per_arch.setdefault(arch, []).append(

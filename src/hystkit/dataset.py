@@ -363,6 +363,25 @@ def _csv_rows(path: Path):
         raise DataError(f"{path}: unreadable CSV: {exc}") from None
 
 
+def read_csv_dicts(path: Path) -> list[tuple[int, dict]]:
+    """(line number, header -> field) of each non-blank data row of a headed CSV.
+
+    Besides the errors of :func:`_csv_rows`, a row whose field count differs
+    from the header's raises :class:`DataError` naming the file and row.
+    """
+    rows = _csv_rows(path)
+    _, header = next(rows, (1, []))
+    records = []
+    for lineno, row in rows:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {lineno} has {len(row)} fields, "
+                            f"the header has {len(header)}")
+        records.append((lineno, dict(zip(header, row))))
+    return records
+
+
 def read_sequence(path: Path) -> MeasuredSequence:
     """Read one canonical sequence CSV and its JSON sidecar."""
     path = Path(path)

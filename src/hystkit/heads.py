@@ -32,14 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, concat, dtype_of, reshape, tanh, tsum
-from .cells import (
-    GruParams,
-    LstmParams,
-    gru_step,
-    init_gru_params,
-    init_lstm_params,
-    lstm_step,
-)
+from .cells import LSTM_ARCHETYPES, GruParams, LstmParams, gru_step, lstm_step
 from .dataset import MiniBatch, NormConstants
 from .physics import (
     DEFAULT_ETA,
@@ -147,27 +140,22 @@ def inputs_from_batch(batch: MiniBatch, norm: NormConstants) -> RolloutInputs:
     )
 
 
+def _cell(config: HeadConfig):
+    """The parameter record of the archetype's recurrent cell."""
+    return LstmParams if config.archetype in LSTM_ARCHETYPES else GruParams
+
+
 def init_head_params(config: HeadConfig, seed, precision: str = "double") -> dict:
     """Named parameter arrays for one archetype, deterministically seeded."""
     dt = dtype_of(precision)
     rng = np.random.default_rng(seed)
-    if config.archetype == "lstm-p":
-        return {k: v for k, v in init_lstm_params(config.d_g, config.d_x, rng, dt).as_dict().items()}
     if config.archetype == "ja":
         return {"theta_ja": rng.normal(0.0, 0.5, size=5).astype(dt)}
-    return {k: v for k, v in init_gru_params(config.d_g, config.d_x, rng, dt).as_dict().items()}
+    return _cell(config).init(config.d_g, config.d_x, rng, dt).as_dict()
 
 
 def wrap_params(arrays: dict, requires_grad: bool = True) -> dict:
     return {k: Tensor(v, dtype=v.dtype, requires_grad=requires_grad) for k, v in arrays.items()}
-
-
-def _gru_container(params: dict) -> GruParams:
-    return GruParams(**{k: params[k] for k in GruParams.names()})
-
-
-def _lstm_container(params: dict) -> LstmParams:
-    return LstmParams(**{k: params[k] for k in LstmParams.names()})
 
 
 def _check_warmup(bad: np.ndarray, what: str) -> None:
@@ -206,28 +194,27 @@ def _dtype(params: dict):
 def warmup(config: HeadConfig, params: dict, inputs: RolloutInputs):
     """Recurrent state (hidden, cell) after warmup step w-1; the cell is None for GRU heads.
 
-    Injecting heads start from the first injection value padded with zeros
-    and overwrite element 0 with the true value after each recurrent step;
+    Injecting heads start from the zero state with element 0 injected and
+    overwrite element 0 with the true value after each recurrent step;
     gru-v and gru-jadp run the same steps from a zero state without
     injection. With warmup length 1 no recurrent step executes.
     """
     dt = _dtype(params)
     rows, w = inputs.rows, inputs.warmup_length
+    lstm = config.archetype in LSTM_ARCHETYPES
+    p = _cell(config).from_dict(params)
+    g = Tensor(np.zeros((rows, config.d_g), dtype=dt))
+    c = Tensor(np.zeros((rows, config.d_g), dtype=dt)) if lstm else None
     inject = None
     if config.archetype in INJECTING:
         if w < 1 or inputs.target_warm_norm.shape[1] != w:
             raise WarmupError("empty or mismatched warmup window")
         inject = _inject_values(config, inputs)
         _check_warmup(~np.isfinite(inject), "non-finite injection value")
-        zeros = Tensor(np.zeros((rows, config.d_g - 1), dtype=dt))
-        g = concat([Tensor(inject[:, 0:1].astype(dt)), zeros], axis=1)
-    else:
-        g = Tensor(np.zeros((rows, config.d_g), dtype=dt))
-    lstm = config.archetype == "lstm-p"
-    p = _lstm_container(params) if lstm else _gru_container(params)
-    c = Tensor(np.zeros((rows, config.d_g), dtype=dt)) if lstm else None
+        g = _inject(g, inject[:, 0:1])
     for t in range(1, w):
         x_t = Tensor(inputs.x[:, t, :].astype(dt))
+        # Looked up in this module at call time, where bench/tracing.py patches them.
         if lstm:
             g, c = lstm_step(x_t, g, c, p)
         else:
@@ -258,6 +245,8 @@ def _open_loop(config: HeadConfig, params: dict, inputs: RolloutInputs, dt):
     def drive(t):
         return Tensor(inputs.drive_norm[:, t:t + 1].astype(dt))
 
+    # Each step lambda looks up its step function in this module at call
+    # time, where the benchmark's tracer (bench/tracing.py) patches it.
     if config.archetype in JA_FAMILY:
         ja = ja_initial_state(inputs.target_warm_raw[:, w - 1:w], b_raw[:, w - 1:w])
         inv_max = 1.0 / inputs.target_max
@@ -267,10 +256,9 @@ def _open_loop(config: HeadConfig, params: dict, inputs: RolloutInputs, dt):
                 lambda s, t: ja_step_euler(s, b_raw[:, t - 1:t], b_raw[:, t:t + 1], phys),
                 lambda s, t: s.h * inv_max)
     g, c = warmup(config, params, inputs)
-    if config.archetype == "lstm-p":
-        p = _lstm_container(params)
+    p = _cell(config).from_dict(params)
+    if config.archetype in LSTM_ARCHETYPES:
         return (g, c), lambda s, t: lstm_step(x(t), *s, p), lambda s, t: s[0][:, 0:1]
-    p = _gru_container(params)
     if config.archetype == "gru-jadp":
         return ((ja, g),
                 lambda s, t: gru_jadp_step(x(t), s[1], p, config.eta, s[0],
@@ -317,6 +305,7 @@ def _predict_group(config: HeadConfig, params: dict, seqs, tasks, norm: NormCons
     ``featurize`` call per sequence. The group's input blocks die on
     return, before the caller allocates the per-row results.
     """
+    # Imported at call time, so a tracer that patches hystkit.dataset.featurize sees it.
     from .dataset import featurize
 
     rows, length, w = len(tasks), tasks[0].k2 - tasks[0].k0 + 1, tasks[0].warmup_length

@@ -21,11 +21,12 @@ import numpy as np
 from .autodiff import Tensor, concat, dtype_of, reshape
 from .cells import param_count
 from .dataset import (MiniBatch, NormConstants, PredictionTask, compute_norm_constants, fmt,
-                      json_text, make_minibatches, read_json_object, write_file, write_rows)
+                      json_text, make_minibatches, read_json_object, reversed_minibatches,
+                      write_file, write_rows)
 from .heads import (JA_FAMILY, HeadConfig, init_head_params, inputs_from_batch, predict_window,
                     rollout, wrap_params)
 from .metrics import MetricReport, batch_mean, mae, mse, sre, nere, wce, weighted_loss_rows
-from .physics import DEFAULT_ETA, ja_params_from_theta, pinn_ja_residual
+from .physics import DEFAULT_ETA, ja_params_from_theta, pinn_ja_residual, preisach_predict
 
 CHECKPOINT_FORMAT_VERSION = 1
 #: Adam's moment decay rates and denominator guard.
@@ -219,6 +220,29 @@ class TrainResult:
         )
 
 
+def _descend(params: dict, adam: AdamState, batches, source: str, epoch: int, lr: float,
+             clip_norm: float, loss_of) -> tuple[dict, float]:
+    """One Adam step per batch on ``loss_of(params_t, batch)``; returns (params, mean loss).
+
+    No batches (``source`` names what they come from) or a non-finite loss raise TrainingError.
+    """
+    if not batches:
+        raise TrainingError(f"no full batches: {source}")
+    losses = []
+    for bi, batch in enumerate(batches):
+        params_t = wrap_params(params)
+        loss = loss_of(params_t, batch)
+        value = float(loss.data)
+        if not np.isfinite(value):
+            raise TrainingError(f"non-finite loss at epoch {epoch}, batch {bi}")
+        loss.backward()
+        grads = {k: (t.grad if t.grad is not None else np.zeros_like(t.data))
+                 for k, t in params_t.items()}
+        params, adam = optimizer_step(params, grads, adam, lr, clip_norm)
+        losses.append(value)
+    return params, float(np.mean(losses))
+
+
 def train(config: TrainConfig, train_seqs, eval_seqs=None) -> TrainResult:
     """Epoch loop: regenerate batches, roll out, backprop, Adam-update.
 
@@ -241,25 +265,13 @@ def train(config: TrainConfig, train_seqs, eval_seqs=None) -> TrainResult:
     best_epoch = 0
     stale = 0
 
+    source = f"{len(train_seqs)} sequences, l={config.subseq_len}, b={config.batch_size}"
     for epoch in range(config.epochs):
         batches = make_minibatches(train_seqs, config.subseq_len, config.batch_size,
                                    [config.seed, 1, epoch], config.warmup_length, norm)
-        if not batches:
-            raise TrainingError(f"no full batches: {len(train_seqs)} sequences, "
-                                f"l={config.subseq_len}, b={config.batch_size}")
-        epoch_losses = []
-        for bi, batch in enumerate(batches):
-            params_t = wrap_params(params)
-            loss = batch_loss(config, params_t, batch, norm)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise TrainingError(f"non-finite loss at epoch {epoch}, batch {bi}")
-            loss.backward()
-            grads = {k: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                     for k, t in params_t.items()}
-            params, adam = optimizer_step(params, grads, adam, config.lr, config.clip_norm)
-            epoch_losses.append(value)
-        train_losses.append(float(np.mean(epoch_losses)))
+        params, loss = _descend(params, adam, batches, source, epoch, config.lr, config.clip_norm,
+                                lambda params_t, batch: batch_loss(config, params_t, batch, norm))
+        train_losses.append(loss)
 
         if eval_seqs and (epoch + 1) % config.eval_every == 0:
             report = evaluate_sequences(head_cfg, params, eval_seqs, norm, config.precision)
@@ -417,32 +429,22 @@ def train_preisach(preisach, train_seqs, norm: NormConstants, subseq_len: int = 
     ``warmup_length`` samples of each window are excluded from the loss so
     the hysteron states settle, mirroring the recurrent warmup.
     """
-    from .dataset import reversed_minibatches
-    from .physics import preisach_predict
-
     params = {"mu": preisach.mu.astype(np.float64), "omega": preisach.omega.astype(np.float64)}
     adam = AdamState()
+    source = f"{len(train_seqs)} sequences, l={subseq_len}, b={batch_size}"
+
+    def loss_of(params_t, batch):
+        pred = preisach_predict(batch.b_norm, preisach, params_t["mu"], params_t["omega"])
+        w = batch.warmup_length
+        return batch_mean(weighted_loss_rows(batch.h_norm[:, w:], pred[:, w:],
+                                             batch.b_norm[:, w - 1:], norm.b_max, batch.h_rms))
+
     losses = []
     for epoch in range(epochs):
         batches = reversed_minibatches(train_seqs, subseq_len, batch_size,
                                        [seed, 1, epoch], warmup_length, norm)
-        epoch_losses = []
-        for bi, batch in enumerate(batches):
-            mu_t = Tensor(params["mu"], requires_grad=True)
-            omega_t = Tensor(params["omega"], requires_grad=True)
-            pred = preisach_predict(batch.b_norm, preisach, mu_t, omega_t)
-            w = batch.warmup_length
-            rows = weighted_loss_rows(batch.h_norm[:, w:], pred[:, w:], batch.b_norm[:, w - 1:],
-                                      norm.b_max, batch.h_rms)
-            loss = batch_mean(rows)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise TrainingError(f"non-finite loss at epoch {epoch}, batch {bi}")
-            loss.backward()
-            grads = {"mu": mu_t.grad, "omega": omega_t.grad}
-            params, adam = optimizer_step(params, grads, adam, lr, clip_norm=1.0)
-            epoch_losses.append(value)
-        losses.append(float(np.mean(epoch_losses)))
+        params, loss = _descend(params, adam, batches, source, epoch, lr, 1.0, loss_of)
+        losses.append(loss)
     preisach.mu = params["mu"]
     preisach.omega = params["omega"]
     return preisach, losses

@@ -11,6 +11,7 @@ inside larger expressions. The Langevin and masked-select operations those
 references use are tape nodes defined here over the library's numpy
 Langevin helpers.
 """
+import hashlib
 import math
 
 import numpy as np
@@ -85,6 +86,16 @@ def preisach_hysteron(h_k, h_prev, gamma_prev, alpha_i, beta_i, sharpness=HYSTER
     if np.all(h_k > np.asarray(h_prev)):
         return np.clip(gamma_prev + np.tanh((h_k - beta_i) / t_mag), -1.0, 1.0)
     return np.clip(gamma_prev - np.tanh((alpha_i - h_k) / t_mag), -1.0, 1.0)
+
+
+def digest(arrays) -> str:
+    """sha256 over the names, dtypes, shapes and bytes of a name -> array mapping, in its order."""
+    h = hashlib.sha256()
+    for name, arr in arrays.items():
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
 
 
 def nested(arr):

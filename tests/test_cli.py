@@ -1,4 +1,5 @@
 """CLI tests: command flows, manifests, idempotence, error contracts."""
+import argparse
 import csv
 import dataclasses
 import json
@@ -12,7 +13,7 @@ import pytest
 
 import hystkit.training as training
 from hystkit.autodiff import Tensor
-from hystkit.cli import _CONFIG_FIELDS, main
+from hystkit.cli import _CONFIG_FIELDS, build_parser, main
 from hystkit.dataset import write_material
 from hystkit.synth import generate_ja_dataset
 
@@ -64,6 +65,16 @@ class TestIngest:
         summary = json.loads((out / "ingest_summary.json").read_text())
         assert summary["materials"] == {"matZ": 3}
         assert (out / "run_manifest.json").exists()
+
+    def test_material_name_refused_for_several_materials(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        for name, count in (("matA", 5), ("matB", 3)):
+            write_material(raw, name, generate_ja_dataset(n_sequences=count, length=16, seed=2))
+        out = tmp_path / "out"
+        rc = main(["ingest", "--raw", str(raw), "--out", str(out), "--material", "X"])
+        assert rc == 1
+        assert "matA, matB" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_corrupt_row_named(self, tmp_path, capsys):
         raw = tmp_path / "raw" / "matBad"
@@ -299,6 +310,14 @@ class TestEvalPredict:
         assert f"error: {run / 'model.json'}: checkpoint " in err and field in err
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_every_config_field_has_a_flag(command):
+    # _resolve_config reads each key from the parsed flags; a key with no flag
+    # would only ever take its default or config-file value
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(_CONFIG_FIELDS) <= {a.dest for a in sub.choices[command]._actions}
+
+
 def test_only_eta_is_beyond_the_cli():
     # eta stays fixed: every checkpoint records it, and it fixes how a stored
     # theta maps to the Jiles-Atherton parameters
@@ -366,6 +385,39 @@ class TestSweepPlotdata:
                    "--kind", "bh_loop", "--out", str(tmp_path / "x")])
         assert rc == 1
         assert "kind mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row,message", [
+        (b"\xff\xfe,4\r\n", "unreadable CSV"),
+        (b"gru-p,8,112,0,abc,0.1,ok\r\n", "row 2: sre is not a number: 'abc'"),
+        (b"gru-p,8\r\n", "row 2 has 2 fields, the header has 7"),
+    ])
+    def test_bad_sweep_csv_names_file(self, tmp_path, capsys, row, message):
+        source = tmp_path / "sweep.csv"
+        source.write_bytes(b"archetype,d_g,params,seed,sre,nere,status\r\n" + row)
+        rc = main(["plotdata", "--source", str(source), "--kind", "pareto",
+                   "--out", str(tmp_path / "plot")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {source}: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("meta,message", [
+        ({}, "no positive tau_s for 'predictions/seq_00000.csv'"),
+        ([], "expected a JSON object, got list"),
+    ])
+    def test_bad_predictions_meta_names_file(self, dataset_dir, trained, tmp_path, capsys,
+                                             meta, message):
+        pred_out = tmp_path / "p"
+        assert main(["predict", "--data", str(dataset_dir), "--checkpoint",
+                     str(trained / "model.json"), "--split", "test", "--index", "0",
+                     "--out", str(pred_out)]) == 0
+        meta_path = pred_out / "predictions_meta.json"
+        meta_path.write_text(json.dumps(meta))
+        rc = main(["plotdata", "--source", str(pred_out / "predictions" / "seq_00000.csv"),
+                   "--kind", "timeseries", "--out", str(tmp_path / "ts")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {meta_path}: ") and message in err
 
     def test_failure_leaves_partial_flag(self, sweep_out, tmp_path):
         out = tmp_path / "flagged"

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from conftest import digest
 from hystkit.autodiff import Tensor, concat
 from hystkit.cells import GruParams, LstmParams, gru_step, init_gru_params, init_lstm_params, lstm_step
 from hystkit.dataset import MeasuredSequence, NormConstants, PredictionTask
@@ -384,3 +385,30 @@ class TestBatchedPredictWindow:
         config = HeadConfig("gru-l", d_g=4, warmup_length=4)
         with pytest.raises(WarmupError, match=r"sequence 3: .*warmup step 2"):
             predict_window(config, init_head_params(config, 0), seqs, tasks, norm)
+
+
+# sha256 of init_head_params(HeadConfig(archetype, 8), [3, 0], precision), recorded
+# before the two cell records shared one initializer: the draw order, shapes,
+# names and dtypes of every archetype's parameters are fixed.
+INIT_DIGESTS = {
+    ("gru-p", "single"): "5e8003ed7011d3e62775f7a0bb94098d3af62363261587a2c4bc7514be26a40e",
+    ("gru-p", "double"): "1d1f55867e9db21d329a0a2265b026a71e9704a5021641482470a932abfaf8a1",
+    ("gru-m", "single"): "5e8003ed7011d3e62775f7a0bb94098d3af62363261587a2c4bc7514be26a40e",
+    ("gru-m", "double"): "1d1f55867e9db21d329a0a2265b026a71e9704a5021641482470a932abfaf8a1",
+    ("gru-l", "single"): "5e8003ed7011d3e62775f7a0bb94098d3af62363261587a2c4bc7514be26a40e",
+    ("gru-l", "double"): "1d1f55867e9db21d329a0a2265b026a71e9704a5021641482470a932abfaf8a1",
+    ("lstm-p", "single"): "140da51dd25ede6475067168476414a490e82f3e591f9da4c9402f525128dae8",
+    ("lstm-p", "double"): "5277c9c337c736c1152b03dbb416ab135b79bcef5054a647163ad884034df643",
+    ("gru-v", "single"): "5e8003ed7011d3e62775f7a0bb94098d3af62363261587a2c4bc7514be26a40e",
+    ("gru-v", "double"): "1d1f55867e9db21d329a0a2265b026a71e9704a5021641482470a932abfaf8a1",
+    ("gru-jadp", "single"): "5e8003ed7011d3e62775f7a0bb94098d3af62363261587a2c4bc7514be26a40e",
+    ("gru-jadp", "double"): "1d1f55867e9db21d329a0a2265b026a71e9704a5021641482470a932abfaf8a1",
+    ("ja", "single"): "680d9e73d70ae198051f318eb6cb81dd304b19148d63a3ed18cae7a504632a6b",
+    ("ja", "double"): "1a830dff72232836f6086740becd2c9629912ee350a33fa45859dbba61ed75f5",
+}
+
+
+@pytest.mark.parametrize("archetype,precision", sorted(INIT_DIGESTS))
+def test_init_head_params_bytes_pinned(archetype, precision):
+    arrays = init_head_params(HeadConfig(archetype, 8), [3, 0], precision)
+    assert digest(arrays) == INIT_DIGESTS[archetype, precision]

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import digest
 from hystkit.autodiff import _toposort
 from hystkit.dataset import MeasuredSequence, compute_norm_constants, make_minibatches
 from hystkit.heads import wrap_params
@@ -102,6 +103,11 @@ class TestTrainConfig:
             TrainConfig(archetype="ja", precision="single")
         with pytest.raises(ConfigError):
             TrainConfig(archetype="gru-p", lambda_w=0.1, precision="single")
+
+    def test_regularized_init_bytes_pinned(self):
+        # recorded before the cell records shared one initializer
+        arrays = init_params(TrainConfig(archetype="gru-p", d_g=8, lambda_w=0.1, seed=2))
+        assert digest(arrays) == "f4d7d217ec99340a03929677785faa582e1ffa8fbdedd6dc3165217a4e7c92b4"
 
     def test_param_count_includes_pinn_theta(self):
         assert config_param_count(TrainConfig(archetype="gru-p", d_g=8)) == 320
@@ -374,3 +380,20 @@ class TestPreisachTrainer:
         _, losses = train_preisach(params, seqs, norm, subseq_len=32, batch_size=4,
                                    epochs=8, lr=1e-2, warmup_length=4)
         assert losses[-1] < losses[0]
+
+    def test_no_full_batch_raises(self):
+        seqs = tiny_dataset(n=3, length=64)
+        with pytest.raises(TrainingError, match="no full batches: 3 sequences, l=32, b=16"):
+            train_preisach(init_preisach_params(n_levels=5), seqs, compute_norm_constants(seqs),
+                           subseq_len=32, batch_size=16, epochs=2, warmup_length=4)
+
+    def test_bytes_pinned(self):
+        # recorded before train_preisach shared train's epoch loop
+        seqs = tiny_dataset(n=4, length=96)
+        norm = compute_norm_constants(seqs)
+        fitted, losses = train_preisach(init_preisach_params(n_levels=5), seqs, norm,
+                                        subseq_len=32, batch_size=4, epochs=3, lr=1e-2,
+                                        warmup_length=4)
+        assert digest({"mu": fitted.mu, "omega": fitted.omega,
+                       "losses": np.array(losses)}) == (
+            "d7ffde42d2ca25af582b8b6e4728f313c20cc19cfc28481da5f04dfcc0aa2bef")
