@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import __version__
 from .dataset import (DataError, fmt, ingest_material, json_text, load_material, read_csv_dicts,
-                      read_json, read_json_object, split_dataset, write_file, write_rows)
+                      read_json_object, split_dataset, write_file, write_rows)
 from .training import (SWEEP_COLUMNS, ConfigError, TrainConfig, TrainingError,
                        config_param_count, evaluate_sequences, full_sequence_task,
                        load_checkpoint, pareto_sweep, save_checkpoint, sweep_medians, train,
@@ -104,61 +104,69 @@ def _data_root(args) -> Path:
     return Path(root)
 
 
-#: Flag and config-file names of the TrainConfig fields the CLI exposes.
+#: The settings of ``train`` and ``sweep``: flag and config-file key -> the TrainConfig
+#: field whose default's type the value takes (``precision``: str). ``split_seed`` is
+#: no field: it takes ``seed``'s type and, when unset, its value.
 _CONFIG_FIELDS = {
-    "archetype": "archetype", "hidden_size": "d_g", "seed": "seed", "epochs": "epochs",
-    "lr": "lr", "batch_size": "batch_size", "subseq_len": "subseq_len",
+    "archetype": "archetype", "hidden_size": "d_g", "seed": "seed", "split_seed": "seed",
+    "epochs": "epochs", "lr": "lr", "batch_size": "batch_size", "subseq_len": "subseq_len",
     "warmup_len": "warmup_length", "precision": "precision", "lambda_w": "lambda_w",
     "patience": "patience", "eval_every": "eval_every", "clip_norm": "clip_norm",
 }
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+_HELP = {"archetype": "model archetype (gru-p, gru-m, gru-l, lstm-p, gru-v, gru-jadp, ja)",
+         "hidden_size": "hidden state size d_g", "seed": "training seed",
+         "split_seed": "seed of the train/eval/test split (default: --seed)",
+         "lambda_w": "physics regularization weight"}
+
+
+def _setting_type(key: str) -> type:
+    default = _DEFAULTS[_CONFIG_FIELDS[key]]
+    return str if default is None else type(default)
+
+
+def _file_settings(path: str) -> dict:
+    """The settings of a ``--config`` file. An integral number may stand for an int and
+    an int for a float; any other value of the wrong type is a CliError naming the file."""
+    settings = read_json_object(path)
+    for key, value in settings.items():
+        if key not in _CONFIG_FIELDS:
+            raise CliError(f"{path}: unknown setting {key!r}")
+        kind = _setting_type(key)
+        if kind is float and type(value) is int:
+            value = float(value)
+        elif kind is int and type(value) is float and value.is_integer():
+            value = int(value)
+        if type(value) is not kind:
+            raise CliError(f"{path}: {key} must be {kind.__name__}, got {json.dumps(value)}")
+        settings[key] = value
+    return settings
 
 
 def _resolve_config(args) -> dict:
-    """Flags > config file > TrainConfig defaults; returns the fully resolved mapping."""
-    resolved = {key: _DEFAULTS[name] for key, name in _CONFIG_FIELDS.items()}
-    resolved["split_seed"] = None
-    if getattr(args, "config", None):
-        file_cfg = read_json(args.config)
-        unknown = set(file_cfg) - set(resolved)
-        if unknown:
-            raise CliError(f"unknown config file keys: {sorted(unknown)}")
-        resolved.update(file_cfg)
-    for key in resolved:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
-    if resolved["split_seed"] is None:
-        resolved["split_seed"] = resolved["seed"]
+    """Flags > ``--config`` file > TrainConfig defaults; the fully resolved settings."""
+    given = _file_settings(args.config) if args.config else {}
+    given.update((key, getattr(args, key)) for key in _CONFIG_FIELDS
+                 if getattr(args, key) is not None)
+    resolved = {key: given.get(key, _DEFAULTS[name]) for key, name in _CONFIG_FIELDS.items()}
+    resolved["split_seed"] = given.get("split_seed", resolved["seed"])
     return resolved
 
 
 def _train_config(resolved: dict) -> TrainConfig:
-    """Cast each resolved value to the type of its field's default (``None`` casts nothing)."""
-    values = {}
-    for key, name in _CONFIG_FIELDS.items():
-        value, default = resolved[key], _DEFAULTS[name]
-        values[name] = value if default is None else type(default)(value)
-    return TrainConfig(**values)
+    return TrainConfig(**{name: resolved[key] for key, name in _CONFIG_FIELDS.items()
+                          if key != "split_seed"})
 
 
-def _load_split(root: Path, material: str, split: str, split_seed: int):
-    """The sequences of one split; an empty split is an error."""
+def _load_splits(args, material: str, split_seed: int) -> tuple[dict, dict]:
+    """``material``'s sequences under the dataset root by split ("train", "eval", "test"
+    and "all"), and the manifest input that names the material's directory."""
+    root = _data_root(args)
     sequences = load_material(root, material)
-    if split != "all":
-        index = {"train": 0, "eval": 1, "test": 2}
-        if split not in index:
-            raise CliError(f"unknown split {split!r}")
-        sequences = split_dataset(sequences, seed=split_seed)[index[split]]
     if not sequences:
-        raise CliError(f"split {split!r} of {material} is empty")
-    return sequences
-
-
-def _load_train_eval(root: Path, material: str, split_seed: int):
-    sequences = load_material(root, material)
-    train_seqs, eval_seqs, _ = split_dataset(sequences, seed=split_seed)
-    return train_seqs, eval_seqs
+        raise CliError(f"material {material} holds no sequences")
+    splits = dict(zip(("train", "eval", "test"), split_dataset(sequences, seed=split_seed)))
+    return {**splits, "all": sequences}, {"dataset": root / material}
 
 
 # -- commands ---------------------------------------------------------------
@@ -191,68 +199,62 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     resolved = _resolve_config(args)
-    root = _data_root(args)
     config = _train_config(resolved)
-    train_seqs, eval_seqs = _load_train_eval(root, args.material, resolved["split_seed"])
-    stage = OutputStage(args.out, "train",
-                        {**resolved, "material": args.material},
-                        {"dataset": root / args.material})
-    result = train(config, train_seqs, eval_seqs)
+    splits, inputs = _load_splits(args, args.material, resolved["split_seed"])
+    stage = OutputStage(args.out, "train", {**resolved, "material": args.material}, inputs)
+    result = train(config, splits["train"], splits["eval"])
     ckpt = result.checkpoint()
     ckpt.train_config["split_seed"] = resolved["split_seed"]
     ckpt.train_config["material"] = args.material
     json_path, bin_path = save_checkpoint(stage.out_dir / "model", ckpt)
     stage.outputs.extend([json_path.name, bin_path.name])
-    rows = []
-    for i, loss in enumerate(result.train_losses):
-        eval_i = (i + 1) // config.eval_every - 1
-        has_eval = (i + 1) % config.eval_every == 0 and 0 <= eval_i < len(result.eval_sre)
-        rows.append([i, fmt(loss), fmt(result.eval_sre[eval_i]) if has_eval else ""])
+    rows = [[epoch, fmt(loss), fmt(result.eval_sre[epoch]) if epoch in result.eval_sre else ""]
+            for epoch, loss in enumerate(result.train_losses)]
     write_rows(stage.path("train_log.csv"), ["epoch", "loss", "eval_sre"], rows)
     stage.finish()
-    if result.eval_sre:
+    if result.report is not None:
         print(f"trained {config.archetype} d_g={config.d_g} "
               f"({config_param_count(config)} params), best epoch {result.best_epoch}, "
-              f"best eval SRE {min(result.eval_sre):.4f}")
+              f"best eval SRE {result.eval_sre[result.best_epoch]:.4f}")
     else:
         print(f"trained {config.archetype} d_g={config.d_g} (no eval set)")
     print(f"checkpoint: {json_path}")
     return 0
 
 
-def _open_checkpoint(args):
+def _checkpoint_split(args):
+    """Opening of eval and predict: the checkpoint, its ``--split`` (an empty one is an
+    error), and the config and inputs their manifests record."""
     ckpt = load_checkpoint(Path(args.checkpoint))
     material = args.material or ckpt.train_config.get("material")
     if not material:
         raise CliError("material unknown: pass --material")
     split_seed = ckpt.train_config.get("split_seed", ckpt.seed)
-    return ckpt, material, split_seed
+    splits, inputs = _load_splits(args, material, split_seed)
+    if not splits[args.split]:
+        raise CliError(f"split {args.split!r} of {material} is empty")
+    config = {"checkpoint": str(args.checkpoint), "material": material, "split": args.split,
+              "split_seed": split_seed}
+    return ckpt, splits[args.split], config, {**inputs, "checkpoint": args.checkpoint}
 
 
 def cmd_eval(args) -> int:
-    ckpt, material, split_seed = _open_checkpoint(args)
-    root = _data_root(args)
-    sequences = _load_split(root, material, args.split, split_seed)
-    stage = OutputStage(args.out, "eval",
-                        {"checkpoint": str(args.checkpoint), "material": material,
-                         "split": args.split, "split_seed": split_seed},
-                        {"checkpoint": args.checkpoint, "dataset": Path(root) / material})
+    ckpt, sequences, config, inputs = _checkpoint_split(args)
+    stage = OutputStage(args.out, "eval", config, inputs)
     report = evaluate_sequences(ckpt.head_config(), ckpt.params, sequences, ckpt.norm,
                                 ckpt.precision)
     report.write_json(stage.path("report.json"))
     report.write_csv(stage.path("report.csv"))
     stage.finish()
     agg = report.aggregate()
-    print(f"eval {material}/{args.split}: avg SRE {agg['avg_sre']:.4f} "
+    print(f"eval {config['material']}/{args.split}: avg SRE {agg['avg_sre']:.4f} "
           f"(p95 {agg['p95_sre']:.4f}), avg NERE {agg['avg_nere']:.5f} "
           f"(p95 |NERE| {agg['p95_nere']:.5f}) over {len(report.rows)} sequences")
     return 0
 
 
 def cmd_predict(args) -> int:
-    ckpt, material, split_seed = _open_checkpoint(args)
-    root = _data_root(args)
-    sequences = _load_split(root, material, args.split, split_seed)
+    ckpt, sequences, config, inputs = _checkpoint_split(args)
     if args.index is not None:
         if not 0 <= args.index < len(sequences):
             raise CliError(f"sequence index {args.index} out of range (0..{len(sequences) - 1})")
@@ -262,10 +264,7 @@ def cmd_predict(args) -> int:
     head_cfg = ckpt.head_config()
     warmup = args.warmup_len if args.warmup_len is not None else head_cfg.warmup_length
     stage = OutputStage(args.out, "predict",
-                        {"checkpoint": str(args.checkpoint), "material": material,
-                         "split": args.split, "split_seed": split_seed,
-                         "index": args.index, "warmup_len": warmup},
-                        {"checkpoint": args.checkpoint, "dataset": Path(root) / material})
+                        {**config, "index": args.index, "warmup_len": warmup}, inputs)
     head_cfg = dataclasses.replace(head_cfg, warmup_length=warmup)
     tasks = [full_sequence_task(seq, warmup) for _, seq in chosen]
     results = predict_window(head_cfg, ckpt.params, [seq for _, seq in chosen], tasks,
@@ -283,19 +282,25 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _positive_int(flag: str, text: str) -> int:
+    """``int(text)`` if that is at least 1; anything else is a CliError naming ``flag``."""
+    value = int(text) if text.strip().isdecimal() else 0
+    if value < 1:
+        raise CliError(f"{flag} takes positive integers, got {text!r}")
+    return value
+
+
 def cmd_sweep(args) -> int:
     resolved = _resolve_config(args)
-    root = _data_root(args)
-    archetypes = [a.strip() for a in args.archetype.split(",")] if args.archetype else ["gru-p"]
-    sizes = [int(s) for s in args.sizes.split(",")]
-    seeds = list(range(int(args.seeds)))
-    train_seqs, eval_seqs = _load_train_eval(root, args.material, resolved["split_seed"])
+    archetypes = [a.strip() for a in resolved["archetype"].split(",")]
+    sizes = [_positive_int("--sizes", s) for s in args.sizes.split(",")]
+    seeds = list(range(_positive_int("--seeds", args.seeds)))
+    splits, inputs = _load_splits(args, args.material, resolved["split_seed"])
     stage = OutputStage(args.out, "sweep",
                         {**resolved, "material": args.material, "archetypes": archetypes,
-                         "sizes": sizes, "n_seeds": len(seeds), "workers": args.workers},
-                        {"dataset": root / args.material})
+                         "sizes": sizes, "n_seeds": len(seeds), "workers": args.workers}, inputs)
     base = _train_config(resolved)
-    rows, medians = pareto_sweep(archetypes, sizes, seeds, train_seqs, eval_seqs,
+    rows, medians = pareto_sweep(archetypes, sizes, seeds, splits["train"], splits["eval"],
                                  base_config=base, workers=args.workers)
     write_sweep_csv(stage.path("sweep.csv"), rows)
     median_rows = [[a, d, m["params"], fmt(m["median_sre"]), fmt(m["median_nere"])]
@@ -369,21 +374,11 @@ def cmd_plotdata(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--archetype", help="model archetype (gru-p, gru-m, gru-l, lstm-p, gru-v, gru-jadp, ja)")
-    p.add_argument("--hidden-size", dest="hidden_size", type=int, help="hidden state size d_g")
-    p.add_argument("--seed", type=int, help="training seed")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--subseq-len", dest="subseq_len", type=int)
-    p.add_argument("--warmup-len", dest="warmup_len", type=int)
-    p.add_argument("--precision", choices=["single", "double"])
-    p.add_argument("--lambda-w", dest="lambda_w", type=float, help="physics regularization weight")
-    p.add_argument("--clip-norm", dest="clip_norm", type=float)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--eval-every", dest="eval_every", type=int)
-    p.add_argument("--split-seed", dest="split_seed", type=int)
-    p.add_argument("--config", help="JSON config file (flags override it)")
+    for key in _CONFIG_FIELDS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=_setting_type(key),
+                       choices=("single", "double") if key == "precision" else None,
+                       help=_HELP.get(key))
+    p.add_argument("--config", help="JSON config file of the same settings (flags override it)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -203,12 +203,18 @@ def evaluate_sequences(config: HeadConfig, params: dict, sequences, norm: NormCo
 
 @dataclass
 class TrainResult:
+    """What :func:`train` returns: the kept parameters and what it measured on the way.
+
+    ``eval_sre`` maps each evaluated epoch to its average eval SRE, and ``report``
+    holds the eval metrics of ``params``; without an eval set they are ``{}`` and ``None``.
+    """
     params: dict
     norm: NormConstants
     config: TrainConfig
     train_losses: list
-    eval_sre: list
+    eval_sre: dict
     best_epoch: int
+    report: MetricReport | None
 
     def checkpoint(self) -> "ModelCheckpoint":
         return ModelCheckpoint(
@@ -246,9 +252,10 @@ def _descend(params: dict, adam: AdamState, batches, source: str, epoch: int, lr
 def train(config: TrainConfig, train_seqs, eval_seqs=None) -> TrainResult:
     """Epoch loop: regenerate batches, roll out, backprop, Adam-update.
 
-    Keeps the parameters with the best evaluation SRE (when an eval set is
-    given) and stops early after ``patience`` evaluations without
-    improvement.
+    With an eval set, evaluates every ``eval_every``-th epoch and the last
+    epoch run, keeps the parameters with the best evaluation SRE (the first
+    evaluation is kept whatever its SRE), and stops early after ``patience``
+    evaluations without improvement.
     """
     train_seqs = list(train_seqs)
     if not train_seqs:
@@ -259,11 +266,8 @@ def train(config: TrainConfig, train_seqs, eval_seqs=None) -> TrainResult:
     head_cfg = config.head_config()
 
     train_losses: list[float] = []
-    eval_curve: list[float] = []
-    best = {k: v.copy() for k, v in params.items()}
-    best_sre = np.inf
-    best_epoch = 0
-    stale = 0
+    eval_sre: dict[int, float] = {}
+    best_sre, best_report, stale = np.inf, None, 0
 
     source = f"{len(train_seqs)} sequences, l={config.subseq_len}, b={config.batch_size}"
     for epoch in range(config.epochs):
@@ -272,28 +276,22 @@ def train(config: TrainConfig, train_seqs, eval_seqs=None) -> TrainResult:
         params, loss = _descend(params, adam, batches, source, epoch, config.lr, config.clip_norm,
                                 lambda params_t, batch: batch_loss(config, params_t, batch, norm))
         train_losses.append(loss)
+        if not eval_seqs or ((epoch + 1) % config.eval_every and epoch < config.epochs - 1):
+            continue
+        report = evaluate_sequences(head_cfg, params, eval_seqs, norm, config.precision)
+        eval_sre[epoch] = report.aggregate()["avg_sre"]
+        if eval_sre[epoch] < best_sre or best_report is None:
+            best, best_report, best_epoch, stale = params, report, epoch, 0
+            best_sre = np.fmin(eval_sre[epoch], np.inf)  # a NaN SRE ranks last
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
 
-        if eval_seqs and (epoch + 1) % config.eval_every == 0:
-            report = evaluate_sequences(head_cfg, params, eval_seqs, norm, config.precision)
-            current = report.aggregate()["avg_sre"]
-            eval_curve.append(current)
-            if current < best_sre:
-                best_sre = current
-                best = {k: v.copy() for k, v in params.items()}
-                best_epoch = epoch
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.patience:
-                    break
-
-    if eval_seqs:
-        final_params = best
-    else:
-        final_params = params
-        best_epoch = config.epochs - 1
-    return TrainResult(params=final_params, norm=norm, config=config,
-                       train_losses=train_losses, eval_sre=eval_curve, best_epoch=best_epoch)
+    if best_report is None:  # no eval set: the last parameters
+        best, best_epoch = params, config.epochs - 1
+    return TrainResult(params=best, norm=norm, config=config, train_losses=train_losses,
+                       eval_sre=eval_sre, best_epoch=best_epoch, report=best_report)
 
 
 # -- checkpoint I/O ------------------------------------------------------------
@@ -456,34 +454,32 @@ SWEEP_COLUMNS = ("archetype", "d_g", "params", "seed", "sre", "nere", "status")
 
 
 def _run_trial(args):
+    """One sweep row: the eval errors of the parameters ``train`` keeps (NaN if it fails)."""
     config, train_seqs, eval_seqs = args
+    row = {"archetype": config.archetype, "d_g": config.d_g, "params": 0, "seed": config.seed,
+           "sre": float("nan"), "nere": float("nan"), "status": "ok"}
     try:
-        result = train(config, train_seqs, eval_seqs)
-        report = evaluate_sequences(config.head_config(), result.params, eval_seqs,
-                                    result.norm, config.precision)
-        agg = report.aggregate()
-        return {"archetype": config.archetype, "d_g": config.d_g,
-                "params": config_param_count(config), "seed": config.seed,
-                "sre": agg["avg_sre"], "nere": agg["avg_nere"], "status": "ok"}
+        agg = train(config, train_seqs, eval_seqs).report.aggregate()
+        row.update(sre=agg["avg_sre"], nere=agg["avg_nere"])
     except Exception as exc:  # failures are recorded, never dropped
-        try:
-            n_params = config_param_count(config)
-        except ValueError:
-            n_params = 0
-        return {"archetype": config.archetype, "d_g": config.d_g,
-                "params": n_params, "seed": config.seed,
-                "sre": float("nan"), "nere": float("nan"),
-                "status": f"failed:{type(exc).__name__}"}
+        row["status"] = f"failed:{type(exc).__name__}"
+    try:
+        row["params"] = config_param_count(config)
+    except ValueError:  # unknown archetype
+        pass
+    return row
 
 
 def pareto_sweep(archetypes, d_g_values, seeds, train_seqs, eval_seqs,
                  base_config: TrainConfig | None = None, workers: int = 1):
     """Trial grid over (archetype, d_g, seed); returns (rows, medians).
 
-    Each trial is scored on the eval set. Medians aggregate successful
-    trials per (archetype, d_g); rows are ordered by that key so merged
-    concurrent results stay deterministic.
+    Each trial is scored on the eval set, which must not be empty. Medians
+    aggregate successful trials per (archetype, d_g); rows are ordered by
+    that key so merged concurrent results stay deterministic.
     """
+    if not eval_seqs:
+        raise ConfigError("empty eval set: every sweep trial is scored on it")
     base = base_config or TrainConfig()
     jobs = [(replace(base, archetype=a, d_g=d_g, seed=seed,
                      precision="double" if a in JA_FAMILY else base.precision),

@@ -2,6 +2,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -157,6 +158,50 @@ class TestTrain:
         stored = json.loads((out / "model.json").read_text())["train_config"]
         assert stored["lr"] == 1.0 and isinstance(stored["lr"], float)
         assert (stored["epochs"], stored["d_g"], stored["patience"]) == (1, 2, 20)
+
+
+    def test_off_schedule_last_epoch_logged(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["train", "--data", str(dataset_dir), "--material", "synthA",
+                   "--out", str(out)] + TRAIN_FLAGS + ["--epochs", "3", "--eval-every", "5"])
+        assert rc == 0
+        assert "best epoch 2" in capsys.readouterr().out
+        log = (out / "train_log.csv").read_text().splitlines()
+        assert [row.split(",")[2] != "" for row in log[1:]] == [False, False, True]
+
+    def test_config_file_integral_number(self, dataset_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1.0, "split_seed": 3}))
+        out = tmp_path / "o"
+        assert main(["train", "--data", str(dataset_dir), "--material", "synthA",
+                     "--out", str(out), "--config", str(cfg), "--hidden-size", "2",
+                     "--subseq-len", "32", "--batch-size", "4", "--warmup-len", "4"]) == 0
+        stored = json.loads((out / "model.json").read_text())["train_config"]
+        assert (stored["epochs"], stored["split_seed"]) == (1, 3)
+        assert isinstance(stored["epochs"], int)
+
+    @pytest.mark.parametrize("text, message", [
+        ("5", "expected a JSON object, got int"),
+        ('["epochs"]', "expected a JSON object, got list"),
+        ("{\"epochs\": \"abc\"}", 'epochs must be int, got "abc"'),
+        ("{\"split_seed\": \"x\"}", 'split_seed must be int, got "x"'),
+        ("{\"epochs\": null}", "epochs must be int, got null"),
+        ("{\"epochs\": 1.7}", "epochs must be int, got 1.7"),
+        ("{\"lambda_w\": true}", "lambda_w must be float, got true"),
+        ("{\"archetype\": 3}", "archetype must be str, got 3"),
+        ("{\"eta\": [1, 2]}", "unknown setting 'eta'"),
+    ])
+    def test_bad_config_file_names_file_and_key(self, dataset_dir, tmp_path, capsys,
+                                                 text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        rc = main(["train", "--data", str(dataset_dir), "--material", "synthA",
+                   "--out", str(out), "--config", str(cfg)] + TRAIN_FLAGS)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and message in err
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestEvalPredict:
@@ -337,6 +382,19 @@ def sweep_out(dataset_dir, tmp_path_factory):
 
 
 class TestSweepPlotdata:
+    @pytest.mark.parametrize("flag, value, bad", [
+        ("--seeds", "0", "0"), ("--seeds", "x", "x"), ("--sizes", "4,x", "x"),
+        ("--sizes", "0", "0"), ("--sizes", "4,-8", "-8"), ("--sizes", "4,", ""),
+    ])
+    def test_bad_grid_flag_named(self, dataset_dir, tmp_path, capsys, flag, value, bad):
+        grid = {"--sizes": "2", "--seeds": "1", flag: value}
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--data", str(dataset_dir), "--material", "synthA",
+                   "--out", str(out), *(x for pair in grid.items() for x in pair)] + TRAIN_FLAGS)
+        assert rc == 1
+        assert f"error: {flag} takes positive integers, got {bad!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_four_row_csv(self, sweep_out):
         with open(sweep_out / "sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -448,3 +506,49 @@ class TestEntryPoint:
             outs.append(out)
         for name in ("model.bin", "train_log.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def _sha(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestArtifactBytesPinned:
+    # recorded before train kept the record of the epochs it evaluated and the
+    # sweep read its trial scores from that record; every run below ends on the
+    # eval schedule, so the bytes must not move
+    @pytest.mark.parametrize("eval_every, log_sha, bin_sha", [
+        ("1", "339ed3ceebcbe65a03caa1cf5e3470044039226d6a635ede11eeeee0185a0e57",
+         "761072a3fde0c68da165d01b53c81c6b829b408e206dd23aefea0615bcbc7ec9"),
+        ("2", "3fc1130b6d3e2b71dd59fa824c187e94f431d265b8d8c461713c9c65ee8e1aea",
+         "8b1fb15bca934b878ad8dd78345251cf413f1e035bef9539cca4d38aa617ac64"),
+    ])
+    def test_patience_stopped_train(self, dataset_dir, tmp_path, eval_every, log_sha, bin_sha):
+        out = tmp_path / "run"
+        rc = main(["train", "--data", str(dataset_dir), "--material", "synthA",
+                   "--out", str(out), "--archetype", "gru-p", "--hidden-size", "2",
+                   "--subseq-len", "32", "--batch-size", "4", "--warmup-len", "4",
+                   "--seed", "0", "--precision", "double", "--epochs", "10", "--lr", "0.1",
+                   "--patience", "1", "--eval-every", eval_every])
+        assert rc == 0
+        assert len((out / "train_log.csv").read_text().splitlines()) == 1 + 6  # patience stop
+        assert _sha(out / "train_log.csv") == log_sha
+        assert _sha(out / "model.bin") == bin_sha
+
+    def test_sweep_with_failed_trials(self, dataset_dir, tmp_path):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--data", str(dataset_dir), "--material", "synthA",
+                   "--archetype", "gru-p,gru-v,nope", "--sizes", "4,8", "--seeds", "1",
+                   "--out", str(out), "--epochs", "2", "--subseq-len", "32",
+                   "--batch-size", "4", "--warmup-len", "4", "--precision", "double"])
+        assert rc == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = {(r["archetype"], r["d_g"]): r for r in csv.DictReader(fh)}
+        assert (rows["gru-v", "4"]["status"], rows["gru-v", "4"]["params"]) == (
+            "failed:HeadError", "112")
+        assert (rows["nope", "4"]["status"], rows["nope", "4"]["params"]) == (
+            "failed:HeadError", "0")
+        assert rows["gru-v", "8"]["status"] == "ok"
+        assert _sha(out / "sweep.csv") == (
+            "067d5984163bc1b7d1ee7d69982360a1ce30387d159ac757f441141efa1c13bc")
+        assert _sha(out / "sweep_medians.csv") == (
+            "54a6680aa9f576d2db6bc363404c382fbd190ad2a867e6db7a7c850eeaf0ae2f")

@@ -156,6 +156,44 @@ class TestTrainLoop:
         assert len(result.eval_sre) >= 1
         assert result.best_epoch <= config.epochs - 1
 
+    def test_record_is_what_was_evaluated(self):
+        seqs = tiny_dataset(n=8)
+        config = small_config(epochs=4, eval_every=2, lr=5e-3)
+        result = train(config, seqs[:6], seqs[6:])
+        assert sorted(result.eval_sre) == [1, 3]
+        report = evaluate_sequences(config.head_config(), result.params, seqs[6:],
+                                    result.norm, config.precision)
+        assert result.report.rows == report.rows
+        assert result.eval_sre[result.best_epoch] == report.aggregate()["avg_sre"]
+
+    def test_last_epoch_off_schedule_is_evaluated(self):
+        # no epoch of 3 is on a 5-epoch schedule; the last one is evaluated anyway
+        seqs = tiny_dataset(n=8)
+        config = small_config(epochs=3, eval_every=5)
+        result = train(config, seqs[:6], seqs[6:])
+        assert list(result.eval_sre) == [2] and result.best_epoch == 2
+        init = init_params(config)
+        assert any(not np.array_equal(result.params[k], init[k]) for k in init)
+
+    def test_non_finite_evaluation_ranks_last(self, monkeypatch):
+        import hystkit.training as training
+
+        sre_of_call = iter([np.nan, 0.5, 0.7])
+
+        def scripted(*args, **kwargs):
+            report = MetricReport()
+            report.add(0, sre=next(sre_of_call), nere=0.0, mse=0.0, mae=0.0, wce=0.0)
+            return report
+
+        monkeypatch.setattr(training, "evaluate_sequences", scripted)
+        seqs = tiny_dataset(n=8)
+        result = train(small_config(epochs=3, patience=5), seqs[:6], seqs[6:])
+        assert result.best_epoch == 1 and result.report.rows[0]["sre"] == 0.5
+
+    def test_no_eval_set_leaves_record_empty(self):
+        result = train(small_config(epochs=2), tiny_dataset(n=4))
+        assert (result.eval_sre, result.report, result.best_epoch) == ({}, None, 1)
+
     def test_mixed_sampling_periods_train(self):
         from hystkit.dataset import make_minibatches
 
@@ -312,6 +350,27 @@ class TestParetoSweep:
     def test_median_aggregation(self):
         values = [0.1, 0.2, 0.4]
         assert float(np.median(values)) == 0.2
+
+    def test_trial_evaluates_once_per_evaluated_epoch(self, monkeypatch):
+        import hystkit.training as training
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[2]))
+            return evaluate_sequences(*args, **kwargs)
+
+        monkeypatch.setattr(training, "evaluate_sequences", counting)
+        seqs = tiny_dataset(n=6)
+        rows, _ = pareto_sweep(["gru-p"], [2], [0], seqs[:4], seqs[4:],
+                               base_config=small_config(epochs=4, eval_every=2))
+        assert rows[0]["status"] == "ok"
+        assert calls == [2, 2]  # epochs 1 and 3, on the 2 eval sequences
+
+    def test_empty_eval_set_refused(self):
+        seqs = tiny_dataset(n=4)
+        with pytest.raises(ConfigError, match="empty eval set"):
+            pareto_sweep(["gru-p"], [2], [0], seqs, [], base_config=small_config(epochs=1))
 
     def test_failures_recorded_not_dropped(self):
         seqs = tiny_dataset(n=6)
