@@ -12,7 +12,6 @@ from .dataset import (
     MeasuredSequence,
     MiniBatch,
     NormConstants,
-    PredictionTask,
     compute_norm_constants,
     featurize,
     load_material,

@@ -30,9 +30,8 @@ from . import __version__
 from .dataset import (DataError, fmt, ingest_material, json_text, load_material, read_csv_dicts,
                       read_json_object, split_dataset, write_file, write_rows)
 from .training import (SWEEP_COLUMNS, ConfigError, TrainConfig, TrainingError,
-                       config_param_count, evaluate_sequences, full_sequence_task,
-                       load_checkpoint, pareto_sweep, save_checkpoint, sweep_medians, train,
-                       write_sweep_csv)
+                       config_param_count, evaluate_sequences, load_checkpoint, pareto_sweep,
+                       save_checkpoint, sweep_medians, train, write_sweep_csv)
 from .heads import predict_window
 
 _SENTINEL = ".partial"
@@ -262,20 +261,26 @@ def cmd_predict(args) -> int:
     else:
         chosen = list(enumerate(sequences))
     head_cfg = ckpt.head_config()
-    warmup = args.warmup_len if args.warmup_len is not None else head_cfg.warmup_length
+    if args.warmup_len is not None:
+        if args.warmup_len < 1:
+            raise CliError(f"--warmup-len must be >= 1, got {args.warmup_len}")
+        head_cfg = dataclasses.replace(head_cfg, warmup_length=args.warmup_len)
+    w = head_cfg.warmup_length
+    for i, seq in chosen:
+        if len(seq) < w + 2:
+            raise CliError(f"--warmup-len {w} needs sequences of at least {w + 2} samples: "
+                           f"sequence {i} has {len(seq)}")
     stage = OutputStage(args.out, "predict",
-                        {**config, "index": args.index, "warmup_len": warmup}, inputs)
-    head_cfg = dataclasses.replace(head_cfg, warmup_length=warmup)
-    tasks = [full_sequence_task(seq, warmup) for _, seq in chosen]
-    results = predict_window(head_cfg, ckpt.params, [seq for _, seq in chosen], tasks,
-                             ckpt.norm, ckpt.precision)
+                        {**config, "index": args.index, "warmup_len": w}, inputs)
+    results = predict_window(head_cfg, ckpt.params, [seq for _, seq in chosen], ckpt.norm,
+                             ckpt.precision)
     meta = {}
-    for (i, seq), task, result in zip(chosen, tasks, results):
-        rows = [[k, fmt(seq.b[k]), fmt(seq.h[k]), fmt(result.pred[j])]
-                for j, k in enumerate(range(task.k1, task.k2 + 1))]
+    for (i, seq), result in zip(chosen, results):
+        rows = [[k, fmt(seq.b[k]), fmt(seq.h[k]), fmt(pred)]
+                for k, pred in enumerate(result.pred, start=w)]
         name = f"predictions/seq_{i:05d}.csv"
         write_rows(stage.path(name), _PREDICTION_COLUMNS, rows)
-        meta[name] = {"tau_s": seq.tau_s, "k1": task.k1, "k2": task.k2}
+        meta[name] = {"tau_s": seq.tau_s, "k1": w, "k2": len(seq) - 1}
     write_file(stage.path("predictions_meta.json"), json_text(meta))
     stage.finish()
     print(f"wrote {len(chosen)} prediction file(s) under {stage.out_dir}")
@@ -295,13 +300,14 @@ def cmd_sweep(args) -> int:
     archetypes = [a.strip() for a in resolved["archetype"].split(",")]
     sizes = [_positive_int("--sizes", s) for s in args.sizes.split(",")]
     seeds = list(range(_positive_int("--seeds", args.seeds)))
+    workers = _positive_int("--workers", args.workers)
     splits, inputs = _load_splits(args, args.material, resolved["split_seed"])
     stage = OutputStage(args.out, "sweep",
                         {**resolved, "material": args.material, "archetypes": archetypes,
-                         "sizes": sizes, "n_seeds": len(seeds), "workers": args.workers}, inputs)
+                         "sizes": sizes, "n_seeds": len(seeds), "workers": workers}, inputs)
     base = _train_config(resolved)
     rows, medians = pareto_sweep(archetypes, sizes, seeds, splits["train"], splits["eval"],
-                                 base_config=base, workers=args.workers)
+                                 base_config=base, workers=workers)
     write_sweep_csv(stage.path("sweep.csv"), rows)
     median_rows = [[a, d, m["params"], fmt(m["median_sre"]), fmt(m["median_nere"])]
                    for (a, d), m in sorted(medians.items())]
@@ -425,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--material", required=True)
     p.add_argument("--sizes", required=True, help="comma-separated hidden sizes")
     p.add_argument("--seeds", default="1", help="number of seeds per cell")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", default="1", help="number of worker processes")
     p.add_argument("--out", required=True)
     _add_model_flags(p)
     p.set_defaults(fn=cmd_sweep)

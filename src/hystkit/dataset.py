@@ -60,12 +60,8 @@ class MeasuredSequence:
     def __len__(self):
         return len(self.b)
 
-    @property
-    def k3(self) -> int:
-        return len(self.b) - 1
-
     def h_rms(self) -> float:
-        """RMS of H over the full sequence 0..k3."""
+        """RMS of H over the whole sequence."""
         return float(np.sqrt(np.mean(self.h ** 2)))
 
 
@@ -88,28 +84,6 @@ class NormConstants:
     @classmethod
     def from_dict(cls, d):
         return cls(h_max=d["h_max"], b_max=d["b_max"], theta_max=d["theta_max"])
-
-
-@dataclass
-class PredictionTask:
-    """Index quadruple delimiting the warmup window [k0, k1) and prediction window [k1, k2]."""
-
-    k0: int
-    k1: int
-    k2: int
-    k3: int
-
-    def __post_init__(self):
-        if not (0 <= self.k0 < self.k1 < self.k2 <= self.k3):
-            raise DataError(f"task indices must satisfy 0 <= k0 < k1 < k2 <= k3, got {self}")
-
-    @property
-    def warmup_length(self) -> int:
-        return self.k1 - self.k0
-
-    def validate_for(self, seq: MeasuredSequence):
-        if self.k3 >= len(seq):
-            raise DataError(f"k3={self.k3} out of range for sequence of length {len(seq)}")
 
 
 @dataclass
@@ -169,15 +143,11 @@ def feature_rows(b_norm: np.ndarray, theta_norm) -> np.ndarray:
     return np.stack([b_norm, d1, d2, theta], axis=2)
 
 
-def featurize(seq: MeasuredSequence, task: PredictionTask, norm: NormConstants) -> np.ndarray:
-    """Features ``(L, 4)`` over the task window k0..k2 of one sequence.
-
-    The columns are those of :func:`feature_rows`.
-    """
-    task.validate_for(seq)
-    window = seq.b[task.k0:task.k2 + 1] / norm.b_max
+def featurize(seq: MeasuredSequence, norm: NormConstants) -> np.ndarray:
+    """Features ``(len(seq), 4)`` of the whole sequence; the columns are those of
+    :func:`feature_rows`."""
     theta = seq.temperature_c / norm.theta_max
-    return feature_rows(window[None, :], [theta])[0]
+    return feature_rows(seq.b[None, :] / norm.b_max, [theta])[0]
 
 
 def split_dataset(sequences, fractions=(0.8, 0.1, 0.1), seed: int = 0):

@@ -33,7 +33,7 @@ import numpy as np
 
 from .autodiff import Tensor, concat, dtype_of, reshape, tanh, tsum
 from .cells import LSTM_ARCHETYPES, GruParams, LstmParams, gru_step, lstm_step
-from .dataset import MiniBatch, NormConstants
+from .dataset import DataError, MiniBatch, NormConstants
 from .physics import (
     DEFAULT_ETA,
     ja_initial_state,
@@ -297,9 +297,9 @@ def rollout(config: HeadConfig, params: dict, inputs: RolloutInputs):
     return concat(preds, axis=1), state
 
 
-def _predict_group(config: HeadConfig, params: dict, seqs, tasks, norm: NormConstants,
+def _predict_group(config: HeadConfig, params: dict, seqs, norm: NormConstants,
                    dt) -> np.ndarray:
-    """Normalized float64 predictions ``(rows, L - w)`` of tasks sharing one window shape.
+    """Normalized float64 predictions ``(rows, L - w)`` of sequences of one length L.
 
     The feature block is filled in place in the run precision, one
     ``featurize`` call per sequence. The group's input blocks die on
@@ -308,17 +308,17 @@ def _predict_group(config: HeadConfig, params: dict, seqs, tasks, norm: NormCons
     # Imported at call time, so a tracer that patches hystkit.dataset.featurize sees it.
     from .dataset import featurize
 
-    rows, length, w = len(tasks), tasks[0].k2 - tasks[0].k0 + 1, tasks[0].warmup_length
+    rows, length, w = len(seqs), len(seqs[0]), config.warmup_length
     x = None
     drive_raw = np.empty((rows, length))
     target_warm_raw = np.empty((rows, w))
-    for row, (seq, task) in enumerate(zip(seqs, tasks)):
-        features = featurize(seq, task, norm)
+    for row, seq in enumerate(seqs):
+        features = featurize(seq, norm)
         if x is None:
             x = np.empty((rows,) + features.shape, dtype=dt)
         x[row] = features
-        drive_raw[row] = seq.b[task.k0:task.k2 + 1]
-        target_warm_raw[row] = seq.h[task.k0:task.k1]
+        drive_raw[row] = seq.b
+        target_warm_raw[row] = seq.h[:w]
     inputs = RolloutInputs(
         x=x,
         drive_norm=drive_raw / norm.b_max,
@@ -332,28 +332,32 @@ def _predict_group(config: HeadConfig, params: dict, seqs, tasks, norm: NormCons
     return pred_t.data.astype(np.float64)
 
 
-def predict_window(config: HeadConfig, params_arrays: dict, seqs, tasks, norm: NormConstants,
+def predict_window(config: HeadConfig, params_arrays: dict, seqs, norm: NormConstants,
                    precision: str = "double") -> list[RolloutResult]:
-    """Open-loop predictions for task windows, one result per ``(seq, task)`` pair in input order.
+    """Open-loop predictions of samples w..L-1 of each sequence, w = ``config.warmup_length``,
+    one result per sequence in input order.
 
-    Tasks with the same window and warmup lengths run as one batched
-    rollout with frozen parameters. A batch's rows do not depend on each
-    other, but a one-row batch takes a different BLAS kernel (gemv instead
-    of gemm), so a window predicted alone can differ from the same window
-    in a batch in the last bits. A :class:`WarmupError` names the input
-    index of the offending sequence.
+    The known H over samples 0..w-1 conditions the state. Sequences of the
+    same length run as one batched rollout with frozen parameters. A
+    batch's rows do not depend on each other, but a one-row batch takes a
+    different BLAS kernel (gemv instead of gemm), so a sequence predicted
+    alone can differ from the same sequence in a batch in the last bits.
+    A sequence shorter than w + 2 samples raises :class:`DataError`, and a
+    :class:`WarmupError` names the input index of the offending sequence.
     """
+    w = config.warmup_length
+    groups: dict = {}
+    for i, seq in enumerate(seqs):
+        if len(seq) < w + 2:
+            raise DataError(f"sequence {i} has {len(seq)} samples; warmup {w} needs >= {w + 2}")
+        groups.setdefault(len(seq), []).append(i)
     dt = dtype_of(precision)
     params = wrap_params({k: np.asarray(v, dtype=dt) for k, v in params_arrays.items()},
                          requires_grad=False)
-    groups: dict = {}
-    for i, task in enumerate(tasks):
-        groups.setdefault((task.k2 - task.k0 + 1, task.warmup_length), []).append(i)
-    results: list = [None] * len(tasks)
+    results: list = [None] * len(seqs)
     for members in groups.values():
         try:
-            pred_norm = _predict_group(config, params, [seqs[i] for i in members],
-                                       [tasks[i] for i in members], norm, dt)
+            pred_norm = _predict_group(config, params, [seqs[i] for i in members], norm, dt)
         except WarmupError as exc:
             if exc.row is None:
                 raise

@@ -37,8 +37,8 @@ def _as_tensor(x, ref: Tensor) -> Tensor:
 def flux_weights(b_window: np.ndarray) -> np.ndarray:
     """|dB~| weights for the prediction window.
 
-    ``b_window`` covers k1-1..k2: the extra left sample comes from the
-    warmup window, which always precedes the prediction window.
+    With predictions of samples w..L-1, ``b_window`` covers w-1..L-1: the
+    extra left sample is the last warmup sample.
     """
     return np.abs(np.diff(np.asarray(b_window, dtype=np.float64), axis=-1))
 
@@ -90,8 +90,9 @@ def nere(h_pred: np.ndarray, h_true: np.ndarray, b_window_prev: np.ndarray,
          h_full: np.ndarray, b_full: np.ndarray) -> float:
     """Loop-energy error of the prediction window.
 
-    ``b_window_prev`` covers k1-1..k2 so backward differences exist for every
-    predicted sample; the denominator uses the full sequence with dB_0 = 0.
+    With predictions of samples w..L-1, ``b_window_prev`` covers w-1..L-1 so
+    backward differences exist for every predicted sample; the denominator
+    uses the full sequence with dB_0 = 0.
     """
     h_pred = np.asarray(h_pred, dtype=np.float64)
     h_true = np.asarray(h_true, dtype=np.float64)

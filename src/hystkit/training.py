@@ -20,8 +20,8 @@ import numpy as np
 
 from .autodiff import Tensor, concat, dtype_of, reshape
 from .cells import param_count
-from .dataset import (MiniBatch, NormConstants, PredictionTask, compute_norm_constants, fmt,
-                      json_text, make_minibatches, read_json_object, reversed_minibatches,
+from .dataset import (MiniBatch, NormConstants, compute_norm_constants, fmt, json_text,
+                      make_minibatches, read_json_object, reversed_minibatches,
                       write_file, write_rows)
 from .heads import (JA_FAMILY, HeadConfig, init_head_params, inputs_from_batch, predict_window,
                     rollout, wrap_params)
@@ -67,9 +67,13 @@ class TrainConfig:
     eta: tuple = DEFAULT_ETA
 
     def __post_init__(self):
+        for name in ("lr", "clip_norm", "lambda_w"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lambda_w < 0:
             raise ConfigError("lambda_w must be >= 0")
-        for name in ("d_g", "subseq_len", "batch_size", "epochs", "warmup_length", "eval_every"):
+        for name in ("d_g", "subseq_len", "batch_size", "epochs", "warmup_length", "patience",
+                     "eval_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.lr < 0 or self.clip_norm <= 0:
@@ -174,20 +178,17 @@ def init_params(config: TrainConfig) -> dict:
 
 # -- evaluation ----------------------------------------------------------------
 
-def full_sequence_task(seq, warmup_length: int) -> PredictionTask:
-    return PredictionTask(k0=0, k1=warmup_length, k2=seq.k3, k3=seq.k3)
-
-
 def evaluate_sequences(config: HeadConfig, params: dict, sequences, norm: NormConstants,
                        precision: str = "double") -> MetricReport:
-    """Open-loop metrics per sequence (full-window task) plus aggregates."""
+    """Open-loop metrics per sequence, over samples w..L-1 with w = ``config.warmup_length``,
+    plus aggregates."""
     sequences = list(sequences)
-    tasks = [full_sequence_task(seq, config.warmup_length) for seq in sequences]
-    results = predict_window(config, params, sequences, tasks, norm, precision)
+    w = config.warmup_length
+    results = predict_window(config, params, sequences, norm, precision)
     report = MetricReport()
-    for i, (seq, task, result) in enumerate(zip(sequences, tasks, results)):
-        h_true = seq.h[task.k1:task.k2 + 1]
-        b_prev = seq.b[task.k1 - 1:task.k2 + 1]
+    for i, (seq, result) in enumerate(zip(sequences, results)):
+        h_true = seq.h[w:]
+        b_prev = seq.b[w - 1:]
         report.add(
             i,
             sre=sre(result.pred, h_true),

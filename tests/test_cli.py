@@ -203,6 +203,33 @@ class TestTrain:
         assert err.startswith(f"error: {cfg}: ") and message in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("lr", "inf", "lr must be finite, got inf"),
+        ("lr", "nan", "lr must be finite, got nan"),
+        ("clip_norm", "nan", "clip_norm must be finite, got nan"),
+        ("lambda_w", "nan", "lambda_w must be finite, got nan"),
+        ("patience", "-1", "patience must be >= 1"),
+        ("patience", "0", "patience must be >= 1"),
+    ])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_unusable_setting_refused(self, dataset_dir, tmp_path, capsys, key, value, message,
+                                      via):
+        flag = "--" + key.replace("_", "-")
+        base = [x for pair in zip(TRAIN_FLAGS[::2], TRAIN_FLAGS[1::2]) if pair[0] != flag
+                for x in pair]
+        if via == "flag":
+            given = [flag, value]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: int(value) if key == "patience" else float(value)}))
+            given = ["--config", str(cfg)]
+        out = tmp_path / "o"
+        rc = main(["train", "--data", str(dataset_dir), "--material", "synthA",
+                   "--out", str(out)] + base + given)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestEvalPredict:
     def test_eval_on_training_split_matches_log(self, dataset_dir, trained, tmp_path, capsys):
@@ -246,6 +273,31 @@ class TestEvalPredict:
         assert rc == 0
         meta = json.loads((out / "predictions_meta.json").read_text())
         assert next(iter(meta.values()))["k1"] == 1
+
+    @pytest.mark.parametrize("warmup, message", [
+        ("0", "--warmup-len must be >= 1, got 0"),
+        ("-2", "--warmup-len must be >= 1, got -2"),
+        ("95", "--warmup-len 95 needs sequences of at least 97 samples: sequence 0 has 96"),
+    ])
+    def test_unusable_warmup_len_refused(self, dataset_dir, trained, tmp_path, capsys,
+                                         warmup, message):
+        out = tmp_path / "pred"
+        rc = main(["predict", "--data", str(dataset_dir), "--checkpoint",
+                   str(trained / "model.json"), "--split", "all", "--warmup-len", warmup,
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_longest_usable_warmup_len(self, dataset_dir, trained, tmp_path):
+        out = tmp_path / "pred"
+        assert main(["predict", "--data", str(dataset_dir), "--checkpoint",
+                     str(trained / "model.json"), "--split", "all", "--index", "3",
+                     "--warmup-len", "94", "--out", str(out)]) == 0
+        assert (out / "predictions/seq_00003.csv").read_text().splitlines()[1].startswith("94,")
+        meta = json.loads((out / "predictions_meta.json").read_text())
+        entry = meta["predictions/seq_00003.csv"]
+        assert (entry["k1"], entry["k2"]) == (94, 95)
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_empty_split_errors(self, trained, tmp_path, capsys, command):
@@ -385,9 +437,10 @@ class TestSweepPlotdata:
     @pytest.mark.parametrize("flag, value, bad", [
         ("--seeds", "0", "0"), ("--seeds", "x", "x"), ("--sizes", "4,x", "x"),
         ("--sizes", "0", "0"), ("--sizes", "4,-8", "-8"), ("--sizes", "4,", ""),
+        ("--workers", "0", "0"), ("--workers", "-3", "-3"),
     ])
     def test_bad_grid_flag_named(self, dataset_dir, tmp_path, capsys, flag, value, bad):
-        grid = {"--sizes": "2", "--seeds": "1", flag: value}
+        grid = {"--sizes": "2", "--seeds": "1", "--workers": "1", flag: value}
         out = tmp_path / "sweep"
         rc = main(["sweep", "--data", str(dataset_dir), "--material", "synthA",
                    "--out", str(out), *(x for pair in grid.items() for x in pair)] + TRAIN_FLAGS)
@@ -552,3 +605,52 @@ class TestArtifactBytesPinned:
             "067d5984163bc1b7d1ee7d69982360a1ce30387d159ac757f441141efa1c13bc")
         assert _sha(out / "sweep_medians.csv") == (
             "54a6680aa9f576d2db6bc363404c382fbd190ad2a867e6db7a7c850eeaf0ae2f")
+
+    # recorded before prediction lost its per-sequence index quadruple: one
+    # sha256 over (file, sha256) of every eval/predict output but the manifest
+    @pytest.mark.parametrize("archetype, command, flags, n_files, sha", [
+        ("gru-p", "eval", ["--split", "all"], 2,
+         "8bb521eda7a4222545edbc1b8d9edd7cc647bfde10b2bc951e1f679671a8d949"),
+        ("gru-p", "predict", ["--split", "all"], 11,
+         "0b1272207afb3ca068a1bb49caf20006be33404cdac51ad2ed331715b81cdb35"),
+        ("gru-p", "predict", ["--split", "all", "--index", "7", "--warmup-len", "1"], 2,
+         "7ad2087fa176de91432c4587153dbdb1b521061f0d4e7cc41931ad2166d852a7"),
+        ("ja", "eval", ["--split", "all"], 2,
+         "8f28b50d059a521d0e4338f8938852cb6cd21174afe48b5c52dc20fb034da83b"),
+        ("ja", "predict", ["--split", "all"], 11,
+         "fe5ae4947903f99d20589e518f910c94a03730b6e0da4ce251a237360a91994c"),
+        ("ja", "predict", ["--split", "all", "--index", "7", "--warmup-len", "1"], 2,
+         "4e32ddc08a985af6a78f048c55ce916d194c3e2061c1c8bcb2992371eda641be"),
+    ])
+    def test_eval_and_predict(self, two_length_runs, tmp_path, archetype, command, flags,
+                              n_files, sha):
+        data, checkpoints = two_length_runs
+        out = tmp_path / "out"
+        assert main([command, "--data", str(data), "--checkpoint", str(checkpoints[archetype]),
+                     "--out", str(out), *flags]) == 0
+        files = {p.relative_to(out).as_posix(): _sha(p) for p in sorted(out.rglob("*"))
+                 if p.is_file() and p.name != "run_manifest.json"}
+        assert len(files) == n_files
+        assert hashlib.sha256(json.dumps(files).encode()).hexdigest() == sha
+
+
+@pytest.fixture(scope="module")
+def two_length_runs(tmp_path_factory):
+    """A material of six 96-sample and four 64-sample sequences, and the checkpoints of
+    a single-precision gru-p and a double-precision ja trained on it."""
+    root = tmp_path_factory.mktemp("two_lengths")
+    seqs = generate_ja_dataset(6, 96, seed=11) + generate_ja_dataset(4, 64, seed=12)
+    for s in seqs:
+        s.f_sw_hz = 100e3
+        s.temperature_c = 25.0
+    write_material(root / "data", "synthB", seqs)
+    checkpoints = {}
+    for archetype, size, precision in (("gru-p", "2", "single"), ("ja", "1", "double")):
+        out = root / archetype
+        assert main(["train", "--data", str(root / "data"), "--material", "synthB",
+                     "--out", str(out), "--archetype", archetype, "--hidden-size", size,
+                     "--precision", precision, "--epochs", "2", "--subseq-len", "32",
+                     "--batch-size", "4", "--warmup-len", "4", "--lr", "0.01",
+                     "--seed", "0"]) == 0
+        checkpoints[archetype] = out / "model.json"
+    return root / "data", checkpoints

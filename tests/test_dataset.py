@@ -11,7 +11,6 @@ from hystkit.dataset import (
     DataError,
     MeasuredSequence,
     NormConstants,
-    PredictionTask,
     compute_norm_constants,
     detect_adapter,
     feature_rows,
@@ -86,19 +85,19 @@ class TestFeaturize:
 
     def test_constant_b_zero_differences(self):
         seq = seq_of(np.full(10, 0.4), np.zeros(10), theta=35.0)
-        fm = featurize(seq, PredictionTask(0, 2, 9, 9), self.norm())
+        fm = featurize(seq, self.norm())
         np.testing.assert_array_equal(fm[:, 1], np.zeros(10))
         np.testing.assert_array_equal(fm[:, 2], np.zeros(10))
 
     def test_linear_ramp(self):
         seq = seq_of([0.0, 0.1, 0.2], np.zeros(3), theta=35.0)
-        fm = featurize(seq, PredictionTask(0, 1, 2, 2), self.norm())
+        fm = featurize(seq, self.norm())
         np.testing.assert_allclose(fm[:, 1], [0.1, 0.1, 0.1], atol=1e-15)
         np.testing.assert_allclose(fm[:, 2], np.zeros(3), atol=1e-15)
 
     def test_theta_row_all_ones_at_max(self):
         seq = seq_of(np.linspace(0, 0.1, 8), np.zeros(8), theta=70.0)
-        fm = featurize(seq, PredictionTask(0, 2, 7, 7), self.norm())
+        fm = featurize(seq, self.norm())
         np.testing.assert_array_equal(fm[:, 3], np.ones(8))
 
     def test_boundary_replicates_first_interior(self):
@@ -114,8 +113,9 @@ class TestFeaturize:
     def test_translation_consistency(self):
         seq = ramp_sequence(64)
         norm = compute_norm_constants([seq])
-        a = featurize(seq, PredictionTask(4, 8, 40, 63), norm)
-        b = featurize(seq, PredictionTask(5, 9, 41, 63), norm)
+        theta = [seq.temperature_c / norm.theta_max]
+        a = feature_rows(seq.b[None, 4:41] / norm.b_max, theta)[0]
+        b = feature_rows(seq.b[None, 5:42] / norm.b_max, theta)[0]
         # interior rows shift by one window sample
         np.testing.assert_allclose(a[3:, 1], b[2:-1, 1], atol=1e-15)
         np.testing.assert_allclose(a[3:, 2], b[2:-1, 2], atol=1e-15)
@@ -425,19 +425,6 @@ class TestAdapters:
         assert detect_adapter(raw) == "canonical"
         material, count = ingest_material(raw, tmp_path / "out")
         assert count == 2
-
-
-class TestTaskValidation:
-    def test_ordering_enforced(self):
-        with pytest.raises(DataError):
-            PredictionTask(5, 5, 9, 9)
-        with pytest.raises(DataError):
-            PredictionTask(0, 4, 3, 9)
-
-    def test_out_of_range(self):
-        seq = ramp_sequence(n=16)
-        with pytest.raises(DataError):
-            PredictionTask(0, 4, 15, 16).validate_for(seq)
 
 
 # Each writer: (write version v under a directory, the files it writes there).

@@ -5,7 +5,7 @@ import pytest
 from conftest import digest
 from hystkit.autodiff import Tensor, concat
 from hystkit.cells import GruParams, LstmParams, gru_step, init_gru_params, init_lstm_params, lstm_step
-from hystkit.dataset import MeasuredSequence, NormConstants, PredictionTask
+from hystkit.dataset import DataError, MeasuredSequence, NormConstants
 from hystkit.heads import (
     HeadConfig,
     HeadError,
@@ -320,8 +320,7 @@ class TestPredictWindow:
         norm = NormConstants(h_max=30.0, b_max=0.2, theta_max=70.0)
         config = HeadConfig("gru-p", d_g=6, warmup_length=5)
         arrays = init_head_params(config, 3)
-        task = PredictionTask(0, 5, n - 1, n - 1)
-        [result] = predict_window(config, arrays, [seq], [task], norm)
+        [result] = predict_window(config, arrays, [seq], norm)
         assert result.pred_norm.shape == (n - 5,)
         np.testing.assert_allclose(result.pred, result.pred_norm * 30.0, rtol=1e-12)
 
@@ -334,14 +333,25 @@ class TestPredictWindow:
                               temperature_c=25.0)
         norm = NormConstants(h_max=20.0, b_max=0.1, theta_max=70.0)
         config = HeadConfig("gru-p", d_g=4, warmup_length=1)
-        [result] = predict_window(config, init_head_params(config, 5), [seq],
-                                  [PredictionTask(0, 1, n - 1, n - 1)], norm)
+        [result] = predict_window(config, init_head_params(config, 5), [seq], norm)
         assert result.pred.shape == (n - 1,)
 
+    def test_sequence_shorter_than_warmup_plus_two_refused(self):
+        # w + 2 samples leave two to predict; one fewer is refused, naming the sequence
+        seqs = [MeasuredSequence(b=0.1 * np.sin(np.arange(n)), h=20 * np.sin(np.arange(n)),
+                                 temperature_c=25.0) for n in (7, 6)]
+        norm = NormConstants(h_max=20.0, b_max=0.1, theta_max=70.0)
+        config = HeadConfig("gru-p", d_g=4, warmup_length=5)
+        arrays = init_head_params(config, 5)
+        [result] = predict_window(config, arrays, seqs[:1], norm)
+        assert result.pred.shape == (2,)
+        with pytest.raises(DataError, match=r"^sequence 1 has 6 samples; warmup 5 needs >= 7$"):
+            predict_window(config, arrays, seqs, norm)
 
-def _mixed_length_batch(lengths, w, seed=0):
-    """Synthetic sequences of the given lengths with full-window tasks and a norm
-    that keeps every warmup inside the gru-m and gru-l injection domains."""
+
+def _mixed_length_batch(lengths, seed=0):
+    """Synthetic sequences of the given lengths and a norm that keeps every warmup
+    inside the gru-m and gru-l injection domains."""
     from hystkit.synth import generate_ja_dataset
 
     seqs = generate_ja_dataset(n_sequences=len(lengths), length=max(lengths), seed=seed)
@@ -349,8 +359,7 @@ def _mixed_length_batch(lengths, w, seed=0):
         seq.b, seq.h = seq.b[:n] + 0.0123, seq.h[:n]
     norm = NormConstants(h_max=2.0 * max(np.max(np.abs(s.h)) for s in seqs),
                          b_max=max(np.max(np.abs(s.b)) for s in seqs), theta_max=70.0)
-    tasks = [PredictionTask(0, w, s.k3, s.k3) for s in seqs]
-    return seqs, tasks, norm
+    return seqs, norm
 
 
 class TestBatchedPredictWindow:
@@ -360,14 +369,14 @@ class TestBatchedPredictWindow:
     @pytest.mark.parametrize("archetype,precision", CASES)
     def test_batched_matches_one_at_a_time(self, archetype, precision):
         lengths = list(np.random.default_rng(7).permutation([40, 40, 40, 56, 56, 56, 72, 72, 72]))
-        seqs, tasks, norm = _mixed_length_batch(lengths, w=4)
+        seqs, norm = _mixed_length_batch(lengths)
         config = HeadConfig(archetype, d_g=1 if archetype == "ja" else 8, warmup_length=4)
         arrays = init_head_params(config, 3, precision)
-        batched = predict_window(config, arrays, seqs, tasks, norm, precision)
+        batched = predict_window(config, arrays, seqs, norm, precision)
         assert len(batched) == len(seqs)
         rtol = 1e-12 if precision == "double" else 1e-5
-        for seq, task, got in zip(seqs, tasks, batched):
-            [alone] = predict_window(config, arrays, [seq], [task], norm, precision)
+        for seq, got in zip(seqs, batched):
+            [alone] = predict_window(config, arrays, [seq], norm, precision)
             assert got.pred.shape == (len(seq) - 4,)
             scale = np.max(np.abs(alone.pred))
             assert np.isfinite(scale) and scale > 0
@@ -377,14 +386,14 @@ class TestBatchedPredictWindow:
     def test_empty_input(self):
         config = HeadConfig("gru-p", d_g=4, warmup_length=2)
         norm = NormConstants(h_max=1.0, b_max=1.0, theta_max=1.0)
-        assert predict_window(config, init_head_params(config, 0), [], [], norm) == []
+        assert predict_window(config, init_head_params(config, 0), [], norm) == []
 
     def test_warmup_error_names_sequence_and_step(self):
-        seqs, tasks, norm = _mixed_length_batch([40, 56, 40, 40, 56], w=4)
+        seqs, norm = _mixed_length_batch([40, 56, 40, 40, 56])
         seqs[3].b[2] = 0.0
         config = HeadConfig("gru-l", d_g=4, warmup_length=4)
         with pytest.raises(WarmupError, match=r"sequence 3: .*warmup step 2"):
-            predict_window(config, init_head_params(config, 0), seqs, tasks, norm)
+            predict_window(config, init_head_params(config, 0), seqs, norm)
 
 
 # sha256 of init_head_params(HeadConfig(archetype, 8), [3, 0], precision), recorded

@@ -119,6 +119,14 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(lambda_w=-1.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("lr", np.inf), ("lr", np.nan), ("clip_norm", np.nan), ("clip_norm", np.inf),
+        ("lambda_w", np.nan), ("lambda_w", np.inf), ("patience", 0), ("patience", -1),
+    ])
+    def test_unusable_value_named(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            TrainConfig(**{name: value})
+
 
 class TestTrainLoop:
     def test_zero_learning_rate_keeps_params(self):
