@@ -4,7 +4,8 @@ Every artifact is staged by one writer, ``dataset.write_file`` (temp file +
 rename). Each command drops a ``.partial`` sentinel while running so
 interrupted runs are flagged, and writes a ``run_manifest.json`` capturing
 the command, the fully resolved configuration, input hashes, toolkit
-version, and output paths.
+version, the environment (Python, numpy, BLAS and its thread settings), and
+output paths.
 All nondeterministic values (timestamps, wall time) live in the manifest's
 single ``timing`` field, so identical inputs and ``--seed`` reproduce
 identical bytes everywhere else.
@@ -21,14 +22,17 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .dataset import (DataError, fmt, ingest_material, json_text, load_material, read_csv_dicts,
-                      read_json_object, split_dataset, write_file, write_rows)
+                      read_json_object, split_dataset, write_columns, write_file, write_rows)
 from .training import (SWEEP_COLUMNS, ConfigError, TrainConfig, TrainingError,
                        config_param_count, evaluate_sequences, load_checkpoint, pareto_sweep,
                        save_checkpoint, sweep_medians, train, write_sweep_csv)
@@ -37,6 +41,9 @@ from .heads import predict_window
 _SENTINEL = ".partial"
 #: Columns of the prediction CSVs that ``predict`` writes and ``plotdata`` reads.
 _PREDICTION_COLUMNS = ("k", "B", "H_true", "H_pred")
+#: Environment variables that set the BLAS thread count.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                     "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 class CliError(RuntimeError):
@@ -58,6 +65,14 @@ def _hash_path(path: Path) -> str:
     pairs = [(str(p.relative_to(path)), _hash_file(p))
              for p in sorted(path.rglob("*")) if p.is_file()]
     return hashlib.sha256(json.dumps(pairs).encode()).hexdigest()
+
+
+def _environment() -> dict:
+    """The interpreter, numpy and BLAS a run used, and the BLAS thread settings."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}}
 
 
 class OutputStage:
@@ -84,6 +99,7 @@ class OutputStage:
         manifest = {
             "command": self.command,
             "config": self.config,
+            "environment": _environment(),
             "input_hashes": {k: _hash_path(Path(v)) for k, v in sorted(self.inputs.items())},
             "outputs": sorted(self.outputs),
             "toolkit_version": __version__,
@@ -221,6 +237,15 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _require_warmup_fits(chosen, w: int, source: str) -> None:
+    """Refuse, before eval or predict stages anything, an (index, sequence) pair too short
+    for warmup ``w`` (taken from ``source``) plus two predicted samples."""
+    for i, seq in chosen:
+        if len(seq) < w + 2:
+            raise CliError(f"{source} {w} needs sequences of at least {w + 2} samples: "
+                           f"sequence {i} has {len(seq)}")
+
+
 def _checkpoint_split(args):
     """Opening of eval and predict: the checkpoint, its ``--split`` (an empty one is an
     error), and the config and inputs their manifests record."""
@@ -239,9 +264,10 @@ def _checkpoint_split(args):
 
 def cmd_eval(args) -> int:
     ckpt, sequences, config, inputs = _checkpoint_split(args)
+    head_cfg = ckpt.head_config()
+    _require_warmup_fits(enumerate(sequences), head_cfg.warmup_length, "checkpoint warmup")
     stage = OutputStage(args.out, "eval", config, inputs)
-    report = evaluate_sequences(ckpt.head_config(), ckpt.params, sequences, ckpt.norm,
-                                ckpt.precision)
+    report = evaluate_sequences(head_cfg, ckpt.params, sequences, ckpt.norm, ckpt.precision)
     report.write_json(stage.path("report.json"))
     report.write_csv(stage.path("report.csv"))
     stage.finish()
@@ -266,20 +292,17 @@ def cmd_predict(args) -> int:
             raise CliError(f"--warmup-len must be >= 1, got {args.warmup_len}")
         head_cfg = dataclasses.replace(head_cfg, warmup_length=args.warmup_len)
     w = head_cfg.warmup_length
-    for i, seq in chosen:
-        if len(seq) < w + 2:
-            raise CliError(f"--warmup-len {w} needs sequences of at least {w + 2} samples: "
-                           f"sequence {i} has {len(seq)}")
+    _require_warmup_fits(chosen, w, "checkpoint warmup" if args.warmup_len is None
+                         else "--warmup-len")
     stage = OutputStage(args.out, "predict",
                         {**config, "index": args.index, "warmup_len": w}, inputs)
     results = predict_window(head_cfg, ckpt.params, [seq for _, seq in chosen], ckpt.norm,
                              ckpt.precision)
     meta = {}
     for (i, seq), result in zip(chosen, results):
-        rows = [[k, fmt(seq.b[k]), fmt(seq.h[k]), fmt(pred)]
-                for k, pred in enumerate(result.pred, start=w)]
         name = f"predictions/seq_{i:05d}.csv"
-        write_rows(stage.path(name), _PREDICTION_COLUMNS, rows)
+        write_columns(stage.path(name), _PREDICTION_COLUMNS, w,
+                      [seq.b[w:], seq.h[w:], result.pred])
         meta[name] = {"tau_s": seq.tau_s, "k1": w, "k2": len(seq) - 1}
     write_file(stage.path("predictions_meta.json"), json_text(meta))
     stage.finish()

@@ -12,6 +12,16 @@ On-disk layout (one directory per material):
 * ``manifest.json`` — ``{"material": ..., "sequences": [...], "count": n}``
 * ``seq_XXXXX.csv`` — header ``k,B_T,H_Am``, one row per sample
 * ``seq_XXXXX.json`` — ``{"material", "temperature_C", "f_sw_Hz", "tau_s"}``
+
+Numeric tables are written and read a whole file at a time. A sequence or
+prediction CSV is formatted by one ``%`` operation (:func:`write_columns`);
+its bytes are those of the ``csv`` module writing each value with
+:func:`fmt`. The readers parse a file in one pass, one split and one
+``float`` conversion per column. A file that pass does not take cleanly
+(quotes, lone carriage returns, ragged or unparsable rows, non-finite
+values, undecodable bytes) goes to the ``csv`` module's row-by-row parser,
+which accepts the same files with the same values and is the only path
+that raises, naming the file and the row.
 """
 from __future__ import annotations
 
@@ -21,6 +31,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -253,9 +264,13 @@ def reversed_minibatches(sequences, subseq_len: int, batch_size: int, rng_seed,
 
 # -- artifact writing ---------------------------------------------------------
 
+#: The text of a float in every artifact.
+FLOAT_FORMAT = "%.9g"
+
+
 def fmt(x) -> str:
-    """The text of a float in every artifact: ``%.9g``."""
-    return f"{float(x):.9g}"
+    """The text of one float in an artifact (:data:`FLOAT_FORMAT`)."""
+    return FLOAT_FORMAT % float(x)
 
 
 def json_text(obj) -> str:
@@ -288,6 +303,23 @@ def write_rows(path: Path, header, rows) -> None:
     write_file(path, buf.getvalue())
 
 
+def write_columns(path: Path, header, start: int, columns) -> None:
+    """Write a numeric CSV artifact with :func:`write_file`: the integer index start,
+    start + 1, ... and one float column per array of ``columns`` (equal lengths).
+
+    For a header that needs no quoting, the bytes are those of :func:`write_rows`
+    with each float given by :func:`fmt`; one ``%`` operation builds the table.
+    """
+    width = len(columns) + 1
+    n = len(columns[0])
+    values = [0] * (n * width)
+    values[0::width] = range(start, start + n)
+    for j, column in enumerate(columns, start=1):
+        values[j::width] = np.asarray(column, dtype=np.float64).tolist()
+    row = "%d" + ("," + FLOAT_FORMAT) * len(columns) + "\r\n"
+    write_file(path, ",".join(header) + "\r\n" + row * n % tuple(values))
+
+
 def read_json(path: Path):
     """Parse a JSON file; malformed text raises :class:`DataError` naming the file."""
     try:
@@ -306,11 +338,13 @@ def read_json_object(path: Path) -> dict:
 
 # -- sequence file I/O -------------------------------------------------------
 
+SEQUENCE_HEADER = ("k", "B_T", "H_Am")
+
+
 def write_sequence(path: Path, seq: MeasuredSequence) -> None:
     """Write one sequence as CSV (k,B_T,H_Am) plus a JSON sidecar."""
     path = Path(path)
-    write_rows(path, ["k", "B_T", "H_Am"],
-               ([k, fmt(b), fmt(h)] for k, (b, h) in enumerate(zip(seq.b, seq.h))))
+    write_columns(path, SEQUENCE_HEADER, 0, [seq.b, seq.h])
     sidecar = {
         "material": seq.material_id,
         "temperature_C": seq.temperature_c,
@@ -333,6 +367,37 @@ def _csv_rows(path: Path):
         raise DataError(f"{path}: unreadable CSV: {exc}") from None
 
 
+def _plain_lines(path: Path) -> list[str] | None:
+    """The rows of a CSV file as lines, when splitting each at its commas gives the
+    fields the ``csv`` module reads; None for a file it must parse row by row.
+
+    A plain file is nonempty UTF-8 text without quotes, lone carriage returns or lines
+    over the ``csv`` field size limit. Its lines are split at ``\\n`` and ``\\r\\n``
+    only (not at the other line ends of ``str.splitlines``), and a final line end
+    starts no row.
+    """
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    text = text.replace("\r\n", "\n")
+    if not text or '"' in text or "\r" in text:
+        return None
+    lines = text.removesuffix("\n").split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    return lines
+
+
+def _floats(fields, count: int) -> np.ndarray | None:
+    """``float`` of each field, when every one converts to a finite number."""
+    try:
+        values = np.fromiter(map(float, fields), dtype=np.float64, count=count)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
 def read_csv_dicts(path: Path) -> list[tuple[int, dict]]:
     """(line number, header -> field) of each non-blank data row of a headed CSV.
 
@@ -352,13 +417,27 @@ def read_csv_dicts(path: Path) -> list[tuple[int, dict]]:
     return records
 
 
-def read_sequence(path: Path) -> MeasuredSequence:
-    """Read one canonical sequence CSV and its JSON sidecar."""
-    path = Path(path)
+def _sequence_columns(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The B and H columns of a sequence CSV, parsed in one pass when the file is
+    plain, well formed and finite, else by :func:`_sequence_rows`."""
+    lines = _plain_lines(path)
+    if (lines is not None and lines[0] == ",".join(SEQUENCE_HEADER)
+            and set(map(str.count, lines, repeat(","))) == {2}):
+        fields = ",".join(lines[1:]).split(",")  # k, B, H per row; k is not read
+        b = _floats(fields[1::3], len(lines) - 1)
+        h = _floats(fields[2::3], len(lines) - 1)
+        if b is not None and h is not None:
+            return b, h
+    return _sequence_rows(path)
+
+
+def _sequence_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The row-by-row parser behind :func:`_sequence_columns`; bad input raises
+    :class:`DataError` naming the file and the row."""
     b_vals, h_vals = [], []
     rows = _csv_rows(path)
     _, header = next(rows, (1, None))
-    if header is None or [c.strip() for c in header] != ["k", "B_T", "H_Am"]:
+    if header is None or [c.strip() for c in header] != list(SEQUENCE_HEADER):
         raise DataError(f"{path}: expected header 'k,B_T,H_Am', got {header}")
     for lineno, row in rows:
         try:
@@ -370,7 +449,14 @@ def read_sequence(path: Path) -> MeasuredSequence:
             raise DataError(f"{path}: non-finite value in row {lineno}: {row!r}")
         b_vals.append(b)
         h_vals.append(h)
-    if not any(h_vals):
+    return np.array(b_vals, dtype=np.float64), np.array(h_vals, dtype=np.float64)
+
+
+def read_sequence(path: Path) -> MeasuredSequence:
+    """Read one canonical sequence CSV and its JSON sidecar."""
+    path = Path(path)
+    b, h = _sequence_columns(path)
+    if not h.any():
         raise DataError(f"{path}: H is all zero")
     sidecar_path = path.with_suffix(".json")
     if not sidecar_path.exists():
@@ -388,7 +474,7 @@ def read_sequence(path: Path) -> MeasuredSequence:
             raise DataError(f"{sidecar_path}: non-finite {name}: {value!r}")
     try:
         return MeasuredSequence(
-            b=np.array(b_vals), h=np.array(h_vals),
+            b=b, h=h,
             temperature_c=numbers["temperature_C"],
             tau_s=numbers["tau_s"],
             material_id=str(meta.get("material", "")),
@@ -433,7 +519,23 @@ def list_materials(data_dir: Path) -> list[str]:
 
 # -- raw-layout adapters -----------------------------------------------------
 
-def _read_csv_matrix(path: Path) -> list[list[float]]:
+def _read_csv_matrix(path: Path) -> list[np.ndarray]:
+    """The rows of a numeric CSV matrix, parsed in one pass when the file is plain,
+    rectangular and finite, else by :func:`_matrix_rows`."""
+    lines = _plain_lines(path)
+    if lines is not None:
+        commas = set(map(str.count, lines, repeat(",")))
+        if len(commas) == 1:
+            width = commas.pop() + 1
+            values = _floats(",".join(lines).split(","), len(lines) * width)
+            if values is not None:
+                return list(values.reshape(len(lines), width))
+    return _matrix_rows(path)
+
+
+def _matrix_rows(path: Path) -> list[np.ndarray]:
+    """The row-by-row parser behind :func:`_read_csv_matrix`: blank rows are skipped,
+    and bad input raises :class:`DataError` naming the file and the row."""
     rows = []
     for lineno, row in _csv_rows(path):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -444,7 +546,7 @@ def _read_csv_matrix(path: Path) -> list[list[float]]:
             raise DataError(f"{path}: corrupt row {lineno}")
         if not all(map(math.isfinite, values)):
             raise DataError(f"{path}: non-finite value in row {lineno}")
-        rows.append(values)
+        rows.append(np.array(values, dtype=np.float64))
     return rows
 
 
@@ -471,14 +573,14 @@ def _adapt_magnetx(raw_dir: Path, material: str) -> list[MeasuredSequence]:
     for i, (b_row, h_row, t_row) in enumerate(zip(b_rows, h_rows, t_rows)):
         if len(b_row) != len(h_row):
             raise DataError(f"{raw_dir}: sequence {i}: B and H lengths differ")
-        if not any(h_row):
+        if not h_row.any():
             raise DataError(f"{raw_dir}: sequence {i}: H is all zero")
         sequences.append(MeasuredSequence(
-            b=np.array(b_row), h=np.array(h_row),
-            temperature_c=t_row[0],
-            tau_s=tau_rows[i][0] if tau_rows else DEFAULT_TAU_S,
+            b=b_row, h=h_row,
+            temperature_c=float(t_row[0]),
+            tau_s=float(tau_rows[i][0]) if tau_rows else DEFAULT_TAU_S,
             material_id=material,
-            f_sw_hz=f_rows[i][0] if f_rows else None,
+            f_sw_hz=float(f_rows[i][0]) if f_rows else None,
         ))
     return sequences
 

@@ -49,6 +49,12 @@ class TrainingError(RuntimeError):
     pass
 
 
+def _is_eta(value) -> bool:
+    """Whether ``value`` holds five finite positive numbers, the JA scale factors."""
+    return (isinstance(value, (list, tuple)) and len(value) == 5
+            and all(type(v) in (int, float) and 0 < v < np.inf for v in value))
+
+
 @dataclass
 class TrainConfig:
     archetype: str = "gru-p"
@@ -78,6 +84,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.lr < 0 or self.clip_norm <= 0:
             raise ConfigError("lr must be >= 0 and clip_norm > 0")
+        if not _is_eta(self.eta):
+            raise ConfigError(f"eta must be five finite positive numbers, got {self.eta!r}")
         if self.precision is None:
             self.precision = "double" if self._uses_ja() else "single"
         dtype_of(self.precision)
@@ -377,6 +385,8 @@ def load_checkpoint(json_path: Path) -> ModelCheckpoint:
         if not (type(value) in (int, float) and np.isfinite(value) and value > 0):
             raise bad(f"field 'norm.{key}' is not a positive number: {value!r}")
     tc = header["train_config"]
+    if not _is_eta(tc["eta"]):
+        raise bad(f"field 'train_config.eta' is not five finite positive numbers: {tc['eta']!r}")
     try:
         expected = init_params(TrainConfig(
             archetype=header["archetype"], d_g=int(tc["d_g"]),
@@ -390,7 +400,11 @@ def load_checkpoint(json_path: Path) -> ModelCheckpoint:
     names = [entry.get("name") for entry in layout]
     if len(names) != len(expected) or any(name not in names for name in expected):
         raise bad(f"field 'layout' lists {names}; train_config expects {sorted(expected)}")
-    blob = (json_path.parent / str(header["blob"])).read_bytes()
+    blob_name = header["blob"]
+    if not (isinstance(blob_name, str) and Path(blob_name).name == blob_name
+            and (json_path.parent / blob_name).is_file()):
+        raise bad(f"field 'blob' names no file beside it: {blob_name!r}")
+    blob = (json_path.parent / blob_name).read_bytes()
     if hashlib.sha256(blob).hexdigest() != header["blob_sha256"]:
         raise bad("blob hash mismatch")
     params = {}

@@ -9,9 +9,12 @@ Euler step as the fused steps' oracles, and two formulas (the per-sequence
 loss weighting and the anhysteretic curve) that the library computes only
 inside larger expressions. The Langevin and masked-select operations those
 references use are tape nodes defined here over the library's numpy
-Langevin helpers.
+Langevin helpers. Last, the ``csv`` module composition that wrote every
+numeric table before tables were formatted whole is the writer oracle.
 """
+import csv
 import hashlib
+import io
 import math
 
 import numpy as np
@@ -207,3 +210,17 @@ def tape_ja_step_euler(state, b_k, b_k1, phys):
     h_new = h + Tensor(db / MU0, dtype=h.data.dtype) * bracket
     m_new = Tensor(b_k1 / MU0, dtype=h.data.dtype) - h_new
     return JaState(h=h_new, m=m_new)
+
+
+# -- writer oracle -----------------------------------------------------------
+
+def csv_module_table(header, start, columns) -> bytes:
+    """The bytes of an index column from ``start`` and float columns as ``csv.writer``
+    writes them with each float as ``f"{float(x):.9g}"``: the reference for
+    ``dataset.write_columns``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([k] + [f"{float(v):.9g}" for v in row]
+                     for k, row in enumerate(zip(*columns), start=start))
+    return buf.getvalue().encode()

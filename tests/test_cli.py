@@ -5,6 +5,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -15,7 +17,7 @@ import pytest
 import hystkit.training as training
 from hystkit.autodiff import Tensor
 from hystkit.cli import _CONFIG_FIELDS, build_parser, main
-from hystkit.dataset import write_material
+from hystkit.dataset import MeasuredSequence, write_material
 from hystkit.synth import generate_ja_dataset
 
 
@@ -322,11 +324,26 @@ class TestEvalPredict:
             outs.append(out)
         assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
         assert (outs[0] / "report.csv").read_bytes() == (outs[1] / "report.csv").read_bytes()
-        m1 = json.loads((outs[0] / "run_manifest.json").read_text())
-        m2 = json.loads((outs[1] / "run_manifest.json").read_text())
-        m1.pop("timing")
-        m2.pop("timing")
-        assert m1 == m2
+        # the manifests differ only in their timing entry, byte for byte
+        texts = [re.sub(r'"timing": \{[^}]*\}', '"timing": {}',
+                        (out / "run_manifest.json").read_text()) for out in outs]
+        assert texts[0] == texts[1]
+        env = json.loads(texts[0])["environment"]
+        assert (env["python"], env["numpy"]) == (platform.python_version(), np.__version__)
+        assert isinstance(env["blas"]["name"], str) and isinstance(env["blas"]["version"], str)
+        assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_sequence_shorter_than_warmup_refused(self, trained, tmp_path, capsys, command):
+        write_material(tmp_path / "data", "short", generate_ja_dataset(3, 5, seed=2))
+        out = tmp_path / "out"
+        rc = main([command, "--data", str(tmp_path / "data"), "--material", "short",
+                   "--checkpoint", str(trained / "model.json"), "--split", "all",
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: checkpoint warmup 4 needs sequences of at "
+                                           "least 6 samples: sequence 0 has 5\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["format_version", "archetype", "seed", "norm",
                                      "train_config", "layout", "blob", "blob_sha256"])
@@ -383,6 +400,44 @@ class TestEvalPredict:
         rc = main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eta", [[float("nan")] * 5, [1, 2], "abc", 3, None,
+                                     [1, 2, 3, 4, -5], ["1", "2", "3", "4", "5"]])
+    def test_unusable_eta_named(self, dataset_dir, trained, tmp_path, capsys, eta):
+        run = tmp_path / "run"
+        shutil.copytree(trained, run)
+        header = json.loads((run / "model.json").read_text())
+        header["train_config"]["eta"] = eta
+        (run / "model.json").write_text(json.dumps(header))
+        out = tmp_path / "out"
+        rc = main(["eval", "--data", str(dataset_dir), "--checkpoint", str(run / "model.json"),
+                   "--split", "all", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {run / 'model.json'}: checkpoint field 'train_config.eta' ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("blob", [3, None, "", ".", "..", "missing.bin", "../model.bin",
+                                      "sub/model.bin", "absolute"])
+    def test_blob_outside_checkpoint_dir_refused(self, dataset_dir, trained, tmp_path, capsys,
+                                                 blob):
+        run = tmp_path / "run"
+        shutil.copytree(trained, run)
+        for where in (tmp_path, run / "sub"):  # the right bytes, in the wrong place
+            where.mkdir(exist_ok=True)
+            shutil.copy(trained / "model.bin", where / "model.bin")
+        if blob == "absolute":
+            blob = str(tmp_path / "model.bin")
+        header = json.loads((run / "model.json").read_text())
+        header["blob"] = blob
+        (run / "model.json").write_text(json.dumps(header))
+        out = tmp_path / "out"
+        rc = main(["eval", "--data", str(dataset_dir), "--checkpoint", str(run / "model.json"),
+                   "--split", "all", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: {run / 'model.json'}: checkpoint field "
+                                           f"'blob' names no file beside it: {blob!r}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("mutate, field", [
         (lambda h: h["layout"][0].pop("offset"), "layout entry"),
@@ -556,6 +611,8 @@ class TestEntryPoint:
                  "--batch-size", "4", "--warmup-len", "4", "--seed", "0"],
                 env=dict(os.environ, OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
+            env = json.loads((out / "run_manifest.json").read_text())["environment"]
+            assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == threads
             outs.append(out)
         for name in ("model.bin", "train_log.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
@@ -563,6 +620,14 @@ class TestEntryPoint:
 
 def _sha(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _tree_sha(root) -> tuple[int, str]:
+    """The file count under ``root`` and one sha256 over (file, sha256) of every file but
+    the run manifest."""
+    files = {p.relative_to(root).as_posix(): _sha(p) for p in sorted(root.rglob("*"))
+             if p.is_file() and p.name != "run_manifest.json"}
+    return len(files), hashlib.sha256(json.dumps(files).encode()).hexdigest()
 
 
 class TestArtifactBytesPinned:
@@ -632,6 +697,33 @@ class TestArtifactBytesPinned:
                  if p.is_file() and p.name != "run_manifest.json"}
         assert len(files) == n_files
         assert hashlib.sha256(json.dumps(files).encode()).hexdigest() == sha
+
+    # recorded before sequence and prediction tables were formatted and parsed whole;
+    # the last sequence holds signed zero, the smallest subnormal, +-max and a value
+    # whose 9-digit text rounds
+    def test_write_material(self, tmp_path):
+        edges = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 123456789.5]
+        seqs = generate_ja_dataset(4, 64, seed=3) + [
+            MeasuredSequence(b=edges, h=edges[::-1], temperature_c=-40.0, f_sw_hz=5e4)]
+        write_material(tmp_path, "synthC", seqs)
+        assert _tree_sha(tmp_path) == (
+            11, "696f145b15b00cdadb52c084c956fdf06a79343ec0b6f2756b9568a3fb32ebf2")
+
+    def test_ingest_magnetx(self, tmp_path):
+        raw = tmp_path / "raw" / "synthX"
+        raw.mkdir(parents=True)
+        seqs = generate_ja_dataset(5, 64, seed=4)
+        for name, matrix in {"B_waveform[T].csv": [s.b for s in seqs],
+                             "H_waveform[Am-1].csv": [s.h for s in seqs],
+                             "Temperature[C].csv": [[s.temperature_c] for s in seqs],
+                             "Frequency[Hz].csv": [[s.f_sw_hz] for s in seqs],
+                             "Sampling_Time[s].csv": [[s.tau_s] for s in seqs]}.items():
+            np.savetxt(raw / name, np.array(matrix), delimiter=",", fmt="%.9g")
+        out = tmp_path / "data"
+        assert main(["ingest", "--raw", str(tmp_path / "raw"), "--out", str(out),
+                     "--adapter", "magnetx"]) == 0
+        assert _tree_sha(out) == (
+            12, "1ba709956e417fde3d735034b3e4cbecdce2ca87f489fd732163a973fd7705a9")
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 """Data pipeline tests: normalization, features, batching, splits, file I/O."""
+import csv
 import json
 import os
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import hystkit.dataset as dataset
+from conftest import csv_module_table
 from hystkit.dataset import (
     DataError,
     MeasuredSequence,
@@ -15,6 +18,7 @@ from hystkit.dataset import (
     detect_adapter,
     feature_rows,
     featurize,
+    fmt,
     ingest_material,
     list_materials,
     load_material,
@@ -22,9 +26,13 @@ from hystkit.dataset import (
     read_sequence,
     reversed_minibatches,
     split_dataset,
+    write_columns,
     write_material,
     write_sequence,
+    _matrix_rows,
     _read_csv_matrix,
+    _sequence_columns,
+    _sequence_rows,
 )
 from hystkit.cli import build_parser
 from hystkit.metrics import MetricReport
@@ -370,6 +378,132 @@ class TestReaderFuzz:
         path.write_text("\n".join(lines))
         self._read(_read_csv_matrix, path)
 
+
+def _outcome(parse, path):
+    """(dtype, shape, bytes) of each array a parser returns, or its DataError text."""
+    try:
+        arrays = parse(path)
+    except DataError as exc:
+        return str(exc)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestOnePassMatchesRowLoop:
+    """The one-pass parsers and the row loops behind them accept the same files with
+    bit-identical arrays, and raise the same DataError text for the rest."""
+
+    @staticmethod
+    def _agree(path):
+        if path.name == "s.csv":
+            assert _outcome(_sequence_columns, path) == _outcome(_sequence_rows, path)
+        else:
+            assert _outcome(_read_csv_matrix, path) == _outcome(_matrix_rows, path)
+
+    @_FUZZ
+    @given(edits=_BYTE_EDITS)
+    def test_sequence_bytes(self, tmp_path, edits):
+        path = tmp_path / "s.csv"
+        write_sequence(path, ramp_sequence(n=6))
+        path.write_bytes(_corrupt_bytes(path.read_bytes(), edits))
+        self._agree(path)
+
+    @_FUZZ
+    @given(row=st.integers(0, 6), text=_ROW_TEXT)
+    def test_sequence_rows(self, tmp_path, row, text):
+        path = tmp_path / "s.csv"
+        write_sequence(path, ramp_sequence(n=6))
+        lines = path.read_text().splitlines()
+        lines[row] = text
+        path.write_text("\n".join(lines) + "\n")
+        self._agree(path)
+
+    @_FUZZ
+    @given(edits=_BYTE_EDITS)
+    def test_matrix_bytes(self, tmp_path, edits):
+        path = tmp_path / "B_waveform[T].csv"
+        path.write_bytes(_corrupt_bytes(b"0.1,0.2,0.3\n-0.1,-0.2,-0.3\n", edits))
+        self._agree(path)
+
+    @_FUZZ
+    @given(row=st.integers(0, 2), text=_ROW_TEXT)
+    def test_matrix_rows(self, tmp_path, row, text):
+        path = tmp_path / "B_waveform[T].csv"
+        lines = ["0.1,0.2,0.3", "-0.1,-0.2,-0.3", ""]
+        lines[row] = text
+        path.write_text("\n".join(lines))
+        self._agree(path)
+
+    @pytest.mark.parametrize("text", [
+        "k,B_T,H_Am\n0,1,2,3\n1,2\n",  # six fields, but not three per row
+        "k,B_T,H_Am\r\n0, 1_0 ,2\r\n1,3,\x0c4\n",  # float() strips and takes digit groups
+        "k,B_T,H_Am\n0,1,2\x0b3\n1,2\u20283,4\n",  # line ends of str.splitlines only
+        "k,B_T,H_Am\n0,1,2\r1,3,4\n",  # a lone carriage return ends a csv row
+        "k,B_T,H_Am\n0,1,2\r\r\n1,3,4\n",  # ... and one before \r\n starts a blank row
+        'k,B_T,H_Am\n0,"1",2\n1,3,4\n',  # quoting
+        'k,B_T,H_Am\n"0,1,2\n",3,4\n',  # a quoted line end inside the unread k field
+        "k,B_T,H_Am\n0,1,2\n\n1,3,4\n",  # blank row
+        " k ,B_T,H_Am\nx,1,2\ny,3,4",  # padded header, no final line end
+        "k,B_T,H_Am\n",
+    ])
+    def test_sequence_edge_cases(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_text(text, newline="")
+        self._agree(path)
+
+    @pytest.mark.parametrize("text", [
+        "0,1,2,3\n1,2\n1,2\n", "0.1,0.2\n\n0.3,0.4\n", "0.1\n \n0.2\n", "\n", "",
+        "0.1,0.2,0.3\n0.4,0.5\n", "1_0,2\r\n3,4", "1,2\r3,4\n", "1,nan\n", "1,\u2028\n",
+    ])
+    def test_matrix_edge_cases(self, tmp_path, text):
+        path = tmp_path / "B_waveform[T].csv"
+        path.write_text(text, newline="")
+        self._agree(path)
+
+    def test_field_over_csv_limit(self, tmp_path):
+        pad = " " * csv.field_size_limit()  # float() strips it; the csv module refuses it
+        (tmp_path / "s.csv").write_text(f"k,B_T,H_Am\n{pad}0,1,2\n1,3,4\n")
+        (tmp_path / "B_waveform[T].csv").write_text(f"{pad}1,2\n3,4\n")
+        for path in tmp_path.iterdir():
+            self._agree(path)
+            with pytest.raises(DataError, match="field larger than field limit"):
+                (read_sequence if path.name == "s.csv" else _read_csv_matrix)(path)
+
+    def test_written_files_take_one_pass(self, tmp_path, monkeypatch):
+        write_sequence(tmp_path / "s.csv", ramp_sequence(n=20))
+        (tmp_path / "m.csv").write_text("0.1,0.2,0.3\r\n-0.1,-0.2,-0.3\r\n")
+        for name in ("_sequence_rows", "_matrix_rows"):
+            monkeypatch.setattr(dataset, name, None)
+        assert len(read_sequence(tmp_path / "s.csv")) == 20
+        assert [row.tolist() for row in _read_csv_matrix(tmp_path / "m.csv")] == [
+            [0.1, 0.2, 0.3], [-0.1, -0.2, -0.3]]
+
+
+class TestTableWriter:
+    EDGES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 123456789.5,
+             float("nan"), float("inf"), -float("inf"), 1e16, 1e-5]
+
+    def test_fmt_edges(self):
+        assert [fmt(v) for v in self.EDGES] == [f"{v:.9g}" for v in self.EDGES]
+
+    @pytest.mark.parametrize("start", [0, 16])
+    def test_matches_csv_module(self, tmp_path, start):
+        rng = np.random.default_rng(start)
+        columns = [np.array(self.EDGES), rng.standard_normal(len(self.EDGES)) * 1e3,
+                   rng.standard_normal(len(self.EDGES)).astype(np.float32)]
+        header = ["k", "B", "H_true", "H_pred"]
+        write_columns(tmp_path / "t.csv", header, start, columns)
+        assert (tmp_path / "t.csv").read_bytes() == csv_module_table(header, start, columns)
+
+    def test_sequence_matches_csv_module(self, tmp_path):
+        seq = ramp_sequence(n=64)
+        write_sequence(tmp_path / "s.csv", seq)
+        assert (tmp_path / "s.csv").read_bytes() == csv_module_table(
+            ["k", "B_T", "H_Am"], 0, [seq.b, seq.h])
+
+    def test_unequal_columns_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_columns(tmp_path / "t.csv", ["k", "a", "b"], 0, [np.ones(3), np.ones(2)])
+        assert not list(tmp_path.iterdir())
 
 
 class TestAdapters:
