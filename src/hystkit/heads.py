@@ -36,6 +36,7 @@ from .cells import LSTM_ARCHETYPES, GruParams, LstmParams, gru_step, lstm_step
 from .dataset import DataError, MiniBatch, NormConstants
 from .physics import (
     DEFAULT_ETA,
+    is_eta,
     ja_initial_state,
     ja_params_from_theta,
     ja_step_euler,
@@ -80,6 +81,8 @@ class HeadConfig:
             raise HeadError(f"unknown archetype {self.archetype!r}")
         if self.warmup_length < 1:
             raise HeadError("warmup_length must be >= 1")
+        if not is_eta(self.eta):
+            raise HeadError(f"eta must be five finite positive numbers, got {self.eta!r}")
         if self.archetype == "gru-v":
             side = np.sqrt(self.d_g / 2.0)
             if side != int(side) or int(side) < 2:

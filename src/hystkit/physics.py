@@ -18,8 +18,11 @@ are trainable, which keeps the whole prediction differentiable.
 
 Everything here runs on the tape engine, so gradients flow through entire
 rollouts. A JA Euler step is one tape node with an analytic backward, built
-on a pure-numpy kernel that ``synth`` also calls directly. JA-hybrid
-training requires double precision.
+on a pure-numpy kernel that ``synth`` also calls directly. The sigmoid map
+from unconstrained values to the five parameters is one more node, shared
+by every step that uses the parameters: the Euler node hands it the five
+parameter gradients as one array. JA-hybrid training requires double
+precision.
 """
 from __future__ import annotations
 
@@ -33,10 +36,10 @@ from .autodiff import (
     Tensor,
     _accum,
     _node,
+    _sigmoid,
     _unbroadcast,
     matmul,
     reshape,
-    sigmoid,
     sqrt,
     tsum,
 )
@@ -66,13 +69,24 @@ class SingularityError(PhysicsError):
 
 @dataclass
 class JaPhysical:
-    """The five physical JA parameters, each a Tensor (rows, 1) or scalar."""
+    """The five physical JA parameters and, when they were mapped, their source node.
+
+    Each parameter is a Tensor, array or float that broadcasts against the
+    state: (rows, 1) per row, or (1, 1) or a scalar shared by all rows. A
+    Tensor parameter that requires a gradient receives one from the Euler
+    step. :func:`ja_params_from_theta` fills the parameters with frozen
+    (rows, 1) Tensors and sets ``z``, the same five columns as one (rows, 5)
+    tape node over the unconstrained ``theta``; the Euler step sends the
+    parameters' gradient to ``z`` in one array, and ``z`` maps it to
+    ``theta``.
+    """
 
     m_s: object
     a: object
     alpha_w: object
     k_p: object
     c: object
+    z: Tensor | None = None
 
 
 @dataclass
@@ -83,49 +97,83 @@ class JaState:
     m: Tensor
 
 
+def is_eta(value) -> bool:
+    """Whether ``value`` holds five finite positive numbers, the JA scale factors."""
+    return (isinstance(value, (list, tuple)) and len(value) == 5
+            and all(type(v) in (int, float) and 0 < v < np.inf for v in value))
+
+
 def ja_params_from_theta(theta: Tensor, eta=DEFAULT_ETA) -> JaPhysical:
     """Map unconstrained values to physical parameters: z_i = eta_i * sigmoid(theta_i).
 
-    ``theta`` is (rows, 5); each returned component is (rows, 1).
+    ``theta`` is (rows, >= 5) and only its first five columns are read, so
+    gru-jadp passes its whole hidden state. Each returned component is a
+    frozen (rows, 1) Tensor; the map is one tape node, ``z``, whose backward
+    scatters into those five columns as a slice node would.
     """
-    eta = np.asarray(eta, dtype=np.float64)
-    if np.any(eta <= 0):
-        raise PhysicsError("eta scaling factors must be positive")
-    if theta.data.ndim != 2 or theta.data.shape[1] != 5:
-        raise PhysicsError(f"theta must be (rows, 5), got {theta.data.shape}")
-    z = sigmoid(theta) * Tensor(eta.reshape(1, 5), dtype=theta.data.dtype)
-    return JaPhysical(*(z[:, i:i + 1] for i in range(5)))
+    if not is_eta(eta):
+        raise PhysicsError(f"eta must be five finite positive numbers, got {eta!r}")
+    if theta.data.ndim != 2 or theta.data.shape[1] < 5:
+        raise PhysicsError(f"theta must be (rows, >= 5), got {theta.data.shape}")
+    eta_row = np.asarray(eta, dtype=np.float64).reshape(1, 5).astype(theta.data.dtype)
+    sig = _sigmoid(theta.data[:, :5])
+    z = sig * eta_row
+
+    def backward(g):
+        # scale, then sigmoid derivative, left to right: the bytes of the map
+        # composed as a multiply node over a sigmoid node
+        g_theta = ((g * eta_row) * sig) * (1.0 - sig)
+        if theta.data.shape[1] != 5:
+            full = np.zeros_like(theta.data)
+            full[:, :5] = g_theta
+            g_theta = full
+        _accum(theta, g_theta)
+
+    columns = z.T.copy()  # contiguous, for the Euler kernel's elementwise work
+    return JaPhysical(*(Tensor(columns[i, :, None]) for i in range(5)),
+                      z=_node(z, (theta,), backward))
 
 
 # -- Jiles-Atherton Euler step ------------------------------------------------
 # The Langevin function L(x) = coth(x) - 1/x and its first two derivatives.
 # Below |x| < _LANGEVIN_CUT each switches to its Taylor series, so values and
-# gradients stay exact near 0.
+# gradients stay exact near 0. The three share one coth, and each computes
+# its series only when some element is below the cutoff.
 
-def _langevin_val(x):
+def _langevin_parts(x):
+    """(mask of the series elements or None, argument with those set to 1, its coth)."""
     small = np.abs(x) < _LANGEVIN_CUT
+    if not small.any():
+        return None, x, 1.0 / np.tanh(x)
     safe = np.where(small, 1.0, x)
-    direct = 1.0 / np.tanh(safe) - 1.0 / safe
+    return small, safe, 1.0 / np.tanh(safe)
+
+
+def _langevin_val(x, parts=None):
+    small, safe, c = _langevin_parts(x) if parts is None else parts
+    direct = c - 1.0 / safe
+    if small is None:
+        return direct
     x2 = x * x
     series = x * (1.0 / 3.0 + x2 * (-1.0 / 45.0 + x2 * (2.0 / 945.0 - x2 / 4725.0)))
     return np.where(small, series, direct)
 
 
-def _langevin_d1(x):
-    small = np.abs(x) < _LANGEVIN_CUT
-    safe = np.where(small, 1.0, x)
-    c = 1.0 / np.tanh(safe)
+def _langevin_d1(x, parts=None):
+    small, safe, c = _langevin_parts(x) if parts is None else parts
     direct = 1.0 - c * c + 1.0 / (safe * safe)
+    if small is None:
+        return direct
     x2 = x * x
     series = 1.0 / 3.0 + x2 * (-1.0 / 15.0 + x2 * (2.0 / 189.0 - x2 / 675.0))
     return np.where(small, series, direct)
 
 
-def _langevin_d2(x):
-    small = np.abs(x) < _LANGEVIN_CUT
-    safe = np.where(small, 1.0, x)
-    c = 1.0 / np.tanh(safe)
+def _langevin_d2(x, parts=None):
+    small, safe, c = _langevin_parts(x) if parts is None else parts
     direct = 2.0 * c * (c * c - 1.0) - 2.0 / (safe * safe * safe)
+    if small is None:
+        return direct
     x2 = x * x
     series = x * (-2.0 / 15.0 + x2 * (8.0 / 189.0 - x2 * (2.0 / 225.0)))
     return np.where(small, series, direct)
@@ -135,6 +183,7 @@ class JaStepTerms(NamedTuple):
     """One Euler step's intermediates, kept for the hand-written backward."""
 
     x: np.ndarray        # effective field over the form factor, (H + alpha_w M) / a
+    parts: tuple         # _langevin_parts(x), shared by L, L' and L''
     lv: np.ndarray       # Langevin L(x)
     ld: np.ndarray       # L'(x)
     dman: np.ndarray     # dM_an/dH_e = (M_s / a) L'(x)
@@ -159,31 +208,34 @@ def ja_euler_kernel(h, m, b_k, b_k1, m_s, a, alpha_w, k_p, c):
     """
     dt = h.dtype
     db = np.asarray(b_k1, dtype=np.float64) - np.asarray(b_k, dtype=np.float64)
-    delta = np.broadcast_to(np.sign(db), m.shape).astype(dt)
+    delta = np.empty(m.shape, dtype=dt)
+    delta[...] = np.sign(db)
     x = (h + alpha_w * m) / a
-    lv = _langevin_val(x)
-    ld = _langevin_d1(x)
+    parts = _langevin_parts(x)
+    lv = _langevin_val(x, parts)
+    ld = _langevin_d1(x, parts)
     m_an = m_s * lv
     dman = (m_s / a) * ld
-    gate = np.ones_like(delta)
-    gate[(delta < 0) & (m_an > m)] = 0.0
-    gate[(delta > 0) & (m_an < m)] = 0.0
-    num = gate * (m_an - m) + c * k_p * delta * dman
+    diff = m_an - m
+    # closed where M lies beyond M_an in the drive direction: delta and
+    # M_an - M of opposite signs (a NaN difference leaves the gate open)
+    gate = (~(delta * diff < 0)).astype(dt)
+    num = gate * diff + c * k_p * delta * dman
     den = k_p * delta - alpha_w * num
     active = delta != 0.0
-    if np.any(active):
-        smallest = np.min(np.abs(den[active]))
-        if smallest < _DENOM_FLOOR:
-            raise SingularityError(f"JA denominator magnitude {smallest:.3e} below {_DENOM_FLOOR}")
     den_safe = np.where(active, den, 1.0)
+    smallest = np.abs(den_safe).min()  # inactive elements read 1, above the floor
+    if smallest < _DENOM_FLOOR:
+        raise SingularityError(f"JA denominator magnitude {smallest:.3e} below {_DENOM_FLOOR}")
     r = np.where(active, num / den_safe, 0.0)
     one_plus = r + 1.0
-    if np.min(np.abs(one_plus)) < 1e-12:
+    if np.abs(one_plus).min() < 1e-12:
         raise SingularityError("dM/dH = -1 pole in the Euler bracket")
     bracket = 1.0 - r / one_plus
     step = (db / MU0).astype(dt)
     h_new = h + step * bracket
-    return h_new, JaStepTerms(x, lv, ld, dman, delta, gate, den_safe, r, one_plus, bracket, step)
+    return h_new, JaStepTerms(x, parts, lv, ld, dman, delta, gate, den_safe, r, one_plus, bracket,
+                              step)
 
 
 def ja_step_euler(state: JaState, b_k, b_k1, phys: JaPhysical) -> JaState:
@@ -195,9 +247,10 @@ def ja_step_euler(state: JaState, b_k, b_k1, phys: JaPhysical) -> JaState:
     B = mu0 * (H + M) after the update.
 
     H_{k+1} is one tape node whose backward is the analytic derivative with
-    respect to H, M and every physical parameter that is a Tensor (the
-    others are constants); the gate and the delta == 0 mask are piecewise
-    constant. M_{k+1} = B_{k+1} / mu0 - H_{k+1} is a second node.
+    respect to H, M and every physical parameter that is a Tensor requiring
+    a gradient (the others are constants), and to ``phys.z`` when it is set;
+    the gate and the delta == 0 mask are piecewise constant.
+    M_{k+1} = B_{k+1} / mu0 - H_{k+1} is a second node.
     """
     h, m = state.h, state.m
     dt = h.data.dtype
@@ -207,30 +260,40 @@ def ja_step_euler(state: JaState, b_k, b_k1, phys: JaPhysical) -> JaState:
     vals = [np.asarray(v.data if isinstance(v, Tensor) else v, dtype=dt) for v in fields]
     h_new, t = ja_euler_kernel(h.data, m.data, b_k, b_k1, *vals)
     m_s, a, alpha_w, k_p, c = vals
+    z = phys.z
+    leaves = tuple(f for f in (*fields, z) if isinstance(f, Tensor) and f.requires_grad)
 
     def backward(g):
         # h_new = h + step * (1 - r / (1 + r)); d(bracket)/dr = -bracket / (1 + r).
         # step is 0 wherever delta is, so g_r needs no mask.
         g_r = -(g * t.step) * t.bracket / t.one_plus
         g_num = g_r * (1.0 + alpha_w * t.r) / t.den_safe
+        g_gated = g_num * t.gate
         g_dman = g_num * (c * k_p * t.delta)
         # g_e: gradient of the effective field H + alpha_w * M
-        g_e = (g_num * t.gate * m_s * t.ld + g_dman * (m_s / a) * _langevin_d2(t.x)) / a
+        g_e = (g_gated * m_s * t.ld + g_dman * (m_s / a) * _langevin_d2(t.x, t.parts)) / a
+        if h.requires_grad:
+            _accum(h, _unbroadcast(g + g_e, h.data.shape))
+        if m.requires_grad:
+            _accum(m, _unbroadcast(g_e * alpha_w - g_gated, m.data.shape))
+        if not leaves:
+            return
         partials = (
-            (h, lambda: g + g_e),
-            (m, lambda: g_e * alpha_w - g_num * t.gate),
-            (phys.m_s, lambda: g_num * t.gate * t.lv + g_dman * t.ld / a),
-            (phys.a, lambda: -(g_e * t.x + g_dman * t.dman / a)),
-            (phys.alpha_w, lambda: g_r * t.r * t.r + g_e * m.data),
-            (phys.k_p, lambda: (g_num * c * t.dman - g_r * t.r / t.den_safe) * t.delta),
-            (phys.c, lambda: g_num * k_p * t.delta * t.dman),
+            g_gated * t.lv + g_dman * t.ld / a,
+            -(g_e * t.x + g_dman * t.dman / a),
+            g_r * t.r * t.r + g_e * m.data,
+            (g_num * c * t.dman - g_r * t.r / t.den_safe) * t.delta,
+            g_num * k_p * t.delta * t.dman,
         )
-        for leaf, partial in partials:
-            if isinstance(leaf, Tensor) and leaf.requires_grad:
-                _accum(leaf, _unbroadcast(partial(), leaf.data.shape))
+        for field, partial in zip(fields, partials):
+            if isinstance(field, Tensor) and field.requires_grad:
+                _accum(field, _unbroadcast(partial, field.data.shape))
+        if z is not None and z.requires_grad:
+            col = (z.data.shape[0], 1)
+            # + 0.0 turns -0 into +0, as a zero-filled scatter per column would
+            _accum(z, np.concatenate([_unbroadcast(p, col) for p in partials], axis=1) + 0.0)
 
-    parents = (h, m) + tuple(f for f in fields if isinstance(f, Tensor))
-    h_node = _node(h_new, parents, backward)
+    h_node = _node(h_new, (h, m) + leaves, backward)
     m_new = Tensor(np.asarray(b_k1, dtype=np.float64) / MU0, dtype=dt) - h_node
     return JaState(h=h_node, m=m_new)
 
@@ -251,7 +314,7 @@ def gru_jadp_step(x: Tensor, g_prev: Tensor, gru_params: GruParams, eta,
     if g_prev.data.shape[1] < 5:
         raise PhysicsError("gru-jadp needs a hidden size of at least 5")
     g = gru_step(x, g_prev, gru_params)
-    phys = ja_params_from_theta(g[:, 0:5], eta)
+    phys = ja_params_from_theta(g, eta)
     return ja_step_euler(ja_state, b_k, b_k1, phys), g
 
 

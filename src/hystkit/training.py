@@ -26,7 +26,8 @@ from .dataset import (MiniBatch, NormConstants, compute_norm_constants, fmt, jso
 from .heads import (JA_FAMILY, HeadConfig, init_head_params, inputs_from_batch, predict_window,
                     rollout, wrap_params)
 from .metrics import MetricReport, batch_mean, mae, mse, sre, nere, wce, weighted_loss_rows
-from .physics import DEFAULT_ETA, ja_params_from_theta, pinn_ja_residual, preisach_predict
+from .physics import (DEFAULT_ETA, is_eta, ja_params_from_theta, pinn_ja_residual,
+                      preisach_predict)
 
 CHECKPOINT_FORMAT_VERSION = 1
 #: Adam's moment decay rates and denominator guard.
@@ -47,12 +48,6 @@ class ConfigError(ValueError):
 
 class TrainingError(RuntimeError):
     pass
-
-
-def _is_eta(value) -> bool:
-    """Whether ``value`` holds five finite positive numbers, the JA scale factors."""
-    return (isinstance(value, (list, tuple)) and len(value) == 5
-            and all(type(v) in (int, float) and 0 < v < np.inf for v in value))
 
 
 @dataclass
@@ -84,7 +79,7 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.lr < 0 or self.clip_norm <= 0:
             raise ConfigError("lr must be >= 0 and clip_norm > 0")
-        if not _is_eta(self.eta):
+        if not is_eta(self.eta):
             raise ConfigError(f"eta must be five finite positive numbers, got {self.eta!r}")
         if self.precision is None:
             self.precision = "double" if self._uses_ja() else "single"
@@ -315,8 +310,8 @@ class ModelCheckpoint:
 
     def head_config(self) -> HeadConfig:
         tc = self.train_config
-        return HeadConfig(archetype=self.archetype, d_g=int(tc["d_g"]),
-                          warmup_length=int(tc["warmup_length"]), eta=tuple(tc["eta"]))
+        return HeadConfig(archetype=self.archetype, d_g=tc["d_g"],
+                          warmup_length=tc["warmup_length"], eta=tuple(tc["eta"]))
 
     def count_params(self) -> int:
         return int(sum(v.size for v in self.params.values()))
@@ -385,13 +380,19 @@ def load_checkpoint(json_path: Path) -> ModelCheckpoint:
         if not (type(value) in (int, float) and np.isfinite(value) and value > 0):
             raise bad(f"field 'norm.{key}' is not a positive number: {value!r}")
     tc = header["train_config"]
-    if not _is_eta(tc["eta"]):
+    if type(header["seed"]) is not int:
+        raise bad(f"field 'seed' is not an integer: {header['seed']!r}")
+    if not is_eta(tc["eta"]):
         raise bad(f"field 'train_config.eta' is not five finite positive numbers: {tc['eta']!r}")
     try:
+        for key in ("d_g", "warmup_length"):
+            if type(tc[key]) is not int:
+                raise ConfigError(f"{key} must be an integer, got {tc[key]!r}")
+        if type(tc["lambda_w"]) not in (int, float):
+            raise ConfigError(f"lambda_w must be a number, got {tc['lambda_w']!r}")
         expected = init_params(TrainConfig(
-            archetype=header["archetype"], d_g=int(tc["d_g"]),
-            warmup_length=int(tc["warmup_length"]), eta=tuple(tc["eta"]),
-            precision=tc["precision"], lambda_w=float(tc["lambda_w"])))
+            archetype=header["archetype"], d_g=tc["d_g"], warmup_length=tc["warmup_length"],
+            eta=tuple(tc["eta"]), precision=tc["precision"], lambda_w=tc["lambda_w"]))
     except (TypeError, ValueError) as exc:
         raise bad(f"field 'train_config' describes no model: {exc}") from None
     layout = header["layout"]

@@ -4,12 +4,12 @@ The scalar cell steps are deliberately written as pure-Python loops (math
 module, no numpy vectorization) so they share nothing with the library's
 compute path beyond the formulas themselves; the scalar hysteron update
 is the reference for the vectorized Preisach states. The tape references
-below them compose engine primitives: the cell steps and the Jiles-Atherton
-Euler step as the fused steps' oracles, and two formulas (the per-sequence
-loss weighting and the anhysteretic curve) that the library computes only
-inside larger expressions. The Langevin and masked-select operations those
-references use are tape nodes defined here over the library's numpy
-Langevin helpers. Last, the ``csv`` module composition that wrote every
+below them compose engine primitives: the cell steps, the Jiles-Atherton
+Euler step and its parameter map as the fused nodes' oracles, and two
+formulas (the per-sequence loss weighting and the anhysteretic curve) that
+the library computes only inside larger expressions. The Langevin and
+masked-select operations those references use are tape nodes defined here
+over the library's numpy Langevin helpers. Last, the ``csv`` module composition that wrote every
 numeric table before tables were formatted whole is the writer oracle.
 """
 import csv
@@ -25,6 +25,7 @@ from hystkit.physics import (
     HYSTERON_SHARPNESS,
     MU0,
     _DENOM_FLOOR,
+    JaPhysical,
     JaState,
     SingularityError,
     _langevin_d1,
@@ -174,6 +175,14 @@ def ja_m_an(h_e, m_s, a):
     """Anhysteretic magnetization M_s * (coth(H_e/a) - a/H_e) on the tape."""
     x = h_e / a if isinstance(h_e, Tensor) else Tensor(np.asarray(h_e, dtype=np.float64)) / a
     return m_s * tape_langevin(x)
+
+
+def tape_ja_params_from_theta(theta, eta):
+    """z = eta * sigmoid(theta) as a sigmoid node, a multiply by a constant (1, 5) scale
+    row and one column take per parameter."""
+    z = sigmoid(theta) * Tensor(np.asarray(eta, dtype=np.float64).reshape(1, 5),
+                                dtype=theta.data.dtype)
+    return JaPhysical(*(z[:, i:i + 1] for i in range(5)))
 
 
 def tape_ja_step_euler(state, b_k, b_k1, phys):

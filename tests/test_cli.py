@@ -417,6 +417,34 @@ class TestEvalPredict:
             f"error: {run / 'model.json'}: checkpoint field 'train_config.eta' ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", "x", "field 'seed' is not an integer: 'x'"),
+        ("seed", 1.0, "field 'seed' is not an integer: 1.0"),
+        ("seed", True, "field 'seed' is not an integer: True"),
+        ("train_config.d_g", 4.7, "d_g must be an integer, got 4.7"),
+        ("train_config.d_g", "4", "d_g must be an integer, got '4'"),
+        ("train_config.warmup_length", 4.9, "warmup_length must be an integer, got 4.9"),
+        ("train_config.warmup_length", "4", "warmup_length must be an integer, got '4'"),
+        ("train_config.lambda_w", "0", "lambda_w must be a number, got '0'"),
+        ("train_config.lambda_w", float("inf"), "lambda_w must be finite, got inf"),
+    ])
+    def test_unusable_number_named(self, dataset_dir, trained, tmp_path, capsys, field, value,
+                                   message):
+        run = tmp_path / "run"
+        shutil.copytree(trained, run)
+        header = json.loads((run / "model.json").read_text())
+        *section, key = field.split(".")
+        (header[section[0]] if section else header)[key] = value
+        (run / "model.json").write_text(json.dumps(header))
+        out = tmp_path / "out"
+        rc = main(["eval", "--data", str(dataset_dir), "--checkpoint", str(run / "model.json"),
+                   "--split", "all", "--out", str(out)])
+        assert rc == 1
+        if section:
+            message = "field 'train_config' describes no model: " + message
+        assert capsys.readouterr().err == f"error: {run / 'model.json'}: checkpoint {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("blob", [3, None, "", ".", "..", "missing.bin", "../model.bin",
                                       "sub/model.bin", "absolute"])
     def test_blob_outside_checkpoint_dir_refused(self, dataset_dir, trained, tmp_path, capsys,
@@ -651,6 +679,25 @@ class TestArtifactBytesPinned:
         assert len((out / "train_log.csv").read_text().splitlines()) == 1 + 6  # patience stop
         assert _sha(out / "train_log.csv") == log_sha
         assert _sha(out / "model.bin") == bin_sha
+
+    # recorded before the JA parameter map moved inside the Euler step's node:
+    # gru-jadp, and gru-p through the physics regularizer
+    @pytest.mark.parametrize("flags, log_sha, bin_sha", [
+        (["--archetype", "gru-jadp", "--hidden-size", "5"],
+         "8a5ffbc2ec1d433fd4e8cc9710aec804751943530a20be23c4d857f3d9afa641",
+         "4ae326bf05630a138bc7e4431b9471e59b7ccf7338546e6524f15fe18ae5b3c0"),
+        (["--archetype", "gru-p", "--hidden-size", "2", "--lambda-w", "0.1",
+          "--precision", "double"],
+         "365c521ebb8577362bf3827d485763aa9d2d5b11720b36d3942530eba1ead702",
+         "243f0aff380fa866d4f747679ebdbd4554c944f2c60730aed67d2d7be90d4483"),
+    ])
+    def test_ja_family_train(self, dataset_dir, tmp_path, flags, log_sha, bin_sha):
+        out = tmp_path / "run"
+        rc = main(["train", "--data", str(dataset_dir), "--material", "synthA",
+                   "--out", str(out), *flags, "--subseq-len", "32", "--batch-size", "4",
+                   "--warmup-len", "4", "--seed", "0", "--epochs", "2", "--lr", "0.01"])
+        assert rc == 0
+        assert (_sha(out / "train_log.csv"), _sha(out / "model.bin")) == (log_sha, bin_sha)
 
     def test_sweep_with_failed_trials(self, dataset_dir, tmp_path):
         out = tmp_path / "sweep"

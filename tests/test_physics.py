@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ja_m_an, preisach_hysteron, tape_ja_step_euler
-from hystkit.autodiff import Graph, Tensor, finite_diff_check, mul, reshape, tsum
+from conftest import ja_m_an, preisach_hysteron, tape_ja_params_from_theta, tape_ja_step_euler
+from hystkit.autodiff import Graph, Tensor, _toposort, finite_diff_check, mul, reshape, tsum
 from hystkit.cells import GruParams, gru_step, init_gru_params
 from hystkit.physics import (
     DEFAULT_ETA,
@@ -85,9 +85,16 @@ class TestParameterMapping:
         for value, cap in zip((phys.m_s, phys.a, phys.alpha_w, phys.k_p, phys.c), DEFAULT_ETA):
             assert 0.0 < value.data.item() < cap
 
-    def test_bad_eta(self):
-        with pytest.raises(PhysicsError):
-            ja_params_from_theta(Tensor(np.zeros((1, 5))), (1.0, -1.0, 1.0, 1.0, 1.0))
+    @pytest.mark.parametrize("shape", [(1, 4), (5,), (1, 1, 5)])
+    def test_bad_theta_shape(self, shape):
+        with pytest.raises(PhysicsError, match=r"^theta must be \(rows, >= 5\)"):
+            ja_params_from_theta(Tensor(np.zeros(shape)), DEFAULT_ETA)
+
+    @pytest.mark.parametrize("eta", [(1.0, -1.0, 1.0, 1.0, 1.0), (np.nan, 1, 1, 1, 1),
+                                     (np.inf, 1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1, 1, 1)])
+    def test_bad_eta(self, eta):
+        with pytest.raises(PhysicsError, match="^eta must be five finite positive numbers"):
+            ja_params_from_theta(Tensor(np.zeros((1, 5))), eta)
 
 
 class TestSusceptibility:
@@ -300,6 +307,54 @@ class TestFusedJaStepOracle:
         assert h_node is out.h
         assert all(p._backward is None for p in h_node._parents)
 
+    # Parameters mapped from unconstrained values: per-row (rows, 5) values
+    # against (rows, 1) states as in gru-jadp, and shared (1, 5) values
+    # against (rows, n) states as in the physics regularizer; the ja head
+    # shares its map over every step of a rollout.
+    THETA_SHAPES = [((6, 1), 6), ((6, 5), 1)]
+
+    def _theta_case(self, shape, rows, seed):
+        """The states of :meth:`_case` and the theta whose map gives its parameters."""
+        h, m, b_k, b_k1, values = self._case(shape, (rows, 1), seed)
+        frac = np.concatenate(values, axis=1) / np.array(DEFAULT_ETA)
+        return h, m, b_k, b_k1, np.log(frac / (1.0 - frac))
+
+    def _theta_grads(self, step, params_of, h, m, b_k, b_k1, theta, n_steps=1):
+        leaves = [Tensor(v.copy(), requires_grad=True) for v in (h, m, theta)]
+        phys = params_of(leaves[2], DEFAULT_ETA)
+        state = JaState(h=leaves[0], m=leaves[1])
+        for _ in range(n_steps):  # later steps run over the same flux increment
+            state = step(state, b_k, b_k1, phys)
+        rng = np.random.default_rng(7)
+        probes = [rng.standard_normal(h.shape) for _ in range(2)]
+        (tsum(mul(state.h, Tensor(probes[0]))) + tsum(mul(state.m, Tensor(probes[1])))).backward()
+        return state, dict(zip(("h", "m", "theta"), (t.grad for t in leaves)))
+
+    @pytest.mark.parametrize("shape, rows", THETA_SHAPES)
+    @pytest.mark.parametrize("n_steps", [1, 3])
+    def test_theta_map_bit_identical_to_node_map(self, shape, rows, n_steps):
+        # the fused step with the one-node map against the same step with the
+        # map composed node by node: the same sums in the same order
+        case = self._theta_case(shape, rows, seed=shape[1] + 2)
+        fused, got = self._theta_grads(ja_step_euler, ja_params_from_theta, *case, n_steps)
+        ref, want = self._theta_grads(ja_step_euler, tape_ja_params_from_theta, *case, n_steps)
+        assert fused.h.data.tobytes() == ref.h.data.tobytes()
+        assert fused.m.data.tobytes() == ref.m.data.tobytes()
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    @pytest.mark.parametrize("shape, rows", THETA_SHAPES)
+    def test_theta_step_matches_tape(self, shape, rows):
+        case = self._theta_case(shape, rows, seed=shape[1] + 4)
+        fused, got = self._theta_grads(ja_step_euler, ja_params_from_theta, *case)
+        ref, want = self._theta_grads(tape_ja_step_euler, tape_ja_params_from_theta, *case)
+        assert fused.h.data.tobytes() == ref.h.data.tobytes()
+        assert fused.m.data.tobytes() == ref.m.data.tobytes()
+        for name in want:
+            scale = np.max(np.abs(want[name]))
+            assert scale > 0, name
+            assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name
+
 
 class TestJadpCoupling:
     def _setup(self, d_g=6):
@@ -333,6 +388,40 @@ class TestJadpCoupling:
         state_manual = ja_step_euler(ja_initial_state([[10.0]], [[0.1]]), 0.1, 0.1002, phys)
         np.testing.assert_array_equal(coupled_g.data, g_manual.data)
         np.testing.assert_array_equal(coupled_state.h.data, state_manual.h.data)
+
+    def test_gradient_bit_identical_to_node_map(self):
+        # the map reads and scatters into the first five hidden elements as a
+        # slice, sigmoid, scale and five column takes did
+        params, x, g_prev = self._setup()
+        b_k, b_k1 = np.array([[0.1]]), np.array([[0.1002]])
+        grads = []
+        for node_map in (False, True):
+            leaves = params.map(lambda v: Tensor(v, requires_grad=True))
+            g_in = Tensor(g_prev, requires_grad=True)
+            state = ja_initial_state([[10.0]], [[0.1]])
+            if node_map:
+                g = gru_step(Tensor(x), g_in, leaves)
+                phys = tape_ja_params_from_theta(g[:, 0:5], DEFAULT_ETA)
+                out = ja_step_euler(state, b_k, b_k1, phys)
+            else:
+                out, g = gru_jadp_step(Tensor(x), g_in, leaves, DEFAULT_ETA, state, b_k, b_k1)
+            (out.h * 3.0 + g.sum()).backward()
+            grads.append([g_in.grad] + [t.grad for t in leaves.as_dict().values()])
+        for got, want in zip(*grads):
+            assert got.tobytes() == want.tobytes()
+
+    def test_nodes_per_step(self):
+        params, x, g_prev = self._setup()
+        g_prev = Tensor(g_prev, requires_grad=True)
+        state = ja_initial_state([[10.0]], [[0.1]])
+        new_state, g = gru_jadp_step(Tensor(x), g_prev,
+                                     params.map(lambda v: Tensor(v, requires_grad=True)),
+                                     DEFAULT_ETA, state, 0.1, 0.1002)
+        recorded = [n for n in _toposort(new_state.m) if n._backward is not None]
+        # the GRU cell, the parameter map over its first five elements, H and M
+        assert len(recorded) == 4
+        h, m, z = new_state.h._parents
+        assert h is state.h and m is state.m and z._parents[0] is g
 
     def test_frozen_hidden_state_reduces_to_static_ja(self):
         params, x, g_prev = self._setup()

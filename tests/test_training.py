@@ -286,6 +286,27 @@ class TestGraphLifetime:
         assert alive == 0, f"{alive} of {len(refs)} tape nodes outlived the loss"
 
 
+class TestLossGradientsPinned:
+    # recorded before the JA parameter map moved inside the Euler step's node
+    @pytest.mark.parametrize("overrides, sha", [
+        (dict(archetype="gru-jadp", d_g=6),
+         "a217f86a44a19fa95f68eef5740d4a663d759fc225b01ee9c52d6dba34ef0123"),
+        (dict(archetype="ja", d_g=1),
+         "b6a72a3b12583baca5f4e3cf4af57505a8c37d1649842abdddaac64c64f85920"),
+        (dict(archetype="gru-p", d_g=4, lambda_w=0.1),
+         "64377532ae9704da072c676198da6737eceb45dc02aa59886662e9cd8cc7d141"),
+    ])
+    def test_batch_loss_gradients(self, overrides, sha):
+        config = small_config(**overrides)
+        seqs = tiny_dataset()
+        norm = compute_norm_constants(seqs)
+        batch = make_minibatches(seqs, config.subseq_len, config.batch_size, [0, 1],
+                                 config.warmup_length, norm)[0]
+        params = wrap_params(init_params(config))
+        batch_loss(config, params, batch, norm).backward()
+        assert digest({name: t.grad for name, t in params.items()}) == sha
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_identical_metrics(self, tmp_path):
         seqs = tiny_dataset(n=5)
