@@ -7,8 +7,9 @@ import pytest
 
 from conftest import digest
 from hystkit.autodiff import _toposort
-from hystkit.dataset import MeasuredSequence, compute_norm_constants, make_minibatches
-from hystkit.heads import wrap_params
+from hystkit.dataset import (MeasuredSequence, NormConstants, compute_norm_constants,
+                             make_minibatches)
+from hystkit.heads import inputs_from_batch, rollout, wrap_params
 from hystkit.metrics import MetricReport
 from hystkit.physics import init_preisach_params
 from hystkit.synth import generate_ja_dataset
@@ -237,7 +238,7 @@ class TestTrainLoop:
 
     def test_zero_regularization_weight_equals_plain_objective(self):
         from hystkit.dataset import compute_norm_constants, make_minibatches
-        from hystkit.heads import wrap_params
+        from hystkit.heads import inputs_from_batch, rollout, wrap_params
         from hystkit.training import batch_loss, init_params
 
         seqs = tiny_dataset(n=4)
@@ -305,6 +306,76 @@ class TestLossGradientsPinned:
         params = wrap_params(init_params(config))
         batch_loss(config, params, batch, norm).backward()
         assert digest({name: t.grad for name, t in params.items()}) == sha
+
+
+# sha256 of the predictions, final state and batch_loss parameter gradients of a
+# cell head's first batch, recorded while every open-loop step was its own cell
+# call: the whole-sequence kernels must reproduce them byte for byte. The data
+# keep the gru-m and gru-l warmups inside their invertible domains.
+CELL_HEAD_DIGESTS = {
+    ("gru-p", 1, 1, "single"): "777aa744b1efd68eee962ed05ab2f7195f3f6d0954a467577624d4085ba37a92",
+    ("gru-p", 1, 1, "double"): "63272c4e43f879edd5dab90f5613e16a7b57ef80d499d687f29094945c7948ef",
+    ("gru-p", 1, 16, "single"): "5211bf09d7d1440137a644d219ada63caefa096afe3048f5f4520a0befd6d727",
+    ("gru-p", 1, 16, "double"): "10adc80bd241efe9e83aa107521fc5afa1f58194bbe1354976eeb8b84d6babd5",
+    ("gru-p", 16, 1, "single"): "cce646f6e14bb9802924371c58b700f52f8b4753cd7355205e198eb0f02a8c94",
+    ("gru-p", 16, 1, "double"): "e670038d6cfd0c5f23102ccbb012ee07917eaff31ea3b50f1714d457480bdc2b",
+    ("gru-p", 16, 16, "single"): "0a85ad39b3e1b4cd47d40b0f9252bb10b771c907591aa07e383c50083ea9a50b",
+    ("gru-p", 16, 16, "double"): "0d328dd390aa17def9e695c162097394403e5a14e1994458d4ee437f76ad8662",
+    ("gru-m", 1, 1, "single"): "131e472660532cdad83f6203c080d74a90d4229b027b0f743ec04235d8161430",
+    ("gru-m", 1, 1, "double"): "f8830715a93c33a61e4b80ec80825389f8ef78cbaa2a7e1d6c2a4be1133680b5",
+    ("gru-m", 1, 16, "single"): "fba643dce5c9e37375d25bf81a98cdeb2a22a9dee502dfbccb26dbb948fe11f8",
+    ("gru-m", 1, 16, "double"): "d949ae5a723c01c906a2ecaf5f1d629ee61b159ebc8a58928350043ede9f17a2",
+    ("gru-m", 16, 1, "single"): "f908b952ac13a1ec0a87e80f7249e6574a6f6706c91511fa225484363459664f",
+    ("gru-m", 16, 1, "double"): "3ff73bdb4da5619328f584825c9e237400c98067df3037b13243f8d888835497",
+    ("gru-m", 16, 16, "single"): "de31dae21b161dcddc178ba2ece2cc573653f10700e16a0f6215aeff6b688452",
+    ("gru-m", 16, 16, "double"): "3dac0c799734d299002bd671f3a3a362e90eb256e1c8fc6fd208397f1aa40d7d",
+    ("gru-l", 1, 1, "single"): "ebec7c567348d033b9aa115858c1753fe140f2a238a7277d9d9ec56cbe342ef9",
+    ("gru-l", 1, 1, "double"): "de376f426219943a8921cabda2bb8a444375d2a9a90437fc7fbedfefebb9972e",
+    ("gru-l", 1, 16, "single"): "cf065cfe1644de85a0a65c3b3469dc6bd82b41c9acaba9835072f7bf3a7bc3f9",
+    ("gru-l", 1, 16, "double"): "754e95dbcee102f18a3b6ee9bcc0b66278d4bb5cfb4e338f1a45799b2e00944b",
+    ("gru-l", 16, 1, "single"): "9c7dc49d409ab1e5709641b6a36383c0ed0c36fc66839b26d13fc4057106f342",
+    ("gru-l", 16, 1, "double"): "bf9da4b683aa14db2e84ee81d997028fcb926c08060a4894b27615dd170cb0d3",
+    ("gru-l", 16, 16, "single"): "86c767eb947eb7afc6adf5b3bc77221e435e6210ec140b21eafa63fd80f80540",
+    ("gru-l", 16, 16, "double"): "76e8db5c6490b9afb5ec089fb5da76868c4a0e17fbb2dfd44471a7cf484ec713",
+    ("gru-v", 1, 1, "single"): "8254c3da0846c9715a569a705e1a0974f8653078e66ce5af62e57e737199253b",
+    ("gru-v", 1, 1, "double"): "66e4fc99af5acfda90312423fd673d98e6433523f0953ca67e8801462356ef83",
+    ("gru-v", 1, 16, "single"): "6e5d84d8c29036b955899c35eb4b17fe379a3f525cbcf001f42b6ed1dde6294f",
+    ("gru-v", 1, 16, "double"): "1e663a1a5862c31c5d387db783b7c7c25d0d39da257898f63fb4cd6e1c1eb9f5",
+    ("gru-v", 16, 1, "single"): "ca42a5a26a4cdc0b19ad1ddb1a48035d861a7b2c6530c2f327eb85dface339c6",
+    ("gru-v", 16, 1, "double"): "a34b890f111d9b4031b2d812bc8f1da335525d33a94e62a78beb38f5e610a578",
+    ("gru-v", 16, 16, "single"): "bfe031daf190f024bc2820860a525aae6769d5f6fbdaa3a63b14f66f53cbab19",
+    ("gru-v", 16, 16, "double"): "bb40ae0126bd8e6da7b4d69f6dd9eac3d74d3607f55b40d769a6b15be0e78d2f",
+    ("lstm-p", 1, 1, "single"): "6704481bd4761fa9b4d11518756ac4766d67d0cb212177ab473c69f1fad6b333",
+    ("lstm-p", 1, 1, "double"): "78487e71a91ebb8e27ccb40c6fdf0ca2d39a6730e7995c378fe0890cc12b2c9b",
+    ("lstm-p", 1, 16, "single"): "475053d3a2abc862cfe61e1afe38771718ae5ffb56a8afed89aa06f261eaeda3",
+    ("lstm-p", 1, 16, "double"): "f1b697f403a2208278c44b93920c286e827c8b5fa7ba8e82a499fa3c7790f3a4",
+    ("lstm-p", 16, 1, "single"): "25324cecee2de233543de5ad5f558b7cd33a8c52892f7d47349e0f8142ef216b",
+    ("lstm-p", 16, 1, "double"): "2b074e41688a2ebef7cdf42d0d43e1deeae87257d04da515c3ec9f4e1983b0a6",
+    ("lstm-p", 16, 16, "single"): "f501cde3575a3bc139b7268cca3a44e13701b668ca80e1dc2b65384a778f631e",
+    ("lstm-p", 16, 16, "double"): "7c79a6c63f7a0002c5278eb98fab6684a41ab5b5b6e9e4f0a0fa388de740afc9",
+}
+
+
+@pytest.mark.parametrize("archetype, w, rows, precision", sorted(CELL_HEAD_DIGESTS))
+def test_cell_head_rollout_and_gradients_pinned(archetype, w, rows, precision):
+    seqs = generate_ja_dataset(n_sequences=8, length=96, seed=0)
+    for s in seqs:
+        s.b = s.b + 0.0123
+    norm = NormConstants(h_max=2.0 * max(np.max(np.abs(s.h)) for s in seqs),
+                         b_max=max(np.max(np.abs(s.b)) for s in seqs), theta_max=70.0)
+    config = TrainConfig(archetype=archetype, d_g=8, subseq_len=40, batch_size=rows,
+                         warmup_length=w, precision=precision)
+    batch = make_minibatches(seqs, 40, rows, [0, 1], w, norm)[0]
+    params = wrap_params(init_params(config))
+    inputs = inputs_from_batch(batch, norm)
+    pred, state = rollout(config.head_config(), params, inputs)
+    states = state if isinstance(state, tuple) else (state,)
+    frozen, _ = rollout(config.head_config(), wrap_params(init_params(config), False), inputs)
+    assert frozen.data.tobytes() == pred.data.tobytes()
+    batch_loss(config, params, batch, norm).backward()
+    assert digest({"pred": pred.data, **{f"state{i}": s.data for i, s in enumerate(states)},
+                   **{k: t.grad for k, t in params.items()}}) == CELL_HEAD_DIGESTS[
+        archetype, w, rows, precision]
 
 
 class TestCheckpoint:
