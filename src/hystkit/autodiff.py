@@ -343,7 +343,8 @@ def take(a: Tensor, key) -> Tensor:
     """Basic slicing; backward scatters the gradient into a zero array.
 
     The result owns a copy, not a view, so keeping a small slice (a
-    rollout's per-step readout) does not keep the whole source array alive.
+    rollout's readout or final state) does not keep the whole source array
+    alive.
     """
     out_data = a.data[key].copy()
 

@@ -15,7 +15,21 @@ it). The forward runs the numpy operations of the primitive-by-primitive
 composition (matmul, add, sigmoid, tanh, mul) in the same order, so its
 values match that composition bit for bit; the backward is the analytic
 gradient with respect to the input, the previous state(s) and every
-parameter array. Callers make one call per time step.
+parameter array.
+
+:func:`gru_sequence` and :func:`lstm_sequence` run every step of a
+``(rows, T, d_x)`` feature block as one tape node whose value is the hidden
+trajectory ``(rows, T, d_g)``. The forward repeats the step's numpy
+expressions step by step (a step's sigmoid gates share one stacked block,
+which gives the same bits); the backward is one reverse loop over the
+step's gradient expressions that sums each parameter's per-step gradients
+in reverse time order, so values and gradients are byte-equal to chained
+step calls. Every per-step GEMM keeps its shape: stacking gate matrices or
+steps into one GEMM changes the last bits. Without a parameter or initial
+state that requires a gradient, the kernels store no per-step arrays. The
+step functions stay the per-step interface (a rollout's warmup injects a
+value between steps) and the reference the sequence kernels are tested
+against.
 
 Each cell's parameters are one record, a dataclass over :class:`CellParams`
 whose fields list the arrays in draw order. The base supplies everything
@@ -102,16 +116,45 @@ class LstmParams(CellParams):
     b_o: object
 
 
-def _check_operands(x: Tensor, w: Tensor, u: Tensor, *states: Tensor) -> None:
+def _check_operands(xd: np.ndarray, w: Tensor, u: Tensor, *states: Tensor) -> None:
     """Raise ShapeError unless x and the states are 2-D rows that fit W and U in one dtype."""
     shape = states[0].data.shape
-    if (x.data.ndim != 2 or len(shape) != 2 or x.data.shape[0] != shape[0]
+    if (xd.ndim != 2 or len(shape) != 2 or xd.shape[0] != shape[0]
             or any(s.data.shape != shape for s in states)
-            or x.data.shape[1] != w.data.shape[1] or shape[1] != u.data.shape[1]):
-        raise ShapeError(f"cell step: x {x.data.shape} and states {[s.data.shape for s in states]} "
+            or xd.shape[1] != w.data.shape[1] or shape[1] != u.data.shape[1]):
+        raise ShapeError(f"cell step: x {xd.shape} and states {[s.data.shape for s in states]} "
                          f"do not fit W {w.data.shape} and U {u.data.shape}")
-    if any(t.data.dtype != w.data.dtype for t in (x, *states)):
-        raise ShapeError(f"dtype mismatch: inputs {x.data.dtype} vs parameters {w.data.dtype}")
+    if xd.dtype != w.data.dtype or any(s.data.dtype != w.data.dtype for s in states):
+        raise ShapeError(f"dtype mismatch: inputs {xd.dtype} vs parameters {w.data.dtype}")
+
+
+def _steps(x: np.ndarray, w: Tensor):
+    """The feature rows of each step of the block ``x`` ``(rows, T, d_x)``, each a
+    contiguous copy in the parameters' dtype, as a per-step caller builds them."""
+    x = np.asarray(x)
+    if x.ndim != 3 or x.shape[1] < 1:
+        raise ShapeError(f"cell sequence: features {x.shape} are not (rows, T >= 1, d_x)")
+    return (x[:, t].astype(w.data.dtype) for t in range(x.shape[1]))
+
+
+def _grad_stacks(leaves, steps: int) -> list:
+    """One ``(steps, *shape)`` array per parameter for its per-step gradients, which a
+    sequence backward writes in reverse time order."""
+    return [np.empty((steps,) + leaf.data.shape, dtype=leaf.data.dtype) for leaf in leaves]
+
+
+def _store_sums(leaves, stacks) -> None:
+    """Set each leaf's gradient to the sum of its stack, taken in stack order.
+
+    ``np.add.accumulate`` is a sequential scan, so the sum's bits equal those
+    of one ``_accum`` per step in that order; a gradient the leaf already
+    holds enters first, as it would there.
+    """
+    for leaf, stack in zip(leaves, stacks):
+        if leaf.requires_grad:
+            if leaf.grad is not None:
+                stack[0] += leaf.grad
+            leaf.grad = np.add.accumulate(stack, axis=0, out=stack)[-1].copy()
 
 
 def _gate_backward(da, x: Tensor, g_prev: Tensor, w: Tensor, u: Tensor, b: Tensor) -> None:
@@ -123,7 +166,7 @@ def _gate_backward(da, x: Tensor, g_prev: Tensor, w: Tensor, u: Tensor, b: Tenso
 
 def gru_step(x: Tensor, g_prev: Tensor, p: GruParams) -> Tensor:
     """One GRU step: gates from (x, g_prev), then the convex update; one tape node."""
-    _check_operands(x, p.w_z, p.u_z, g_prev)
+    _check_operands(x.data, p.w_z, p.u_z, g_prev)
     xd, gd = x.data, g_prev.data
     z = _sigmoid(xd @ p.w_z.data.T + p.b_z.data + gd @ p.u_z.data.T)
     r = _sigmoid(xd @ p.w_r.data.T + p.b_r.data + gd @ p.u_r.data.T)
@@ -164,7 +207,7 @@ def lstm_step(x: Tensor, g_prev: Tensor, c_prev: Tensor, p: LstmParams):
     """
     if c_prev is None:
         raise ShapeError("lstm_step requires a cell state")
-    _check_operands(x, p.w_i, p.u_i, g_prev, c_prev)
+    _check_operands(x.data, p.w_i, p.u_i, g_prev, c_prev)
     xd, gd, cd = x.data, g_prev.data, c_prev.data
     i = _sigmoid(xd @ p.w_i.data.T + p.b_i.data + gd @ p.u_i.data.T)
     f = _sigmoid(xd @ p.w_f.data.T + p.b_f.data + gd @ p.u_f.data.T)
@@ -197,6 +240,134 @@ def lstm_step(x: Tensor, g_prev: Tensor, c_prev: Tensor, p: LstmParams):
         _accum(cell, dg * o * (1.0 - tc * tc))
 
     return _node(g, (cell,), hidden_backward), cell
+
+
+def gru_sequence(x: np.ndarray, g0: Tensor, p: GruParams) -> Tensor:
+    """``gru_step`` over every step of the feature block ``x`` ``(rows, T, d_x)`` from ``g0``.
+
+    Returns the hidden trajectory ``(rows, T, d_g)`` as one tape node; entry
+    ``t`` is the state after step ``t``. The features are cast step by step to
+    the parameters' dtype. Values and gradients are byte-equal to T chained
+    ``gru_step`` calls.
+    """
+    leaves = tuple(p.as_dict().values())
+    train = g0.requires_grad or any(leaf.requires_grad for leaf in leaves)
+    w_z, u_z, b_z, w_r, u_r, b_r, w, u, b, b_n = (leaf.data for leaf in leaves)
+    saved = []
+    gd = g0.data
+    out = None
+    for t, xd in enumerate(_steps(x, p.w_z)):
+        if out is None:
+            _check_operands(xd, p.w_z, p.u_z, g0)
+            out = np.empty((xd.shape[0], x.shape[1], gd.shape[1]), dtype=gd.dtype)
+        # both gates' pre-activations in one block, so one sigmoid serves them
+        pre = np.empty((2,) + gd.shape, dtype=gd.dtype)
+        np.add(xd @ w_z.T + b_z, gd @ u_z.T, out=pre[0])
+        np.add(xd @ w_r.T + b_r, gd @ u_r.T, out=pre[1])
+        z, r = _sigmoid(pre)
+        uh = gd @ u.T + b_n
+        cand = np.tanh(xd @ w.T + b + r * uh)
+        diff = gd - cand
+        if train:
+            saved.append((xd, gd, z, r, uh, cand, diff))
+        gd = cand + z * diff
+        out[:, t] = gd
+
+    def backward(d_out):
+        stacks = _grad_stacks(leaves, len(saved))
+        s_wz, s_uz, s_bz, s_wr, s_ur, s_br, s_w, s_u, s_b, s_bn = stacks
+        carry = None
+        for k, t in enumerate(reversed(range(len(saved)))):
+            xd, gd, z, r, uh, cand, diff = saved[t]
+            dh = d_out[:, t] if carry is None else d_out[:, t] + carry
+            dh_z = dh * z
+            da_z = dh * diff * z * (1.0 - z)
+            da_n = (dh - dh_z) * (1.0 - cand * cand)
+            da_u = da_n * r
+            da_r = da_n * uh * r * (1.0 - r)
+            for stack, da, operand in ((s_wz, da_z, xd), (s_uz, da_z, gd), (s_wr, da_r, xd),
+                                       (s_ur, da_r, gd), (s_w, da_n, xd), (s_u, da_u, gd)):
+                np.matmul(da.T, operand, out=stack[k])
+            for stack, da in ((s_bz, da_z), (s_br, da_r), (s_b, da_n), (s_bn, da_u)):
+                np.add.reduce(da, axis=0, out=stack[k])
+            if t > 0 or g0.requires_grad:
+                carry = dh_z + da_z @ u_z + da_r @ u_r + da_u @ u
+        _store_sums(leaves, stacks)
+        _accum(g0, carry)
+
+    return _node(out, (g0,) + leaves, backward)
+
+
+def lstm_sequence(x: np.ndarray, g0: Tensor, c0: Tensor, p: LstmParams):
+    """``lstm_step`` over every step of the feature block ``x`` ``(rows, T, d_x)`` from (g0, c0).
+
+    Returns (hidden trajectory ``(rows, T, d_g)``, last cell state). The
+    trajectory node owns the backward; the cell node's only parent is the
+    trajectory node and it hands its gradient over in a holder, so the graph
+    holds no reference cycle. Values and gradients are byte-equal to T
+    chained ``lstm_step`` calls, except that when only the last cell state
+    carries a gradient, the output gate's last step adds an exact zero where
+    the chained calls add nothing.
+    """
+    if c0 is None:
+        raise ShapeError("lstm_sequence requires a cell state")
+    leaves = tuple(p.as_dict().values())
+    train = g0.requires_grad or c0.requires_grad or any(leaf.requires_grad for leaf in leaves)
+    w_i, u_i, b_i, w_f, u_f, b_f, w_m, u_m, b_m, w_o, u_o, b_o = (leaf.data for leaf in leaves)
+    saved = []
+    gd, cd = g0.data, c0.data
+    out = None
+    for t, xd in enumerate(_steps(x, p.w_i)):
+        if out is None:
+            _check_operands(xd, p.w_i, p.u_i, g0, c0)
+            out = np.empty((xd.shape[0], x.shape[1], gd.shape[1]), dtype=gd.dtype)
+        # the three sigmoid gates' pre-activations in one block, so one sigmoid serves them
+        pre = np.empty((3,) + gd.shape, dtype=gd.dtype)
+        np.add(xd @ w_i.T + b_i, gd @ u_i.T, out=pre[0])
+        np.add(xd @ w_f.T + b_f, gd @ u_f.T, out=pre[1])
+        np.add(xd @ w_o.T + b_o, gd @ u_o.T, out=pre[2])
+        i, f, o = _sigmoid(pre)
+        m = np.tanh(xd @ w_m.T + b_m + gd @ u_m.T)
+        c = f * cd + i * m
+        tc = np.tanh(c)
+        if train:
+            saved.append((xd, gd, cd, i, f, m, o, tc))
+        gd, cd = o * tc, c
+        out[:, t] = gd
+    cell_grad = []
+
+    def backward(d_out):
+        stacks = _grad_stacks(leaves, len(saved))
+        carry_h = carry_c = None
+        for k, t in enumerate(reversed(range(len(saved)))):
+            xd, gd, cd, i, f, m, o, tc = saved[t]
+            dh = d_out[:, t] if carry_h is None else d_out[:, t] + carry_h
+            dc = dh * o * (1.0 - tc * tc)
+            if carry_c is not None:
+                dc = dc + carry_c
+            elif cell_grad:
+                dc = dc + cell_grad.pop()
+            gates = (dc * m * i * (1.0 - i), dc * cd * f * (1.0 - f), dc * i * (1.0 - m * m),
+                     dh * tc * o * (1.0 - o))
+            for j, da in enumerate(gates):
+                np.matmul(da.T, xd, out=stacks[3 * j][k])
+                np.matmul(da.T, gd, out=stacks[3 * j + 1][k])
+                np.add.reduce(da, axis=0, out=stacks[3 * j + 2][k])
+            if t > 0 or g0.requires_grad:
+                carry_h = sum(da @ uk for da, uk in zip(gates, (u_i, u_f, u_m, u_o)))
+            carry_c = dc * f
+        _store_sums(leaves, stacks)
+        _accum(g0, carry_h)
+        _accum(c0, carry_c)
+
+    hidden = _node(out, (g0, c0) + leaves, backward)
+
+    def cell_backward(dc):
+        cell_grad.append(dc)
+        if hidden.grad is None:
+            _accum(hidden, np.zeros_like(out))
+
+    return hidden, _node(cd, (hidden,), cell_backward)
 
 
 def param_count(archetype: str, d_g: int, d_x: int) -> int:

@@ -31,9 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import (DataError, fmt, ingest_material, json_text, load_material, read_csv_dicts,
-                      read_json_object, split_dataset, write_columns, write_file, write_rows)
-from .training import (SWEEP_COLUMNS, ConfigError, TrainConfig, TrainingError,
+from .dataset import (DataError, check_windows, fmt, ingest_material, json_text, load_material,
+                      read_csv_dicts, read_json_object, split_dataset, write_columns, write_file,
+                      write_rows)
+from .training import (SWEEP_COLUMNS, ConfigError, TrainConfig, TrainingError, check_sweep_eval,
                        config_param_count, evaluate_sequences, load_checkpoint, pareto_sweep,
                        save_checkpoint, sweep_medians, train, write_sweep_csv)
 from .heads import predict_window
@@ -215,7 +216,9 @@ def cmd_ingest(args) -> int:
 def cmd_train(args) -> int:
     resolved = _resolve_config(args)
     config = _train_config(resolved)
+    config.head_config()  # an unusable model is refused before anything is staged
     splits, inputs = _load_splits(args, args.material, resolved["split_seed"])
+    check_windows(splits["train"], config.subseq_len, config.batch_size, config.warmup_length)
     stage = OutputStage(args.out, "train", {**resolved, "material": args.material}, inputs)
     result = train(config, splits["train"], splits["eval"])
     ckpt = result.checkpoint()
@@ -325,6 +328,7 @@ def cmd_sweep(args) -> int:
     seeds = list(range(_positive_int("--seeds", args.seeds)))
     workers = _positive_int("--workers", args.workers)
     splits, inputs = _load_splits(args, args.material, resolved["split_seed"])
+    check_sweep_eval(splits["eval"])
     stage = OutputStage(args.out, "sweep",
                         {**resolved, "material": args.material, "archetypes": archetypes,
                          "sizes": sizes, "n_seeds": len(seeds), "workers": workers}, inputs)

@@ -199,6 +199,28 @@ def split_dataset(sequences, fractions=(0.8, 0.1, 0.1), seed: int = 0):
     return tuple([sequences[i] for i in sorted(b)] for b in buckets)
 
 
+def check_windows(sequences, subseq_len: int, batch_size: int, warmup_length: int) -> None:
+    """Refuse window and batch settings that :func:`make_minibatches` cannot batch.
+
+    A window must hold the warmup plus two predicted samples, every sequence
+    must hold a window, and the windows must fill at least one batch. The
+    window count depends only on the sequence lengths, so a setting that
+    passes here fills a batch in every epoch. Raises :class:`DataError`.
+    """
+    if batch_size < 1:
+        raise DataError("batch size must be >= 1")
+    if subseq_len < warmup_length + 2:
+        raise DataError(f"subsequence length {subseq_len} too short for warmup {warmup_length}")
+    windows = 0
+    for si, seq in enumerate(sequences):
+        if len(seq) < subseq_len:
+            raise DataError(f"sequence {si} shorter than subsequence length {subseq_len}")
+        windows += len(seq) // subseq_len
+    if windows < batch_size:
+        raise DataError(f"no full batches: {len(sequences)} sequences, l={subseq_len}, "
+                        f"b={batch_size}")
+
+
 def make_minibatches(sequences, subseq_len: int, batch_size: int, rng_seed,
                      warmup_length: int, norm: NormConstants) -> list[MiniBatch]:
     """Chop sequences into length-l subsequences and group them into batches.
@@ -206,19 +228,15 @@ def make_minibatches(sequences, subseq_len: int, batch_size: int, rng_seed,
     Each call draws a fresh random window offset per sequence and a fresh
     row ordering (pass a per-epoch seed to regenerate), so successive epochs
     see a new set of subsequences. Rows that do not fill a final batch are
-    dropped to keep shapes fixed.
+    dropped to keep shapes fixed. Settings :func:`check_windows` refuses
+    raise its :class:`DataError`.
     """
     sequences = list(sequences)
-    if batch_size < 1:
-        raise DataError("batch size must be >= 1")
-    if subseq_len < warmup_length + 2:
-        raise DataError(f"subsequence length {subseq_len} too short for warmup {warmup_length}")
+    check_windows(sequences, subseq_len, batch_size, warmup_length)
     rng = np.random.default_rng(rng_seed)
     rows = []  # (seq_idx, offset)
     for si, seq in enumerate(sequences):
         n_sub = len(seq) // subseq_len
-        if n_sub == 0:
-            raise DataError(f"sequence {si} shorter than subsequence length {subseq_len}")
         slack = len(seq) - n_sub * subseq_len
         offset = int(rng.integers(0, slack + 1))
         rows.extend((si, offset + j * subseq_len) for j in range(n_sub))

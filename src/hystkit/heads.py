@@ -4,6 +4,11 @@ Rollout protocol shared by all archetypes: a window of L samples splits at
 the warmup length w into a conditioning part (target values known) and an
 open-loop part. Warmup consumes feature steps 1..w-1, prediction consumes
 steps w..L-1; each prediction step emits one normalized target estimate.
+Warmup makes one cell call per step, so a value can be injected between
+steps. The cell heads then run the open loop as one sequence node
+(``cells.gru_sequence``/``lstm_sequence``) and read all estimates out of its
+trajectory at once; the JA-family heads step the open loop one sample at a
+time.
 
 Archetypes:
 
@@ -31,8 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, dtype_of, reshape, tanh, tsum
-from .cells import LSTM_ARCHETYPES, GruParams, LstmParams, gru_step, lstm_step
+from .autodiff import Tensor, _accum, _node, concat, dtype_of, reshape, tanh, tsum
+from .cells import (LSTM_ARCHETYPES, GruParams, LstmParams, gru_sequence, gru_step,
+                    lstm_sequence, lstm_step)
 from .dataset import DataError, MiniBatch, NormConstants
 from .physics import (
     DEFAULT_ETA,
@@ -185,9 +191,17 @@ def _inject_values(config: HeadConfig, inputs: RolloutInputs) -> np.ndarray:
 
 
 def _inject(state: Tensor, column: np.ndarray) -> Tensor:
-    """Overwrite element 0 of every row, leaving elements 1.. untouched."""
-    col = Tensor(column.astype(state.data.dtype))
-    return concat([col, state[:, 1:]], axis=1)
+    """Overwrite element 0 of every row, leaving elements 1.. untouched; one tape node
+    whose backward hands the gradient of elements 1.. to ``state``."""
+    data = state.data.copy()
+    data[:, 0:1] = column
+
+    def backward(g):
+        d_state = g.copy()
+        d_state[:, 0] = 0.0
+        _accum(state, d_state)
+
+    return _node(data, (state,), backward)
 
 
 def _dtype(params: dict):
@@ -227,53 +241,61 @@ def warmup(config: HeadConfig, params: dict, inputs: RolloutInputs):
     return g, c
 
 
-def gru_v_readout(g: Tensor, drive_col) -> Tensor:
+def gru_v_readout(g: Tensor, drive) -> Tensor:
     """Grid readout: drive minus the summed first components of the grid's 2-vectors.
 
     The flat hidden state stores the (N+1)x(N+1) grid of 2-vectors
-    contiguously, so the first components sit at even indices.
+    contiguously along the last axis, so the first components sit at even
+    indices. ``g`` is a state ``(rows, d_g)`` or a trajectory
+    ``(rows, T, d_g)``, and ``drive`` has its shape without the last axis.
     """
-    grid_sum = tsum(g[:, 0::2], axis=1, keepdims=True)
-    return Tensor(np.asarray(drive_col, dtype=g.data.dtype)) - grid_sum
+    grid_sum = tsum(g[..., 0::2], axis=-1)
+    return Tensor(np.asarray(drive, dtype=g.data.dtype)) - grid_sum
 
 
-def _open_loop(config: HeadConfig, params: dict, inputs: RolloutInputs, dt):
-    """(state after warmup, step(state, t), readout(state, t)) of one archetype."""
+def _cell_open_loop(config: HeadConfig, params: dict, inputs: RolloutInputs, dt):
+    """(predictions, final state) of a cell head: one sequence node over steps
+    w..L-1, then one readout over its trajectory."""
+    w = inputs.warmup_length
+    g, c = warmup(config, params, inputs)
+    p = _cell(config).from_dict(params)
+    x = inputs.x[:, w:]
+    if config.archetype in LSTM_ARCHETYPES:
+        traj, c = lstm_sequence(x, g, c, p)
+        return traj[:, :, 0], (traj[:, -1], c)
+    traj = gru_sequence(x, g, p)
+    drive = inputs.drive_norm[:, w:]
+    if config.archetype == "gru-v":
+        pred = gru_v_readout(traj, drive)
+    elif config.archetype == "gru-m":
+        pred = tanh(Tensor(drive.astype(dt)) - traj[:, :, 0])
+    elif config.archetype == "gru-l":
+        pred = traj[:, :, 0] * Tensor(drive.astype(dt))
+    else:
+        pred = traj[:, :, 0]
+    return pred, traj[:, -1]
+
+
+def _ja_open_loop(config: HeadConfig, params: dict, inputs: RolloutInputs):
+    """(state after warmup, step(state, t), readout(state)) of a JA-family head."""
     w = inputs.warmup_length
     b_raw = inputs.drive_raw
-
-    def x(t):
-        return Tensor(inputs.x[:, t, :].astype(dt))
-
-    def drive(t):
-        return Tensor(inputs.drive_norm[:, t:t + 1].astype(dt))
-
+    ja = ja_initial_state(inputs.target_warm_raw[:, w - 1:w], b_raw[:, w - 1:w])
+    inv_max = 1.0 / inputs.target_max
     # Each step lambda looks up its step function in this module at call
     # time, where the benchmark's tracer (bench/tracing.py) patches it.
-    if config.archetype in JA_FAMILY:
-        ja = ja_initial_state(inputs.target_warm_raw[:, w - 1:w], b_raw[:, w - 1:w])
-        inv_max = 1.0 / inputs.target_max
     if config.archetype == "ja":
         phys = ja_params_from_theta(reshape(params["theta_ja"], (1, 5)), config.eta)
         return (ja,
                 lambda s, t: ja_step_euler(s, b_raw[:, t - 1:t], b_raw[:, t:t + 1], phys),
-                lambda s, t: s.h * inv_max)
-    g, c = warmup(config, params, inputs)
+                lambda s: s.h * inv_max)
+    g, _ = warmup(config, params, inputs)
     p = _cell(config).from_dict(params)
-    if config.archetype in LSTM_ARCHETYPES:
-        return (g, c), lambda s, t: lstm_step(x(t), *s, p), lambda s, t: s[0][:, 0:1]
-    if config.archetype == "gru-jadp":
-        return ((ja, g),
-                lambda s, t: gru_jadp_step(x(t), s[1], p, config.eta, s[0],
-                                           b_raw[:, t - 1:t], b_raw[:, t:t + 1]),
-                lambda s, t: s[0].h * inv_max)
-    readouts = {
-        "gru-p": lambda g, t: g[:, 0:1],
-        "gru-m": lambda g, t: tanh(drive(t) - g[:, 0:1]),
-        "gru-l": lambda g, t: g[:, 0:1] * drive(t),
-        "gru-v": lambda g, t: gru_v_readout(g, inputs.drive_norm[:, t:t + 1]),
-    }
-    return g, lambda g, t: gru_step(x(t), g, p), readouts[config.archetype]
+    dt = _dtype(params)
+    return ((ja, g),
+            lambda s, t: gru_jadp_step(Tensor(inputs.x[:, t, :].astype(dt)), s[1], p, config.eta,
+                                       s[0], b_raw[:, t - 1:t], b_raw[:, t:t + 1]),
+            lambda s: s[0].h * inv_max)
 
 
 def rollout(config: HeadConfig, params: dict, inputs: RolloutInputs):
@@ -292,11 +314,13 @@ def rollout(config: HeadConfig, params: dict, inputs: RolloutInputs):
             raise HeadError("JA-family rollouts need raw-unit drive/target context")
         if dt != np.float64:
             raise HeadError(f"{config.archetype} rollouts require double precision")
-    state, step, readout = _open_loop(config, params, inputs, dt)
+    if config.archetype not in JA_FAMILY:
+        return _cell_open_loop(config, params, inputs, dt)
+    state, step, readout = _ja_open_loop(config, params, inputs)
     preds = []
     for t in range(inputs.warmup_length, inputs.length):
         state = step(state, t)
-        preds.append(readout(state, t))
+        preds.append(readout(state))
     return concat(preds, axis=1), state
 
 

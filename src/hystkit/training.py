@@ -230,14 +230,12 @@ class TrainResult:
         )
 
 
-def _descend(params: dict, adam: AdamState, batches, source: str, epoch: int, lr: float,
+def _descend(params: dict, adam: AdamState, batches, epoch: int, lr: float,
              clip_norm: float, loss_of) -> tuple[dict, float]:
     """One Adam step per batch on ``loss_of(params_t, batch)``; returns (params, mean loss).
 
-    No batches (``source`` names what they come from) or a non-finite loss raise TrainingError.
+    A non-finite loss raises TrainingError.
     """
-    if not batches:
-        raise TrainingError(f"no full batches: {source}")
     losses = []
     for bi, batch in enumerate(batches):
         params_t = wrap_params(params)
@@ -273,11 +271,10 @@ def train(config: TrainConfig, train_seqs, eval_seqs=None) -> TrainResult:
     eval_sre: dict[int, float] = {}
     best_sre, best_report, stale = np.inf, None, 0
 
-    source = f"{len(train_seqs)} sequences, l={config.subseq_len}, b={config.batch_size}"
     for epoch in range(config.epochs):
         batches = make_minibatches(train_seqs, config.subseq_len, config.batch_size,
                                    [config.seed, 1, epoch], config.warmup_length, norm)
-        params, loss = _descend(params, adam, batches, source, epoch, config.lr, config.clip_norm,
+        params, loss = _descend(params, adam, batches, epoch, config.lr, config.clip_norm,
                                 lambda params_t, batch: batch_loss(config, params_t, batch, norm))
         train_losses.append(loss)
         if not eval_seqs or ((epoch + 1) % config.eval_every and epoch < config.epochs - 1):
@@ -445,7 +442,6 @@ def train_preisach(preisach, train_seqs, norm: NormConstants, subseq_len: int = 
     """
     params = {"mu": preisach.mu.astype(np.float64), "omega": preisach.omega.astype(np.float64)}
     adam = AdamState()
-    source = f"{len(train_seqs)} sequences, l={subseq_len}, b={batch_size}"
 
     def loss_of(params_t, batch):
         pred = preisach_predict(batch.b_norm, preisach, params_t["mu"], params_t["omega"])
@@ -457,7 +453,7 @@ def train_preisach(preisach, train_seqs, norm: NormConstants, subseq_len: int = 
     for epoch in range(epochs):
         batches = reversed_minibatches(train_seqs, subseq_len, batch_size,
                                        [seed, 1, epoch], warmup_length, norm)
-        params, loss = _descend(params, adam, batches, source, epoch, lr, 1.0, loss_of)
+        params, loss = _descend(params, adam, batches, epoch, lr, 1.0, loss_of)
         losses.append(loss)
     preisach.mu = params["mu"]
     preisach.omega = params["omega"]
@@ -486,6 +482,12 @@ def _run_trial(args):
     return row
 
 
+def check_sweep_eval(eval_seqs) -> None:
+    """Refuse an empty eval set, on which every sweep trial is scored (ConfigError)."""
+    if not eval_seqs:
+        raise ConfigError("empty eval set: every sweep trial is scored on it")
+
+
 def pareto_sweep(archetypes, d_g_values, seeds, train_seqs, eval_seqs,
                  base_config: TrainConfig | None = None, workers: int = 1):
     """Trial grid over (archetype, d_g, seed); returns (rows, medians).
@@ -494,8 +496,7 @@ def pareto_sweep(archetypes, d_g_values, seeds, train_seqs, eval_seqs,
     aggregate successful trials per (archetype, d_g); rows are ordered by
     that key so merged concurrent results stay deterministic.
     """
-    if not eval_seqs:
-        raise ConfigError("empty eval set: every sweep trial is scored on it")
+    check_sweep_eval(eval_seqs)
     base = base_config or TrainConfig()
     jobs = [(replace(base, archetype=a, d_g=d_g, seed=seed,
                      precision="double" if a in JA_FAMILY else base.precision),

@@ -1,4 +1,6 @@
-"""Cell tests: gate algebra, scalar-loop oracle equivalence, parameter counts."""
+"""Cell tests: gate algebra, scalar-loop oracle equivalence, sequence kernels, parameter counts."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ from hystkit.autodiff import Graph, ShapeError, Tensor, finite_diff_check, mul, 
 from hystkit.cells import (
     GruParams,
     LstmParams,
+    gru_sequence,
     gru_step,
     init_gru_params,
     init_lstm_params,
+    lstm_sequence,
     lstm_step,
     param_count,
 )
@@ -234,6 +238,137 @@ class TestFusedStepOracle:
         for o in out:
             assert not o.requires_grad
             assert o._parents == () and o._backward is None
+
+
+class TestSequenceOracle:
+    """The whole-sequence kernels against T chained step calls, byte for byte.
+
+    The loss reads the whole hidden trajectory, the last hidden state and (LSTM)
+    the last cell state through fixed random probes, so every per-step gradient
+    path is exercised.
+    """
+
+    @staticmethod
+    def _case(lstm, rows, d_x, d_g, steps, dtype):
+        rng = np.random.default_rng([rows, d_x, d_g, steps, int(lstm)])
+        p = (init_lstm_params if lstm else init_gru_params)(d_g, d_x, rng, dtype)
+        p = p.map(lambda a: (a + rng.uniform(-0.3, 0.3, a.shape)).astype(dtype))
+        x = rng.uniform(-2, 2, (rows, steps, d_x))  # cast to dtype per step by both sides
+        states = [rng.uniform(-1, 1, (rows, d_g)).astype(dtype) for _ in range(1 + lstm)]
+        probes = [rng.standard_normal((rows, steps, d_g)).astype(dtype),
+                  rng.standard_normal((rows, d_g)).astype(dtype),
+                  rng.standard_normal((rows, d_g)).astype(dtype)]
+        return p, x, states, probes
+
+    @staticmethod
+    def _run(sequence, lstm, p, x, states, probes, trainable_state):
+        params = p.map(lambda a: Tensor(a, requires_grad=True))
+        leaves = [Tensor(a, requires_grad=trainable_state) for a in states]
+        probe_traj, probe_last, probe_cell = (Tensor(a) for a in probes)
+        if sequence:
+            if lstm:
+                traj, cell = lstm_sequence(x, *leaves, params)
+            else:
+                traj, cell = gru_sequence(x, leaves[0], params), None
+            hidden = traj.data
+            loss = tsum(mul(traj, probe_traj)) + tsum(mul(traj[:, -1], probe_last))
+        else:
+            g = leaves[0]
+            cell = leaves[1] if lstm else None
+            loss, hidden = None, []
+            for t in range(x.shape[1]):
+                x_t = Tensor(x[:, t].astype(p.as_dict()["b_" + ("i" if lstm else "z")].dtype))
+                if lstm:
+                    g, cell = lstm_step(x_t, g, cell, params)
+                else:
+                    g = gru_step(x_t, g, params)
+                term = tsum(mul(g, probe_traj[:, t]))
+                loss = term if loss is None else loss + term
+                hidden.append(g.data)
+            hidden = np.stack(hidden, axis=1)
+            loss = loss + tsum(mul(g, probe_last))
+        if lstm:
+            loss = loss + tsum(mul(cell, probe_cell))
+        loss.backward()
+        grads = dict(zip(["g0", "c0"], (leaf.grad for leaf in leaves)),
+                     **{k: t.grad for k, t in params.as_dict().items()})
+        return hidden, cell.data if lstm else None, grads
+
+    @pytest.mark.parametrize("trainable_state", [False, True], ids=["frozen-state", "state"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["single", "double"])
+    @pytest.mark.parametrize("steps", [1, 2, 37])
+    @pytest.mark.parametrize("d_g", [1, 5, 8])
+    @pytest.mark.parametrize("d_x", [1, 4])
+    @pytest.mark.parametrize("rows", [1, 16])
+    @pytest.mark.parametrize("lstm", [False, True], ids=["gru", "lstm"])
+    def test_byte_equal_to_chained_steps(self, lstm, rows, d_x, d_g, steps, dtype,
+                                         trainable_state):
+        case = self._case(lstm, rows, d_x, d_g, steps, dtype)
+        got = self._run(True, lstm, *case, trainable_state)
+        want = self._run(False, lstm, *case, trainable_state)
+        for a, b in zip(got[:2], want[:2]):
+            if b is not None:
+                assert a.dtype == b.dtype == dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+        assert got[2].keys() == want[2].keys()
+        for name, g in want[2].items():
+            if g is None:
+                assert got[2][name] is None, name
+                continue
+            assert got[2][name].dtype == g.dtype and got[2][name].shape == g.shape, name
+            assert got[2][name].tobytes() == g.tobytes(), name
+
+    @pytest.mark.parametrize("lstm", [False, True], ids=["gru", "lstm"])
+    def test_frozen_call_records_nothing_and_stores_no_steps(self, lstm):
+        p, x, states, _ = self._case(lstm, 16, 4, 8, 400, np.float64)
+        rows, steps, d_g = 16, 400, 8
+        per_step = rows * d_g * 8
+
+        def peak(requires_grad):
+            params = p.map(lambda a: Tensor(a, requires_grad=requires_grad))
+            leaves = [Tensor(a) for a in states]
+            tracemalloc.start()
+            try:
+                out = (lstm_sequence(x, *leaves, params) if lstm
+                       else (gru_sequence(x, leaves[0], params),))
+                return tracemalloc.get_traced_memory()[1], out
+            finally:
+                tracemalloc.stop()
+
+        frozen_peak, out = peak(False)
+        for o in out:
+            assert not o.requires_grad
+            assert o._parents == () and o._backward is None
+        # the trajectory plus a few steps' temporaries, not one set of arrays per step
+        assert frozen_peak < steps * per_step + 64 * per_step
+        trained_peak, _ = peak(True)
+        assert trained_peak > 4 * steps * per_step
+
+    @pytest.mark.parametrize("lstm", [False, True], ids=["gru", "lstm"])
+    @pytest.mark.parametrize("bad", ["ndim", "no-steps", "rows", "width", "dtype"])
+    def test_bad_operands_rejected(self, lstm, bad):
+        p, x, states, _ = self._case(lstm, 4, 2, 3, 5, np.float64)
+        if bad == "ndim":
+            x = x[:, 0]
+        elif bad == "no-steps":
+            x = x[:, :0]
+        elif bad == "rows":
+            x = x[:3]
+        elif bad == "width":
+            x = x[:, :, :1]
+        else:
+            states = [a.astype(np.float32) for a in states]
+        leaves = [Tensor(a) for a in states]
+        with pytest.raises(ShapeError):
+            if lstm:
+                lstm_sequence(x, *leaves, wrap(p))
+            else:
+                gru_sequence(x, leaves[0], wrap(p))
+
+    def test_lstm_needs_a_cell_state(self):
+        p, x, states, _ = self._case(True, 2, 1, 2, 3, np.float64)
+        with pytest.raises(ShapeError):
+            lstm_sequence(x, Tensor(states[0]), None, wrap(p))
 
 
 class TestParamCount:

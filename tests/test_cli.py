@@ -233,6 +233,34 @@ class TestTrain:
         assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def train_only_dir(tmp_path_factory):
+    """Twelve 96-sample sequences whose split leaves every one in the train split."""
+    root = tmp_path_factory.mktemp("train_only")
+    write_material(root, "m", generate_ja_dataset(12, 96, seed=1))
+    return root
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--archetype", "gru-v", "--hidden-size", "4"],
+     "gru-v needs d_g = 2*(N+1)^2 with N >= 1, got d_g=4"),
+    (["train", "--subseq-len", "17", "--warmup-len", "16"],
+     "subsequence length 17 too short for warmup 16"),
+    (["train", "--subseq-len", "200"], "sequence 0 shorter than subsequence length 200"),
+    (["train", "--batch-size", "100", "--subseq-len", "32", "--warmup-len", "4"],
+     "no full batches: 12 sequences, l=32, b=100"),
+    (["sweep", "--sizes", "2", "--subseq-len", "32", "--warmup-len", "4"],
+     "empty eval set: every sweep trial is scored on it"),
+], ids=["gru-v-size", "window-too-short", "window-too-long", "no-full-batch", "empty-eval"])
+def test_unusable_run_refused_before_staging(train_only_dir, tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    rc = main(argv[:1] + ["--data", str(train_only_dir), "--material", "m", "--epochs", "1",
+                          "--out", str(out)] + argv[1:])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 class TestEvalPredict:
     def test_eval_on_training_split_matches_log(self, dataset_dir, trained, tmp_path, capsys):
         out = tmp_path / "evalout"

@@ -1,14 +1,15 @@
 """Training-loop tests: optimizer algebra, determinism, checkpoints, sweeps."""
 import gc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import digest
 from hystkit.autodiff import _toposort
-from hystkit.dataset import (MeasuredSequence, NormConstants, compute_norm_constants,
-                             make_minibatches)
+from hystkit.dataset import (DataError, MeasuredSequence, NormConstants,
+                             compute_norm_constants, make_minibatches)
 from hystkit.heads import inputs_from_batch, rollout, wrap_params
 from hystkit.metrics import MetricReport
 from hystkit.physics import init_preisach_params
@@ -263,26 +264,38 @@ class TestGraphLifetime:
 
     @staticmethod
     def _loss_graph_refs(config):
+        """Weak references to the loss graph's nodes, and how many nodes each function
+        that records a backward (``gru_step``, ``gru_sequence``, ...) put in it."""
         seqs = tiny_dataset()
         norm = compute_norm_constants(seqs)
         batch = make_minibatches(seqs, config.subseq_len, config.batch_size, [0, 1],
                                  config.warmup_length, norm)[0]
         loss = batch_loss(config, wrap_params(init_params(config)), batch, norm)
         loss.backward()
-        return [weakref.ref(node) for node in _toposort(loss)]
+        nodes = _toposort(loss)
+        recorders = Counter(node._backward.__qualname__.split(".")[0]
+                            for node in nodes if node._backward is not None)
+        return [weakref.ref(node) for node in nodes], recorders
 
     @pytest.mark.parametrize("archetype", ["gru-p", "lstm-p", "gru-jadp", "ja"])
     def test_loss_graph_freed_without_gc(self, archetype):
         config = small_config(archetype=archetype, d_g=6)
+        warm, open_loop = config.warmup_length - 1, config.subseq_len - config.warmup_length
+        # the walk reached every recurrent node: each warmup step (two nodes per LSTM
+        # step), the cell heads' sequence node and each JA-family open-loop step
+        expected = {"gru-p": {"gru_step": warm, "gru_sequence": 1},
+                    "lstm-p": {"lstm_step": 2 * warm, "lstm_sequence": 1},
+                    "gru-jadp": {"gru_step": warm + open_loop, "ja_step_euler": open_loop},
+                    "ja": {"ja_step_euler": open_loop}}[archetype]
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            refs = self._loss_graph_refs(config)
+            refs, recorders = self._loss_graph_refs(config)
             alive = sum(ref() is not None for ref in refs)
         finally:
             if was_enabled:
                 gc.enable()
-        assert len(refs) > 100
+        assert {name: recorders[name] for name in expected} == expected
         assert refs[-1]() is None, "the loss node outlived its last reference"
         assert alive == 0, f"{alive} of {len(refs)} tape nodes outlived the loss"
 
@@ -544,7 +557,7 @@ class TestPreisachTrainer:
 
     def test_no_full_batch_raises(self):
         seqs = tiny_dataset(n=3, length=64)
-        with pytest.raises(TrainingError, match="no full batches: 3 sequences, l=32, b=16"):
+        with pytest.raises(DataError, match="no full batches: 3 sequences, l=32, b=16"):
             train_preisach(init_preisach_params(n_levels=5), seqs, compute_norm_constants(seqs),
                            subseq_len=32, batch_size=16, epochs=2, warmup_length=4)
 
