@@ -391,6 +391,46 @@ def test_cell_head_rollout_and_gradients_pinned(archetype, w, rows, precision):
         archetype, w, rows, precision]
 
 
+# sha256 of the predictions, final state (H, M and, for gru-jadp, the hidden
+# state) and batch_loss parameter gradients of a JA-family head's first batch in
+# double precision, on the data of the cell-head pins, recorded while every
+# open-loop step read its prediction out through a node of its own: the single
+# readout over the concatenated H columns must reproduce them byte for byte.
+JA_HEAD_DIGESTS = {
+    ("gru-jadp", 1, 1): "7a2f136076456605a092a35b43a4a8808f2122a2a01b1ec2991ec138fa481619",
+    ("gru-jadp", 1, 16): "4b2e27c55d58d28d1ba05101121b26393c89038b155b6a07ae8391974a658633",
+    ("gru-jadp", 16, 1): "a8447d2acbe9d83deb7eeec3ab6480cc6a7bbc23a4c6947e11cb52d82ebf5269",
+    ("gru-jadp", 16, 16): "03dd763810e5c7b5afdebf6d5c43685f73a920fc24028e5b057a787cc288647f",
+    ("ja", 1, 1): "df2ff7febc3120397dd6e74ec1df8457276ba450a3bc562aceeb35180de24334",
+    ("ja", 1, 16): "de68c891ab417db5cc63820497b1edaf85bdfc10da166f15b1068b540cef2494",
+    ("ja", 16, 1): "21494f9249e90358282f7367e4cf8dd01e0592f2f1ff7bc79cc2141713f280fe",
+    ("ja", 16, 16): "6c90b38794daeb7e2c1cdf1458c4d28b55a609bc946964e9808e450f16c10e9b",
+}
+
+
+@pytest.mark.parametrize("archetype, w, rows", sorted(JA_HEAD_DIGESTS))
+def test_ja_head_rollout_and_gradients_pinned(archetype, w, rows):
+    seqs = generate_ja_dataset(n_sequences=8, length=96, seed=0)
+    for s in seqs:
+        s.b = s.b + 0.0123
+    norm = NormConstants(h_max=2.0 * max(np.max(np.abs(s.h)) for s in seqs),
+                         b_max=max(np.max(np.abs(s.b)) for s in seqs), theta_max=70.0)
+    config = TrainConfig(archetype=archetype, d_g=8, subseq_len=40, batch_size=rows,
+                         warmup_length=w, precision="double")
+    batch = make_minibatches(seqs, 40, rows, [0, 1], w, norm)[0]
+    params = wrap_params(init_params(config))
+    inputs = inputs_from_batch(batch, norm)
+    pred, state = rollout(config.head_config(), params, inputs)
+    ja, hidden = state if archetype == "gru-jadp" else (state, None)
+    states = {"h": ja.h.data, "m": ja.m.data, **({} if hidden is None else {"g": hidden.data})}
+    frozen, _ = rollout(config.head_config(), wrap_params(init_params(config), False), inputs)
+    assert frozen.data.tobytes() == pred.data.tobytes()
+    batch_loss(config, params, batch, norm).backward()
+    assert digest({"pred": pred.data, **states,
+                   **{k: t.grad for k, t in params.items()}}) == JA_HEAD_DIGESTS[
+        archetype, w, rows]
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_identical_metrics(self, tmp_path):
         seqs = tiny_dataset(n=5)
