@@ -31,9 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import (DataError, check_windows, fmt, ingest_material, json_text, load_material,
-                      read_csv_dicts, read_json_object, split_dataset, write_columns, write_file,
-                      write_rows)
+from .dataset import (DataError, check_windows, detect_adapter, fmt, ingest_material, json_text,
+                      load_material, read_csv_dicts, read_json_object, split_dataset,
+                      write_columns, write_file, write_rows)
 from .training import (SWEEP_COLUMNS, ConfigError, TrainConfig, TrainingError, check_sweep_eval,
                        config_param_count, evaluate_sequences, load_checkpoint, pareto_sweep,
                        save_checkpoint, sweep_medians, train, write_sweep_csv)
@@ -195,12 +195,14 @@ def cmd_ingest(args) -> int:
     if args.material and len(subdirs) > 1:
         raise CliError(f"--material {args.material} names one material, but {raw} holds "
                        f"{len(subdirs)}: {', '.join(p.name for p in subdirs)}")
+    # every layout is resolved before the first material is written
+    adapters = [args.adapter or detect_adapter(sub) for sub in subdirs]
     stage = OutputStage(args.out, "ingest", {"raw": str(raw), "material": args.material,
                                              "adapter": args.adapter}, {"raw": raw})
     counts = {}
-    for sub in subdirs:
+    for sub, adapter in zip(subdirs, adapters):
         material, count = ingest_material(sub, stage.out_dir, args.material or sub.name,
-                                          adapter=args.adapter)
+                                          adapter=adapter)
         counts[material] = count
         stage.outputs.append(f"{material}/manifest.json")
     if not counts:
@@ -327,12 +329,14 @@ def cmd_sweep(args) -> int:
     sizes = [_positive_int("--sizes", s) for s in args.sizes.split(",")]
     seeds = list(range(_positive_int("--seeds", args.seeds)))
     workers = _positive_int("--workers", args.workers)
+    base = _train_config(resolved)
     splits, inputs = _load_splits(args, args.material, resolved["split_seed"])
+    # every trial shares the base config's windows, so one check covers them all
+    check_windows(splits["train"], base.subseq_len, base.batch_size, base.warmup_length)
     check_sweep_eval(splits["eval"])
     stage = OutputStage(args.out, "sweep",
                         {**resolved, "material": args.material, "archetypes": archetypes,
                          "sizes": sizes, "n_seeds": len(seeds), "workers": workers}, inputs)
-    base = _train_config(resolved)
     rows, medians = pareto_sweep(archetypes, sizes, seeds, splits["train"], splits["eval"],
                                  base_config=base, workers=workers)
     write_sweep_csv(stage.path("sweep.csv"), rows)

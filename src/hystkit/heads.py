@@ -5,10 +5,11 @@ the warmup length w into a conditioning part (target values known) and an
 open-loop part. Warmup consumes feature steps 1..w-1, prediction consumes
 steps w..L-1; each prediction step emits one normalized target estimate.
 Warmup makes one cell call per step, so a value can be injected between
-steps. The cell heads then run the open loop as one sequence node
-(``cells.gru_sequence``/``lstm_sequence``) and read all estimates out of its
-trajectory at once; the JA-family heads step the open loop one sample at a
-time.
+steps. Every head's open loop returns (predictions, final state) and reads
+all estimates out at once: the cell heads run it as one sequence node
+(``cells.gru_sequence``/``lstm_sequence``) and read its trajectory; the
+JA-family heads step it one sample at a time and scale the concatenated
+field columns by 1/H_max.
 
 Archetypes:
 
@@ -253,7 +254,7 @@ def gru_v_readout(g: Tensor, drive) -> Tensor:
     return Tensor(np.asarray(drive, dtype=g.data.dtype)) - grid_sum
 
 
-def _cell_open_loop(config: HeadConfig, params: dict, inputs: RolloutInputs, dt):
+def _cell_open_loop(config: HeadConfig, params: dict, inputs: RolloutInputs):
     """(predictions, final state) of a cell head: one sequence node over steps
     w..L-1, then one readout over its trajectory."""
     w = inputs.warmup_length
@@ -264,38 +265,42 @@ def _cell_open_loop(config: HeadConfig, params: dict, inputs: RolloutInputs, dt)
         traj, c = lstm_sequence(x, g, c, p)
         return traj[:, :, 0], (traj[:, -1], c)
     traj = gru_sequence(x, g, p)
-    drive = inputs.drive_norm[:, w:]
+    drive = inputs.drive_norm[:, w:].astype(traj.data.dtype)
     if config.archetype == "gru-v":
         pred = gru_v_readout(traj, drive)
     elif config.archetype == "gru-m":
-        pred = tanh(Tensor(drive.astype(dt)) - traj[:, :, 0])
+        pred = tanh(Tensor(drive) - traj[:, :, 0])
     elif config.archetype == "gru-l":
-        pred = traj[:, :, 0] * Tensor(drive.astype(dt))
+        pred = traj[:, :, 0] * Tensor(drive)
     else:
         pred = traj[:, :, 0]
     return pred, traj[:, -1]
 
 
 def _ja_open_loop(config: HeadConfig, params: dict, inputs: RolloutInputs):
-    """(state after warmup, step(state, t), readout(state)) of a JA-family head."""
+    """(predictions, final state) of a JA-family head: one Euler step per sample
+    w..L-1, then one readout over the concatenated field columns."""
     w = inputs.warmup_length
     b_raw = inputs.drive_raw
     ja = ja_initial_state(inputs.target_warm_raw[:, w - 1:w], b_raw[:, w - 1:w])
-    inv_max = 1.0 / inputs.target_max
-    # Each step lambda looks up its step function in this module at call
-    # time, where the benchmark's tracer (bench/tracing.py) patches it.
     if config.archetype == "ja":
         phys = ja_params_from_theta(reshape(params["theta_ja"], (1, 5)), config.eta)
-        return (ja,
-                lambda s, t: ja_step_euler(s, b_raw[:, t - 1:t], b_raw[:, t:t + 1], phys),
-                lambda s: s.h * inv_max)
-    g, _ = warmup(config, params, inputs)
-    p = _cell(config).from_dict(params)
-    dt = _dtype(params)
-    return ((ja, g),
-            lambda s, t: gru_jadp_step(Tensor(inputs.x[:, t, :].astype(dt)), s[1], p, config.eta,
-                                       s[0], b_raw[:, t - 1:t], b_raw[:, t:t + 1]),
-            lambda s: s[0].h * inv_max)
+    else:
+        g, _ = warmup(config, params, inputs)
+        p = _cell(config).from_dict(params)
+        dt = _dtype(params)
+    h = []
+    for t in range(w, inputs.length):
+        b_k, b_k1 = b_raw[:, t - 1:t], b_raw[:, t:t + 1]
+        # Looked up in this module at call time, where bench/tracing.py patches them.
+        if config.archetype == "ja":
+            ja = ja_step_euler(ja, b_k, b_k1, phys)
+        else:
+            ja, g = gru_jadp_step(Tensor(inputs.x[:, t, :].astype(dt)), g, p, config.eta, ja,
+                                  b_k, b_k1)
+        h.append(ja.h)
+    pred = concat(h, axis=1) * (1.0 / inputs.target_max)
+    return pred, (ja if config.archetype == "ja" else (ja, g))
 
 
 def rollout(config: HeadConfig, params: dict, inputs: RolloutInputs):
@@ -308,20 +313,13 @@ def rollout(config: HeadConfig, params: dict, inputs: RolloutInputs):
     """
     if inputs.x.shape[2] != config.d_x and config.archetype != "ja":
         raise HeadError(f"feature width {inputs.x.shape[2]} != d_x {config.d_x}")
-    dt = _dtype(params)
-    if config.archetype in JA_FAMILY:
-        if inputs.drive_raw is None or inputs.target_warm_raw is None or inputs.target_max is None:
-            raise HeadError("JA-family rollouts need raw-unit drive/target context")
-        if dt != np.float64:
-            raise HeadError(f"{config.archetype} rollouts require double precision")
     if config.archetype not in JA_FAMILY:
-        return _cell_open_loop(config, params, inputs, dt)
-    state, step, readout = _ja_open_loop(config, params, inputs)
-    preds = []
-    for t in range(inputs.warmup_length, inputs.length):
-        state = step(state, t)
-        preds.append(readout(state))
-    return concat(preds, axis=1), state
+        return _cell_open_loop(config, params, inputs)
+    if inputs.drive_raw is None or inputs.target_warm_raw is None or inputs.target_max is None:
+        raise HeadError("JA-family rollouts need raw-unit drive/target context")
+    if _dtype(params) != np.float64:
+        raise HeadError(f"{config.archetype} rollouts require double precision")
+    return _ja_open_loop(config, params, inputs)
 
 
 def _predict_group(config: HeadConfig, params: dict, seqs, norm: NormConstants,

@@ -69,6 +69,19 @@ class TestIngest:
         assert summary["materials"] == {"matZ": 3}
         assert (out / "run_manifest.json").exists()
 
+    def test_unknown_layout_refused_before_staging(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        (raw / "empty").mkdir(parents=True)
+        (raw / "good").mkdir()
+        (raw / "good" / "B_waveform[T].csv").write_text("0.1,0.2,0.3\n0.2,0.3,0.4\n")
+        (raw / "good" / "H_waveform[Am-1].csv").write_text("1,2,3\n2,3,4\n")
+        (raw / "good" / "Temperature[C].csv").write_text("25\n50\n")
+        out = tmp_path / "out"
+        rc = main(["ingest", "--raw", str(raw), "--out", str(out)])
+        assert rc == 1
+        assert f"unknown raw layout under {raw / 'empty'}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_material_name_refused_for_several_materials(self, tmp_path, capsys):
         raw = tmp_path / "raw"
         for name, count in (("matA", 5), ("matB", 3)):
@@ -251,7 +264,15 @@ def train_only_dir(tmp_path_factory):
      "no full batches: 12 sequences, l=32, b=100"),
     (["sweep", "--sizes", "2", "--subseq-len", "32", "--warmup-len", "4"],
      "empty eval set: every sweep trial is scored on it"),
-], ids=["gru-v-size", "window-too-short", "window-too-long", "no-full-batch", "empty-eval"])
+    (["sweep", "--sizes", "2", "--lr", "nan"], "lr must be finite, got nan"),
+    (["sweep", "--sizes", "2", "--archetype", "ja", "--precision", "single"],
+     "'ja'/lambda_w>0 requires double precision"),
+    (["sweep", "--sizes", "2", "--subseq-len", "200"],
+     "sequence 0 shorter than subsequence length 200"),
+    (["sweep", "--sizes", "2", "--batch-size", "100", "--subseq-len", "32", "--warmup-len", "4"],
+     "no full batches: 12 sequences, l=32, b=100"),
+], ids=["gru-v-size", "window-too-short", "window-too-long", "no-full-batch", "empty-eval",
+        "sweep-nan-lr", "sweep-ja-single", "sweep-window-too-long", "sweep-no-full-batch"])
 def test_unusable_run_refused_before_staging(train_only_dir, tmp_path, capsys, argv, message):
     out = tmp_path / "o"
     rc = main(argv[:1] + ["--data", str(train_only_dir), "--material", "m", "--epochs", "1",

@@ -276,6 +276,18 @@ class TestJaHeads:
         assert a.data.tobytes() == b.data.tobytes()
         assert a.data.shape == (1, 4)
 
+    @pytest.mark.parametrize("archetype, d_g", [("ja", 1), ("gru-jadp", 6)])
+    def test_one_readout_over_the_field_columns(self, archetype, d_g):
+        config = HeadConfig(archetype, d_g=d_g, warmup_length=2)
+        pred, state = rollout(config, wrap_params(init_head_params(config, 3)),
+                              make_inputs(w=2, length=7, seed=41))
+        columns = pred._parents[0]
+        assert columns._backward.__qualname__.startswith("concat.")
+        assert len(columns._parents) == 5
+        assert all(h._backward.__qualname__.startswith("ja_step_euler.")
+                   for h in columns._parents)
+        assert columns._parents[-1] is (state if archetype == "ja" else state[0]).h
+
     def test_single_precision_rejected(self):
         config = HeadConfig("gru-jadp", d_g=6, warmup_length=2)
         arrays = {k: v.astype(np.float32) for k, v in init_head_params(config, 2).items()}
