@@ -31,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import (DataError, check_windows, detect_adapter, fmt, ingest_material, json_text,
-                      load_material, read_csv_dicts, read_json_object, split_dataset,
+from .dataset import (DataError, check_windows, fmt, ingest_material, json_text, load_material,
+                      read_csv_dicts, read_json_object, resolve_adapter, split_dataset,
                       write_columns, write_file, write_rows)
 from .training import (SWEEP_COLUMNS, ConfigError, TrainConfig, TrainingError, check_sweep_eval,
                        config_param_count, evaluate_sequences, load_checkpoint, pareto_sweep,
@@ -196,7 +196,7 @@ def cmd_ingest(args) -> int:
         raise CliError(f"--material {args.material} names one material, but {raw} holds "
                        f"{len(subdirs)}: {', '.join(p.name for p in subdirs)}")
     # every layout is resolved before the first material is written
-    adapters = [args.adapter or detect_adapter(sub) for sub in subdirs]
+    adapters = [resolve_adapter(sub, args.adapter) for sub in subdirs]
     stage = OutputStage(args.out, "ingest", {"raw": str(raw), "material": args.material,
                                              "adapter": args.adapter}, {"raw": raw})
     counts = {}
@@ -330,6 +330,8 @@ def cmd_sweep(args) -> int:
     seeds = list(range(_positive_int("--seeds", args.seeds)))
     workers = _positive_int("--workers", args.workers)
     base = _train_config(resolved)
+    for archetype in archetypes:  # refused as `train` would refuse it, whatever else is listed
+        _train_config({**resolved, "archetype": archetype})
     splits, inputs = _load_splits(args, args.material, resolved["split_seed"])
     # every trial shares the base config's windows, so one check covers them all
     check_windows(splits["train"], base.subseq_len, base.batch_size, base.warmup_length)

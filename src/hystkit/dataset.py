@@ -37,6 +37,8 @@ from pathlib import Path
 import numpy as np
 
 DEFAULT_TAU_S = 62.5e-9  # 1/16 MHz sampling
+#: Shares of the (train, eval, test) split.
+SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
 
 
 class DataError(ValueError):
@@ -161,8 +163,8 @@ def featurize(seq: MeasuredSequence, norm: NormConstants) -> np.ndarray:
     return feature_rows(seq.b[None, :] / norm.b_max, [theta])[0]
 
 
-def split_dataset(sequences, fractions=(0.8, 0.1, 0.1), seed: int = 0):
-    """Disjoint, exhaustive (train, eval, test) partition.
+def split_dataset(sequences, seed: int = 0):
+    """Disjoint, exhaustive (train, eval, test) partition in the shares :data:`SPLIT_FRACTIONS`.
 
     Stratified by (f_sw, temperature) when that metadata is present: within
     each stratum the split is shuffled deterministically and every stratum
@@ -171,8 +173,6 @@ def split_dataset(sequences, fractions=(0.8, 0.1, 0.1), seed: int = 0):
     sequences = list(sequences)
     if not sequences:
         raise DataError("cannot split an empty dataset")
-    if abs(sum(fractions) - 1.0) > 1e-9 or len(fractions) != 3:
-        raise DataError("fractions must be three values summing to 1")
     strata: dict = {}
     for i, s in enumerate(sequences):
         key = (s.f_sw_hz, s.temperature_c)
@@ -183,7 +183,7 @@ def split_dataset(sequences, fractions=(0.8, 0.1, 0.1), seed: int = 0):
         idx = np.array(strata[key])
         rng.shuffle(idx)
         n = len(idx)
-        ideal = [f * n for f in fractions]
+        ideal = [f * n for f in SPLIT_FRACTIONS]
         counts = [int(np.floor(v)) for v in ideal]
         order = sorted(range(3), key=lambda j: ideal[j] - counts[j], reverse=True)
         for j in order[: n - sum(counts)]:
@@ -612,16 +612,31 @@ def _adapt_canonical(raw_dir: Path, material: str) -> list[MeasuredSequence]:
 
 
 ADAPTERS = {"magnetx": _adapt_magnetx, "canonical": _adapt_canonical}
+#: Whether a raw directory holds each adapter's layout, in the order detection tries them.
+LAYOUTS = {"magnetx": lambda raw_dir: (raw_dir / "B_waveform[T].csv").exists(),
+           "canonical": lambda raw_dir: any(p.with_suffix(".json").exists()
+                                            for p in raw_dir.glob("*.csv"))}
 
 
 def detect_adapter(raw_dir: Path) -> str:
+    """The first adapter whose layout ``raw_dir`` holds; none raises :class:`DataError`."""
     raw_dir = Path(raw_dir)
-    if (raw_dir / "B_waveform[T].csv").exists():
-        return "magnetx"
-    csvs = [p for p in raw_dir.glob("*.csv") if p.with_suffix(".json").exists()]
-    if csvs:
-        return "canonical"
+    for name, holds in LAYOUTS.items():
+        if holds(raw_dir):
+            return name
     raise DataError(f"unknown raw layout under {raw_dir}: no sequences found")
+
+
+def resolve_adapter(raw_dir: Path, name: str | None) -> str:
+    """``name`` when ``raw_dir`` holds its layout, or :func:`detect_adapter` when ``name``
+    is None. A directory without the layout raises :class:`DataError` naming it."""
+    if name is None:
+        return detect_adapter(raw_dir)
+    if name not in LAYOUTS:
+        raise DataError(f"unknown adapter {name!r}")
+    if not LAYOUTS[name](Path(raw_dir)):
+        raise DataError(f"no {name} layout under {raw_dir}")
+    return name
 
 
 def ingest_material(raw_dir: Path, out_dir: Path, material: str | None = None,
@@ -632,10 +647,7 @@ def ingest_material(raw_dir: Path, out_dir: Path, material: str | None = None,
     """
     raw_dir = Path(raw_dir)
     material = material or raw_dir.name
-    name = adapter or detect_adapter(raw_dir)
-    if name not in ADAPTERS:
-        raise DataError(f"unknown adapter {name!r}")
-    sequences = ADAPTERS[name](raw_dir, material)
+    sequences = ADAPTERS[resolve_adapter(raw_dir, adapter)](raw_dir, material)
     if not sequences:
         raise DataError(f"no sequences found under {raw_dir}")
     write_material(out_dir, material, sequences)

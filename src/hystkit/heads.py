@@ -41,14 +41,7 @@ from .autodiff import Tensor, _accum, _node, concat, dtype_of, reshape, tanh, ts
 from .cells import (LSTM_ARCHETYPES, GruParams, LstmParams, gru_sequence, gru_step,
                     lstm_sequence, lstm_step)
 from .dataset import DataError, MiniBatch, NormConstants
-from .physics import (
-    DEFAULT_ETA,
-    is_eta,
-    ja_initial_state,
-    ja_params_from_theta,
-    ja_step_euler,
-    gru_jadp_step,
-)
+from .physics import ja_initial_state, ja_params_from_theta, ja_step_euler, gru_jadp_step
 
 ARCHETYPES = ("gru-p", "gru-m", "gru-l", "lstm-p", "gru-v", "gru-jadp", "ja")
 #: Heads whose warmup overwrites hidden element 0 with a known value.
@@ -81,15 +74,12 @@ class HeadConfig:
     d_g: int
     d_x: int = 4
     warmup_length: int = 16
-    eta: tuple = DEFAULT_ETA
 
     def __post_init__(self):
         if self.archetype not in ARCHETYPES:
             raise HeadError(f"unknown archetype {self.archetype!r}")
         if self.warmup_length < 1:
             raise HeadError("warmup_length must be >= 1")
-        if not is_eta(self.eta):
-            raise HeadError(f"eta must be five finite positive numbers, got {self.eta!r}")
         if self.archetype == "gru-v":
             side = np.sqrt(self.d_g / 2.0)
             if side != int(side) or int(side) < 2:
@@ -284,7 +274,7 @@ def _ja_open_loop(config: HeadConfig, params: dict, inputs: RolloutInputs):
     b_raw = inputs.drive_raw
     ja = ja_initial_state(inputs.target_warm_raw[:, w - 1:w], b_raw[:, w - 1:w])
     if config.archetype == "ja":
-        phys = ja_params_from_theta(reshape(params["theta_ja"], (1, 5)), config.eta)
+        phys = ja_params_from_theta(reshape(params["theta_ja"], (1, 5)))
     else:
         g, _ = warmup(config, params, inputs)
         p = _cell(config).from_dict(params)
@@ -296,8 +286,7 @@ def _ja_open_loop(config: HeadConfig, params: dict, inputs: RolloutInputs):
         if config.archetype == "ja":
             ja = ja_step_euler(ja, b_k, b_k1, phys)
         else:
-            ja, g = gru_jadp_step(Tensor(inputs.x[:, t, :].astype(dt)), g, p, config.eta, ja,
-                                  b_k, b_k1)
+            ja, g = gru_jadp_step(Tensor(inputs.x[:, t, :].astype(dt)), g, p, ja, b_k, b_k1)
         h.append(ja.h)
     pred = concat(h, axis=1) * (1.0 / inputs.target_max)
     return pred, (ja if config.archetype == "ja" else (ja, g))

@@ -10,7 +10,7 @@ where dM/dH combines the anhysteretic magnetization (Langevin curve) with
 irreversible and reversible wall-motion terms gated by the flux direction.
 The magnetization state is closed through B = mu0 * (H + M). The five
 physical parameters are produced from unconstrained values through a scaled
-sigmoid so they stay strictly inside (0, eta) during optimization.
+sigmoid so they stay strictly inside (0, ETA) during optimization.
 
 The Preisach model superposes smooth bistable hysterons on a fixed
 triangular threshold grid; only the density vector and an affine output map
@@ -47,8 +47,9 @@ from .cells import GruParams, gru_step
 
 MU0 = 4e-7 * np.pi
 
-#: Positive scale caps for (M_s, a, alpha_w, k_p, c); config-overridable.
-DEFAULT_ETA = (5e5, 1e3, 1e-2, 1e3, 1.0)
+#: Positive scale caps for (M_s, a, alpha_w, k_p, c).
+ETA = (5e5, 1e3, 1e-2, 1e3, 1.0)
+_ETA_ROW = np.asarray(ETA, dtype=np.float64).reshape(1, 5)
 
 _DENOM_FLOOR = 1e-30
 
@@ -97,25 +98,17 @@ class JaState:
     m: Tensor
 
 
-def is_eta(value) -> bool:
-    """Whether ``value`` holds five finite positive numbers, the JA scale factors."""
-    return (isinstance(value, (list, tuple)) and len(value) == 5
-            and all(type(v) in (int, float) and 0 < v < np.inf for v in value))
-
-
-def ja_params_from_theta(theta: Tensor, eta=DEFAULT_ETA) -> JaPhysical:
-    """Map unconstrained values to physical parameters: z_i = eta_i * sigmoid(theta_i).
+def ja_params_from_theta(theta: Tensor) -> JaPhysical:
+    """Map unconstrained values to physical parameters: z_i = ETA_i * sigmoid(theta_i).
 
     ``theta`` is (rows, >= 5) and only its first five columns are read, so
     gru-jadp passes its whole hidden state. Each returned component is a
     frozen (rows, 1) Tensor; the map is one tape node, ``z``, whose backward
     scatters into those five columns as a slice node would.
     """
-    if not is_eta(eta):
-        raise PhysicsError(f"eta must be five finite positive numbers, got {eta!r}")
     if theta.data.ndim != 2 or theta.data.shape[1] < 5:
         raise PhysicsError(f"theta must be (rows, >= 5), got {theta.data.shape}")
-    eta_row = np.asarray(eta, dtype=np.float64).reshape(1, 5).astype(theta.data.dtype)
+    eta_row = _ETA_ROW.astype(theta.data.dtype, copy=False)
     sig = _sigmoid(theta.data[:, :5])
     z = sig * eta_row
 
@@ -305,16 +298,15 @@ def ja_initial_state(h_known, b_known) -> JaState:
     return JaState(h=Tensor(h0), m=Tensor(b0 / MU0 - h0))
 
 
-def gru_jadp_step(x: Tensor, g_prev: Tensor, gru_params: GruParams, eta,
-                  ja_state: JaState, b_k, b_k1):
+def gru_jadp_step(x: Tensor, g_prev: Tensor, gru_params: GruParams, ja_state: JaState,
+                  b_k, b_k1):
     """Coupled step: the GRU's first five hidden elements parameterize the JA substep.
 
-    Returns (new JaState, new hidden state).
+    Returns (new JaState, new hidden state). A hidden size below five raises
+    the :class:`PhysicsError` of :func:`ja_params_from_theta`.
     """
-    if g_prev.data.shape[1] < 5:
-        raise PhysicsError("gru-jadp needs a hidden size of at least 5")
     g = gru_step(x, g_prev, gru_params)
-    phys = ja_params_from_theta(g, eta)
+    phys = ja_params_from_theta(g)
     return ja_step_euler(ja_state, b_k, b_k1, phys), g
 
 

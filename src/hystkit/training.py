@@ -26,8 +26,7 @@ from .dataset import (MiniBatch, NormConstants, compute_norm_constants, fmt, jso
 from .heads import (JA_FAMILY, HeadConfig, init_head_params, inputs_from_batch, predict_window,
                     rollout, wrap_params)
 from .metrics import MetricReport, batch_mean, mae, mse, sre, nere, wce, weighted_loss_rows
-from .physics import (DEFAULT_ETA, is_eta, ja_params_from_theta, pinn_ja_residual,
-                      preisach_predict)
+from .physics import ETA, ja_params_from_theta, pinn_ja_residual, preisach_predict
 
 CHECKPOINT_FORMAT_VERSION = 1
 #: Adam's moment decay rates and denominator guard.
@@ -38,8 +37,11 @@ CHECKPOINT_HEADER_KEYS = ("format_version", "archetype", "seed", "norm", "train_
                           "layout", "blob", "blob_sha256")
 #: Keys read inside the ``norm`` and ``train_config`` header sections.
 CHECKPOINT_SECTION_KEYS = {"norm": ("h_max", "b_max", "theta_max"),
-                           "train_config": ("d_g", "warmup_length", "eta", "precision",
-                                            "lambda_w")}
+                           "train_config": ("d_g", "warmup_length", "precision", "lambda_w")}
+
+#: The ``train_config`` key of the JA scale caps in headers written before the caps
+#: became the constant ``physics.ETA``; such a header loads only when it holds ``ETA``.
+LEGACY_CAPS_KEY = "eta"
 
 
 class ConfigError(ValueError):
@@ -65,7 +67,6 @@ class TrainConfig:
     warmup_length: int = 16
     patience: int = 20
     eval_every: int = 1
-    eta: tuple = DEFAULT_ETA
 
     def __post_init__(self):
         for name in ("lr", "clip_norm", "lambda_w"):
@@ -79,8 +80,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.lr < 0 or self.clip_norm <= 0:
             raise ConfigError("lr must be >= 0 and clip_norm > 0")
-        if not is_eta(self.eta):
-            raise ConfigError(f"eta must be five finite positive numbers, got {self.eta!r}")
         if self.precision is None:
             self.precision = "double" if self._uses_ja() else "single"
         dtype_of(self.precision)
@@ -92,12 +91,7 @@ class TrainConfig:
 
     def head_config(self) -> HeadConfig:
         return HeadConfig(archetype=self.archetype, d_g=self.d_g,
-                          warmup_length=self.warmup_length, eta=self.eta)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["eta"] = list(self.eta)
-        return d
+                          warmup_length=self.warmup_length)
 
 
 def config_param_count(config: TrainConfig) -> int:
@@ -163,7 +157,7 @@ def batch_loss(config: TrainConfig, params_t: dict, batch: MiniBatch, norm: Norm
     rows = weighted_loss_rows(batch.h_norm[:, w:], pred, batch.b_norm[:, w - 1:],
                               norm.h_max, batch.h_rms)
     if config.lambda_w > 0:
-        phys = ja_params_from_theta(reshape(params_t["theta_ja"], (1, 5)), config.eta)
+        phys = ja_params_from_theta(reshape(params_t["theta_ja"], (1, 5)))
         anchor = Tensor(batch.h_raw[:, w - 1:w].astype(pred.data.dtype))
         h_traj = concat([anchor, pred * norm.h_max], axis=1)
         _, l_ja_rows = pinn_ja_residual(h_traj, batch.b_raw[:, w - 1:], phys)
@@ -225,7 +219,7 @@ class TrainResult:
             archetype=self.config.archetype,
             params={k: v.copy() for k, v in self.params.items()},
             norm=self.norm,
-            train_config=self.config.to_dict(),
+            train_config=asdict(self.config),
             seed=self.config.seed,
         )
 
@@ -308,7 +302,7 @@ class ModelCheckpoint:
     def head_config(self) -> HeadConfig:
         tc = self.train_config
         return HeadConfig(archetype=self.archetype, d_g=tc["d_g"],
-                          warmup_length=tc["warmup_length"], eta=tuple(tc["eta"]))
+                          warmup_length=tc["warmup_length"])
 
     def count_params(self) -> int:
         return int(sum(v.size for v in self.params.values()))
@@ -379,8 +373,10 @@ def load_checkpoint(json_path: Path) -> ModelCheckpoint:
     tc = header["train_config"]
     if type(header["seed"]) is not int:
         raise bad(f"field 'seed' is not an integer: {header['seed']!r}")
-    if not is_eta(tc["eta"]):
-        raise bad(f"field 'train_config.eta' is not five finite positive numbers: {tc['eta']!r}")
+    caps = tc.get(LEGACY_CAPS_KEY, list(ETA))
+    if caps != list(ETA):
+        raise bad(f"field 'train_config.{LEGACY_CAPS_KEY}' is {caps!r}, not the JA scale "
+                  f"caps {list(ETA)}")
     try:
         for key in ("d_g", "warmup_length"):
             if type(tc[key]) is not int:
@@ -389,7 +385,7 @@ def load_checkpoint(json_path: Path) -> ModelCheckpoint:
             raise ConfigError(f"lambda_w must be a number, got {tc['lambda_w']!r}")
         expected = init_params(TrainConfig(
             archetype=header["archetype"], d_g=tc["d_g"], warmup_length=tc["warmup_length"],
-            eta=tuple(tc["eta"]), precision=tc["precision"], lambda_w=tc["lambda_w"]))
+            precision=tc["precision"], lambda_w=tc["lambda_w"]))
     except (TypeError, ValueError) as exc:
         raise bad(f"field 'train_config' describes no model: {exc}") from None
     layout = header["layout"]
@@ -489,7 +485,7 @@ def check_sweep_eval(eval_seqs) -> None:
 
 
 def pareto_sweep(archetypes, d_g_values, seeds, train_seqs, eval_seqs,
-                 base_config: TrainConfig | None = None, workers: int = 1):
+                 base_config: TrainConfig, workers: int = 1):
     """Trial grid over (archetype, d_g, seed); returns (rows, medians).
 
     Each trial is scored on the eval set, which must not be empty. Medians
@@ -497,9 +493,8 @@ def pareto_sweep(archetypes, d_g_values, seeds, train_seqs, eval_seqs,
     that key so merged concurrent results stay deterministic.
     """
     check_sweep_eval(eval_seqs)
-    base = base_config or TrainConfig()
-    jobs = [(replace(base, archetype=a, d_g=d_g, seed=seed,
-                     precision="double" if a in JA_FAMILY else base.precision),
+    jobs = [(replace(base_config, archetype=a, d_g=d_g, seed=seed,
+                     precision="double" if a in JA_FAMILY else base_config.precision),
              train_seqs, eval_seqs)
             for a in archetypes for d_g in d_g_values for seed in seeds]
     if workers > 1:

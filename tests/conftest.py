@@ -22,6 +22,7 @@ import numpy as np
 from hystkit.autodiff import Tensor, _accum, _coerce, _node, _unbroadcast, matmul, sigmoid, tanh
 from hystkit.metrics import MetricError
 from hystkit.physics import (
+    ETA,
     HYSTERON_SHARPNESS,
     MU0,
     _DENOM_FLOOR,
@@ -177,10 +178,10 @@ def ja_m_an(h_e, m_s, a):
     return m_s * tape_langevin(x)
 
 
-def tape_ja_params_from_theta(theta, eta):
-    """z = eta * sigmoid(theta) as a sigmoid node, a multiply by a constant (1, 5) scale
+def tape_ja_params_from_theta(theta):
+    """z = ETA * sigmoid(theta) as a sigmoid node, a multiply by a constant (1, 5) scale
     row and one column take per parameter."""
-    z = sigmoid(theta) * Tensor(np.asarray(eta, dtype=np.float64).reshape(1, 5),
+    z = sigmoid(theta) * Tensor(np.asarray(ETA, dtype=np.float64).reshape(1, 5),
                                 dtype=theta.data.dtype)
     return JaPhysical(*(z[:, i:i + 1] for i in range(5)))
 

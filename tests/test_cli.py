@@ -82,6 +82,19 @@ class TestIngest:
         assert f"unknown raw layout under {raw / 'empty'}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_named_adapter_layout_refused_before_staging(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        (raw / "b_empty").mkdir(parents=True)
+        (raw / "a_good").mkdir()
+        (raw / "a_good" / "B_waveform[T].csv").write_text("0.1,0.2,0.3\n0.2,0.3,0.4\n")
+        (raw / "a_good" / "H_waveform[Am-1].csv").write_text("1,2,3\n2,3,4\n")
+        (raw / "a_good" / "Temperature[C].csv").write_text("25\n50\n")
+        out = tmp_path / "out"
+        rc = main(["ingest", "--raw", str(raw), "--out", str(out), "--adapter", "magnetx"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: no magnetx layout under {raw / 'b_empty'}\n"
+        assert not out.exists()
+
     def test_material_name_refused_for_several_materials(self, tmp_path, capsys):
         raw = tmp_path / "raw"
         for name, count in (("matA", 5), ("matB", 3)):
@@ -267,12 +280,15 @@ def train_only_dir(tmp_path_factory):
     (["sweep", "--sizes", "2", "--lr", "nan"], "lr must be finite, got nan"),
     (["sweep", "--sizes", "2", "--archetype", "ja", "--precision", "single"],
      "'ja'/lambda_w>0 requires double precision"),
+    (["sweep", "--sizes", "2", "--archetype", "gru-p,ja", "--precision", "single"],
+     "'ja'/lambda_w>0 requires double precision"),
     (["sweep", "--sizes", "2", "--subseq-len", "200"],
      "sequence 0 shorter than subsequence length 200"),
     (["sweep", "--sizes", "2", "--batch-size", "100", "--subseq-len", "32", "--warmup-len", "4"],
      "no full batches: 12 sequences, l=32, b=100"),
 ], ids=["gru-v-size", "window-too-short", "window-too-long", "no-full-batch", "empty-eval",
-        "sweep-nan-lr", "sweep-ja-single", "sweep-window-too-long", "sweep-no-full-batch"])
+        "sweep-nan-lr", "sweep-ja-single", "sweep-listed-ja-single", "sweep-window-too-long",
+        "sweep-no-full-batch"])
 def test_unusable_run_refused_before_staging(train_only_dir, tmp_path, capsys, argv, message):
     out = tmp_path / "o"
     rc = main(argv[:1] + ["--data", str(train_only_dir), "--material", "m", "--epochs", "1",
@@ -438,8 +454,7 @@ class TestEvalPredict:
 
     @pytest.mark.parametrize("key",["norm.h_max", "norm.b_max", "norm.theta_max",
                                      "train_config.d_g",
-                                     "train_config.warmup_length", "train_config.eta",
-                                     "train_config.precision"])
+                                     "train_config.warmup_length", "train_config.precision"])
     def test_checkpoint_section_missing_key_named(self, trained, tmp_path, capsys, key):
         header = json.loads((trained / "model.json").read_text())
         section, name = key.split(".")
@@ -465,6 +480,25 @@ class TestEvalPredict:
         assert capsys.readouterr().err.startswith(
             f"error: {run / 'model.json'}: checkpoint field 'train_config.eta' ")
         assert not out.exists()
+
+    def test_header_recording_the_caps_evaluates_as_without(self, two_length_runs, tmp_path):
+        # headers written while the JA scale caps were a setting record them as
+        # train_config.eta; holding the caps, such a header decodes theta the same way
+        data, checkpoints = two_length_runs
+        reports = []
+        for caps in (None, [500000.0, 1000.0, 0.01, 1000.0, 1.0]):
+            run = tmp_path / f"run{len(reports)}"
+            shutil.copytree(checkpoints["ja"].parent, run)
+            header = json.loads((run / "model.json").read_text())
+            assert "eta" not in header["train_config"]
+            if caps is not None:
+                header["train_config"]["eta"] = caps
+                (run / "model.json").write_text(json.dumps(header))
+            out = tmp_path / f"out{len(reports)}"
+            assert main(["eval", "--data", str(data), "--checkpoint", str(run / "model.json"),
+                         "--split", "all", "--out", str(out)]) == 0
+            reports.append([(out / name).read_bytes() for name in ("report.json", "report.csv")])
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("field, value, message", [
         ("seed", "x", "field 'seed' is not an integer: 'x'"),
@@ -547,11 +581,10 @@ def test_every_config_field_has_a_flag(command):
     assert set(_CONFIG_FIELDS) <= {a.dest for a in sub.choices[command]._actions}
 
 
-def test_only_eta_is_beyond_the_cli():
-    # eta stays fixed: every checkpoint records it, and it fixes how a stored
-    # theta maps to the Jiles-Atherton parameters
+def test_every_train_config_field_is_a_setting():
+    # every field is reachable from the flags and from --config
     fields = {f.name for f in dataclasses.fields(training.TrainConfig)}
-    assert fields - set(_CONFIG_FIELDS.values()) == {"eta"}
+    assert fields == set(_CONFIG_FIELDS.values())
 
 
 @pytest.fixture(scope="module")

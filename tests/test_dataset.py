@@ -2,6 +2,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hystkit.dataset import (
     load_material,
     make_minibatches,
     read_sequence,
+    resolve_adapter,
     reversed_minibatches,
     split_dataset,
     write_columns,
@@ -198,7 +200,7 @@ class TestMiniBatches:
 class TestSplit:
     def test_sizes_8_1_1(self):
         seqs = [ramp_sequence(seed=i) for i in range(10)]
-        train, ev, test = split_dataset(seqs, (0.8, 0.1, 0.1), seed=0)
+        train, ev, test = split_dataset(seqs, seed=0)
         assert (len(train), len(ev), len(test)) == (8, 1, 1)
 
     def test_same_seed_same_split(self):
@@ -225,10 +227,6 @@ class TestSplit:
         train, _, _ = split_dataset(seqs, seed=3)
         train_strata = {(s.f_sw_hz, s.temperature_c) for s in train}
         assert train_strata == {(s.f_sw_hz, s.temperature_c) for s in seqs}
-
-    def test_bad_fractions(self):
-        with pytest.raises(DataError):
-            split_dataset([ramp_sequence()], (0.5, 0.2, 0.2))
 
     def test_empty(self):
         with pytest.raises(DataError):
@@ -529,6 +527,17 @@ class TestAdapters:
         empty.mkdir()
         with pytest.raises(DataError, match="no sequences found"):
             detect_adapter(empty)
+
+    def test_named_layout_checked(self, tmp_path):
+        empty = tmp_path / "nothing"
+        empty.mkdir()
+        with pytest.raises(DataError, match=f"^no magnetx layout under {re.escape(str(empty))}$"):
+            resolve_adapter(empty, "magnetx")
+        with pytest.raises(DataError, match="^unknown adapter 'raw'$"):
+            resolve_adapter(empty, "raw")
+        write_sequence(empty / "seq_00000.csv", ramp_sequence(n=16))
+        assert resolve_adapter(empty, "canonical") == "canonical"
+        assert resolve_adapter(empty, None) == "canonical"
 
     def test_corrupt_matrix_row(self, tmp_path):
         raw = tmp_path / "matB"

@@ -296,13 +296,6 @@ class TestJaHeads:
             rollout(config, wrapped(arrays), inputs)
 
 
-    @pytest.mark.parametrize("eta", [(np.inf, 1, 1, 1, 1), (np.nan, 1, 1, 1, 1), (1, 1, 1, 1),
-                                     (1, 1, 1, 1, 0)])
-    def test_unusable_eta_refused(self, eta):
-        with pytest.raises(HeadError, match="^eta must be five finite positive numbers"):
-            HeadConfig("ja", d_g=1, eta=eta)
-
-
 class TestRolloutLossGradient:
     def test_ten_step_rollout_loss_fd(self):
         # ten open-loop steps through warmup, rollout, and the weighted

@@ -10,7 +10,7 @@ from conftest import ja_m_an, preisach_hysteron, tape_ja_params_from_theta, tape
 from hystkit.autodiff import Graph, Tensor, _toposort, finite_diff_check, mul, reshape, tsum
 from hystkit.cells import GruParams, gru_step, init_gru_params
 from hystkit.physics import (
-    DEFAULT_ETA,
+    ETA,
     HYSTERON_SHARPNESS,
     MU0,
     JaPhysical,
@@ -69,32 +69,26 @@ class TestAnhystereticCurve:
 class TestParameterMapping:
     def test_theta_zero_gives_half_scale(self):
         theta = Tensor(np.zeros((1, 5)))
-        phys = ja_params_from_theta(theta, DEFAULT_ETA)
-        for value, cap in zip((phys.m_s, phys.a, phys.alpha_w, phys.k_p, phys.c), DEFAULT_ETA):
+        phys = ja_params_from_theta(theta)
+        for value, cap in zip((phys.m_s, phys.a, phys.alpha_w, phys.k_p, phys.c), ETA):
             assert value.data.item() == pytest.approx(cap / 2.0, rel=1e-12)
 
     def test_saturates_at_cap(self):
         theta = Tensor(np.full((1, 5), 50.0))
-        phys = ja_params_from_theta(theta, DEFAULT_ETA)
-        assert phys.c.data.item() == pytest.approx(DEFAULT_ETA[4], rel=1e-12)
+        phys = ja_params_from_theta(theta)
+        assert phys.c.data.item() == pytest.approx(ETA[4], rel=1e-12)
 
     @given(st.lists(st.floats(-30, 30), min_size=5, max_size=5))
     @settings(max_examples=50, deadline=None)
     def test_always_inside_open_interval(self, theta_vals):
-        phys = ja_params_from_theta(Tensor(np.array(theta_vals)[None, :]), DEFAULT_ETA)
-        for value, cap in zip((phys.m_s, phys.a, phys.alpha_w, phys.k_p, phys.c), DEFAULT_ETA):
+        phys = ja_params_from_theta(Tensor(np.array(theta_vals)[None, :]))
+        for value, cap in zip((phys.m_s, phys.a, phys.alpha_w, phys.k_p, phys.c), ETA):
             assert 0.0 < value.data.item() < cap
 
     @pytest.mark.parametrize("shape", [(1, 4), (5,), (1, 1, 5)])
     def test_bad_theta_shape(self, shape):
         with pytest.raises(PhysicsError, match=r"^theta must be \(rows, >= 5\)"):
-            ja_params_from_theta(Tensor(np.zeros(shape)), DEFAULT_ETA)
-
-    def test_bad_eta(self):
-        for eta in [(1.0, -1.0, 1.0, 1.0, 1.0), (np.nan, 1, 1, 1, 1),
-                    (np.inf, 1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1, 1, 1)]:
-            with pytest.raises(PhysicsError, match="^eta must be five finite positive numbers"):
-                ja_params_from_theta(Tensor(np.zeros((1, 5))), eta)
+            ja_params_from_theta(Tensor(np.zeros(shape)))
 
 
 class TestSusceptibility:
@@ -316,12 +310,12 @@ class TestFusedJaStepOracle:
     def _theta_case(self, shape, rows, seed):
         """The states of :meth:`_case` and the theta whose map gives its parameters."""
         h, m, b_k, b_k1, values = self._case(shape, (rows, 1), seed)
-        frac = np.concatenate(values, axis=1) / np.array(DEFAULT_ETA)
+        frac = np.concatenate(values, axis=1) / np.array(ETA)
         return h, m, b_k, b_k1, np.log(frac / (1.0 - frac))
 
     def _theta_grads(self, step, params_of, h, m, b_k, b_k1, theta, n_steps=1):
         leaves = [Tensor(v.copy(), requires_grad=True) for v in (h, m, theta)]
-        phys = params_of(leaves[2], DEFAULT_ETA)
+        phys = params_of(leaves[2])
         state = JaState(h=leaves[0], m=leaves[1])
         for _ in range(n_steps):  # later steps run over the same flux increment
             state = step(state, b_k, b_k1, phys)
@@ -368,23 +362,23 @@ class TestJadpCoupling:
         params, x, g_prev = self._setup(d_g=4)
         state = ja_initial_state([[10.0]], [[0.1]])
         with pytest.raises(PhysicsError):
-            gru_jadp_step(Tensor(x), Tensor(g_prev[:, :4]), params.map(Tensor), DEFAULT_ETA,
-                          state, 0.1, 0.11)
+            gru_jadp_step(Tensor(x), Tensor(g_prev[:, :4]), params.map(Tensor), state,
+                          0.1, 0.11)
 
     def test_constant_flux_keeps_field(self):
         params, x, g_prev = self._setup()
         state = ja_initial_state([[10.0]], [[0.1]])
         new_state, _ = gru_jadp_step(Tensor(x), Tensor(g_prev), params.map(Tensor),
-                                     DEFAULT_ETA, state, 0.1, 0.1)
+                                     state, 0.1, 0.1)
         assert new_state.h.data.item() == 10.0
 
     def test_matches_manual_composition(self):
         params, x, g_prev = self._setup()
         state = ja_initial_state([[10.0]], [[0.1]])
         coupled_state, coupled_g = gru_jadp_step(Tensor(x), Tensor(g_prev), params.map(Tensor),
-                                                 DEFAULT_ETA, state, 0.1, 0.1002)
+                                                 state, 0.1, 0.1002)
         g_manual = gru_step(Tensor(x), Tensor(g_prev), params.map(Tensor))
-        phys = ja_params_from_theta(g_manual[:, 0:5], DEFAULT_ETA)
+        phys = ja_params_from_theta(g_manual[:, 0:5])
         state_manual = ja_step_euler(ja_initial_state([[10.0]], [[0.1]]), 0.1, 0.1002, phys)
         np.testing.assert_array_equal(coupled_g.data, g_manual.data)
         np.testing.assert_array_equal(coupled_state.h.data, state_manual.h.data)
@@ -401,10 +395,10 @@ class TestJadpCoupling:
             state = ja_initial_state([[10.0]], [[0.1]])
             if node_map:
                 g = gru_step(Tensor(x), g_in, leaves)
-                phys = tape_ja_params_from_theta(g[:, 0:5], DEFAULT_ETA)
+                phys = tape_ja_params_from_theta(g[:, 0:5])
                 out = ja_step_euler(state, b_k, b_k1, phys)
             else:
-                out, g = gru_jadp_step(Tensor(x), g_in, leaves, DEFAULT_ETA, state, b_k, b_k1)
+                out, g = gru_jadp_step(Tensor(x), g_in, leaves, state, b_k, b_k1)
             (out.h * 3.0 + g.sum()).backward()
             grads.append([g_in.grad] + [t.grad for t in leaves.as_dict().values()])
         for got, want in zip(*grads):
@@ -416,7 +410,7 @@ class TestJadpCoupling:
         state = ja_initial_state([[10.0]], [[0.1]])
         new_state, g = gru_jadp_step(Tensor(x), g_prev,
                                      params.map(lambda v: Tensor(v, requires_grad=True)),
-                                     DEFAULT_ETA, state, 0.1, 0.1002)
+                                     state, 0.1, 0.1002)
         recorded = [n for n in _toposort(new_state.m) if n._backward is not None]
         # the GRU cell, the parameter map over its first five elements, H and M
         assert len(recorded) == 4
@@ -428,9 +422,9 @@ class TestJadpCoupling:
         params.b_z = np.full(6, 50.0)  # update gate saturated: g stays (numerically) g_prev
         state = ja_initial_state([[10.0]], [[0.1]])
         coupled_state, coupled_g = gru_jadp_step(Tensor(x), Tensor(g_prev), params.map(Tensor),
-                                                 DEFAULT_ETA, state, 0.1, 0.1002)
+                                                 state, 0.1, 0.1002)
         np.testing.assert_allclose(coupled_g.data, g_prev, atol=1e-15)
-        phys = ja_params_from_theta(Tensor(coupled_g.data[:, 0:5]), DEFAULT_ETA)
+        phys = ja_params_from_theta(Tensor(coupled_g.data[:, 0:5]))
         static = ja_step_euler(ja_initial_state([[10.0]], [[0.1]]), 0.1, 0.1002, phys)
         np.testing.assert_array_equal(coupled_state.h.data, static.h.data)
 
@@ -481,7 +475,7 @@ class TestPinnResidual:
         b = np.array([[0.10, 0.1008, 0.1003, 0.1011]])
 
         def fn(theta, h_free):
-            phys = ja_params_from_theta(reshape(theta, (1, 5)), DEFAULT_ETA)
+            phys = ja_params_from_theta(reshape(theta, (1, 5)))
             _, l_rows = pinn_ja_residual(reshape(h_free, (1, 4)), b, phys)
             return l_rows.sum()
 
@@ -606,7 +600,7 @@ class TestPhysicsGradients:
         b = (0.1 + 0.01 * np.sin(np.linspace(0, 2.5, 9)))[None, :]
 
         def fn(theta):
-            phys = ja_params_from_theta(reshape(theta, (1, 5)), DEFAULT_ETA)
+            phys = ja_params_from_theta(reshape(theta, (1, 5)))
             state = ja_initial_state([[20.0]], b[:, 0:1])
             preds = []
             for k in range(1, 9):

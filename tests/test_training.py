@@ -124,8 +124,6 @@ class TestTrainConfig:
     @pytest.mark.parametrize("name, value", [
         ("lr", np.inf), ("lr", np.nan), ("clip_norm", np.nan), ("clip_norm", np.inf),
         ("lambda_w", np.nan), ("lambda_w", np.inf), ("patience", 0), ("patience", -1),
-        ("eta", (np.nan,) * 5), ("eta", (1.0, 2.0)), ("eta", "abcde"), ("eta", (1, 2, 3, 4, 0)),
-        ("eta", (1, 2, 3, 4, np.inf)), ("eta", (True,) * 5), ("eta", 3.0),
     ])
     def test_unusable_value_named(self, name, value):
         with pytest.raises(ConfigError, match=f"^{name} must be"):
