@@ -744,13 +744,16 @@ class TestArtifactBytesPinned:
     # recorded before train kept the record of the epochs it evaluated and the
     # sweep read its trial scores from that record; every run below ends on the
     # eval schedule, so the bytes must not move
-    @pytest.mark.parametrize("eval_every, log_sha, bin_sha", [
+    @pytest.mark.parametrize("eval_every, log_sha, bin_sha, json_sha", [
         ("1", "339ed3ceebcbe65a03caa1cf5e3470044039226d6a635ede11eeeee0185a0e57",
-         "761072a3fde0c68da165d01b53c81c6b829b408e206dd23aefea0615bcbc7ec9"),
+         "761072a3fde0c68da165d01b53c81c6b829b408e206dd23aefea0615bcbc7ec9",
+         "0bd5d26f846f5f2075919c244f25664e500ec71c45865c6c05c129189c0fcb31"),
         ("2", "3fc1130b6d3e2b71dd59fa824c187e94f431d265b8d8c461713c9c65ee8e1aea",
-         "8b1fb15bca934b878ad8dd78345251cf413f1e035bef9539cca4d38aa617ac64"),
+         "8b1fb15bca934b878ad8dd78345251cf413f1e035bef9539cca4d38aa617ac64",
+         "2da2ce54f25b4988e6fa3123073778492372b434a496088c81b442496e6a3b86"),
     ])
-    def test_patience_stopped_train(self, dataset_dir, tmp_path, eval_every, log_sha, bin_sha):
+    def test_patience_stopped_train(self, dataset_dir, tmp_path, eval_every, log_sha, bin_sha,
+                                    json_sha):
         out = tmp_path / "run"
         rc = main(["train", "--data", str(dataset_dir), "--material", "synthA",
                    "--out", str(out), "--archetype", "gru-p", "--hidden-size", "2",
@@ -761,25 +764,29 @@ class TestArtifactBytesPinned:
         assert len((out / "train_log.csv").read_text().splitlines()) == 1 + 6  # patience stop
         assert _sha(out / "train_log.csv") == log_sha
         assert _sha(out / "model.bin") == bin_sha
+        assert _sha(out / "model.json") == json_sha
 
     # recorded before the JA parameter map moved inside the Euler step's node:
     # gru-jadp, and gru-p through the physics regularizer
-    @pytest.mark.parametrize("flags, log_sha, bin_sha", [
+    @pytest.mark.parametrize("flags, log_sha, bin_sha, json_sha", [
         (["--archetype", "gru-jadp", "--hidden-size", "5"],
          "8a5ffbc2ec1d433fd4e8cc9710aec804751943530a20be23c4d857f3d9afa641",
-         "4ae326bf05630a138bc7e4431b9471e59b7ccf7338546e6524f15fe18ae5b3c0"),
+         "4ae326bf05630a138bc7e4431b9471e59b7ccf7338546e6524f15fe18ae5b3c0",
+         "bcb2503d7b805b6c8b62db012a79275ce87180218090944fdf7e15091c6343ca"),
         (["--archetype", "gru-p", "--hidden-size", "2", "--lambda-w", "0.1",
           "--precision", "double"],
          "365c521ebb8577362bf3827d485763aa9d2d5b11720b36d3942530eba1ead702",
-         "243f0aff380fa866d4f747679ebdbd4554c944f2c60730aed67d2d7be90d4483"),
+         "243f0aff380fa866d4f747679ebdbd4554c944f2c60730aed67d2d7be90d4483",
+         "2504cde36a370ab3fd8a5e663d23d0bb317414fe7fb83823a10b389ccb2c0dc5"),
     ])
-    def test_ja_family_train(self, dataset_dir, tmp_path, flags, log_sha, bin_sha):
+    def test_ja_family_train(self, dataset_dir, tmp_path, flags, log_sha, bin_sha, json_sha):
         out = tmp_path / "run"
         rc = main(["train", "--data", str(dataset_dir), "--material", "synthA",
                    "--out", str(out), *flags, "--subseq-len", "32", "--batch-size", "4",
                    "--warmup-len", "4", "--seed", "0", "--epochs", "2", "--lr", "0.01"])
         assert rc == 0
-        assert (_sha(out / "train_log.csv"), _sha(out / "model.bin")) == (log_sha, bin_sha)
+        assert (_sha(out / "train_log.csv"), _sha(out / "model.bin"),
+                _sha(out / "model.json")) == (log_sha, bin_sha, json_sha)
 
     def test_sweep_with_failed_trials(self, dataset_dir, tmp_path):
         out = tmp_path / "sweep"
