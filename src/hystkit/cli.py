@@ -34,9 +34,10 @@ from . import __version__
 from .dataset import (DataError, check_windows, fmt, ingest_material, json_text, load_material,
                       read_csv_dicts, read_json_object, resolve_adapter, split_dataset,
                       write_columns, write_file, write_rows)
-from .training import (SWEEP_COLUMNS, ConfigError, TrainConfig, TrainingError, check_sweep_eval,
-                       config_param_count, evaluate_sequences, load_checkpoint, pareto_sweep,
-                       save_checkpoint, sweep_medians, train, write_sweep_csv)
+from .training import (SETTING_TYPES, SWEEP_COLUMNS, ConfigError, TrainConfig, TrainingError,
+                       check_sweep_eval, config_param_count, decode_setting, evaluate_sequences,
+                       load_checkpoint, pareto_sweep, save_checkpoint, sweep_medians, train,
+                       write_sweep_csv)
 from .heads import predict_window
 
 _SENTINEL = ".partial"
@@ -121,8 +122,8 @@ def _data_root(args) -> Path:
 
 
 #: The settings of ``train`` and ``sweep``: flag and config-file key -> the TrainConfig
-#: field whose default's type the value takes (``precision``: str). ``split_seed`` is
-#: no field: it takes ``seed``'s type and, when unset, its value.
+#: field whose type (:data:`SETTING_TYPES`) the value takes. ``split_seed`` is no field:
+#: it takes ``seed``'s type and, when unset, its value.
 _CONFIG_FIELDS = {
     "archetype": "archetype", "hidden_size": "d_g", "seed": "seed", "split_seed": "seed",
     "epochs": "epochs", "lr": "lr", "batch_size": "batch_size", "subseq_len": "subseq_len",
@@ -136,26 +137,17 @@ _HELP = {"archetype": "model archetype (gru-p, gru-m, gru-l, lstm-p, gru-v, gru-
          "lambda_w": "physics regularization weight"}
 
 
-def _setting_type(key: str) -> type:
-    default = _DEFAULTS[_CONFIG_FIELDS[key]]
-    return str if default is None else type(default)
-
-
 def _file_settings(path: str) -> dict:
-    """The settings of a ``--config`` file. An integral number may stand for an int and
-    an int for a float; any other value of the wrong type is a CliError naming the file."""
+    """The settings of a ``--config`` file, each read by :func:`decode_setting`; an
+    unknown key or a value it refuses is a CliError naming the file."""
     settings = read_json_object(path)
     for key, value in settings.items():
         if key not in _CONFIG_FIELDS:
             raise CliError(f"{path}: unknown setting {key!r}")
-        kind = _setting_type(key)
-        if kind is float and type(value) is int:
-            value = float(value)
-        elif kind is int and type(value) is float and value.is_integer():
-            value = int(value)
-        if type(value) is not kind:
-            raise CliError(f"{path}: {key} must be {kind.__name__}, got {json.dumps(value)}")
-        settings[key] = value
+        try:
+            settings[key] = decode_setting(key, value, SETTING_TYPES[_CONFIG_FIELDS[key]])
+        except ConfigError as exc:
+            raise CliError(f"{path}: {exc}") from None
     return settings
 
 
@@ -223,10 +215,8 @@ def cmd_train(args) -> int:
     check_windows(splits["train"], config.subseq_len, config.batch_size, config.warmup_length)
     stage = OutputStage(args.out, "train", {**resolved, "material": args.material}, inputs)
     result = train(config, splits["train"], splits["eval"])
-    ckpt = result.checkpoint()
-    ckpt.train_config["split_seed"] = resolved["split_seed"]
-    ckpt.train_config["material"] = args.material
-    json_path, bin_path = save_checkpoint(stage.out_dir / "model", ckpt)
+    json_path, bin_path = save_checkpoint(stage.out_dir / "model", dataclasses.replace(
+        result.checkpoint(), split_seed=resolved["split_seed"], material=args.material))
     stage.outputs.extend([json_path.name, bin_path.name])
     rows = [[epoch, fmt(loss), fmt(result.eval_sre[epoch]) if epoch in result.eval_sre else ""]
             for epoch, loss in enumerate(result.train_losses)]
@@ -255,10 +245,10 @@ def _checkpoint_split(args):
     """Opening of eval and predict: the checkpoint, its ``--split`` (an empty one is an
     error), and the config and inputs their manifests record."""
     ckpt = load_checkpoint(Path(args.checkpoint))
-    material = args.material or ckpt.train_config.get("material")
+    material = args.material or ckpt.material
     if not material:
         raise CliError("material unknown: pass --material")
-    split_seed = ckpt.train_config.get("split_seed", ckpt.seed)
+    split_seed = ckpt.config.seed if ckpt.split_seed is None else ckpt.split_seed
     splits, inputs = _load_splits(args, material, split_seed)
     if not splits[args.split]:
         raise CliError(f"split {args.split!r} of {material} is empty")
@@ -269,10 +259,11 @@ def _checkpoint_split(args):
 
 def cmd_eval(args) -> int:
     ckpt, sequences, config, inputs = _checkpoint_split(args)
-    head_cfg = ckpt.head_config()
+    head_cfg = ckpt.config.head_config()
     _require_warmup_fits(enumerate(sequences), head_cfg.warmup_length, "checkpoint warmup")
     stage = OutputStage(args.out, "eval", config, inputs)
-    report = evaluate_sequences(head_cfg, ckpt.params, sequences, ckpt.norm, ckpt.precision)
+    report = evaluate_sequences(head_cfg, ckpt.params, sequences, ckpt.norm,
+                                ckpt.config.precision)
     report.write_json(stage.path("report.json"))
     report.write_csv(stage.path("report.csv"))
     stage.finish()
@@ -291,7 +282,7 @@ def cmd_predict(args) -> int:
         chosen = [(args.index, sequences[args.index])]
     else:
         chosen = list(enumerate(sequences))
-    head_cfg = ckpt.head_config()
+    head_cfg = ckpt.config.head_config()
     if args.warmup_len is not None:
         if args.warmup_len < 1:
             raise CliError(f"--warmup-len must be >= 1, got {args.warmup_len}")
@@ -302,7 +293,7 @@ def cmd_predict(args) -> int:
     stage = OutputStage(args.out, "predict",
                         {**config, "index": args.index, "warmup_len": w}, inputs)
     results = predict_window(head_cfg, ckpt.params, [seq for _, seq in chosen], ckpt.norm,
-                             ckpt.precision)
+                             ckpt.config.precision)
     meta = {}
     for (i, seq), result in zip(chosen, results):
         name = f"predictions/seq_{i:05d}.csv"
@@ -413,8 +404,8 @@ def cmd_plotdata(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    for key in _CONFIG_FIELDS:
-        p.add_argument("--" + key.replace("_", "-"), dest=key, type=_setting_type(key),
+    for key, name in _CONFIG_FIELDS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=SETTING_TYPES[name],
                        choices=("single", "double") if key == "precision" else None,
                        help=_HELP.get(key))
     p.add_argument("--config", help="JSON config file of the same settings (flags override it)")

@@ -480,7 +480,9 @@ def read_sequence(path: Path) -> MeasuredSequence:
     if not sidecar_path.exists():
         raise DataError(f"missing sidecar {sidecar_path}")
     meta = read_json_object(sidecar_path)
-    numbers = {"temperature_C": meta.get("temperature_C"), "tau_s": meta.get("tau_s") or DEFAULT_TAU_S}
+    tau = meta.get("tau_s")
+    numbers = {"temperature_C": meta.get("temperature_C"),
+               "tau_s": DEFAULT_TAU_S if tau is None else tau}
     if meta.get("f_sw_Hz") is not None:
         numbers["f_sw_Hz"] = meta["f_sw_Hz"]
     for name, value in numbers.items():
@@ -490,6 +492,8 @@ def read_sequence(path: Path) -> MeasuredSequence:
             raise DataError(f"{sidecar_path}: {name} is not a number: {value!r}")
         if not math.isfinite(numbers[name]):
             raise DataError(f"{sidecar_path}: non-finite {name}: {value!r}")
+    if not numbers["tau_s"] > 0:
+        raise DataError(f"{sidecar_path}: non-positive tau_s: {tau!r}")
     try:
         return MeasuredSequence(
             b=b, h=h,
@@ -498,7 +502,7 @@ def read_sequence(path: Path) -> MeasuredSequence:
             material_id=str(meta.get("material", "")),
             f_sw_hz=numbers.get("f_sw_Hz"),
         )
-    except DataError as exc:  # too few samples or a non-positive sampling period
+    except DataError as exc:  # too few samples
         raise DataError(f"{path}: {exc}") from None
 
 

@@ -87,10 +87,6 @@ class HeadConfig:
         if self.archetype == "gru-jadp" and self.d_g < 5:
             raise HeadError("gru-jadp needs d_g >= 5")
 
-    @property
-    def grid_side(self) -> int:
-        return int(np.sqrt(self.d_g / 2.0))
-
 
 @dataclass
 class RolloutInputs:

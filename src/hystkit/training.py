@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict, replace
+import sys
+from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,24 @@ class TrainConfig:
     def head_config(self) -> HeadConfig:
         return HeadConfig(archetype=self.archetype, d_g=self.d_g,
                           warmup_length=self.warmup_length)
+
+
+#: The type each TrainConfig field takes: its default's (``precision``: str).
+SETTING_TYPES = {f.name: str if f.default is None else type(f.default)
+                 for f in fields(TrainConfig)}
+
+
+def decode_setting(key: str, value, kind: type):
+    """The decoded JSON ``value`` as a ``kind`` setting. An integral number stands for an
+    int and an int for a float; any other value of another type, bools included, raises
+    a ConfigError naming ``key``."""
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    if kind is int and type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is not kind:
+        raise ConfigError(f"{key} must be {kind.__name__}, got {json.dumps(value)}")
+    return value
 
 
 def config_param_count(config: TrainConfig) -> int:
@@ -215,13 +234,8 @@ class TrainResult:
     report: MetricReport | None
 
     def checkpoint(self) -> "ModelCheckpoint":
-        return ModelCheckpoint(
-            archetype=self.config.archetype,
-            params={k: v.copy() for k, v in self.params.items()},
-            norm=self.norm,
-            train_config=asdict(self.config),
-            seed=self.config.seed,
-        )
+        return ModelCheckpoint(self.config, {k: v.copy() for k, v in self.params.items()},
+                               self.norm)
 
 
 def _descend(params: dict, adam: AdamState, batches, epoch: int, lr: float,
@@ -293,23 +307,15 @@ def train(config: TrainConfig, train_seqs, eval_seqs=None) -> TrainResult:
 
 @dataclass
 class ModelCheckpoint:
-    archetype: str
+    """A trained model; a ``train`` run also records the split seed and the material."""
+    config: TrainConfig
     params: dict
     norm: NormConstants
-    train_config: dict
-    seed: int
-
-    def head_config(self) -> HeadConfig:
-        tc = self.train_config
-        return HeadConfig(archetype=self.archetype, d_g=tc["d_g"],
-                          warmup_length=tc["warmup_length"])
+    split_seed: int | None = None
+    material: str | None = None
 
     def count_params(self) -> int:
         return int(sum(v.size for v in self.params.values()))
-
-    @property
-    def precision(self) -> str:
-        return self.train_config["precision"]
 
 
 def save_checkpoint(path: Path, ckpt: ModelCheckpoint) -> tuple[Path, Path]:
@@ -317,21 +323,25 @@ def save_checkpoint(path: Path, ckpt: ModelCheckpoint) -> tuple[Path, Path]:
     path = Path(path)
     json_path = path.with_suffix(".json")
     bin_path = path.with_suffix(".bin")
-    wire = "<f8" if ckpt.precision == "double" else "<f4"
+    wire = "<f8" if ckpt.config.precision == "double" else "<f4"
     layout = []
     blob = bytearray()
     for name in sorted(ckpt.params):
         arr = np.ascontiguousarray(ckpt.params[name])
         layout.append({"name": name, "shape": list(arr.shape), "dtype": wire, "offset": len(blob)})
         blob.extend(arr.astype(wire).tobytes())
+    train_config = asdict(ckpt.config)
+    train_config.update((key, value) for key, value in
+                        (("split_seed", ckpt.split_seed), ("material", ckpt.material))
+                        if value is not None)
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "archetype": ckpt.archetype,
-        "seed": ckpt.seed,
+        "archetype": ckpt.config.archetype,
+        "seed": ckpt.config.seed,
         "norm": ckpt.norm.as_dict(),
-        "train_config": ckpt.train_config,
+        "train_config": train_config,
         "config_hash": hashlib.sha256(
-            json.dumps(ckpt.train_config, sort_keys=True).encode()).hexdigest()[:16],
+            json.dumps(train_config, sort_keys=True).encode()).hexdigest()[:16],
         "param_count": ckpt.count_params(),
         "layout": layout,
         "blob": bin_path.name,
@@ -346,8 +356,9 @@ def save_checkpoint(path: Path, ckpt: ModelCheckpoint) -> tuple[Path, Path]:
 def load_checkpoint(json_path: Path) -> ModelCheckpoint:
     """Read ``<path>.json`` and the blob it names.
 
-    The parameter names and shapes the layout must list are those
-    :func:`init_params` makes for the header's ``train_config``. A header
+    Each ``train_config`` setting is read by :func:`decode_setting`, and the
+    top-level ``archetype`` and ``seed`` override its own. The layout must list
+    the names and shapes :func:`init_params` makes for that config. A header
     that does not describe its blob raises :class:`ConfigError` naming the
     file and the field.
     """
@@ -378,14 +389,15 @@ def load_checkpoint(json_path: Path) -> ModelCheckpoint:
         raise bad(f"field 'train_config.{LEGACY_CAPS_KEY}' is {caps!r}, not the JA scale "
                   f"caps {list(ETA)}")
     try:
-        for key in ("d_g", "warmup_length"):
-            if type(tc[key]) is not int:
-                raise ConfigError(f"{key} must be an integer, got {tc[key]!r}")
-        if type(tc["lambda_w"]) not in (int, float):
-            raise ConfigError(f"lambda_w must be a number, got {tc['lambda_w']!r}")
-        expected = init_params(TrainConfig(
-            archetype=header["archetype"], d_g=tc["d_g"], warmup_length=tc["warmup_length"],
-            precision=tc["precision"], lambda_w=tc["lambda_w"]))
+        settings = {key: decode_setting(key, tc[key], kind)
+                    for key, kind in SETTING_TYPES.items() if key in tc}
+        split_seed, material = (decode_setting(key, tc[key], kind) if key in tc else None
+                                for key, kind in (("split_seed", int), ("material", str)))
+        if split_seed is not None and split_seed < 0:
+            raise ConfigError(f"split_seed must be >= 0, got {split_seed}")
+        config = TrainConfig(**{**settings, "archetype": header["archetype"],
+                                "seed": header["seed"]})
+        expected = init_params(config)
     except (TypeError, ValueError) as exc:
         raise bad(f"field 'train_config' describes no model: {exc}") from None
     layout = header["layout"]
@@ -414,13 +426,8 @@ def load_checkpoint(json_path: Path) -> ModelCheckpoint:
         flat = np.frombuffer(blob, dtype=wire, count=want.size, offset=offset)
         params[entry["name"]] = flat.reshape(want.shape).astype(
             dtype_of("double" if wire == "<f8" else "single"))
-    return ModelCheckpoint(
-        archetype=header["archetype"],
-        params=params,
-        norm=NormConstants.from_dict(header["norm"]),
-        train_config=tc,
-        seed=header["seed"],
-    )
+    return ModelCheckpoint(config, params, NormConstants.from_dict(header["norm"]), split_seed,
+                           material)
 
 
 # -- Preisach trainer ------------------------------------------------------------

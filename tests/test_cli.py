@@ -504,12 +504,18 @@ class TestEvalPredict:
         ("seed", "x", "field 'seed' is not an integer: 'x'"),
         ("seed", 1.0, "field 'seed' is not an integer: 1.0"),
         ("seed", True, "field 'seed' is not an integer: True"),
-        ("train_config.d_g", 4.7, "d_g must be an integer, got 4.7"),
-        ("train_config.d_g", "4", "d_g must be an integer, got '4'"),
-        ("train_config.warmup_length", 4.9, "warmup_length must be an integer, got 4.9"),
-        ("train_config.warmup_length", "4", "warmup_length must be an integer, got '4'"),
-        ("train_config.lambda_w", "0", "lambda_w must be a number, got '0'"),
+        ("train_config.d_g", 4.7, "d_g must be int, got 4.7"),
+        ("train_config.d_g", "4", 'd_g must be int, got "4"'),
+        ("train_config.warmup_length", 4.9, "warmup_length must be int, got 4.9"),
+        ("train_config.warmup_length", "4", 'warmup_length must be int, got "4"'),
+        ("train_config.lambda_w", "0", 'lambda_w must be float, got "0"'),
         ("train_config.lambda_w", float("inf"), "lambda_w must be finite, got inf"),
+        ("train_config.split_seed", "x", 'split_seed must be int, got "x"'),
+        ("train_config.split_seed", -1, "split_seed must be >= 0, got -1"),
+        ("train_config.material", 3, "material must be str, got 3"),
+        ("train_config.lr", "x", 'lr must be float, got "x"'),
+        ("train_config.epochs", "many", 'epochs must be int, got "many"'),
+        ("train_config.patience", 0, "patience must be >= 1"),
     ])
     def test_unusable_number_named(self, dataset_dir, trained, tmp_path, capsys, field, value,
                                    message):
@@ -527,6 +533,23 @@ class TestEvalPredict:
             message = "field 'train_config' describes no model: " + message
         assert capsys.readouterr().err == f"error: {run / 'model.json'}: checkpoint {message}\n"
         assert not out.exists()
+
+    def test_integral_number_header_evaluates_as_int(self, dataset_dir, trained, tmp_path):
+        # an integral number stands for an int, as it does in a --config file
+        reports = []
+        for numbers in ({}, {"d_g": 2.0, "warmup_length": 4.0}):
+            run = tmp_path / f"run{len(reports)}"
+            shutil.copytree(trained, run)
+            header = json.loads((run / "model.json").read_text())
+            tc = header["train_config"]
+            assert (tc["d_g"], tc["warmup_length"]) == (2, 4)
+            tc.update(numbers)
+            (run / "model.json").write_text(json.dumps(header))
+            out = tmp_path / f"out{len(reports)}"
+            assert main(["eval", "--data", str(dataset_dir), "--checkpoint",
+                         str(run / "model.json"), "--split", "all", "--out", str(out)]) == 0
+            reports.append([(out / name).read_bytes() for name in ("report.json", "report.csv")])
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("blob", [3, None, "", ".", "..", "missing.bin", "../model.bin",
                                       "sub/model.bin", "absolute"])

@@ -1,8 +1,11 @@
 """Data pipeline tests: normalization, features, batching, splits, file I/O."""
+import contextlib
 import csv
+import io
 import json
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -36,9 +39,9 @@ from hystkit.dataset import (
     _sequence_columns,
     _sequence_rows,
 )
-from hystkit.cli import build_parser
+from hystkit.cli import build_parser, main
 from hystkit.metrics import MetricReport
-from hystkit.training import ModelCheckpoint, save_checkpoint, write_sweep_csv
+from hystkit.training import ModelCheckpoint, TrainConfig, save_checkpoint, write_sweep_csv
 
 
 def seq_of(b, h, theta=25.0, f_sw=None, tau=62.5e-9):
@@ -267,6 +270,32 @@ class TestSequenceIO:
         with pytest.raises(DataError, match=rf"s\.json: non-finite {field}"):
             read_sequence(tmp_path / "s.csv")
 
+    @pytest.mark.parametrize("value, message", [(0, "non-positive tau_s: 0"),
+                                                (0.0, "non-positive tau_s: 0.0"),
+                                                (False, "non-positive tau_s: False"),
+                                                (-1e-9, "non-positive tau_s: -1e-09"),
+                                                ("", "tau_s is not a number: ''")])
+    def test_unusable_sidecar_tau_named(self, tmp_path, value, message):
+        write_sequence(tmp_path / "s.csv", ramp_sequence(n=20))
+        sidecar = tmp_path / "s.json"
+        meta = json.loads(sidecar.read_text())
+        meta["tau_s"] = value
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(DataError, match=rf"s\.json: {re.escape(message)}$"):
+            read_sequence(tmp_path / "s.csv")
+
+    @pytest.mark.parametrize("drop", [True, False])
+    def test_absent_sidecar_tau_takes_default(self, tmp_path, drop):
+        write_sequence(tmp_path / "s.csv", ramp_sequence(n=20))
+        sidecar = tmp_path / "s.json"
+        meta = json.loads(sidecar.read_text())
+        if drop:
+            del meta["tau_s"]
+        else:
+            meta["tau_s"] = None
+        sidecar.write_text(json.dumps(meta))
+        assert read_sequence(tmp_path / "s.csv").tau_s == dataset.DEFAULT_TAU_S
+
     def test_bad_sidecar_frequency_named(self, tmp_path):
         write_sequence(tmp_path / "s.csv", ramp_sequence(n=20))
         sidecar = tmp_path / "s.json"
@@ -375,6 +404,50 @@ class TestReaderFuzz:
         lines[row] = text
         path.write_text("\n".join(lines))
         self._read(_read_csv_matrix, path)
+
+
+#: A JSON value of each type: text, bool, null, a list, a float with a fraction, or a
+#: negative int. Whole numbers of 0 and up are left out: as a d_g or warmup_length they
+#: load, and may ask for a model of any size or a warmup longer than the data.
+_JSON_VALUE = st.one_of(st.text(max_size=8), st.booleans(), st.none(),
+                        st.lists(st.integers(), max_size=2),
+                        st.floats().filter(lambda x: not x.is_integer()),
+                        st.integers(max_value=-1))
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A dataset root and a ``train`` run directory on it."""
+    root = tmp_path_factory.mktemp("trained_run")
+    write_material(root / "data", "m", [ramp_sequence(n=48, seed=i) for i in range(6)])
+    assert main(["train", "--data", str(root / "data"), "--material", "m", "--out",
+                 str(root / "run"), "--hidden-size", "2", "--epochs", "1", "--subseq-len", "16",
+                 "--batch-size", "2", "--warmup-len", "4"]) == 0
+    return root
+
+
+class TestCheckpointHeaderFuzz:
+    """A ``train_config`` value of another type is loaded or refused naming the header."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), value=_JSON_VALUE)
+    def test_train_config_value(self, trained_run, tmp_path, data, value):
+        header = json.loads((trained_run / "run" / "model.json").read_text())
+        key = data.draw(st.sampled_from(sorted(header["train_config"])))
+        header["train_config"][key] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(header))
+        shutil.copy(trained_run / "run" / "model.bin", tmp_path / "model.bin")
+        out = tmp_path / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["eval", "--data", str(trained_run / "data"), "--material", "m",
+                       "--checkpoint", str(model), "--split", "all", "--out", str(out)])
+        if rc != 0:
+            assert rc == 1 and err.getvalue().startswith(f"error: {model}: checkpoint ")
+            assert not out.exists()
 
 
 def _outcome(parse, path):
@@ -572,9 +645,8 @@ class TestAdapters:
 
 # Each writer: (write version v under a directory, the files it writes there).
 def _write_checkpoint(d, v):
-    ckpt = ModelCheckpoint(archetype="gru-p", params={"w": np.full(3, v, np.float32)},
-                           norm=NormConstants(1.0, 1.0, 1.0),
-                           train_config={"precision": "single", "version": v}, seed=0)
+    ckpt = ModelCheckpoint(TrainConfig(seed=v), params={"w": np.full(3, v, np.float32)},
+                           norm=NormConstants(1.0, 1.0, 1.0))
     save_checkpoint(d / "model", ckpt)
 
 

@@ -223,9 +223,6 @@ class TestGruV:
         with pytest.raises(HeadError):
             HeadConfig("gru-v", d_g=2)  # N_g would be 0
 
-    def test_grid_side(self):
-        assert HeadConfig("gru-v", d_g=32).grid_side == 4  # 4x4 grid of 2-vectors
-
     def test_zero_grid_predicts_drive(self):
         config = HeadConfig("gru-v", d_g=8, warmup_length=2)
         inputs = make_inputs(w=2, length=5, seed=23)

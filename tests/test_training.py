@@ -24,6 +24,7 @@ from hystkit.training import (
     batch_loss,
     clip_global_norm,
     config_param_count,
+    decode_setting,
     evaluate_sequences,
     init_params,
     load_checkpoint,
@@ -128,6 +129,23 @@ class TestTrainConfig:
     def test_unusable_value_named(self, name, value):
         with pytest.raises(ConfigError, match=f"^{name} must be"):
             TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("kind, value, decoded", [
+        (int, 2, 2), (int, 2.0, 2), (float, 1, 1.0), (float, 0.5, 0.5), (str, "x", "x"),
+    ])
+    def test_setting_decoded(self, kind, value, decoded):
+        result = decode_setting("key", value, kind)
+        assert (result, type(result)) == (decoded, kind)
+
+    @pytest.mark.parametrize("kind, value, shown", [
+        (int, 2.5, "2.5"), (int, True, "true"), (float, False, "false"), (float, "1", '"1"'),
+        (str, None, "null"), (int, [1], "[1]"),
+        pytest.param(float, 10 ** 309, str(10 ** 309), id="int-past-the-float-range"),
+    ])
+    def test_setting_of_another_type_named(self, kind, value, shown):
+        with pytest.raises(ConfigError) as exc:
+            decode_setting("key", value, kind)
+        assert str(exc.value) == f"key must be {kind.__name__}, got {shown}"
 
 
 class TestTrainLoop:
@@ -439,10 +457,11 @@ class TestCheckpoint:
         loaded = load_checkpoint(json_path)
         for k in ckpt.params:
             assert loaded.params[k].tobytes() == ckpt.params[k].tobytes()
-        r1 = evaluate_sequences(ckpt.head_config(), ckpt.params, seqs[4:], ckpt.norm,
-                                ckpt.precision)
-        r2 = evaluate_sequences(loaded.head_config(), loaded.params, seqs[4:], loaded.norm,
-                                loaded.precision)
+        assert loaded.config == ckpt.config
+        r1 = evaluate_sequences(ckpt.config.head_config(), ckpt.params, seqs[4:], ckpt.norm,
+                                ckpt.config.precision)
+        r2 = evaluate_sequences(loaded.config.head_config(), loaded.params, seqs[4:],
+                                loaded.norm, loaded.config.precision)
         assert r1.to_json() == r2.to_json()
 
     def test_size_on_disk_reported(self, tmp_path):
