@@ -169,6 +169,8 @@ def _train_config(resolved: dict) -> TrainConfig:
 def _load_splits(args, material: str, split_seed: int) -> tuple[dict, dict]:
     """``material``'s sequences under the dataset root by split ("train", "eval", "test"
     and "all"), and the manifest input that names the material's directory."""
+    if split_seed < 0:
+        raise CliError(f"split_seed must be >= 0, got {split_seed}")
     root = _data_root(args)
     sequences = load_material(root, material)
     if not sequences:
@@ -262,8 +264,7 @@ def cmd_eval(args) -> int:
     head_cfg = ckpt.config.head_config()
     _require_warmup_fits(enumerate(sequences), head_cfg.warmup_length, "checkpoint warmup")
     stage = OutputStage(args.out, "eval", config, inputs)
-    report = evaluate_sequences(head_cfg, ckpt.params, sequences, ckpt.norm,
-                                ckpt.config.precision)
+    report = evaluate_sequences(head_cfg, ckpt.params, sequences, ckpt.norm)
     report.write_json(stage.path("report.json"))
     report.write_csv(stage.path("report.csv"))
     stage.finish()
@@ -292,8 +293,7 @@ def cmd_predict(args) -> int:
                          else "--warmup-len")
     stage = OutputStage(args.out, "predict",
                         {**config, "index": args.index, "warmup_len": w}, inputs)
-    results = predict_window(head_cfg, ckpt.params, [seq for _, seq in chosen], ckpt.norm,
-                             ckpt.config.precision)
+    results = predict_window(head_cfg, ckpt.params, [seq for _, seq in chosen], ckpt.norm)
     meta = {}
     for (i, seq), result in zip(chosen, results):
         name = f"predictions/seq_{i:05d}.csv"

@@ -30,6 +30,7 @@ import io
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -486,10 +487,9 @@ def read_sequence(path: Path) -> MeasuredSequence:
     if meta.get("f_sw_Hz") is not None:
         numbers["f_sw_Hz"] = meta["f_sw_Hz"]
     for name, value in numbers.items():
-        try:
-            numbers[name] = float(value)
-        except (TypeError, ValueError):
+        if type(value) not in (int, float):  # JSON numbers only; bools and text are refused
             raise DataError(f"{sidecar_path}: {name} is not a number: {value!r}")
+        numbers[name] = float(value) if abs(value) <= sys.float_info.max else math.inf
         if not math.isfinite(numbers[name]):
             raise DataError(f"{sidecar_path}: non-finite {name}: {value!r}")
     if not numbers["tau_s"] > 0:
@@ -593,17 +593,18 @@ def _adapt_magnetx(raw_dir: Path, material: str) -> list[MeasuredSequence]:
             raise DataError(f"{path}: {len(rows)} rows for {len(b_rows)} sequences")
     sequences = []
     for i, (b_row, h_row, t_row) in enumerate(zip(b_rows, h_rows, t_rows)):
-        if len(b_row) != len(h_row):
-            raise DataError(f"{raw_dir}: sequence {i}: B and H lengths differ")
         if not h_row.any():
             raise DataError(f"{raw_dir}: sequence {i}: H is all zero")
-        sequences.append(MeasuredSequence(
-            b=b_row, h=h_row,
-            temperature_c=float(t_row[0]),
-            tau_s=float(tau_rows[i][0]) if tau_rows else DEFAULT_TAU_S,
-            material_id=material,
-            f_sw_hz=float(f_rows[i][0]) if f_rows else None,
-        ))
+        try:
+            sequences.append(MeasuredSequence(
+                b=b_row, h=h_row,
+                temperature_c=float(t_row[0]),
+                tau_s=float(tau_rows[i][0]) if tau_rows else DEFAULT_TAU_S,
+                material_id=material,
+                f_sw_hz=float(f_rows[i][0]) if f_rows else None,
+            ))
+        except DataError as exc:  # unequal B and H, too few samples or a sampling time <= 0
+            raise DataError(f"{raw_dir}: sequence {i}: {exc}") from None
     return sequences
 
 

@@ -92,27 +92,22 @@ class HeadConfig:
 class RolloutInputs:
     """One batch of aligned windows, direction-agnostic.
 
-    ``drive`` is the signal the model reads every step (normalized flux in
-    the standard field-prediction direction) and ``target_warm`` holds the
-    known normalized target values over the warmup part. The raw-unit
-    context is only required by the JA-family heads.
+    ``drive`` is the signal the model reads every step (normalized flux in the
+    standard field-prediction direction) and ``target_warm`` holds the known
+    normalized target values over the warmup part, whose width is the warmup
+    length. The raw-unit context is only required by the JA-family heads.
     """
 
     x: np.ndarray               # (rows, L, d_x)
     drive_norm: np.ndarray      # (rows, L)
     target_warm_norm: np.ndarray  # (rows, w)
-    warmup_length: int
     drive_raw: np.ndarray | None = None
     target_warm_raw: np.ndarray | None = None
     target_max: float | None = None
 
     @property
-    def rows(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.x.shape[1]
+    def warmup_length(self) -> int:
+        return self.target_warm_norm.shape[1]
 
 
 @dataclass
@@ -129,7 +124,6 @@ def inputs_from_batch(batch: MiniBatch, norm: NormConstants) -> RolloutInputs:
         x=batch.x,
         drive_norm=batch.b_norm,
         target_warm_norm=batch.h_norm[:, :w],
-        warmup_length=w,
         drive_raw=batch.b_raw,
         target_warm_raw=batch.h_raw[:, :w],
         target_max=norm.h_max,
@@ -204,15 +198,13 @@ def warmup(config: HeadConfig, params: dict, inputs: RolloutInputs):
     injection. With warmup length 1 no recurrent step executes.
     """
     dt = _dtype(params)
-    rows, w = inputs.rows, inputs.warmup_length
+    rows, w = inputs.x.shape[0], inputs.warmup_length
     lstm = config.archetype in LSTM_ARCHETYPES
     p = _cell(config).from_dict(params)
     g = Tensor(np.zeros((rows, config.d_g), dtype=dt))
     c = Tensor(np.zeros((rows, config.d_g), dtype=dt)) if lstm else None
     inject = None
     if config.archetype in INJECTING:
-        if w < 1 or inputs.target_warm_norm.shape[1] != w:
-            raise WarmupError("empty or mismatched warmup window")
         inject = _inject_values(config, inputs)
         _check_warmup(~np.isfinite(inject), "non-finite injection value")
         g = _inject(g, inject[:, 0:1])
@@ -276,7 +268,7 @@ def _ja_open_loop(config: HeadConfig, params: dict, inputs: RolloutInputs):
         p = _cell(config).from_dict(params)
         dt = _dtype(params)
     h = []
-    for t in range(w, inputs.length):
+    for t in range(w, inputs.x.shape[1]):
         b_k, b_k1 = b_raw[:, t - 1:t], b_raw[:, t:t + 1]
         # Looked up in this module at call time, where bench/tracing.py patches them.
         if config.archetype == "ja":
@@ -291,13 +283,15 @@ def _ja_open_loop(config: HeadConfig, params: dict, inputs: RolloutInputs):
 def rollout(config: HeadConfig, params: dict, inputs: RolloutInputs):
     """Full warmup + open-loop prediction for one batch of windows.
 
-    ``params`` maps names to tape Tensors. Returns the normalized
-    predictions as a tape Tensor of shape (rows, L - w) plus the final
-    state: the hidden Tensor (GRU heads), a (hidden, cell) pair (lstm-p),
-    a (JaState, hidden) pair (gru-jadp) or a JaState (ja).
+    ``params`` maps names to tape Tensors. Returns the normalized predictions as a tape
+    Tensor of shape (rows, L - w) plus the final state: the hidden Tensor (GRU heads), a
+    (hidden, cell) pair (lstm-p), a (JaState, hidden) pair (gru-jadp) or a JaState (ja).
+    A warm block of width 0 raises :class:`WarmupError`.
     """
     if inputs.x.shape[2] != config.d_x and config.archetype != "ja":
         raise HeadError(f"feature width {inputs.x.shape[2]} != d_x {config.d_x}")
+    if inputs.warmup_length < 1:
+        raise WarmupError("empty warmup window")
     if config.archetype not in JA_FAMILY:
         return _cell_open_loop(config, params, inputs)
     if inputs.drive_raw is None or inputs.target_warm_raw is None or inputs.target_max is None:
@@ -307,11 +301,10 @@ def rollout(config: HeadConfig, params: dict, inputs: RolloutInputs):
     return _ja_open_loop(config, params, inputs)
 
 
-def _predict_group(config: HeadConfig, params: dict, seqs, norm: NormConstants,
-                   dt) -> np.ndarray:
+def _predict_group(config: HeadConfig, params: dict, seqs, norm: NormConstants) -> np.ndarray:
     """Normalized float64 predictions ``(rows, L - w)`` of sequences of one length L.
 
-    The feature block is filled in place in the run precision, one
+    The feature block is filled in place in the parameters' dtype, one
     ``featurize`` call per sequence. The group's input blocks die on
     return, before the caller allocates the per-row results.
     """
@@ -325,7 +318,7 @@ def _predict_group(config: HeadConfig, params: dict, seqs, norm: NormConstants,
     for row, seq in enumerate(seqs):
         features = featurize(seq, norm)
         if x is None:
-            x = np.empty((rows,) + features.shape, dtype=dt)
+            x = np.empty((rows,) + features.shape, dtype=_dtype(params))
         x[row] = features
         drive_raw[row] = seq.b
         target_warm_raw[row] = seq.h[:w]
@@ -333,7 +326,6 @@ def _predict_group(config: HeadConfig, params: dict, seqs, norm: NormConstants,
         x=x,
         drive_norm=drive_raw / norm.b_max,
         target_warm_norm=target_warm_raw / norm.h_max,
-        warmup_length=w,
         drive_raw=drive_raw,
         target_warm_raw=target_warm_raw,
         target_max=norm.h_max,
@@ -342,18 +334,18 @@ def _predict_group(config: HeadConfig, params: dict, seqs, norm: NormConstants,
     return pred_t.data.astype(np.float64)
 
 
-def predict_window(config: HeadConfig, params_arrays: dict, seqs, norm: NormConstants,
-                   precision: str = "double") -> list[RolloutResult]:
+def predict_window(config: HeadConfig, params_arrays: dict, seqs,
+                   norm: NormConstants) -> list[RolloutResult]:
     """Open-loop predictions of samples w..L-1 of each sequence, w = ``config.warmup_length``,
     one result per sequence in input order.
 
     The known H over samples 0..w-1 conditions the state. Sequences of the
-    same length run as one batched rollout with frozen parameters. A
-    batch's rows do not depend on each other, but a one-row batch takes a
-    different BLAS kernel (gemv instead of gemm), so a sequence predicted
-    alone can differ from the same sequence in a batch in the last bits.
-    A sequence shorter than w + 2 samples raises :class:`DataError`, and a
-    :class:`WarmupError` names the input index of the offending sequence.
+    same length run as one batched rollout with frozen parameters, in their
+    dtype. A batch's rows do not depend on each other, but a one-row batch
+    takes a different BLAS kernel (gemv instead of gemm), so a sequence
+    predicted alone can differ from the same sequence in a batch in the last
+    bits. A sequence shorter than w + 2 samples raises :class:`DataError`,
+    and a :class:`WarmupError` names the input index of the offending sequence.
     """
     w = config.warmup_length
     groups: dict = {}
@@ -361,13 +353,11 @@ def predict_window(config: HeadConfig, params_arrays: dict, seqs, norm: NormCons
         if len(seq) < w + 2:
             raise DataError(f"sequence {i} has {len(seq)} samples; warmup {w} needs >= {w + 2}")
         groups.setdefault(len(seq), []).append(i)
-    dt = dtype_of(precision)
-    params = wrap_params({k: np.asarray(v, dtype=dt) for k, v in params_arrays.items()},
-                         requires_grad=False)
+    params = wrap_params(params_arrays, requires_grad=False)
     results: list = [None] * len(seqs)
     for members in groups.values():
         try:
-            pred_norm = _predict_group(config, params, [seqs[i] for i in members], norm, dt)
+            pred_norm = _predict_group(config, params, [seqs[i] for i in members], norm)
         except WarmupError as exc:
             if exc.row is None:
                 raise

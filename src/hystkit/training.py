@@ -24,8 +24,8 @@ from .cells import param_count
 from .dataset import (MiniBatch, NormConstants, compute_norm_constants, fmt, json_text,
                       make_minibatches, read_json_object, reversed_minibatches,
                       write_file, write_rows)
-from .heads import (JA_FAMILY, HeadConfig, init_head_params, inputs_from_batch, predict_window,
-                    rollout, wrap_params)
+from .heads import (ARCHETYPES, JA_FAMILY, HeadConfig, init_head_params, inputs_from_batch,
+                    predict_window, rollout, wrap_params)
 from .metrics import MetricReport, batch_mean, mae, mse, sre, nere, wce, weighted_loss_rows
 from .physics import ETA, ja_params_from_theta, pinn_ja_residual, preisach_predict
 
@@ -81,6 +81,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.lr < 0 or self.clip_norm <= 0:
             raise ConfigError("lr must be >= 0 and clip_norm > 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.precision is None:
             self.precision = "double" if self._uses_ja() else "single"
         dtype_of(self.precision)
@@ -194,13 +196,13 @@ def init_params(config: TrainConfig) -> dict:
 
 # -- evaluation ----------------------------------------------------------------
 
-def evaluate_sequences(config: HeadConfig, params: dict, sequences, norm: NormConstants,
-                       precision: str = "double") -> MetricReport:
+def evaluate_sequences(config: HeadConfig, params: dict, sequences,
+                       norm: NormConstants) -> MetricReport:
     """Open-loop metrics per sequence, over samples w..L-1 with w = ``config.warmup_length``,
-    plus aggregates."""
+    plus aggregates, in the dtype of the parameter arrays."""
     sequences = list(sequences)
     w = config.warmup_length
-    results = predict_window(config, params, sequences, norm, precision)
+    results = predict_window(config, params, sequences, norm)
     report = MetricReport()
     for i, (seq, result) in enumerate(zip(sequences, results)):
         h_true = seq.h[w:]
@@ -287,7 +289,7 @@ def train(config: TrainConfig, train_seqs, eval_seqs=None) -> TrainResult:
         train_losses.append(loss)
         if not eval_seqs or ((epoch + 1) % config.eval_every and epoch < config.epochs - 1):
             continue
-        report = evaluate_sequences(head_cfg, params, eval_seqs, norm, config.precision)
+        report = evaluate_sequences(head_cfg, params, eval_seqs, norm)
         eval_sre[epoch] = report.aggregate()["avg_sre"]
         if eval_sre[epoch] < best_sre or best_report is None:
             best, best_report, best_epoch, stale = params, report, epoch, 0
@@ -358,9 +360,10 @@ def load_checkpoint(json_path: Path) -> ModelCheckpoint:
 
     Each ``train_config`` setting is read by :func:`decode_setting`, and the
     top-level ``archetype`` and ``seed`` override its own. The layout must list
-    the names and shapes :func:`init_params` makes for that config. A header
-    that does not describe its blob raises :class:`ConfigError` naming the
-    file and the field.
+    the names and shapes :func:`init_params` makes for that config; each array
+    loads in the config's precision, whatever its wire dtype. A header that
+    does not describe its blob raises :class:`ConfigError` naming the file and
+    the field.
     """
     json_path = Path(json_path)
     header = read_json_object(json_path)
@@ -382,8 +385,12 @@ def load_checkpoint(json_path: Path) -> ModelCheckpoint:
         if not (type(value) in (int, float) and np.isfinite(value) and value > 0):
             raise bad(f"field 'norm.{key}' is not a positive number: {value!r}")
     tc = header["train_config"]
+    if header["archetype"] not in ARCHETYPES:
+        raise bad(f"field 'archetype' names no archetype: {header['archetype']!r}")
     if type(header["seed"]) is not int:
         raise bad(f"field 'seed' is not an integer: {header['seed']!r}")
+    if header["seed"] < 0:
+        raise bad(f"field 'seed' is negative: {header['seed']}")
     caps = tc.get(LEGACY_CAPS_KEY, list(ETA))
     if caps != list(ETA):
         raise bad(f"field 'train_config.{LEGACY_CAPS_KEY}' is {caps!r}, not the JA scale "
@@ -424,8 +431,7 @@ def load_checkpoint(json_path: Path) -> ModelCheckpoint:
                       f"{list(want.shape)}, dtype '<f4' or '<f8', and {nbytes} bytes "
                       f"inside the {len(blob)}-byte blob")
         flat = np.frombuffer(blob, dtype=wire, count=want.size, offset=offset)
-        params[entry["name"]] = flat.reshape(want.shape).astype(
-            dtype_of("double" if wire == "<f8" else "single"))
+        params[entry["name"]] = flat.reshape(want.shape).astype(want.dtype)
     return ModelCheckpoint(config, params, NormConstants.from_dict(header["norm"]), split_seed,
                            material)
 

@@ -105,7 +105,7 @@ def _window(rows=1, length=13, w=3, seed=0):
                   np.full_like(drive_norm, 25.0 / 70.0)], axis=2)
     return RolloutInputs(
         x=x, drive_norm=drive_norm, target_warm_norm=target_norm[:, :w],
-        warmup_length=w, drive_raw=0.25 * drive_norm, target_warm_raw=80.0 * target_norm[:, :w],
+        drive_raw=0.25 * drive_norm, target_warm_raw=80.0 * target_norm[:, :w],
         target_max=80.0), target_norm
 
 
@@ -117,7 +117,7 @@ def _loss_fn_for(config: HeadConfig, inputs: RolloutInputs, target_norm):
         params = dict(zip(names, tensors))
         pred, _ = rollout(config, params, inputs)
         rows = weighted_loss_rows(target_norm[:, w:], pred, inputs.drive_norm[:, w - 1:],
-                                  inputs.target_max, np.full(inputs.rows, 40.0))
+                                  inputs.target_max, np.full(inputs.x.shape[0], 40.0))
         return batch_mean(rows)
 
     return fn, names
@@ -254,8 +254,7 @@ def test_c04_warmup_contract():
             inputs = RolloutInputs(
                 x=np.zeros((1, 3, 4)),
                 drive_norm=np.full((1, 3), drive_level),
-                target_warm_norm=np.full((1, 2), target_level),
-                warmup_length=2)
+                target_warm_norm=np.full((1, 2), target_level))
             pred, _ = rollout(config, wrap_params(arrays), inputs)
             assert abs(pred.data[0, 0] - target_level) <= 1e-10, archetype
 
@@ -327,7 +326,7 @@ def test_c07_synthetic_overfit():
                 params, adam = optimizer_step(params, {k: t.grad for k, t in params_t.items()},
                                               adam, config.lr, config.clip_norm)
             if (epoch + 1) % 25 == 0:
-                report = evaluate_sequences(config.head_config(), params, seqs, norm, "double")
+                report = evaluate_sequences(config.head_config(), params, seqs, norm)
                 current = report.aggregate()["avg_sre"]
                 if current < 0.05:
                     reached = (epoch + 1, current)
@@ -361,7 +360,7 @@ def test_c08_measured_dataset_reproduction():
                                  precision="double", eval_every=5, patience=8)
             result = train(config, train_seqs, eval_seqs)
             report = evaluate_sequences(config.head_config(), result.params,
-                                        test_seqs or eval_seqs, result.norm, "double")
+                                        test_seqs or eval_seqs, result.norm)
             agg = report.aggregate()
             results[material] = (agg["avg_sre"], agg["avg_nere"])
         print("\n  material        avg SRE   avg NERE")
@@ -387,7 +386,7 @@ def test_c09_preliminary_comparison():
             for batch in reversed_minibatches(train_seqs, 128, 16, [0, 1, epoch], w, norm):
                 params_t = wrap_params(params)
                 inputs = RolloutInputs(x=batch.x, drive_norm=batch.b_norm,
-                                       target_warm_norm=batch.h_norm[:, :w], warmup_length=w)
+                                       target_warm_norm=batch.h_norm[:, :w])
                 pred, _ = rollout(config, params_t, inputs)
                 rows = weighted_loss_rows(batch.h_norm[:, w:], pred, batch.b_norm[:, w - 1:],
                                           norm.b_max, batch.h_rms)
@@ -403,7 +402,7 @@ def test_c09_preliminary_comparison():
                 h_norm = (seq.h / norm.h_max)[None, :]
                 b_norm = (seq.b / norm.b_max)[None, :]
                 inputs = RolloutInputs(x=h_norm[:, :, None], drive_norm=h_norm,
-                                       target_warm_norm=b_norm[:, :w], warmup_length=w)
+                                       target_warm_norm=b_norm[:, :w])
                 pred, _ = rollout(config, frozen, inputs)
                 scores["mse"].append(mse(pred.data[0], b_norm[0, w:]))
                 scores["mae"].append(mae(pred.data[0], b_norm[0, w:]))
@@ -450,7 +449,7 @@ def test_c10_end_to_end_determinism(tmp_path):
             result = train(config, train_seqs, eval_seqs)
             json_path, bin_path = save_checkpoint(tmp_path / f"model_{run}", result.checkpoint())
             report = evaluate_sequences(config.head_config(), result.params, test_seqs,
-                                        result.norm, config.precision)
+                                        result.norm)
             artifacts.append((bin_path.read_bytes(), json_path.read_text(), report.to_json()))
         blobs_a, header_a, report_a = artifacts[0]
         blobs_b, header_b, report_b = artifacts[1]

@@ -286,9 +286,12 @@ def train_only_dir(tmp_path_factory):
      "sequence 0 shorter than subsequence length 200"),
     (["sweep", "--sizes", "2", "--batch-size", "100", "--subseq-len", "32", "--warmup-len", "4"],
      "no full batches: 12 sequences, l=32, b=100"),
+    (["train", "--seed", "-1", "--split-seed", "0"], "seed must be >= 0, got -1"),
+    (["train", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["train", "--split-seed", "-1"], "split_seed must be >= 0, got -1"),
 ], ids=["gru-v-size", "window-too-short", "window-too-long", "no-full-batch", "empty-eval",
         "sweep-nan-lr", "sweep-ja-single", "sweep-listed-ja-single", "sweep-window-too-long",
-        "sweep-no-full-batch"])
+        "sweep-no-full-batch", "negative-seed", "negative-seed-and-split", "negative-split-seed"])
 def test_unusable_run_refused_before_staging(train_only_dir, tmp_path, capsys, argv, message):
     out = tmp_path / "o"
     rc = main(argv[:1] + ["--data", str(train_only_dir), "--material", "m", "--epochs", "1",
@@ -504,6 +507,8 @@ class TestEvalPredict:
         ("seed", "x", "field 'seed' is not an integer: 'x'"),
         ("seed", 1.0, "field 'seed' is not an integer: 1.0"),
         ("seed", True, "field 'seed' is not an integer: True"),
+        ("seed", -1, "field 'seed' is negative: -1"),
+        ("archetype", 3, "field 'archetype' names no archetype: 3"),
         ("train_config.d_g", 4.7, "d_g must be int, got 4.7"),
         ("train_config.d_g", "4", 'd_g must be int, got "4"'),
         ("train_config.warmup_length", 4.9, "warmup_length must be int, got 4.9"),

@@ -272,7 +272,7 @@ class TestSequenceIO:
 
     @pytest.mark.parametrize("value, message", [(0, "non-positive tau_s: 0"),
                                                 (0.0, "non-positive tau_s: 0.0"),
-                                                (False, "non-positive tau_s: False"),
+                                                (False, "tau_s is not a number: False"),
                                                 (-1e-9, "non-positive tau_s: -1e-09"),
                                                 ("", "tau_s is not a number: ''")])
     def test_unusable_sidecar_tau_named(self, tmp_path, value, message):
@@ -300,7 +300,8 @@ class TestSequenceIO:
         write_sequence(tmp_path / "s.csv", ramp_sequence(n=20))
         sidecar = tmp_path / "s.json"
         meta = json.loads(sidecar.read_text())
-        for value, message in (("fast", "f_sw_Hz is not a number"), (float("inf"), "non-finite f_sw_Hz")):
+        for value, message in (("fast", "f_sw_Hz is not a number"), (float("inf"), "non-finite f_sw_Hz"),
+                               (10 ** 400, "non-finite f_sw_Hz")):
             meta["f_sw_Hz"] = value
             sidecar.write_text(json.dumps(meta))
             with pytest.raises(DataError, match=rf"s\.json: {message}"):
@@ -450,6 +451,31 @@ class TestCheckpointHeaderFuzz:
             assert not out.exists()
 
 
+class TestSidecarNumberFuzz:
+    """A sidecar number of another JSON type loads as that number or is refused naming
+    the sidecar; a bool or a string never loads."""
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(["temperature_C", "tau_s", "f_sw_Hz"]), value=_JSON_VALUE)
+    def test_sidecar_value(self, tmp_path, key, value):
+        write_sequence(tmp_path / "s.csv", ramp_sequence(n=20))
+        sidecar = tmp_path / "s.json"
+        meta = json.loads(sidecar.read_text())
+        meta[key] = value
+        sidecar.write_text(json.dumps(meta))
+        try:
+            seq = read_sequence(tmp_path / "s.csv")
+        except DataError as exc:
+            assert str(exc).startswith(f"{sidecar}: ")
+            return
+        # null stands for an absent tau_s or f_sw_Hz
+        assert type(value) in (int, float) or (value is None and key != "temperature_C")
+        loaded = {"temperature_C": seq.temperature_c, "tau_s": seq.tau_s, "f_sw_Hz": seq.f_sw_hz}
+        absent = {"tau_s": dataset.DEFAULT_TAU_S, "f_sw_Hz": None}
+        assert loaded[key] == (absent[key] if value is None else float(value))
+
+
 def _outcome(parse, path):
     """(dtype, shape, bytes) of each array a parser returns, or its DataError text."""
     try:
@@ -594,6 +620,18 @@ class TestAdapters:
         assert seqs[1].temperature_c == 70.0
         assert seqs[1].f_sw_hz == 125000.0
         np.testing.assert_allclose(seqs[0].b, [0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("tau", ["0", "-1e-09"])
+    def test_magnetx_sampling_time_named(self, tmp_path, tau):
+        raw = tmp_path / "matE"
+        raw.mkdir()
+        (raw / "B_waveform[T].csv").write_text("0.1,0.2\n0.2,0.3\n")
+        (raw / "H_waveform[Am-1].csv").write_text("1,2\n3,4\n")
+        (raw / "Temperature[C].csv").write_text("25\n50\n")
+        (raw / "Sampling_Time[s].csv").write_text(f"1e-06\n{tau}\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(raw))}: sequence 1: "
+                                            r"sampling period must be positive$"):
+            ingest_material(raw, tmp_path / "out")
 
     def test_unknown_layout(self, tmp_path):
         empty = tmp_path / "nothing"

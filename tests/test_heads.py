@@ -7,6 +7,7 @@ from hystkit.autodiff import Tensor, concat
 from hystkit.cells import GruParams, LstmParams, gru_step, init_gru_params, init_lstm_params, lstm_step
 from hystkit.dataset import DataError, MeasuredSequence, NormConstants
 from hystkit.heads import (
+    ARCHETYPES,
     HeadConfig,
     HeadError,
     RolloutInputs,
@@ -28,7 +29,7 @@ def make_inputs(d_x=4, length=8, w=3, rows=1, seed=0, target=None, drive=None):
     target = rng.uniform(-0.8, 0.8, (rows, w)) if target is None else np.atleast_2d(target)
     x = rng.uniform(-0.5, 0.5, (rows, length, d_x))
     return RolloutInputs(
-        x=x, drive_norm=drive, target_warm_norm=target, warmup_length=w,
+        x=x, drive_norm=drive, target_warm_norm=target,
         drive_raw=0.3 * drive, target_warm_raw=100.0 * target, target_max=100.0)
 
 
@@ -77,11 +78,10 @@ class TestWarmupDirect:
         np.testing.assert_array_equal(out.data[:, 0], [9.0, 8.0])
 
     def test_empty_warmup_rejected(self):
-        config = HeadConfig("gru-p", d_g=4, warmup_length=2)
-        inputs = make_inputs(w=2)
-        inputs.target_warm_norm = inputs.target_warm_norm[:, :1]
-        with pytest.raises(WarmupError):
-            warmup(config, wrapped(zero_params(config)), inputs)
+        for archetype in ARCHETYPES:
+            config = HeadConfig(archetype, d_g=8)
+            with pytest.raises(WarmupError, match="^empty warmup window$"):
+                rollout(config, wrapped(zero_params(config)), make_inputs(w=0))
 
 
 class TestGruP:
@@ -381,11 +381,11 @@ class TestBatchedPredictWindow:
         seqs, norm = _mixed_length_batch(lengths)
         config = HeadConfig(archetype, d_g=1 if archetype == "ja" else 8, warmup_length=4)
         arrays = init_head_params(config, 3, precision)
-        batched = predict_window(config, arrays, seqs, norm, precision)
+        batched = predict_window(config, arrays, seqs, norm)
         assert len(batched) == len(seqs)
         rtol = 1e-12 if precision == "double" else 1e-5
         for seq, got in zip(seqs, batched):
-            [alone] = predict_window(config, arrays, [seq], norm, precision)
+            [alone] = predict_window(config, arrays, [seq], norm)
             assert got.pred.shape == (len(seq) - 4,)
             scale = np.max(np.abs(alone.pred))
             assert np.isfinite(scale) and scale > 0

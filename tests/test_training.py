@@ -1,5 +1,7 @@
 """Training-loop tests: optimizer algebra, determinism, checkpoints, sweeps."""
 import gc
+import hashlib
+import json
 import weakref
 from collections import Counter
 
@@ -190,7 +192,7 @@ class TestTrainLoop:
         result = train(config, seqs[:6], seqs[6:])
         assert sorted(result.eval_sre) == [1, 3]
         report = evaluate_sequences(config.head_config(), result.params, seqs[6:],
-                                    result.norm, config.precision)
+                                    result.norm)
         assert result.report.rows == report.rows
         assert result.eval_sre[result.best_epoch] == report.aggregate()["avg_sre"]
 
@@ -250,7 +252,7 @@ class TestTrainLoop:
         result = train(config, seqs[:5], seqs[5:])
         assert all(np.isfinite(v) for v in result.train_losses)
         report = evaluate_sequences(config.head_config(), result.params, seqs[5:],
-                                    result.norm, config.precision)
+                                    result.norm)
         assert np.isfinite(report.aggregate()["avg_sre"])
 
     def test_zero_regularization_weight_equals_plain_objective(self):
@@ -458,10 +460,9 @@ class TestCheckpoint:
         for k in ckpt.params:
             assert loaded.params[k].tobytes() == ckpt.params[k].tobytes()
         assert loaded.config == ckpt.config
-        r1 = evaluate_sequences(ckpt.config.head_config(), ckpt.params, seqs[4:], ckpt.norm,
-                                ckpt.config.precision)
+        r1 = evaluate_sequences(ckpt.config.head_config(), ckpt.params, seqs[4:], ckpt.norm)
         r2 = evaluate_sequences(loaded.config.head_config(), loaded.params, seqs[4:],
-                                loaded.norm, loaded.config.precision)
+                                loaded.norm)
         assert r1.to_json() == r2.to_json()
 
     def test_size_on_disk_reported(self, tmp_path):
@@ -483,6 +484,25 @@ class TestCheckpoint:
         assert loaded.params["w_z"].dtype == np.float32
         assert bin_path.stat().st_size == sum(v.size for v in result.params.values()) * 4
 
+    @pytest.mark.parametrize("precision, wire, dtype", [("double", "<f4", np.float64),
+                                                        ("single", "<f8", np.float32)])
+    def test_arrays_take_the_header_precision(self, tmp_path, precision, wire, dtype):
+        # entries re-encoded in the other wire dtype still load in the header's precision
+        result = train(small_config(epochs=1, precision=precision), tiny_dataset(n=4))
+        json_path, bin_path = save_checkpoint(tmp_path / "model", result.checkpoint())
+        header = json.loads(json_path.read_text())
+        blob = bytearray()
+        for entry in header["layout"]:
+            entry.update(dtype=wire, offset=len(blob))
+            blob.extend(result.params[entry["name"]].astype(wire).tobytes())
+        bin_path.write_bytes(bytes(blob))
+        header["blob_sha256"] = hashlib.sha256(bytes(blob)).hexdigest()
+        json_path.write_text(json.dumps(header))
+        loaded = load_checkpoint(json_path)
+        for name, arr in loaded.params.items():
+            assert arr.dtype == dtype
+            assert arr.tobytes() == result.params[name].astype(wire).astype(dtype).tobytes()
+
     def test_corrupt_blob_detected(self, tmp_path):
         seqs = tiny_dataset(n=4)
         result = train(small_config(epochs=1), seqs)
@@ -500,7 +520,7 @@ class TestEvaluate:
         config = small_config(epochs=1)
         result = train(config, seqs)
         report = evaluate_sequences(config.head_config(), result.params, seqs,
-                                    result.norm, config.precision)
+                                    result.norm)
         assert len(report.rows) == 5
         agg = report.aggregate()
         assert set(agg) == {f"{s}_{m}" for s in ("avg", "p95")
