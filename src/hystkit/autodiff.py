@@ -133,8 +133,8 @@ class Tensor:
     def __getitem__(self, key):
         return take(self, key)
 
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        return tsum(self, axis=axis)
 
 
 def _node(data, parents, backward_fn) -> Tensor:
@@ -305,15 +305,12 @@ def sqrt(a: Tensor) -> Tensor:
     return _node(r, (a,), backward)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    out_data = a.data.sum(axis=axis)
 
     def backward(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape).copy())
-        else:
-            gk = g if keepdims else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(gk, a.data.shape).copy())
+        gk = g if axis is None else np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(gk, a.data.shape).copy())
 
     return _node(out_data, (a,), backward)
 

@@ -316,22 +316,23 @@ def _positive_int(flag: str, text: str) -> int:
 
 def cmd_sweep(args) -> int:
     resolved = _resolve_config(args)
-    archetypes = [a.strip() for a in resolved["archetype"].split(",")]
     sizes = [_positive_int("--sizes", s) for s in args.sizes.split(",")]
-    seeds = list(range(_positive_int("--seeds", args.seeds)))
+    n_seeds = _positive_int("--seeds", args.seeds)
     workers = _positive_int("--workers", args.workers)
-    base = _train_config(resolved)
-    for archetype in archetypes:  # refused as `train` would refuse it, whatever else is listed
-        _train_config({**resolved, "archetype": archetype})
+    # one config per listed archetype, each refused as `train` would refuse it
+    configs = [_train_config({**resolved, "archetype": a.strip()})
+               for a in resolved["archetype"].split(",")]
     splits, inputs = _load_splits(args, args.material, resolved["split_seed"])
-    # every trial shares the base config's windows, so one check covers them all
-    check_windows(splits["train"], base.subseq_len, base.batch_size, base.warmup_length)
+    # every trial shares the windows, so one check covers them all
+    first = configs[0]
+    check_windows(splits["train"], first.subseq_len, first.batch_size, first.warmup_length)
     check_sweep_eval(splits["eval"])
     stage = OutputStage(args.out, "sweep",
-                        {**resolved, "material": args.material, "archetypes": archetypes,
-                         "sizes": sizes, "n_seeds": len(seeds), "workers": workers}, inputs)
-    rows, medians = pareto_sweep(archetypes, sizes, seeds, splits["train"], splits["eval"],
-                                 base_config=base, workers=workers)
+                        {**resolved, "material": args.material,
+                         "archetypes": [c.archetype for c in configs], "sizes": sizes,
+                         "n_seeds": n_seeds, "workers": workers}, inputs)
+    rows, medians = pareto_sweep(configs, sizes, n_seeds, splits["train"], splits["eval"],
+                                 workers=workers)
     write_sweep_csv(stage.path("sweep.csv"), rows)
     median_rows = [[a, d, m["params"], fmt(m["median_sre"]), fmt(m["median_nere"])]
                    for (a, d), m in sorted(medians.items())]
@@ -356,15 +357,14 @@ def cmd_plotdata(args) -> int:
     source = Path(args.source)
     if not source.exists():
         raise CliError(f"source {source} does not exist")
-    stage = OutputStage(args.out, "plotdata",
-                        {"source": str(source), "kind": args.kind}, {"source": source})
     records = read_csv_dicts(source)
+    tables = {}  # every output table, built and checked before anything is staged
     if args.kind in ("bh_loop", "timeseries"):
         if not records or not set(_PREDICTION_COLUMNS) <= set(records[0][1]):
             raise CliError(f"{source} is not a prediction CSV (kind mismatch)")
         if args.kind == "bh_loop":
-            out_rows = [[r["B"], r["H_true"], r["H_pred"]] for _, r in records]
-            write_rows(stage.path("bh_loop.csv"), ["B", "H_true", "H_pred"], out_rows)
+            tables["bh_loop.csv"] = (["B", "H_true", "H_pred"],
+                                     [[r["B"], r["H_true"], r["H_pred"]] for _, r in records])
         else:
             meta_path = source.parent.parent / "predictions_meta.json"
             if not meta_path.exists():
@@ -374,10 +374,9 @@ def cmd_plotdata(args) -> int:
             tau = entry.get("tau_s") if isinstance(entry, dict) else None
             if type(tau) not in (int, float) or not 0 < tau < math.inf:
                 raise CliError(f"{meta_path}: no positive tau_s for {name!r}")
-            out_rows = [[fmt(_number(source, i, r, "k", int) * tau * 1e6),
-                         r["B"], r["H_true"], r["H_pred"]] for i, r in records]
-            write_rows(stage.path("timeseries.csv"),
-                               ["t_us", "B", "H_true", "H_pred"], out_rows)
+            tables["timeseries.csv"] = (["t_us", "B", "H_true", "H_pred"], [
+                [fmt(_number(source, i, r, "k", int) * tau * 1e6), r["B"], r["H_true"],
+                 r["H_pred"]] for i, r in records])
     elif args.kind == "pareto":
         if not records or not set(SWEEP_COLUMNS) <= set(records[0][1]):
             raise CliError(f"{source} is not a sweep CSV (kind mismatch)")
@@ -392,10 +391,13 @@ def cmd_plotdata(args) -> int:
             per_arch.setdefault(arch, []).append(
                 [params, fmt(m["median_sre"]), fmt(m["median_nere"])])
         for arch, out_rows in per_arch.items():
-            write_rows(stage.path(f"pareto_{arch}.csv"),
-                               ["params", "median_sre", "median_nere"], out_rows)
+            tables[f"pareto_{arch}.csv"] = (["params", "median_sre", "median_nere"], out_rows)
     else:
         raise CliError(f"unknown plot kind {args.kind!r}")
+    stage = OutputStage(args.out, "plotdata",
+                        {"source": str(source), "kind": args.kind}, {"source": source})
+    for name, (header, rows) in tables.items():
+        write_rows(stage.path(name), header, rows)
     stage.finish()
     print(f"plot data written under {stage.out_dir}")
     return 0
@@ -453,8 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="size/seed grid with per-cell median errors")
     p.add_argument("--data")
     p.add_argument("--material", required=True)
-    p.add_argument("--sizes", required=True, help="comma-separated hidden sizes")
-    p.add_argument("--seeds", default="1", help="number of seeds per cell")
+    p.add_argument("--sizes", required=True,
+                   help="comma-separated hidden sizes (a sweep does not read --hidden-size)")
+    p.add_argument("--seeds", default="1", help="number of seeds per cell, counting from --seed")
     p.add_argument("--workers", default="1", help="number of worker processes")
     p.add_argument("--out", required=True)
     _add_model_flags(p)

@@ -70,6 +70,8 @@ class TrainConfig:
     eval_every: int = 1
 
     def __post_init__(self):
+        if self.archetype not in ARCHETYPES:
+            raise ConfigError(f"unknown archetype {self.archetype!r}")
         for name in ("lr", "clip_norm", "lambda_w"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -477,17 +479,14 @@ SWEEP_COLUMNS = ("archetype", "d_g", "params", "seed", "sre", "nere", "status")
 def _run_trial(args):
     """One sweep row: the eval errors of the parameters ``train`` keeps (NaN if it fails)."""
     config, train_seqs, eval_seqs = args
-    row = {"archetype": config.archetype, "d_g": config.d_g, "params": 0, "seed": config.seed,
+    row = {"archetype": config.archetype, "d_g": config.d_g,
+           "params": config_param_count(config), "seed": config.seed,
            "sre": float("nan"), "nere": float("nan"), "status": "ok"}
     try:
         agg = train(config, train_seqs, eval_seqs).report.aggregate()
         row.update(sre=agg["avg_sre"], nere=agg["avg_nere"])
     except Exception as exc:  # failures are recorded, never dropped
         row["status"] = f"failed:{type(exc).__name__}"
-    try:
-        row["params"] = config_param_count(config)
-    except ValueError:  # unknown archetype
-        pass
     return row
 
 
@@ -497,19 +496,18 @@ def check_sweep_eval(eval_seqs) -> None:
         raise ConfigError("empty eval set: every sweep trial is scored on it")
 
 
-def pareto_sweep(archetypes, d_g_values, seeds, train_seqs, eval_seqs,
-                 base_config: TrainConfig, workers: int = 1):
-    """Trial grid over (archetype, d_g, seed); returns (rows, medians).
+def pareto_sweep(configs, d_g_values, n_seeds: int, train_seqs, eval_seqs, workers: int = 1):
+    """Trial grid over (config, d_g, seed); returns (rows, medians).
 
+    Each config runs at every size in ``d_g_values`` and with the ``n_seeds`` seeds
+    from its own ``seed`` on; all else it sets, precision included, is kept.
     Each trial is scored on the eval set, which must not be empty. Medians
     aggregate successful trials per (archetype, d_g); rows are ordered by
     that key so merged concurrent results stay deterministic.
     """
     check_sweep_eval(eval_seqs)
-    jobs = [(replace(base_config, archetype=a, d_g=d_g, seed=seed,
-                     precision="double" if a in JA_FAMILY else base_config.precision),
-             train_seqs, eval_seqs)
-            for a in archetypes for d_g in d_g_values for seed in seeds]
+    jobs = [(replace(config, d_g=d_g, seed=config.seed + i), train_seqs, eval_seqs)
+            for config in configs for d_g in d_g_values for i in range(n_seeds)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

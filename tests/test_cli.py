@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+import hystkit.cli as cli
 import hystkit.training as training
 from hystkit.autodiff import Tensor
 from hystkit.cli import _CONFIG_FIELDS, build_parser, main
@@ -289,9 +290,13 @@ def train_only_dir(tmp_path_factory):
     (["train", "--seed", "-1", "--split-seed", "0"], "seed must be >= 0, got -1"),
     (["train", "--seed", "-1"], "seed must be >= 0, got -1"),
     (["train", "--split-seed", "-1"], "split_seed must be >= 0, got -1"),
+    (["train", "--archetype", "nope"], "unknown archetype 'nope'"),
+    (["sweep", "--sizes", "2", "--archetype", "gru-p,nope"], "unknown archetype 'nope'"),
+    (["sweep", "--sizes", "2", "--archetype", "gru-p,"], "unknown archetype ''"),
 ], ids=["gru-v-size", "window-too-short", "window-too-long", "no-full-batch", "empty-eval",
         "sweep-nan-lr", "sweep-ja-single", "sweep-listed-ja-single", "sweep-window-too-long",
-        "sweep-no-full-batch", "negative-seed", "negative-seed-and-split", "negative-split-seed"])
+        "sweep-no-full-batch", "negative-seed", "negative-seed-and-split", "negative-split-seed",
+        "unknown-archetype", "sweep-unknown-archetype", "sweep-empty-archetype"])
 def test_unusable_run_refused_before_staging(train_only_dir, tmp_path, capsys, argv, message):
     out = tmp_path / "o"
     rc = main(argv[:1] + ["--data", str(train_only_dir), "--material", "m", "--epochs", "1",
@@ -648,6 +653,14 @@ class TestSweepPlotdata:
         assert [r["d_g"] for r in rows] == ["2", "2", "4", "4"]
         assert all(r["status"] == "ok" for r in rows)
 
+    def test_trial_seeds_start_at_seed(self, dataset_dir, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--data", str(dataset_dir), "--material", "synthA",
+                     "--sizes", "2", "--out", str(out), *TRAIN_FLAGS, "--epochs", "1",
+                     "--seed", "3", "--seeds", "2", "--split-seed", "0"]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            assert [r["seed"] for r in csv.DictReader(fh)] == ["3", "4"]
+
     def test_pareto_plotdata_matches_recomputation(self, sweep_out, tmp_path):
         out = tmp_path / "plot"
         rc = main(["plotdata", "--source", str(sweep_out / "sweep.csv"),
@@ -723,10 +736,32 @@ class TestSweepPlotdata:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {meta_path}: ") and message in err
 
-    def test_failure_leaves_partial_flag(self, sweep_out, tmp_path):
+    @pytest.mark.parametrize("kind, text, message", [
+        ("pareto", b"a,b\r\n1,2\r\n", "is not a sweep CSV (kind mismatch)"),
+        ("pareto", b"archetype,d_g,params,seed,sre,nere,status\r\ngru-p,8,x,0,0.1,0.1,ok\r\n",
+         "row 2: params is not a number: 'x'"),
+        ("timeseries", b"k,B,H_true,H_pred\r\n4,0.1,1.0,1.0\r\n",
+         "predictions_meta.json (needed for the time axis)"),
+    ], ids=["kind-mismatch", "bad-number", "no-meta"])
+    def test_unusable_source_refused_before_staging(self, tmp_path, capsys, kind, text,
+                                                    message):
+        source = tmp_path / "predictions" / "seq_00000.csv"
+        source.parent.mkdir()
+        source.write_bytes(text)
+        out = tmp_path / "plot"
+        rc = main(["plotdata", "--source", str(source), "--kind", kind, "--out", str(out)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failure_leaves_partial_flag(self, sweep_out, tmp_path, monkeypatch):
+        def failing_write(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_rows", failing_write)
         out = tmp_path / "flagged"
         rc = main(["plotdata", "--source", str(sweep_out / "sweep.csv"),
-                   "--kind", "bh_loop", "--out", str(out)])
+                   "--kind", "pareto", "--out", str(out)])
         assert rc == 1
         assert (out / ".partial").exists()
 
@@ -819,7 +854,7 @@ class TestArtifactBytesPinned:
     def test_sweep_with_failed_trials(self, dataset_dir, tmp_path):
         out = tmp_path / "sweep"
         rc = main(["sweep", "--data", str(dataset_dir), "--material", "synthA",
-                   "--archetype", "gru-p,gru-v,nope", "--sizes", "4,8", "--seeds", "1",
+                   "--archetype", "gru-p,gru-v", "--sizes", "4,8", "--seeds", "1",
                    "--out", str(out), "--epochs", "2", "--subseq-len", "32",
                    "--batch-size", "4", "--warmup-len", "4", "--precision", "double"])
         assert rc == 0
@@ -827,11 +862,11 @@ class TestArtifactBytesPinned:
             rows = {(r["archetype"], r["d_g"]): r for r in csv.DictReader(fh)}
         assert (rows["gru-v", "4"]["status"], rows["gru-v", "4"]["params"]) == (
             "failed:HeadError", "112")
-        assert (rows["nope", "4"]["status"], rows["nope", "4"]["params"]) == (
-            "failed:HeadError", "0")
         assert rows["gru-v", "8"]["status"] == "ok"
+        # re-pinned when an unknown archetype became a refusal: the earlier run's file,
+        # which also listed `nope`, less its two `nope` rows
         assert _sha(out / "sweep.csv") == (
-            "067d5984163bc1b7d1ee7d69982360a1ce30387d159ac757f441141efa1c13bc")
+            "23afd2197a1f064aefd812cc8c737ff9962bf43b365470e37acaa05b9bec2f81")
         assert _sha(out / "sweep_medians.csv") == (
             "54a6680aa9f576d2db6bc363404c382fbd190ad2a867e6db7a7c850eeaf0ae2f")
 

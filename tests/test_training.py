@@ -103,6 +103,10 @@ class TestTrainConfig:
         assert TrainConfig(archetype="gru-jadp").precision == "double"
         assert TrainConfig(archetype="gru-p", lambda_w=0.5).precision == "double"
 
+    def test_unknown_archetype_refused(self):
+        with pytest.raises(ConfigError, match="^unknown archetype 'nope'$"):
+            TrainConfig(archetype="nope")
+
     def test_ja_single_precision_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(archetype="ja", precision="single")
@@ -530,9 +534,7 @@ class TestEvaluate:
 class TestParetoSweep:
     def test_grid_cardinality_and_params_column(self):
         seqs = tiny_dataset(n=6)
-        base = small_config(epochs=1)
-        rows, medians = pareto_sweep(["gru-p"], [2, 4], [0, 1, 2], seqs[:4], seqs[4:],
-                                     base_config=base)
+        rows, medians = pareto_sweep([small_config(epochs=1)], [2, 4], 3, seqs[:4], seqs[4:])
         assert len(rows) == 6
         from hystkit.cells import param_count
         for row in rows:
@@ -554,22 +556,21 @@ class TestParetoSweep:
 
         monkeypatch.setattr(training, "evaluate_sequences", counting)
         seqs = tiny_dataset(n=6)
-        rows, _ = pareto_sweep(["gru-p"], [2], [0], seqs[:4], seqs[4:],
-                               base_config=small_config(epochs=4, eval_every=2))
+        rows, _ = pareto_sweep([small_config(epochs=4, eval_every=2)], [2], 1, seqs[:4],
+                               seqs[4:])
         assert rows[0]["status"] == "ok"
         assert calls == [2, 2]  # epochs 1 and 3, on the 2 eval sequences
 
     def test_empty_eval_set_refused(self):
         seqs = tiny_dataset(n=4)
         with pytest.raises(ConfigError, match="empty eval set"):
-            pareto_sweep(["gru-p"], [2], [0], seqs, [], base_config=small_config(epochs=1))
+            pareto_sweep([small_config(epochs=1)], [2], 1, seqs, [])
 
     def test_failures_recorded_not_dropped(self):
         seqs = tiny_dataset(n=6)
-        base = small_config(epochs=1)
         # gru-v rejects d_g=4 (not a valid grid size): the trial must fail loudly
-        rows, medians = pareto_sweep(["gru-v"], [4], [0], seqs[:4], seqs[4:],
-                                     base_config=base)
+        rows, medians = pareto_sweep([small_config(archetype="gru-v", epochs=1)], [4], 1,
+                                     seqs[:4], seqs[4:])
         assert len(rows) == 1
         assert rows[0]["status"].startswith("failed:")
         assert np.isnan(rows[0]["sre"])
@@ -579,8 +580,8 @@ class TestParetoSweep:
     def test_failed_regularized_trial_counts_ja_parameters(self):
         seqs = tiny_dataset(n=6)
         # windows longer than every sequence: no batch, so the trial fails
-        base = small_config(epochs=1, lambda_w=0.1, subseq_len=500)
-        rows, _ = pareto_sweep(["gru-p"], [8], [0], seqs[:4], seqs[4:], base_config=base)
+        config = small_config(epochs=1, lambda_w=0.1, subseq_len=500)
+        rows, _ = pareto_sweep([config], [8], 1, seqs[:4], seqs[4:])
         assert rows[0]["status"] == "failed:DataError"
         assert rows[0]["params"] == 325
 
@@ -597,9 +598,9 @@ class TestParetoSweep:
 
         monkeypatch.setattr(training, "_run_trial", record)
         seqs = tiny_dataset(n=2)
-        pareto_sweep(["gru-p", "lstm-p", "ja"], [2], [0], seqs, seqs,
-                     base_config=small_config(precision="double"))
-        pareto_sweep(["gru-p", "ja"], [2], [0], seqs, seqs, base_config=TrainConfig())
+        pareto_sweep([small_config(archetype=a) for a in ("gru-p", "lstm-p", "ja")], [2], 1,
+                     seqs, seqs)
+        pareto_sweep([TrainConfig(archetype=a) for a in ("gru-p", "ja")], [2], 1, seqs, seqs)
         assert [(c.archetype, c.precision) for c in ran] == [
             ("gru-p", "double"), ("lstm-p", "double"), ("ja", "double"),
             ("gru-p", "single"), ("ja", "double")]
@@ -607,11 +608,9 @@ class TestParetoSweep:
 
     def test_concurrent_workers_match_sequential(self):
         seqs = tiny_dataset(n=6)
-        base = small_config(epochs=1)
-        seq_rows, _ = pareto_sweep(["gru-p"], [2], [0, 1], seqs[:4], seqs[4:],
-                                   base_config=base, workers=1)
-        par_rows, _ = pareto_sweep(["gru-p"], [2], [0, 1], seqs[:4], seqs[4:],
-                                   base_config=base, workers=2)
+        configs = [small_config(epochs=1)]
+        seq_rows, _ = pareto_sweep(configs, [2], 2, seqs[:4], seqs[4:], workers=1)
+        par_rows, _ = pareto_sweep(configs, [2], 2, seqs[:4], seqs[4:], workers=2)
         assert seq_rows == par_rows
 
     def test_csv_format(self, tmp_path):
