@@ -199,8 +199,6 @@ def cmd_ingest(args) -> int:
                                           adapter=adapter)
         counts[material] = count
         stage.outputs.append(f"{material}/manifest.json")
-    if not counts:
-        raise DataError(f"no sequences found under {raw}")
     write_file(stage.path("ingest_summary.json"),
                json_text({"materials": counts, "total_sequences": sum(counts.values())}))
     stage.finish()
@@ -215,6 +213,7 @@ def cmd_train(args) -> int:
     config.head_config()  # an unusable model is refused before anything is staged
     splits, inputs = _load_splits(args, args.material, resolved["split_seed"])
     check_windows(splits["train"], config.subseq_len, config.batch_size, config.warmup_length)
+    _require_warmup_fits(enumerate(splits["eval"]), config.warmup_length, "eval split: warmup")
     stage = OutputStage(args.out, "train", {**resolved, "material": args.material}, inputs)
     result = train(config, splits["train"], splits["eval"])
     json_path, bin_path = save_checkpoint(stage.out_dir / "model", dataclasses.replace(
@@ -235,8 +234,8 @@ def cmd_train(args) -> int:
 
 
 def _require_warmup_fits(chosen, w: int, source: str) -> None:
-    """Refuse, before eval or predict stages anything, an (index, sequence) pair too short
-    for warmup ``w`` (taken from ``source``) plus two predicted samples."""
+    """Refuse, before train, sweep, eval or predict stages anything, an (index, sequence)
+    pair too short for warmup ``w`` (taken from ``source``) plus two predicted samples."""
     for i, seq in chosen:
         if len(seq) < w + 2:
             raise CliError(f"{source} {w} needs sequences of at least {w + 2} samples: "
@@ -327,6 +326,7 @@ def cmd_sweep(args) -> int:
     first = configs[0]
     check_windows(splits["train"], first.subseq_len, first.batch_size, first.warmup_length)
     check_sweep_eval(splits["eval"])
+    _require_warmup_fits(enumerate(splits["eval"]), first.warmup_length, "eval split: warmup")
     stage = OutputStage(args.out, "sweep",
                         {**resolved, "material": args.material,
                          "archetypes": [c.archetype for c in configs], "sizes": sizes,

@@ -475,8 +475,6 @@ def read_sequence(path: Path) -> MeasuredSequence:
     """Read one canonical sequence CSV and its JSON sidecar."""
     path = Path(path)
     b, h = _sequence_columns(path)
-    if not h.any():
-        raise DataError(f"{path}: H is all zero")
     sidecar_path = path.with_suffix(".json")
     if not sidecar_path.exists():
         raise DataError(f"missing sidecar {sidecar_path}")
@@ -495,7 +493,7 @@ def read_sequence(path: Path) -> MeasuredSequence:
     if not numbers["tau_s"] > 0:
         raise DataError(f"{sidecar_path}: non-positive tau_s: {tau!r}")
     try:
-        return MeasuredSequence(
+        seq = MeasuredSequence(
             b=b, h=h,
             temperature_c=numbers["temperature_C"],
             tau_s=numbers["tau_s"],
@@ -504,6 +502,9 @@ def read_sequence(path: Path) -> MeasuredSequence:
         )
     except DataError as exc:  # too few samples
         raise DataError(f"{path}: {exc}") from None
+    if not h.any():  # after the length check, so an empty table fails as too short
+        raise DataError(f"{path}: H is all zero")
+    return seq
 
 
 def write_material(out_dir: Path, material: str, sequences) -> Path:

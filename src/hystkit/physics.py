@@ -18,11 +18,12 @@ are trainable, which keeps the whole prediction differentiable.
 
 Everything here runs on the tape engine, so gradients flow through entire
 rollouts. A JA Euler step is one tape node with an analytic backward, built
-on a pure-numpy kernel that ``synth`` also calls directly. The sigmoid map
-from unconstrained values to the five parameters is one more node, shared
-by every step that uses the parameters: the Euler node hands it the five
-parameter gradients as one array. JA-hybrid training requires double
-precision.
+on a pure-numpy kernel that ``synth`` also calls directly. The step takes
+the five parameters as one (rows, 5) tensor ``z`` of (M_s, a, alpha_w, k_p,
+c), or (1, 5) shared by all rows. The sigmoid map from unconstrained values
+to ``z`` is one more node, shared by every step that uses the parameters:
+the Euler node hands it the five parameter gradients as one array.
+JA-hybrid training requires double precision.
 """
 from __future__ import annotations
 
@@ -69,28 +70,6 @@ class SingularityError(PhysicsError):
 
 
 @dataclass
-class JaPhysical:
-    """The five physical JA parameters and, when they were mapped, their source node.
-
-    Each parameter is a Tensor, array or float that broadcasts against the
-    state: (rows, 1) per row, or (1, 1) or a scalar shared by all rows. A
-    Tensor parameter that requires a gradient receives one from the Euler
-    step. :func:`ja_params_from_theta` fills the parameters with frozen
-    (rows, 1) Tensors and sets ``z``, the same five columns as one (rows, 5)
-    tape node over the unconstrained ``theta``; the Euler step sends the
-    parameters' gradient to ``z`` in one array, and ``z`` maps it to
-    ``theta``.
-    """
-
-    m_s: object
-    a: object
-    alpha_w: object
-    k_p: object
-    c: object
-    z: Tensor | None = None
-
-
-@dataclass
 class JaState:
     """Current field and magnetization estimate along a rollout."""
 
@@ -98,19 +77,18 @@ class JaState:
     m: Tensor
 
 
-def ja_params_from_theta(theta: Tensor) -> JaPhysical:
+def ja_params_from_theta(theta: Tensor) -> Tensor:
     """Map unconstrained values to physical parameters: z_i = ETA_i * sigmoid(theta_i).
 
     ``theta`` is (rows, >= 5) and only its first five columns are read, so
-    gru-jadp passes its whole hidden state. Each returned component is a
-    frozen (rows, 1) Tensor; the map is one tape node, ``z``, whose backward
-    scatters into those five columns as a slice node would.
+    gru-jadp passes its whole hidden state. Returns ``z``, the (rows, 5) tape
+    node of (M_s, a, alpha_w, k_p, c), whose backward scatters into those
+    five columns as a slice node would.
     """
     if theta.data.ndim != 2 or theta.data.shape[1] < 5:
         raise PhysicsError(f"theta must be (rows, >= 5), got {theta.data.shape}")
     eta_row = _ETA_ROW.astype(theta.data.dtype, copy=False)
     sig = _sigmoid(theta.data[:, :5])
-    z = sig * eta_row
 
     def backward(g):
         # scale, then sigmoid derivative, left to right: the bytes of the map
@@ -122,9 +100,7 @@ def ja_params_from_theta(theta: Tensor) -> JaPhysical:
             g_theta = full
         _accum(theta, g_theta)
 
-    columns = z.T.copy()  # contiguous, for the Euler kernel's elementwise work
-    return JaPhysical(*(Tensor(columns[i, :, None]) for i in range(5)),
-                      z=_node(z, (theta,), backward))
+    return _node(sig * eta_row, (theta,), backward)
 
 
 # -- Jiles-Atherton Euler step ------------------------------------------------
@@ -231,30 +207,33 @@ def ja_euler_kernel(h, m, b_k, b_k1, m_s, a, alpha_w, k_p, c):
                               step)
 
 
-def ja_step_euler(state: JaState, b_k, b_k1, phys: JaPhysical) -> JaState:
+def ja_step_euler(state: JaState, b_k, b_k1, z: Tensor) -> JaState:
     """One explicit-Euler step of the inverse JA model across [B_k, B_{k+1}].
 
+    ``z`` is the (rows, 5) Tensor of (M_s, a, alpha_w, k_p, c) that
+    :func:`ja_params_from_theta` builds, or (1, 5) shared by all rows, in
+    the state's dtype; any other shape or dtype raises :class:`ShapeError`.
     The model is rate-independent: the sampling period multiplies dB/dt and
     cancels, so the step depends only on the flux increment. A constant-flux
     step leaves H exactly unchanged. The magnetization is re-closed through
     B = mu0 * (H + M) after the update.
 
     H_{k+1} is one tape node whose backward is the analytic derivative with
-    respect to H, M and every physical parameter that is a Tensor requiring
-    a gradient (the others are constants), and to ``phys.z`` when it is set;
-    the gate and the delta == 0 mask are piecewise constant.
-    M_{k+1} = B_{k+1} / mu0 - H_{k+1} is a second node.
+    respect to H, M and ``z``; the gate and the delta == 0 mask are
+    piecewise constant. M_{k+1} = B_{k+1} / mu0 - H_{k+1} is a second node.
     """
     h, m = state.h, state.m
     dt = h.data.dtype
-    fields = (phys.m_s, phys.a, phys.alpha_w, phys.k_p, phys.c)
-    if any(isinstance(v, Tensor) and v.data.dtype != dt for v in (m, *fields)):
-        raise ShapeError(f"JA step operands must all be {dt}")
-    vals = [np.asarray(v.data if isinstance(v, Tensor) else v, dtype=dt) for v in fields]
-    h_new, t = ja_euler_kernel(h.data, m.data, b_k, b_k1, *vals)
-    m_s, a, alpha_w, k_p, c = vals
-    z = phys.z
-    leaves = tuple(f for f in (*fields, z) if isinstance(f, Tensor) and f.requires_grad)
+    rows = h.data.shape[0]
+    if z.data.ndim != 2 or z.data.shape[1] != 5 or z.data.shape[0] not in (1, rows):
+        raise ShapeError(f"JA parameters z must be (1, 5) or ({rows}, 5) for a state of "
+                         f"shape {h.data.shape}, got {z.data.shape}")
+    if m.data.dtype != dt or z.data.dtype != dt:
+        raise ShapeError(f"JA step operands must all be {dt}: m is {m.data.dtype}, "
+                         f"z is {z.data.dtype}")
+    # contiguous (rows|1, 1) columns: strided views of z slow the elementwise work
+    m_s, a, alpha_w, k_p, c = z.data.T.copy()[:, :, None]
+    h_new, t = ja_euler_kernel(h.data, m.data, b_k, b_k1, m_s, a, alpha_w, k_p, c)
 
     def backward(g):
         # h_new = h + step * (1 - r / (1 + r)); d(bracket)/dr = -bracket / (1 + r).
@@ -269,7 +248,7 @@ def ja_step_euler(state: JaState, b_k, b_k1, phys: JaPhysical) -> JaState:
             _accum(h, _unbroadcast(g + g_e, h.data.shape))
         if m.requires_grad:
             _accum(m, _unbroadcast(g_e * alpha_w - g_gated, m.data.shape))
-        if not leaves:
+        if not z.requires_grad:
             return
         partials = (
             g_gated * t.lv + g_dman * t.ld / a,
@@ -278,15 +257,11 @@ def ja_step_euler(state: JaState, b_k, b_k1, phys: JaPhysical) -> JaState:
             (g_num * c * t.dman - g_r * t.r / t.den_safe) * t.delta,
             g_num * k_p * t.delta * t.dman,
         )
-        for field, partial in zip(fields, partials):
-            if isinstance(field, Tensor) and field.requires_grad:
-                _accum(field, _unbroadcast(partial, field.data.shape))
-        if z is not None and z.requires_grad:
-            col = (z.data.shape[0], 1)
-            # + 0.0 turns -0 into +0, as a zero-filled scatter per column would
-            _accum(z, np.concatenate([_unbroadcast(p, col) for p in partials], axis=1) + 0.0)
+        col = (z.data.shape[0], 1)
+        # + 0.0 turns -0 into +0, as a zero-filled scatter per column would
+        _accum(z, np.concatenate([_unbroadcast(p, col) for p in partials], axis=1) + 0.0)
 
-    h_node = _node(h_new, (h, m) + leaves, backward)
+    h_node = _node(h_new, (h, m, z), backward)
     m_new = Tensor(np.asarray(b_k1, dtype=np.float64) / MU0, dtype=dt) - h_node
     return JaState(h=h_node, m=m_new)
 
@@ -306,15 +281,15 @@ def gru_jadp_step(x: Tensor, g_prev: Tensor, gru_params: GruParams, ja_state: Ja
     the :class:`PhysicsError` of :func:`ja_params_from_theta`.
     """
     g = gru_step(x, g_prev, gru_params)
-    phys = ja_params_from_theta(g)
-    return ja_step_euler(ja_state, b_k, b_k1, phys), g
+    return ja_step_euler(ja_state, b_k, b_k1, ja_params_from_theta(g)), g
 
 
-def pinn_ja_residual(h_traj: Tensor, b_traj, phys: JaPhysical):
+def pinn_ja_residual(h_traj: Tensor, b_traj, z: Tensor):
     """Physics-regularization residuals of a predicted field trajectory.
 
     ``h_traj`` is (rows, n+1) in raw units, starting at the last known
-    sample; ``b_traj`` matches. Step k compares the JA-predicted increment
+    sample; ``b_traj`` matches, and ``z`` holds the JA parameters as in
+    :func:`ja_step_euler`. Step k compares the JA-predicted increment
     from (H_{k-1}, B_{k-1}, B_k) with the actual increment. Every step starts
     from the known H_{k-1}, so all n steps run as one elementwise Euler step
     on (rows, n) arrays. Returns the per-step residuals (rows, n) and the
@@ -326,7 +301,7 @@ def pinn_ja_residual(h_traj: Tensor, b_traj, phys: JaPhysical):
         raise PhysicsError("trajectories must be (rows, n+1) with n >= 1 and matching shapes")
     h_prev = h_traj[:, :-1]
     state = JaState(h=h_prev, m=Tensor(b_traj[:, :-1] / MU0, dtype=h_traj.data.dtype) - h_prev)
-    stepped = ja_step_euler(state, b_traj[:, :-1], b_traj[:, 1:], phys)
+    stepped = ja_step_euler(state, b_traj[:, :-1], b_traj[:, 1:], z)
     e = (stepped.h - h_prev) - (h_traj[:, 1:] - h_prev)
     l_ja_rows = sqrt(tsum(e * e, axis=1) * (1.0 / (n_plus - 1)))
     return e, l_ja_rows

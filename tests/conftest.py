@@ -26,7 +26,6 @@ from hystkit.physics import (
     HYSTERON_SHARPNESS,
     MU0,
     _DENOM_FLOOR,
-    JaPhysical,
     JaState,
     SingularityError,
     _langevin_d1,
@@ -179,34 +178,35 @@ def ja_m_an(h_e, m_s, a):
 
 
 def tape_ja_params_from_theta(theta):
-    """z = ETA * sigmoid(theta) as a sigmoid node, a multiply by a constant (1, 5) scale
-    row and one column take per parameter."""
-    z = sigmoid(theta) * Tensor(np.asarray(ETA, dtype=np.float64).reshape(1, 5),
-                                dtype=theta.data.dtype)
-    return JaPhysical(*(z[:, i:i + 1] for i in range(5)))
+    """z = ETA * sigmoid(theta) as a sigmoid node and a multiply by a constant (1, 5)
+    scale row."""
+    return sigmoid(theta) * Tensor(np.asarray(ETA, dtype=np.float64).reshape(1, 5),
+                                   dtype=theta.data.dtype)
 
 
-def tape_ja_step_euler(state, b_k, b_k1, phys):
-    """The explicit-Euler JA step composed node by node (about 40 nodes).
+def tape_ja_step_euler(state, b_k, b_k1, z):
+    """The explicit-Euler JA step composed node by node (about 40 nodes), with one
+    column take per parameter of the (rows|1, 5) ``z``.
 
     dM/dH is exactly 0 where the flux is constant; the irreversibility gate
     zeroes the wall term when M overshoots the anhysteretic curve against
     the drive direction.
     """
+    m_s, a, alpha_w, k_p, c = (z[:, i:i + 1] for i in range(5))
     b_k = np.asarray(b_k, dtype=np.float64)
     b_k1 = np.asarray(b_k1, dtype=np.float64)
     db = b_k1 - b_k
     h, m = state.h, state.m
     delta = np.broadcast_to(np.sign(db), m.data.shape).copy()
-    x = (h + phys.alpha_w * m) / phys.a
-    m_an = phys.m_s * tape_langevin(x)
-    dman_dhe = (phys.m_s / phys.a) * tape_langevin_deriv(x)
+    x = (h + alpha_w * m) / a
+    m_an = m_s * tape_langevin(x)
+    dman_dhe = (m_s / a) * tape_langevin_deriv(x)
     gate = np.ones_like(delta)
     gate[(delta < 0) & (m_an.data > m.data)] = 0.0
     gate[(delta > 0) & (m_an.data < m.data)] = 0.0
     delta_t = Tensor(delta, dtype=h.data.dtype)
-    num = Tensor(gate, dtype=h.data.dtype) * (m_an - m) + phys.c * phys.k_p * delta_t * dman_dhe
-    den = phys.k_p * delta_t - phys.alpha_w * num
+    num = Tensor(gate, dtype=h.data.dtype) * (m_an - m) + c * k_p * delta_t * dman_dhe
+    den = k_p * delta_t - alpha_w * num
     active = delta != 0.0
     if np.any(active):
         smallest = np.min(np.abs(den.data[active]))

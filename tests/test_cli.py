@@ -262,10 +262,21 @@ class TestTrain:
 
 @pytest.fixture(scope="module")
 def train_only_dir(tmp_path_factory):
-    """Twelve 96-sample sequences whose split leaves every one in the train split."""
+    """Material m: twelve 96-sample sequences whose split leaves every one in the train
+    split. Material short: eighteen 96-sample and two 12-sample sequences in one stratum,
+    whose split with seed 29 puts a 12-sample sequence in the eval split."""
     root = tmp_path_factory.mktemp("train_only")
     write_material(root, "m", generate_ja_dataset(12, 96, seed=1))
+    short = generate_ja_dataset(18, 96, seed=1) + generate_ja_dataset(2, 12, seed=2)
+    for s in short:
+        s.f_sw_hz = 100e3
+        s.temperature_c = 25.0
+    write_material(root, "short", short)
     return root
+
+
+SHORT_EVAL = ["--material", "short", "--split-seed", "29", "--subseq-len", "32",
+              "--batch-size", "4", "--warmup-len", "16"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -293,10 +304,15 @@ def train_only_dir(tmp_path_factory):
     (["train", "--archetype", "nope"], "unknown archetype 'nope'"),
     (["sweep", "--sizes", "2", "--archetype", "gru-p,nope"], "unknown archetype 'nope'"),
     (["sweep", "--sizes", "2", "--archetype", "gru-p,"], "unknown archetype ''"),
+    (["train"] + SHORT_EVAL,
+     "eval split: warmup 16 needs sequences of at least 18 samples: sequence 1 has 12"),
+    (["sweep", "--sizes", "2"] + SHORT_EVAL,
+     "eval split: warmup 16 needs sequences of at least 18 samples: sequence 1 has 12"),
 ], ids=["gru-v-size", "window-too-short", "window-too-long", "no-full-batch", "empty-eval",
         "sweep-nan-lr", "sweep-ja-single", "sweep-listed-ja-single", "sweep-window-too-long",
         "sweep-no-full-batch", "negative-seed", "negative-seed-and-split", "negative-split-seed",
-        "unknown-archetype", "sweep-unknown-archetype", "sweep-empty-archetype"])
+        "unknown-archetype", "sweep-unknown-archetype", "sweep-empty-archetype",
+        "eval-too-short", "sweep-eval-too-short"])
 def test_unusable_run_refused_before_staging(train_only_dir, tmp_path, capsys, argv, message):
     out = tmp_path / "o"
     rc = main(argv[:1] + ["--data", str(train_only_dir), "--material", "m", "--epochs", "1",

@@ -308,11 +308,14 @@ class TestSequenceIO:
                 read_sequence(tmp_path / "s.csv")
 
     def test_too_short_sequence_named(self, tmp_path):
-        (tmp_path / "s.csv").write_text("k,B_T,H_Am\n0,0.1,5.0\n")
         write_sequence(tmp_path / "t.csv", ramp_sequence(n=20))
         (tmp_path / "t.json").rename(tmp_path / "s.json")
-        with pytest.raises(DataError, match=r"s\.csv: sequence needs at least 2 samples"):
-            read_sequence(tmp_path / "s.csv")
+        # the length is checked before the content, so a header-only table is
+        # too short too, not all-zero H
+        for table in ("k,B_T,H_Am\n0,0.1,5.0\n", "k,B_T,H_Am\n"):
+            (tmp_path / "s.csv").write_text(table)
+            with pytest.raises(DataError, match=r"s\.csv: sequence needs at least 2 samples$"):
+                read_sequence(tmp_path / "s.csv")
 
     def test_all_zero_h_named_at_load(self, tmp_path):
         write_sequence(tmp_path / "s.csv", seq_of(np.linspace(-0.1, 0.1, 20), np.zeros(20)))

@@ -1,5 +1,6 @@
 """Hysteresis-model tests: JA integrator, parameter mapping, Preisach operator."""
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -7,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ja_m_an, preisach_hysteron, tape_ja_params_from_theta, tape_ja_step_euler
-from hystkit.autodiff import Graph, Tensor, _toposort, finite_diff_check, mul, reshape, tsum
+from hystkit.autodiff import (Graph, ShapeError, Tensor, _toposort, finite_diff_check, mul, reshape,
+                              tsum)
 from hystkit.cells import GruParams, gru_step, init_gru_params
 from hystkit.physics import (
     ETA,
     HYSTERON_SHARPNESS,
     MU0,
-    JaPhysical,
     JaState,
     PhysicsError,
     PreisachParams,
@@ -34,18 +35,22 @@ from hystkit.synth import DEFAULT_JA_PHYSICAL, generate_ja_dataset, ja_generate_
 TAU = 62.5e-9
 
 
+#: DEFAULT_JA_PHYSICAL with no reversible wall motion (c = 0).
+NO_REVERSIBLE = (3.5e5, 30.0, 5e-5, 20.0, 0.0)
+
+
 def phys_of(values=DEFAULT_JA_PHYSICAL):
-    return JaPhysical(*values)
+    """The (1, 5) parameter tensor z of (M_s, a, alpha_w, k_p, c), shared by all rows."""
+    return Tensor(np.array([values], dtype=np.float64))
 
 
 def col(v):
     return Tensor(np.array([[float(v)]]))
 
 
-def susceptibility(h, m, delta, phys):
+def susceptibility(h, m, delta, values=DEFAULT_JA_PHYSICAL):
     """dM/dH of the numpy kernel at (h, m) for a flux increment of sign ``delta``."""
-    _, terms = ja_euler_kernel(np.array([[h]]), np.array([[m]]), 0.0, delta,
-                               phys.m_s, phys.a, phys.alpha_w, phys.k_p, phys.c)
+    _, terms = ja_euler_kernel(np.array([[h]]), np.array([[m]]), 0.0, delta, *values)
     return terms.r.item()
 
 
@@ -68,22 +73,21 @@ class TestAnhystereticCurve:
 
 class TestParameterMapping:
     def test_theta_zero_gives_half_scale(self):
-        theta = Tensor(np.zeros((1, 5)))
-        phys = ja_params_from_theta(theta)
-        for value, cap in zip((phys.m_s, phys.a, phys.alpha_w, phys.k_p, phys.c), ETA):
-            assert value.data.item() == pytest.approx(cap / 2.0, rel=1e-12)
+        z = ja_params_from_theta(Tensor(np.zeros((1, 5))))
+        assert z.data.shape == (1, 5)
+        for value, cap in zip(z.data[0], ETA):
+            assert value == pytest.approx(cap / 2.0, rel=1e-12)
 
     def test_saturates_at_cap(self):
-        theta = Tensor(np.full((1, 5), 50.0))
-        phys = ja_params_from_theta(theta)
-        assert phys.c.data.item() == pytest.approx(ETA[4], rel=1e-12)
+        z = ja_params_from_theta(Tensor(np.full((1, 5), 50.0)))
+        assert z.data[0, 4] == pytest.approx(ETA[4], rel=1e-12)
 
     @given(st.lists(st.floats(-30, 30), min_size=5, max_size=5))
     @settings(max_examples=50, deadline=None)
     def test_always_inside_open_interval(self, theta_vals):
-        phys = ja_params_from_theta(Tensor(np.array(theta_vals)[None, :]))
-        for value, cap in zip((phys.m_s, phys.a, phys.alpha_w, phys.k_p, phys.c), ETA):
-            assert 0.0 < value.data.item() < cap
+        z = ja_params_from_theta(Tensor(np.array(theta_vals)[None, :]))
+        for value, cap in zip(z.data[0], ETA):
+            assert 0.0 < value < cap
 
     @pytest.mark.parametrize("shape", [(1, 4), (5,), (1, 1, 5)])
     def test_bad_theta_shape(self, shape):
@@ -102,24 +106,22 @@ class TestSusceptibility:
     def test_gate_zero_when_falling_above_anhysteretic(self):
         # M_an > M and falling flux: irreversible term gated off, only the
         # reversible c-term remains
-        phys = JaPhysical(m_s=3.5e5, a=30.0, alpha_w=5e-5, k_p=20.0, c=0.0)
         h, m = 50.0, 1000.0  # M far below M_an(H_e)
-        assert susceptibility(h, m, -1.0, phys) == 0.0  # gate 0 and c = 0 leave nothing
+        assert susceptibility(h, m, -1.0, NO_REVERSIBLE) == 0.0  # gate 0 and c = 0 leave nothing
 
     def test_zero_at_anhysteretic_fixed_point_with_c_zero(self):
-        phys = JaPhysical(m_s=3.5e5, a=30.0, alpha_w=5e-5, k_p=20.0, c=0.0)
         h = 50.0
         m = 0.0
         for _ in range(200):  # fixed point of M = M_an(H + alpha*M)
             m = ja_m_an(np.array([[h + 5e-5 * m]]), 3.5e5, 30.0).data.item()
-        assert abs(susceptibility(h, m, 1.0, phys)) < 1e-9
+        assert abs(susceptibility(h, m, 1.0, NO_REVERSIBLE)) < 1e-9
 
     def test_delta_zero_returns_zero(self):
-        assert susceptibility(30.0, 1e4, 0.0, phys_of()) == 0.0
+        assert susceptibility(30.0, 1e4, 0.0) == 0.0
 
     def test_singularity_detection(self):
         # vanishing pinning with the gate closed leaves a zero denominator
-        phys = JaPhysical(m_s=3.5e5, a=30.0, alpha_w=1e-3, k_p=0.0, c=0.0)
+        phys = phys_of((3.5e5, 30.0, 1e-3, 0.0, 0.0))
         with pytest.raises(SingularityError):
             state = JaState(h=col(0.0), m=col(0.0))
             ja_step_euler(state, 0.0, 1e-9, phys)
@@ -137,9 +139,10 @@ class TestEulerStep:
     def test_generated_field_matches_tape_steps(self):
         b = 0.2 * np.sin(np.linspace(0.0, 9.0, 40))[None, :] * np.array([[1.0], [0.6], [-0.8]])
         temps = np.array([25.0, 50.0, 70.0])
-        m_s, a, alpha_w, k_p, c = DEFAULT_JA_PHYSICAL
-        phys = JaPhysical(m_s=m_s * (1.0 - 1.5e-3 * (temps[:, None] - 25.0)), a=a, alpha_w=alpha_w,
-                          k_p=k_p * (1.0 - 4.0e-3 * (temps[:, None] - 25.0)), c=c)
+        z = np.repeat(np.array([DEFAULT_JA_PHYSICAL]), 3, axis=0)
+        z[:, 0] *= 1.0 - 1.5e-3 * (temps - 25.0)
+        z[:, 3] *= 1.0 - 4.0e-3 * (temps - 25.0)
+        phys = Tensor(z)
         state = JaState(h=Tensor(np.zeros((3, 1))), m=Tensor(b[:, 0:1] / MU0))
         want = [np.zeros(3)]
         for k in range(1, b.shape[1]):
@@ -154,15 +157,29 @@ class TestEulerStep:
         assert stepped.h.data.item() == 37.5  # exact
 
     def test_vacuum_response_when_susceptibility_zero(self):
-        phys = JaPhysical(m_s=3.5e5, a=30.0, alpha_w=5e-5, k_p=20.0, c=0.0)
         h = 50.0
         m = 0.0
         for _ in range(200):
             m = ja_m_an(np.array([[h + 5e-5 * m]]), 3.5e5, 30.0).data.item()
         state = JaState(h=col(h), m=col(m))
         db = 1e-6
-        stepped = ja_step_euler(state, 0.2, 0.2 + db, phys)
+        stepped = ja_step_euler(state, 0.2, 0.2 + db, phys_of(NO_REVERSIBLE))
         assert stepped.h.data.item() - h == pytest.approx(db / MU0, rel=1e-6)
+
+    @pytest.mark.parametrize("z, message", [
+        (np.ones((3, 4)), "JA parameters z must be (1, 5) or (3, 5) for a state of shape (3, 1), "
+                          "got (3, 4)"),
+        (np.ones(5), "JA parameters z must be (1, 5) or (3, 5) for a state of shape (3, 1), "
+                     "got (5,)"),
+        (np.ones((2, 5)), "JA parameters z must be (1, 5) or (3, 5) for a state of shape (3, 1), "
+                          "got (2, 5)"),
+        (np.ones((1, 5), dtype=np.float32),
+         "JA step operands must all be float64: m is float64, z is float32"),
+    ], ids=["width-4", "1-d", "row-mismatch", "float32"])
+    def test_bad_parameters_refused(self, z, message):
+        state = ja_initial_state(np.full((3, 1), 10.0), np.full((3, 1), 0.05))
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            ja_step_euler(state, 0.05, 0.0503, Tensor(z))
 
     def test_magnetization_closure(self):
         state = ja_initial_state([[10.0]], [[0.05]])
@@ -202,8 +219,9 @@ class TestFusedJaStepOracle:
     """The one-node Euler step against its node-by-node tape reference."""
 
     NAMES = ("m_s", "a", "alpha_w", "k_p", "c")
-    # (state shape, parameter shape): ja, gru-jadp, and the physics
-    # regularizer's (rows, n) residual step with per-row or shared parameters
+    # (state shape, shape of each parameter column): ja, gru-jadp, and the
+    # physics regularizer's (rows, n) residual step with per-row or shared
+    # parameters
     SHAPES = [((6, 1), (1, 1)), ((6, 1), (6, 1)), ((6, 5), (6, 1)), ((6, 5), (1, 1))]
 
     @staticmethod
@@ -232,9 +250,11 @@ class TestFusedJaStepOracle:
 
     @staticmethod
     def _run(step, h, m, b_k, b_k1, values, requires_grad=True):
-        leaves = [Tensor(v.copy(), requires_grad=requires_grad) for v in (h, m, *values)]
+        """Leaves H, M and the (rows|1, 5) z of ``values``, and the step over them."""
+        z = np.concatenate(values, axis=1)
+        leaves = [Tensor(v.copy(), requires_grad=requires_grad) for v in (h, m, z)]
         state = JaState(h=leaves[0], m=leaves[1])
-        return leaves, step(state, b_k, b_k1, JaPhysical(*leaves[2:]))
+        return leaves, step(state, b_k, b_k1, leaves[2])
 
     def test_case_covers_every_regime(self):
         for shape, param_shape in self.SHAPES:
@@ -266,7 +286,9 @@ class TestFusedJaStepOracle:
         def grads(step):
             leaves, out = self._run(step, *case)
             (tsum(mul(out.h, Tensor(probes[0]))) + tsum(mul(out.m, Tensor(probes[1])))).backward()
-            return dict(zip(("h", "m") + self.NAMES, (t.grad for t in leaves)))
+            g_h, g_m, g_z = (t.grad for t in leaves)
+            # each parameter column on its own scale, as small as its own terms
+            return {"h": g_h, "m": g_m, **{n: g_z[:, i] for i, n in enumerate(self.NAMES)}}
 
         got, want = grads(ja_step_euler), grads(tape_ja_step_euler)
         for name in want:
@@ -276,7 +298,7 @@ class TestFusedJaStepOracle:
             assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name
 
     def test_constant_parameters(self):
-        # floats and arrays as phys values are constants: only H and M get gradients
+        # a z that requires no gradient is a constant: only H and M get gradients
         h, m, b_k, b_k1, _ = self._case((6, 1), (1, 1), seed=4)
         outs = []
         for step in (ja_step_euler, tape_ja_step_euler):
@@ -385,7 +407,7 @@ class TestJadpCoupling:
 
     def test_gradient_bit_identical_to_node_map(self):
         # the map reads and scatters into the first five hidden elements as a
-        # slice, sigmoid, scale and five column takes did
+        # slice, sigmoid and scale did
         params, x, g_prev = self._setup()
         b_k, b_k1 = np.array([[0.1]]), np.array([[0.1002]])
         grads = []
