@@ -20,7 +20,7 @@ from .dataset import (
 )
 from .cells import (GruParams, LstmParams, gru_sequence, gru_step, lstm_sequence, lstm_step,
                     param_count)
-from .heads import HeadConfig, RolloutInputs, RolloutResult, predict_window, rollout
+from .heads import RolloutInputs, RolloutResult, predict_window, rollout
 from .metrics import MetricReport, loss_rmse, mae, mse, nere, sre, wce
 from .physics import (
     JaState,

@@ -31,13 +31,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import (DataError, check_windows, fmt, ingest_material, json_text, load_material,
-                      read_csv_dicts, read_json_object, resolve_adapter, split_dataset,
-                      write_columns, write_file, write_rows)
+from .dataset import (DataError, check_windows, compute_norm_constants, fmt, ingest_material,
+                      json_text, load_material, read_csv_dicts, read_json_object,
+                      resolve_adapter, split_dataset, write_columns, write_file, write_rows)
 from .training import (SETTING_TYPES, SWEEP_COLUMNS, ConfigError, TrainConfig, TrainingError,
                        check_sweep_eval, config_param_count, decode_setting, evaluate_sequences,
-                       load_checkpoint, pareto_sweep, save_checkpoint, sweep_medians, train,
-                       write_sweep_csv)
+                       init_params, load_checkpoint, pareto_sweep, save_checkpoint,
+                       sweep_medians, train, write_sweep_csv)
 from .heads import predict_window
 
 _SENTINEL = ".partial"
@@ -179,6 +179,20 @@ def _load_splits(args, material: str, split_seed: int) -> tuple[dict, dict]:
     return {**splits, "all": sequences}, {"dataset": root / material}
 
 
+def _open_run(args, config: TrainConfig, split_seed: int) -> tuple[dict, dict]:
+    """Opening of train and sweep: ``--material``'s splits and manifest input, refused
+    unless the train split batches into ``config``'s windows, every eval sequence fits
+    its warmup and the train split can be normalized."""
+    splits, inputs = _load_splits(args, args.material, split_seed)
+    check_windows(splits["train"], config.subseq_len, config.batch_size, config.warmup_length)
+    _require_warmup_fits(enumerate(splits["eval"]), config.warmup_length, "eval split: warmup")
+    try:
+        compute_norm_constants(splits["train"])
+    except DataError as exc:
+        raise CliError(f"train split: {exc}") from None
+    return splits, inputs
+
+
 # -- commands ---------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
@@ -210,10 +224,8 @@ def cmd_ingest(args) -> int:
 def cmd_train(args) -> int:
     resolved = _resolve_config(args)
     config = _train_config(resolved)
-    config.head_config()  # an unusable model is refused before anything is staged
-    splits, inputs = _load_splits(args, args.material, resolved["split_seed"])
-    check_windows(splits["train"], config.subseq_len, config.batch_size, config.warmup_length)
-    _require_warmup_fits(enumerate(splits["eval"]), config.warmup_length, "eval split: warmup")
+    init_params(config)  # an unusable model is refused before anything is staged
+    splits, inputs = _open_run(args, config, resolved["split_seed"])
     stage = OutputStage(args.out, "train", {**resolved, "material": args.material}, inputs)
     result = train(config, splits["train"], splits["eval"])
     json_path, bin_path = save_checkpoint(stage.out_dir / "model", dataclasses.replace(
@@ -260,10 +272,9 @@ def _checkpoint_split(args):
 
 def cmd_eval(args) -> int:
     ckpt, sequences, config, inputs = _checkpoint_split(args)
-    head_cfg = ckpt.config.head_config()
-    _require_warmup_fits(enumerate(sequences), head_cfg.warmup_length, "checkpoint warmup")
+    _require_warmup_fits(enumerate(sequences), ckpt.config.warmup_length, "checkpoint warmup")
     stage = OutputStage(args.out, "eval", config, inputs)
-    report = evaluate_sequences(head_cfg, ckpt.params, sequences, ckpt.norm)
+    report = evaluate_sequences(ckpt.config, ckpt.params, sequences, ckpt.norm)
     report.write_json(stage.path("report.json"))
     report.write_csv(stage.path("report.csv"))
     stage.finish()
@@ -282,17 +293,17 @@ def cmd_predict(args) -> int:
         chosen = [(args.index, sequences[args.index])]
     else:
         chosen = list(enumerate(sequences))
-    head_cfg = ckpt.config.head_config()
+    model = ckpt.config
     if args.warmup_len is not None:
         if args.warmup_len < 1:
             raise CliError(f"--warmup-len must be >= 1, got {args.warmup_len}")
-        head_cfg = dataclasses.replace(head_cfg, warmup_length=args.warmup_len)
-    w = head_cfg.warmup_length
+        model = dataclasses.replace(model, warmup_length=args.warmup_len)
+    w = model.warmup_length
     _require_warmup_fits(chosen, w, "checkpoint warmup" if args.warmup_len is None
                          else "--warmup-len")
     stage = OutputStage(args.out, "predict",
                         {**config, "index": args.index, "warmup_len": w}, inputs)
-    results = predict_window(head_cfg, ckpt.params, [seq for _, seq in chosen], ckpt.norm)
+    results = predict_window(model, ckpt.params, [seq for _, seq in chosen], ckpt.norm)
     meta = {}
     for (i, seq), result in zip(chosen, results):
         name = f"predictions/seq_{i:05d}.csv"
@@ -321,12 +332,9 @@ def cmd_sweep(args) -> int:
     # one config per listed archetype, each refused as `train` would refuse it
     configs = [_train_config({**resolved, "archetype": a.strip()})
                for a in resolved["archetype"].split(",")]
-    splits, inputs = _load_splits(args, args.material, resolved["split_seed"])
     # every trial shares the windows, so one check covers them all
-    first = configs[0]
-    check_windows(splits["train"], first.subseq_len, first.batch_size, first.warmup_length)
+    splits, inputs = _open_run(args, configs[0], resolved["split_seed"])
     check_sweep_eval(splits["eval"])
-    _require_warmup_fits(enumerate(splits["eval"]), first.warmup_length, "eval split: warmup")
     stage = OutputStage(args.out, "sweep",
                         {**resolved, "material": args.material,
                          "archetypes": [c.archetype for c in configs], "sizes": sizes,

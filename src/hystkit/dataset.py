@@ -104,10 +104,10 @@ class NormConstants:
 class MiniBatch:
     """One training batch of aligned subsequences.
 
-    All blocks are ``(b, l)``; ``x`` is ``(b, l, 4)``. ``h_rms`` is the RMS
-    of raw H over each row's *full* source sequence. Rows may come from
-    sequences with different sampling periods: features use a unit time step
-    and the Jiles-Atherton step is rate-independent.
+    All blocks are ``(b, l)``; ``x`` is ``(b, l, FEATURE_WIDTH)``. ``h_rms``
+    is the RMS of raw H over each row's *full* source sequence. Rows may come
+    from sequences with different sampling periods: features use a unit time
+    step and the Jiles-Atherton step is rate-independent.
     """
 
     x: np.ndarray
@@ -119,29 +119,36 @@ class MiniBatch:
     sources: np.ndarray  # (b, 2) int: (sequence index, window offset)
     warmup_length: int
 
-    @property
-    def rows(self) -> int:
-        return self.b_norm.shape[0]
-
 
 def compute_norm_constants(sequences) -> NormConstants:
-    """Max absolute value of each raw signal over the given (training) sequences."""
+    """Max absolute value of each raw signal over the given (training) sequences.
+
+    A signal that is zero in every sequence has no scale to normalize by and
+    raises a DataError naming its field.
+    """
     sequences = list(sequences)
     if not sequences:
         raise DataError("need at least one sequence to compute normalization")
     h_max = max(float(np.max(np.abs(s.h))) for s in sequences)
     b_max = max(float(np.max(np.abs(s.b))) for s in sequences)
     theta_max = max(abs(float(s.temperature_c)) for s in sequences)
+    for field, value in (("B", b_max), ("H", h_max), ("temperature_C", theta_max)):
+        if value == 0.0:
+            raise DataError(f"{field} is 0 in every sequence, so it cannot be normalized")
     return NormConstants(h_max=h_max, b_max=b_max, theta_max=theta_max)
+
+
+#: Features per time step: normalized B, its two differences and the temperature.
+FEATURE_WIDTH = 4
 
 
 def feature_rows(b_norm: np.ndarray, theta_norm) -> np.ndarray:
     """Feature block for row-wise windows of normalized B.
 
-    ``b_norm`` is ``(rows, L)``; returns ``(rows, L, 4)``. Differences use a
-    unit time step (no division by the physical sampling period). The first
-    column of each difference row replicates the first interior value, so a
-    window start never injects a spurious jump.
+    ``b_norm`` is ``(rows, L)``; returns ``(rows, L, FEATURE_WIDTH)``.
+    Differences use a unit time step (no division by the physical sampling
+    period). The first column of each difference row replicates the first
+    interior value, so a window start never injects a spurious jump.
     """
     b_norm = np.atleast_2d(np.asarray(b_norm, dtype=np.float64))
     rows, length = b_norm.shape
@@ -158,8 +165,8 @@ def feature_rows(b_norm: np.ndarray, theta_norm) -> np.ndarray:
 
 
 def featurize(seq: MeasuredSequence, norm: NormConstants) -> np.ndarray:
-    """Features ``(len(seq), 4)`` of the whole sequence; the columns are those of
-    :func:`feature_rows`."""
+    """Features ``(len(seq), FEATURE_WIDTH)`` of the whole sequence; the columns are
+    those of :func:`feature_rows`."""
     theta = seq.temperature_c / norm.theta_max
     return feature_rows(seq.b[None, :] / norm.b_max, [theta])[0]
 

@@ -30,18 +30,27 @@ Archetypes:
   Jiles-Atherton substep each sample; no injection, integration starts from
   the last known field sample.
 * ``ja``      — the five-parameter Jiles-Atherton integrator alone.
+
+The functions here that take a config take the run's
+:class:`~hystkit.training.TrainConfig` and read three of its fields:
+``archetype``, ``d_g`` (the hidden size) and ``warmup_length``. A cell head's
+input weights are drawn for :data:`~hystkit.dataset.FEATURE_WIDTH` features.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .autodiff import Tensor, _accum, _node, concat, dtype_of, reshape, tanh, tsum
 from .cells import (LSTM_ARCHETYPES, GruParams, LstmParams, gru_sequence, gru_step,
                     lstm_sequence, lstm_step)
-from .dataset import DataError, MiniBatch, NormConstants
+from .dataset import FEATURE_WIDTH, DataError, MiniBatch, NormConstants
 from .physics import ja_initial_state, ja_params_from_theta, ja_step_euler, gru_jadp_step
+
+if TYPE_CHECKING:
+    from .training import TrainConfig
 
 ARCHETYPES = ("gru-p", "gru-m", "gru-l", "lstm-p", "gru-v", "gru-jadp", "ja")
 #: Heads whose warmup overwrites hidden element 0 with a known value.
@@ -69,26 +78,6 @@ class WarmupError(HeadError):
 
 
 @dataclass
-class HeadConfig:
-    archetype: str
-    d_g: int
-    d_x: int = 4
-    warmup_length: int = 16
-
-    def __post_init__(self):
-        if self.archetype not in ARCHETYPES:
-            raise HeadError(f"unknown archetype {self.archetype!r}")
-        if self.warmup_length < 1:
-            raise HeadError("warmup_length must be >= 1")
-        if self.archetype == "gru-v":
-            side = np.sqrt(self.d_g / 2.0)
-            if side != int(side) or int(side) < 2:
-                raise HeadError(f"gru-v needs d_g = 2*(N+1)^2 with N >= 1, got d_g={self.d_g}")
-        if self.archetype == "gru-jadp" and self.d_g < 5:
-            raise HeadError("gru-jadp needs d_g >= 5")
-
-
-@dataclass
 class RolloutInputs:
     """One batch of aligned windows, direction-agnostic.
 
@@ -98,7 +87,7 @@ class RolloutInputs:
     length. The raw-unit context is only required by the JA-family heads.
     """
 
-    x: np.ndarray               # (rows, L, d_x)
+    x: np.ndarray               # (rows, L, FEATURE_WIDTH)
     drive_norm: np.ndarray      # (rows, L)
     target_warm_norm: np.ndarray  # (rows, w)
     drive_raw: np.ndarray | None = None
@@ -130,18 +119,29 @@ def inputs_from_batch(batch: MiniBatch, norm: NormConstants) -> RolloutInputs:
     )
 
 
-def _cell(config: HeadConfig):
+def _cell(config: TrainConfig):
     """The parameter record of the archetype's recurrent cell."""
     return LstmParams if config.archetype in LSTM_ARCHETYPES else GruParams
 
 
-def init_head_params(config: HeadConfig, seed, precision: str = "double") -> dict:
-    """Named parameter arrays for one archetype, deterministically seeded."""
+def init_head_params(config: TrainConfig, seed, precision: str = "double") -> dict:
+    """Named parameter arrays for one archetype, deterministically seeded.
+
+    A hidden size the archetype cannot read raises :class:`HeadError`: gru-v
+    reads ``d_g`` as an (N+1)x(N+1) grid of 2-vectors, and gru-jadp reads
+    five JA parameters from it.
+    """
+    if config.archetype == "gru-v":
+        side = np.sqrt(config.d_g / 2.0)
+        if side != int(side) or int(side) < 2:
+            raise HeadError(f"gru-v needs d_g = 2*(N+1)^2 with N >= 1, got d_g={config.d_g}")
+    if config.archetype == "gru-jadp" and config.d_g < 5:
+        raise HeadError("gru-jadp needs d_g >= 5")
     dt = dtype_of(precision)
     rng = np.random.default_rng(seed)
     if config.archetype == "ja":
         return {"theta_ja": rng.normal(0.0, 0.5, size=5).astype(dt)}
-    return _cell(config).init(config.d_g, config.d_x, rng, dt).as_dict()
+    return _cell(config).init(config.d_g, FEATURE_WIDTH, rng, dt).as_dict()
 
 
 def wrap_params(arrays: dict, requires_grad: bool = True) -> dict:
@@ -155,7 +155,7 @@ def _check_warmup(bad: np.ndarray, what: str) -> None:
         raise WarmupError(f"{what} at warmup step {step} of row {row}", row=row)
 
 
-def _inject_values(config: HeadConfig, inputs: RolloutInputs) -> np.ndarray:
+def _inject_values(config: TrainConfig, inputs: RolloutInputs) -> np.ndarray:
     """Per-step warmup injection values for element 0 of the hidden state."""
     w = inputs.warmup_length
     target = np.asarray(inputs.target_warm_norm, dtype=np.float64)
@@ -189,7 +189,7 @@ def _dtype(params: dict):
     return params[next(iter(params))].data.dtype
 
 
-def warmup(config: HeadConfig, params: dict, inputs: RolloutInputs):
+def warmup(config: TrainConfig, params: dict, inputs: RolloutInputs):
     """Recurrent state (hidden, cell) after warmup step w-1; the cell is None for GRU heads.
 
     Injecting heads start from the zero state with element 0 injected and
@@ -232,7 +232,7 @@ def gru_v_readout(g: Tensor, drive) -> Tensor:
     return Tensor(np.asarray(drive, dtype=g.data.dtype)) - grid_sum
 
 
-def _cell_open_loop(config: HeadConfig, params: dict, inputs: RolloutInputs):
+def _cell_open_loop(config: TrainConfig, params: dict, inputs: RolloutInputs):
     """(predictions, final state) of a cell head: one sequence node over steps
     w..L-1, then one readout over its trajectory."""
     w = inputs.warmup_length
@@ -255,7 +255,7 @@ def _cell_open_loop(config: HeadConfig, params: dict, inputs: RolloutInputs):
     return pred, traj[:, -1]
 
 
-def _ja_open_loop(config: HeadConfig, params: dict, inputs: RolloutInputs):
+def _ja_open_loop(config: TrainConfig, params: dict, inputs: RolloutInputs):
     """(predictions, final state) of a JA-family head: one Euler step per sample
     w..L-1, then one readout over the concatenated field columns."""
     w = inputs.warmup_length
@@ -280,7 +280,7 @@ def _ja_open_loop(config: HeadConfig, params: dict, inputs: RolloutInputs):
     return pred, (ja if config.archetype == "ja" else (ja, g))
 
 
-def rollout(config: HeadConfig, params: dict, inputs: RolloutInputs):
+def rollout(config: TrainConfig, params: dict, inputs: RolloutInputs):
     """Full warmup + open-loop prediction for one batch of windows.
 
     ``params`` maps names to tape Tensors. Returns the normalized predictions as a tape
@@ -288,8 +288,6 @@ def rollout(config: HeadConfig, params: dict, inputs: RolloutInputs):
     (hidden, cell) pair (lstm-p), a (JaState, hidden) pair (gru-jadp) or a JaState (ja).
     A warm block of width 0 raises :class:`WarmupError`.
     """
-    if inputs.x.shape[2] != config.d_x and config.archetype != "ja":
-        raise HeadError(f"feature width {inputs.x.shape[2]} != d_x {config.d_x}")
     if inputs.warmup_length < 1:
         raise WarmupError("empty warmup window")
     if config.archetype not in JA_FAMILY:
@@ -301,7 +299,7 @@ def rollout(config: HeadConfig, params: dict, inputs: RolloutInputs):
     return _ja_open_loop(config, params, inputs)
 
 
-def _predict_group(config: HeadConfig, params: dict, seqs, norm: NormConstants) -> np.ndarray:
+def _predict_group(config: TrainConfig, params: dict, seqs, norm: NormConstants) -> np.ndarray:
     """Normalized float64 predictions ``(rows, L - w)`` of sequences of one length L.
 
     The feature block is filled in place in the parameters' dtype, one
@@ -334,7 +332,7 @@ def _predict_group(config: HeadConfig, params: dict, seqs, norm: NormConstants) 
     return pred_t.data.astype(np.float64)
 
 
-def predict_window(config: HeadConfig, params_arrays: dict, seqs,
+def predict_window(config: TrainConfig, params_arrays: dict, seqs,
                    norm: NormConstants) -> list[RolloutResult]:
     """Open-loop predictions of samples w..L-1 of each sequence, w = ``config.warmup_length``,
     one result per sequence in input order.

@@ -21,11 +21,11 @@ import numpy as np
 
 from .autodiff import Tensor, concat, dtype_of, reshape
 from .cells import param_count
-from .dataset import (MiniBatch, NormConstants, compute_norm_constants, fmt, json_text,
-                      make_minibatches, read_json_object, reversed_minibatches,
+from .dataset import (FEATURE_WIDTH, MiniBatch, NormConstants, compute_norm_constants, fmt,
+                      json_text, make_minibatches, read_json_object, reversed_minibatches,
                       write_file, write_rows)
-from .heads import (ARCHETYPES, JA_FAMILY, HeadConfig, init_head_params, inputs_from_batch,
-                    predict_window, rollout, wrap_params)
+from .heads import (ARCHETYPES, JA_FAMILY, init_head_params, inputs_from_batch, predict_window,
+                    rollout, wrap_params)
 from .metrics import MetricReport, batch_mean, mae, mse, sre, nere, wce, weighted_loss_rows
 from .physics import ETA, ja_params_from_theta, pinn_ja_residual, preisach_predict
 
@@ -94,10 +94,6 @@ class TrainConfig:
     def _uses_ja(self) -> bool:
         return self.archetype in JA_FAMILY or self.lambda_w > 0
 
-    def head_config(self) -> HeadConfig:
-        return HeadConfig(archetype=self.archetype, d_g=self.d_g,
-                          warmup_length=self.warmup_length)
-
 
 #: The type each TrainConfig field takes: its default's (``precision``: str).
 SETTING_TYPES = {f.name: str if f.default is None else type(f.default)
@@ -118,7 +114,7 @@ def decode_setting(key: str, value, kind: type):
 
 
 def config_param_count(config: TrainConfig) -> int:
-    n = param_count(config.archetype, config.d_g, HeadConfig.d_x)
+    n = param_count(config.archetype, config.d_g, FEATURE_WIDTH)
     if config.lambda_w > 0 and config.archetype != "ja":
         n += 5  # co-trained JA parameters of the physics regularizer
     return n
@@ -173,9 +169,8 @@ def optimizer_step(params: dict, grads: dict, state: AdamState, lr: float, clip_
 
 def batch_loss(config: TrainConfig, params_t: dict, batch: MiniBatch, norm: NormConstants) -> Tensor:
     """Mini-batch objective: flux-weighted RMSE rows (+ physics penalty), meaned."""
-    head_cfg = config.head_config()
     inputs = inputs_from_batch(batch, norm)
-    pred, _ = rollout(head_cfg, params_t, inputs)
+    pred, _ = rollout(config, params_t, inputs)
     w = batch.warmup_length
     rows = weighted_loss_rows(batch.h_norm[:, w:], pred, batch.b_norm[:, w - 1:],
                               norm.h_max, batch.h_rms)
@@ -189,7 +184,7 @@ def batch_loss(config: TrainConfig, params_t: dict, batch: MiniBatch, norm: Norm
 
 
 def init_params(config: TrainConfig) -> dict:
-    arrays = init_head_params(config.head_config(), [config.seed, 0], config.precision)
+    arrays = init_head_params(config, [config.seed, 0], config.precision)
     if config.lambda_w > 0 and config.archetype != "ja":
         rng = np.random.default_rng([config.seed, 5])
         arrays["theta_ja"] = rng.normal(0.0, 0.5, size=5).astype(dtype_of(config.precision))
@@ -198,7 +193,7 @@ def init_params(config: TrainConfig) -> dict:
 
 # -- evaluation ----------------------------------------------------------------
 
-def evaluate_sequences(config: HeadConfig, params: dict, sequences,
+def evaluate_sequences(config: TrainConfig, params: dict, sequences,
                        norm: NormConstants) -> MetricReport:
     """Open-loop metrics per sequence, over samples w..L-1 with w = ``config.warmup_length``,
     plus aggregates, in the dtype of the parameter arrays."""
@@ -277,7 +272,6 @@ def train(config: TrainConfig, train_seqs, eval_seqs=None) -> TrainResult:
     norm = compute_norm_constants(train_seqs)
     params = init_params(config)
     adam = AdamState()
-    head_cfg = config.head_config()
 
     train_losses: list[float] = []
     eval_sre: dict[int, float] = {}
@@ -291,7 +285,7 @@ def train(config: TrainConfig, train_seqs, eval_seqs=None) -> TrainResult:
         train_losses.append(loss)
         if not eval_seqs or ((epoch + 1) % config.eval_every and epoch < config.epochs - 1):
             continue
-        report = evaluate_sequences(head_cfg, params, eval_seqs, norm)
+        report = evaluate_sequences(config, params, eval_seqs, norm)
         eval_sre[epoch] = report.aggregate()["avg_sre"]
         if eval_sre[epoch] < best_sre or best_report is None:
             best, best_report, best_epoch, stale = params, report, epoch, 0

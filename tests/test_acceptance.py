@@ -27,7 +27,6 @@ from hystkit.cells import (
 )
 from hystkit.dataset import compute_norm_constants, reversed_minibatches, list_materials, load_material, split_dataset
 from hystkit.heads import (
-    HeadConfig,
     RolloutInputs,
     _inject,
     init_head_params,
@@ -109,7 +108,7 @@ def _window(rows=1, length=13, w=3, seed=0):
         target_max=80.0), target_norm
 
 
-def _loss_fn_for(config: HeadConfig, inputs: RolloutInputs, target_norm):
+def _loss_fn_for(config: TrainConfig, inputs: RolloutInputs, target_norm):
     w = inputs.warmup_length
     names = sorted(init_head_params(config, 0))
 
@@ -175,7 +174,7 @@ def test_c02_gradient_correctness():
     with criterion(2, "gradient correctness (all archetypes + preisach)"):
         inputs, target_norm = _window()
         for archetype, extra, tol in ARCHETYPE_GRADS:
-            config = HeadConfig(archetype, warmup_length=inputs.warmup_length, **extra)
+            config = TrainConfig(archetype, warmup_length=inputs.warmup_length, **extra)
             fn, names = _loss_fn_for(config, inputs, target_norm)
             graph = Graph(fn, len(names))
             worst = 0.0
@@ -234,7 +233,7 @@ def test_c04_warmup_contract():
     with criterion(4, "warmup contract (slice identity + roundtrips)"):
         # injection touches element 0 only, at every warmup step
         rng = np.random.default_rng(400)
-        config = HeadConfig("gru-p", d_g=6, warmup_length=5)
+        config = TrainConfig("gru-p", d_g=6, warmup_length=5)
         arrays = init_head_params(config, 4)
         inputs, target_norm = _window(length=12, w=5, seed=4)
         p = GruParams(**wrap_params(arrays))
@@ -248,7 +247,7 @@ def test_c04_warmup_contract():
 
         # magnetization / permeability warmups invert their readouts
         for archetype, drive_level, target_level in [("gru-m", 0.3, 0.21), ("gru-l", 0.4, 0.3)]:
-            config = HeadConfig(archetype, d_g=4, warmup_length=2)
+            config = TrainConfig(archetype, d_g=4, warmup_length=2)
             arrays = init_head_params(config, 5)
             arrays["b_z"] = np.full(4, 50.0)  # freeze the state across the step
             inputs = RolloutInputs(
@@ -326,7 +325,7 @@ def test_c07_synthetic_overfit():
                 params, adam = optimizer_step(params, {k: t.grad for k, t in params_t.items()},
                                               adam, config.lr, config.clip_norm)
             if (epoch + 1) % 25 == 0:
-                report = evaluate_sequences(config.head_config(), params, seqs, norm)
+                report = evaluate_sequences(config, params, seqs, norm)
                 current = report.aggregate()["avg_sre"]
                 if current < 0.05:
                     reached = (epoch + 1, current)
@@ -359,7 +358,7 @@ def test_c08_measured_dataset_reproduction():
                                  epochs=200, lr=2e-2, seed=0, warmup_length=16,
                                  precision="double", eval_every=5, patience=8)
             result = train(config, train_seqs, eval_seqs)
-            report = evaluate_sequences(config.head_config(), result.params,
+            report = evaluate_sequences(config, result.params,
                                         test_seqs or eval_seqs, result.norm)
             agg = report.aggregate()
             results[material] = (agg["avg_sre"], agg["avg_nere"])
@@ -378,9 +377,9 @@ def test_c09_preliminary_comparison():
         norm = compute_norm_constants(train_seqs)
         w = 16
 
-        config = HeadConfig("gru-p", d_g=8, d_x=1, warmup_length=w)
+        config = TrainConfig("gru-p", d_g=8, warmup_length=w)
         assert param_count("gru-p", 8, 1) == 248
-        params = init_head_params(config, [0, 0], "double")
+        params = GruParams.init(8, 1, np.random.default_rng([0, 0])).as_dict()
         adam = AdamState()
         for epoch in range(200):
             for batch in reversed_minibatches(train_seqs, 128, 16, [0, 1, epoch], w, norm):
@@ -448,7 +447,7 @@ def test_c10_end_to_end_determinism(tmp_path):
             train_seqs, eval_seqs, test_seqs = split_dataset(seqs, seed=0)
             result = train(config, train_seqs, eval_seqs)
             json_path, bin_path = save_checkpoint(tmp_path / f"model_{run}", result.checkpoint())
-            report = evaluate_sequences(config.head_config(), result.params, test_seqs,
+            report = evaluate_sequences(config, result.params, test_seqs,
                                         result.norm)
             artifacts.append((bin_path.read_bytes(), json_path.read_text(), report.to_json()))
         blobs_a, header_a, report_a = artifacts[0]

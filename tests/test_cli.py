@@ -264,7 +264,8 @@ class TestTrain:
 def train_only_dir(tmp_path_factory):
     """Material m: twelve 96-sample sequences whose split leaves every one in the train
     split. Material short: eighteen 96-sample and two 12-sample sequences in one stratum,
-    whose split with seed 29 puts a 12-sample sequence in the eval split."""
+    whose split with seed 29 puts a 12-sample sequence in the eval split. Material cold:
+    eight 96-sample sequences measured at 0 degrees C."""
     root = tmp_path_factory.mktemp("train_only")
     write_material(root, "m", generate_ja_dataset(12, 96, seed=1))
     short = generate_ja_dataset(18, 96, seed=1) + generate_ja_dataset(2, 12, seed=2)
@@ -272,11 +273,17 @@ def train_only_dir(tmp_path_factory):
         s.f_sw_hz = 100e3
         s.temperature_c = 25.0
     write_material(root, "short", short)
+    cold = generate_ja_dataset(8, 96, seed=1)
+    for s in cold:
+        s.temperature_c = 0.0
+    write_material(root, "cold", cold)
     return root
 
 
 SHORT_EVAL = ["--material", "short", "--split-seed", "29", "--subseq-len", "32",
               "--batch-size", "4", "--warmup-len", "16"]
+COLD = ["--material", "cold", "--subseq-len", "32", "--batch-size", "4", "--warmup-len", "4"]
+ZERO_TEMPERATURE = "train split: temperature_C is 0 in every sequence, so it cannot be normalized"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -308,11 +315,14 @@ SHORT_EVAL = ["--material", "short", "--split-seed", "29", "--subseq-len", "32",
      "eval split: warmup 16 needs sequences of at least 18 samples: sequence 1 has 12"),
     (["sweep", "--sizes", "2"] + SHORT_EVAL,
      "eval split: warmup 16 needs sequences of at least 18 samples: sequence 1 has 12"),
+    (["train"] + COLD, ZERO_TEMPERATURE),
+    (["sweep", "--sizes", "2"] + COLD, ZERO_TEMPERATURE),
 ], ids=["gru-v-size", "window-too-short", "window-too-long", "no-full-batch", "empty-eval",
         "sweep-nan-lr", "sweep-ja-single", "sweep-listed-ja-single", "sweep-window-too-long",
         "sweep-no-full-batch", "negative-seed", "negative-seed-and-split", "negative-split-seed",
         "unknown-archetype", "sweep-unknown-archetype", "sweep-empty-archetype",
-        "eval-too-short", "sweep-eval-too-short"])
+        "eval-too-short", "sweep-eval-too-short", "zero-temperature",
+        "sweep-zero-temperature"])
 def test_unusable_run_refused_before_staging(train_only_dir, tmp_path, capsys, argv, message):
     out = tmp_path / "o"
     rc = main(argv[:1] + ["--data", str(train_only_dir), "--material", "m", "--epochs", "1",
@@ -558,6 +568,23 @@ class TestEvalPredict:
         if section:
             message = "field 'train_config' describes no model: " + message
         assert capsys.readouterr().err == f"error: {run / 'model.json'}: checkpoint {message}\n"
+        assert not out.exists()
+
+    def test_gru_v_size_refused_at_load(self, dataset_dir, trained, tmp_path, capsys):
+        # a header whose archetype cannot read its hidden size describes no model
+        run = tmp_path / "run"
+        shutil.copytree(trained, run)
+        header = json.loads((run / "model.json").read_text())
+        header["archetype"] = "gru-v"
+        header["train_config"]["d_g"] = 12
+        (run / "model.json").write_text(json.dumps(header))
+        out = tmp_path / "out"
+        rc = main(["eval", "--data", str(dataset_dir), "--checkpoint", str(run / "model.json"),
+                   "--split", "all", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {run / 'model.json'}: checkpoint field 'train_config' describes no model: "
+            "gru-v needs d_g = 2*(N+1)^2 with N >= 1, got d_g=12\n")
         assert not out.exists()
 
     def test_integral_number_header_evaluates_as_int(self, dataset_dir, trained, tmp_path):

@@ -170,7 +170,7 @@ class TestMiniBatches:
     def test_rms_matches_independent_computation(self):
         batches = make_minibatches(self.seqs, 16, 2, 7, 4, self.norm)
         for batch in batches:
-            for row in range(batch.rows):
+            for row in range(len(batch.sources)):
                 si = batch.sources[row, 0]
                 h = self.seqs[si].h
                 expect = np.sqrt(np.sum(h ** 2) / len(h))

@@ -8,7 +8,6 @@ from hystkit.cells import GruParams, LstmParams, gru_step, init_gru_params, init
 from hystkit.dataset import DataError, MeasuredSequence, NormConstants
 from hystkit.heads import (
     ARCHETYPES,
-    HeadConfig,
     HeadError,
     RolloutInputs,
     WarmupError,
@@ -21,6 +20,7 @@ from hystkit.heads import (
     warmup,
     wrap_params,
 )
+from hystkit.training import TrainConfig
 
 
 def make_inputs(d_x=4, length=8, w=3, rows=1, seed=0, target=None, drive=None):
@@ -44,20 +44,20 @@ def wrapped(arrays):
 
 class TestWarmupDirect:
     def test_degenerate_single_step(self):
-        config = HeadConfig("gru-p", d_g=5, warmup_length=1)
+        config = TrainConfig("gru-p", d_g=5, warmup_length=1)
         inputs = make_inputs(w=1, target=[[0.37]])
         g, c = warmup(config, wrapped(init_head_params(config, 3)), inputs)
         np.testing.assert_array_equal(g.data, [[0.37, 0, 0, 0, 0]])
         assert c is None
 
     def test_zero_weights_two_step(self):
-        config = HeadConfig("gru-p", d_g=4, warmup_length=2)
+        config = TrainConfig("gru-p", d_g=4, warmup_length=2)
         inputs = make_inputs(w=2, target=[[0.8, -0.5]])
         g, _ = warmup(config, wrapped(zero_params(config)), inputs)
         np.testing.assert_array_equal(g.data, [[-0.5, 0, 0, 0]])
 
     def test_three_step_matches_manual_composition(self):
-        config = HeadConfig("gru-p", d_g=4, warmup_length=3)
+        config = TrainConfig("gru-p", d_g=4, warmup_length=3)
         arrays = init_head_params(config, 7)
         inputs = make_inputs(w=3, seed=5)
         g, _ = warmup(config, wrapped(arrays), inputs)
@@ -79,27 +79,27 @@ class TestWarmupDirect:
 
     def test_empty_warmup_rejected(self):
         for archetype in ARCHETYPES:
-            config = HeadConfig(archetype, d_g=8)
+            config = TrainConfig(archetype, d_g=8)
             with pytest.raises(WarmupError, match="^empty warmup window$"):
                 rollout(config, wrapped(zero_params(config)), make_inputs(w=0))
 
 
 class TestGruP:
     def test_zero_weight_decay(self):
-        config = HeadConfig("gru-p", d_g=5, warmup_length=1)
+        config = TrainConfig("gru-p", d_g=5, warmup_length=1)
         inputs = make_inputs(w=1, length=3, target=[[0.4]])
         pred, _ = rollout(config, wrapped(zero_params(config)), inputs)
         assert pred.data[0, 0] == pytest.approx(0.2, abs=1e-15)
         assert pred.data[0, 1] == pytest.approx(0.1, abs=1e-15)
 
     def test_denormalization(self):
-        config = HeadConfig("gru-p", d_g=5, warmup_length=1)
+        config = TrainConfig("gru-p", d_g=5, warmup_length=1)
         inputs = make_inputs(w=1, length=2, target=[[0.4]])
         pred, _ = rollout(config, wrapped(zero_params(config)), inputs)
         assert pred.data[0, 0] * inputs.target_max == pytest.approx(20.0, abs=1e-12)
 
     def test_five_step_rollout_matches_hand_unrolled(self):
-        config = HeadConfig("gru-p", d_g=4, warmup_length=3)
+        config = TrainConfig("gru-p", d_g=4, warmup_length=3)
         arrays = init_head_params(config, 9)
         inputs = make_inputs(w=3, length=8, seed=13)
         pred, final = rollout(config, wrapped(arrays), inputs)
@@ -114,7 +114,7 @@ class TestGruP:
         np.testing.assert_array_equal(final.data, g.data)
 
     def test_bit_reproducible(self):
-        config = HeadConfig("gru-p", d_g=6, warmup_length=4)
+        config = TrainConfig("gru-p", d_g=6, warmup_length=4)
         arrays = init_head_params(config, 1)
         inputs = make_inputs(w=4, length=12, seed=3)
         a, _ = rollout(config, wrapped(arrays), inputs)
@@ -124,7 +124,7 @@ class TestGruP:
 
 class TestGruM:
     def test_state_equal_drive_zeroes_prediction(self):
-        config = HeadConfig("gru-m", d_g=4, warmup_length=1)
+        config = TrainConfig("gru-m", d_g=4, warmup_length=1)
         # zero params, zero injected state: prediction tanh(drive - 0.5*0) ...
         # instead check the readout identity directly via a frozen state
         drive = np.full((1, 3), 0.31)
@@ -136,7 +136,7 @@ class TestGruM:
         assert pred.data[0, 0] == pytest.approx(expect_first, abs=1e-15)
 
     def test_warmup_roundtrip_with_frozen_state(self):
-        config = HeadConfig("gru-m", d_g=4, warmup_length=2)
+        config = TrainConfig("gru-m", d_g=4, warmup_length=2)
         arrays = init_head_params(config, 21)
         arrays["b_z"] = np.full(4, 50.0)  # saturated update gate freezes the state
         drive = np.array([[0.3, 0.3, 0.3]])
@@ -146,7 +146,7 @@ class TestGruM:
         assert pred.data[0, 0] == pytest.approx(0.21, abs=1e-10)
 
     def test_atanh_domain_edge(self):
-        config = HeadConfig("gru-m", d_g=4, warmup_length=2)
+        config = TrainConfig("gru-m", d_g=4, warmup_length=2)
         ok = make_inputs(w=2, length=4, target=[[0.999999, 0.5]])
         vals = _inject_values(config, ok)
         assert np.all(np.isfinite(vals))
@@ -157,13 +157,13 @@ class TestGruM:
 
 class TestGruL:
     def test_zero_coefficient_zero_prediction(self):
-        config = HeadConfig("gru-l", d_g=4, warmup_length=1)
+        config = TrainConfig("gru-l", d_g=4, warmup_length=1)
         inputs = make_inputs(w=1, length=3, target=[[0.0]])
         pred, _ = rollout(config, wrapped(zero_params(config)), inputs)
         np.testing.assert_array_equal(pred.data, np.zeros((1, 2)))
 
     def test_warmup_roundtrip_with_frozen_state(self):
-        config = HeadConfig("gru-l", d_g=4, warmup_length=2)
+        config = TrainConfig("gru-l", d_g=4, warmup_length=2)
         arrays = init_head_params(config, 22)
         arrays["b_z"] = np.full(4, 50.0)
         drive = np.array([[0.4, 0.4, 0.4]])
@@ -173,7 +173,7 @@ class TestGruL:
         assert pred.data[0, 0] == pytest.approx(0.3, abs=1e-10)
 
     def test_division_guard_reports_index(self):
-        config = HeadConfig("gru-l", d_g=4, warmup_length=3)
+        config = TrainConfig("gru-l", d_g=4, warmup_length=3)
         drive = np.array([[0.4, 0.0, 0.4, 0.4]])
         inputs = make_inputs(w=3, length=4, target=[[0.1, 0.1, 0.1]], drive=drive)
         with pytest.raises(WarmupError, match="step 1"):
@@ -182,14 +182,14 @@ class TestGruL:
 
 class TestLstmP:
     def test_zero_weights_first_prediction_zero(self):
-        config = HeadConfig("lstm-p", d_g=4, warmup_length=1)
+        config = TrainConfig("lstm-p", d_g=4, warmup_length=1)
         inputs = make_inputs(w=1, length=3, target=[[0.4]])
         pred, (g, c) = rollout(config, wrapped(zero_params(config)), inputs)
         # o=0.5, c=0: prediction = 0.5*tanh(0) = 0
         np.testing.assert_array_equal(pred.data, np.zeros((1, 2)))
 
     def test_five_step_rollout_matches_hand_unrolled(self):
-        config = HeadConfig("lstm-p", d_g=4, warmup_length=2)
+        config = TrainConfig("lstm-p", d_g=4, warmup_length=2)
         arrays = init_head_params(config, 31)
         inputs = make_inputs(w=2, length=7, seed=17)
         pred, _ = rollout(config, wrapped(arrays), inputs)
@@ -207,7 +207,7 @@ class TestLstmP:
         np.testing.assert_array_equal(pred.data, np.concatenate(outs, axis=1))
 
     def test_cell_state_evolves_freely_through_warmup(self):
-        config = HeadConfig("lstm-p", d_g=4, warmup_length=3)
+        config = TrainConfig("lstm-p", d_g=4, warmup_length=3)
         arrays = init_head_params(config, 32)
         inputs = make_inputs(w=3, length=5, seed=19)
         _, (g, c) = rollout(config, wrapped(arrays), inputs)
@@ -216,15 +216,15 @@ class TestLstmP:
 
 class TestGruV:
     def test_config_constraints(self):
-        HeadConfig("gru-v", d_g=8)
-        HeadConfig("gru-v", d_g=32)
+        init_head_params(TrainConfig("gru-v", d_g=8), 0)
+        init_head_params(TrainConfig("gru-v", d_g=32), 0)
         with pytest.raises(HeadError):
-            HeadConfig("gru-v", d_g=12)
+            init_head_params(TrainConfig("gru-v", d_g=12), 0)
         with pytest.raises(HeadError):
-            HeadConfig("gru-v", d_g=2)  # N_g would be 0
+            init_head_params(TrainConfig("gru-v", d_g=2), 0)  # N_g would be 0
 
     def test_zero_grid_predicts_drive(self):
-        config = HeadConfig("gru-v", d_g=8, warmup_length=2)
+        config = TrainConfig("gru-v", d_g=8, warmup_length=2)
         inputs = make_inputs(w=2, length=5, seed=23)
         pred, _ = rollout(config, wrapped(zero_params(config)), inputs)
         np.testing.assert_array_equal(pred.data, inputs.drive_norm[:, 2:])
@@ -237,7 +237,7 @@ class TestGruV:
         assert out.data[0, 0] == pytest.approx(0.52, abs=1e-15)
 
     def test_no_injection_during_warmup(self):
-        config = HeadConfig("gru-v", d_g=8, warmup_length=3)
+        config = TrainConfig("gru-v", d_g=8, warmup_length=3)
         arrays = init_head_params(config, 41)
         inputs_a = make_inputs(w=3, length=6, seed=29)
         inputs_b = make_inputs(w=3, length=6, seed=29)
@@ -249,14 +249,14 @@ class TestGruV:
 
 class TestJaHeads:
     def test_ja_requires_raw_context(self):
-        config = HeadConfig("ja", d_g=1, warmup_length=2)
+        config = TrainConfig("ja", d_g=1, warmup_length=2)
         inputs = make_inputs(w=2, length=5)
         inputs.drive_raw = None
         with pytest.raises(HeadError):
             rollout(config, wrapped(init_head_params(config, 0)), inputs)
 
     def test_ja_rollout_starts_from_last_known(self):
-        config = HeadConfig("ja", d_g=1, warmup_length=2)
+        config = TrainConfig("ja", d_g=1, warmup_length=2)
         inputs = make_inputs(w=2, length=5, seed=31)
         inputs.drive_raw = np.full((1, 5), 0.2)  # constant flux: field never moves
         params = wrapped(init_head_params(config, 1))
@@ -265,7 +265,7 @@ class TestJaHeads:
         np.testing.assert_allclose(pred.data * inputs.target_max, h_known, rtol=1e-12)
 
     def test_jadp_rollout_runs_and_is_reproducible(self):
-        config = HeadConfig("gru-jadp", d_g=6, warmup_length=2)
+        config = TrainConfig("gru-jadp", d_g=6, warmup_length=2)
         arrays = init_head_params(config, 2)
         inputs = make_inputs(w=2, length=6, seed=37)
         a, _ = rollout(config, wrapped(arrays), inputs)
@@ -275,7 +275,7 @@ class TestJaHeads:
 
     @pytest.mark.parametrize("archetype, d_g", [("ja", 1), ("gru-jadp", 6)])
     def test_one_readout_over_the_field_columns(self, archetype, d_g):
-        config = HeadConfig(archetype, d_g=d_g, warmup_length=2)
+        config = TrainConfig(archetype, d_g=d_g, warmup_length=2)
         pred, state = rollout(config, wrap_params(init_head_params(config, 3)),
                               make_inputs(w=2, length=7, seed=41))
         columns = pred._parents[0]
@@ -286,7 +286,7 @@ class TestJaHeads:
         assert columns._parents[-1] is (state if archetype == "ja" else state[0]).h
 
     def test_single_precision_rejected(self):
-        config = HeadConfig("gru-jadp", d_g=6, warmup_length=2)
+        config = TrainConfig("gru-jadp", d_g=6, warmup_length=2)
         arrays = {k: v.astype(np.float32) for k, v in init_head_params(config, 2).items()}
         inputs = make_inputs(w=2, length=6)
         with pytest.raises(HeadError, match="double"):
@@ -300,7 +300,7 @@ class TestRolloutLossGradient:
         # differences
         from hystkit.metrics import batch_mean, weighted_loss_rows
 
-        config = HeadConfig("gru-p", d_g=4, warmup_length=3)
+        config = TrainConfig("gru-p", d_g=4, warmup_length=3)
         rng = np.random.default_rng(61)
         inputs = make_inputs(w=3, length=13, seed=61)
         target_full = rng.uniform(-0.8, 0.8, (1, 13))
@@ -327,7 +327,7 @@ class TestPredictWindow:
                               h=30 * np.sin(np.linspace(0, 7, n) - 0.4),
                               temperature_c=25.0)
         norm = NormConstants(h_max=30.0, b_max=0.2, theta_max=70.0)
-        config = HeadConfig("gru-p", d_g=6, warmup_length=5)
+        config = TrainConfig("gru-p", d_g=6, warmup_length=5)
         arrays = init_head_params(config, 3)
         [result] = predict_window(config, arrays, [seq], norm)
         assert result.pred_norm.shape == (n - 5,)
@@ -341,7 +341,7 @@ class TestPredictWindow:
                               h=20 * np.sin(np.linspace(0, 5, n)),
                               temperature_c=25.0)
         norm = NormConstants(h_max=20.0, b_max=0.1, theta_max=70.0)
-        config = HeadConfig("gru-p", d_g=4, warmup_length=1)
+        config = TrainConfig("gru-p", d_g=4, warmup_length=1)
         [result] = predict_window(config, init_head_params(config, 5), [seq], norm)
         assert result.pred.shape == (n - 1,)
 
@@ -350,7 +350,7 @@ class TestPredictWindow:
         seqs = [MeasuredSequence(b=0.1 * np.sin(np.arange(n)), h=20 * np.sin(np.arange(n)),
                                  temperature_c=25.0) for n in (7, 6)]
         norm = NormConstants(h_max=20.0, b_max=0.1, theta_max=70.0)
-        config = HeadConfig("gru-p", d_g=4, warmup_length=5)
+        config = TrainConfig("gru-p", d_g=4, warmup_length=5)
         arrays = init_head_params(config, 5)
         [result] = predict_window(config, arrays, seqs[:1], norm)
         assert result.pred.shape == (2,)
@@ -379,7 +379,7 @@ class TestBatchedPredictWindow:
     def test_batched_matches_one_at_a_time(self, archetype, precision):
         lengths = list(np.random.default_rng(7).permutation([40, 40, 40, 56, 56, 56, 72, 72, 72]))
         seqs, norm = _mixed_length_batch(lengths)
-        config = HeadConfig(archetype, d_g=1 if archetype == "ja" else 8, warmup_length=4)
+        config = TrainConfig(archetype, d_g=1 if archetype == "ja" else 8, warmup_length=4)
         arrays = init_head_params(config, 3, precision)
         batched = predict_window(config, arrays, seqs, norm)
         assert len(batched) == len(seqs)
@@ -393,19 +393,19 @@ class TestBatchedPredictWindow:
             np.testing.assert_array_equal(got.pred, got.pred_norm * norm.h_max)
 
     def test_empty_input(self):
-        config = HeadConfig("gru-p", d_g=4, warmup_length=2)
+        config = TrainConfig("gru-p", d_g=4, warmup_length=2)
         norm = NormConstants(h_max=1.0, b_max=1.0, theta_max=1.0)
         assert predict_window(config, init_head_params(config, 0), [], norm) == []
 
     def test_warmup_error_names_sequence_and_step(self):
         seqs, norm = _mixed_length_batch([40, 56, 40, 40, 56])
         seqs[3].b[2] = 0.0
-        config = HeadConfig("gru-l", d_g=4, warmup_length=4)
+        config = TrainConfig("gru-l", d_g=4, warmup_length=4)
         with pytest.raises(WarmupError, match=r"sequence 3: .*warmup step 2"):
             predict_window(config, init_head_params(config, 0), seqs, norm)
 
 
-# sha256 of init_head_params(HeadConfig(archetype, 8), [3, 0], precision), recorded
+# sha256 of init_head_params(TrainConfig(archetype, 8), [3, 0], precision), recorded
 # before the two cell records shared one initializer: the draw order, shapes,
 # names and dtypes of every archetype's parameters are fixed.
 INIT_DIGESTS = {
@@ -428,5 +428,5 @@ INIT_DIGESTS = {
 
 @pytest.mark.parametrize("archetype,precision", sorted(INIT_DIGESTS))
 def test_init_head_params_bytes_pinned(archetype, precision):
-    arrays = init_head_params(HeadConfig(archetype, 8), [3, 0], precision)
+    arrays = init_head_params(TrainConfig(archetype, 8), [3, 0], precision)
     assert digest(arrays) == INIT_DIGESTS[archetype, precision]

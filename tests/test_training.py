@@ -195,7 +195,7 @@ class TestTrainLoop:
         config = small_config(epochs=4, eval_every=2, lr=5e-3)
         result = train(config, seqs[:6], seqs[6:])
         assert sorted(result.eval_sre) == [1, 3]
-        report = evaluate_sequences(config.head_config(), result.params, seqs[6:],
+        report = evaluate_sequences(config, result.params, seqs[6:],
                                     result.norm)
         assert result.report.rows == report.rows
         assert result.eval_sre[result.best_epoch] == report.aggregate()["avg_sre"]
@@ -255,7 +255,7 @@ class TestTrainLoop:
         config = small_config(archetype=archetype, d_g=d_g, epochs=2)
         result = train(config, seqs[:5], seqs[5:])
         assert all(np.isfinite(v) for v in result.train_losses)
-        report = evaluate_sequences(config.head_config(), result.params, seqs[5:],
+        report = evaluate_sequences(config, result.params, seqs[5:],
                                     result.norm)
         assert np.isfinite(report.aggregate()["avg_sre"])
 
@@ -403,9 +403,9 @@ def test_cell_head_rollout_and_gradients_pinned(archetype, w, rows, precision):
     batch = make_minibatches(seqs, 40, rows, [0, 1], w, norm)[0]
     params = wrap_params(init_params(config))
     inputs = inputs_from_batch(batch, norm)
-    pred, state = rollout(config.head_config(), params, inputs)
+    pred, state = rollout(config, params, inputs)
     states = state if isinstance(state, tuple) else (state,)
-    frozen, _ = rollout(config.head_config(), wrap_params(init_params(config), False), inputs)
+    frozen, _ = rollout(config, wrap_params(init_params(config), False), inputs)
     assert frozen.data.tobytes() == pred.data.tobytes()
     batch_loss(config, params, batch, norm).backward()
     assert digest({"pred": pred.data, **{f"state{i}": s.data for i, s in enumerate(states)},
@@ -442,10 +442,10 @@ def test_ja_head_rollout_and_gradients_pinned(archetype, w, rows):
     batch = make_minibatches(seqs, 40, rows, [0, 1], w, norm)[0]
     params = wrap_params(init_params(config))
     inputs = inputs_from_batch(batch, norm)
-    pred, state = rollout(config.head_config(), params, inputs)
+    pred, state = rollout(config, params, inputs)
     ja, hidden = state if archetype == "gru-jadp" else (state, None)
     states = {"h": ja.h.data, "m": ja.m.data, **({} if hidden is None else {"g": hidden.data})}
-    frozen, _ = rollout(config.head_config(), wrap_params(init_params(config), False), inputs)
+    frozen, _ = rollout(config, wrap_params(init_params(config), False), inputs)
     assert frozen.data.tobytes() == pred.data.tobytes()
     batch_loss(config, params, batch, norm).backward()
     assert digest({"pred": pred.data, **states,
@@ -464,8 +464,8 @@ class TestCheckpoint:
         for k in ckpt.params:
             assert loaded.params[k].tobytes() == ckpt.params[k].tobytes()
         assert loaded.config == ckpt.config
-        r1 = evaluate_sequences(ckpt.config.head_config(), ckpt.params, seqs[4:], ckpt.norm)
-        r2 = evaluate_sequences(loaded.config.head_config(), loaded.params, seqs[4:],
+        r1 = evaluate_sequences(ckpt.config, ckpt.params, seqs[4:], ckpt.norm)
+        r2 = evaluate_sequences(loaded.config, loaded.params, seqs[4:],
                                 loaded.norm)
         assert r1.to_json() == r2.to_json()
 
@@ -523,7 +523,7 @@ class TestEvaluate:
         seqs = tiny_dataset(n=5)
         config = small_config(epochs=1)
         result = train(config, seqs)
-        report = evaluate_sequences(config.head_config(), result.params, seqs,
+        report = evaluate_sequences(config, result.params, seqs,
                                     result.norm)
         assert len(report.rows) == 5
         agg = report.aggregate()
