@@ -23,7 +23,6 @@ from .cells import (GruParams, LstmParams, gru_sequence, gru_step, lstm_sequence
 from .heads import RolloutInputs, RolloutResult, predict_window, rollout
 from .metrics import MetricReport, loss_rmse, mae, mse, nere, sre, wce
 from .physics import (
-    JaState,
     PreisachParams,
     ja_params_from_theta,
     ja_step_euler,

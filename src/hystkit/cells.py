@@ -388,6 +388,3 @@ def param_count(archetype: str, d_g: int, d_x: int) -> int:
         return 5
     raise ValueError(f"unknown archetype {archetype!r}")
 
-
-init_gru_params = GruParams.init
-init_lstm_params = LstmParams.init

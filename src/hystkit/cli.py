@@ -33,7 +33,8 @@ import numpy as np
 from . import __version__
 from .dataset import (DataError, check_windows, compute_norm_constants, fmt, ingest_material,
                       json_text, load_material, read_csv_dicts, read_json_object,
-                      resolve_adapter, split_dataset, write_columns, write_file, write_rows)
+                      read_raw_material, resolve_adapter, split_dataset, write_columns,
+                      write_file, write_rows)
 from .training import (SETTING_TYPES, SWEEP_COLUMNS, ConfigError, TrainConfig, TrainingError,
                        check_sweep_eval, config_param_count, decode_setting, evaluate_sequences,
                        init_params, load_checkpoint, pareto_sweep, save_checkpoint,
@@ -203,15 +204,15 @@ def cmd_ingest(args) -> int:
     if args.material and len(subdirs) > 1:
         raise CliError(f"--material {args.material} names one material, but {raw} holds "
                        f"{len(subdirs)}: {', '.join(p.name for p in subdirs)}")
-    # every layout is resolved before the first material is written
+    # every layout is resolved, then every material read and checked, before staging
     adapters = [resolve_adapter(sub, args.adapter) for sub in subdirs]
+    materials = [read_raw_material(sub, args.material or sub.name, adapter)
+                 for sub, adapter in zip(subdirs, adapters)]
     stage = OutputStage(args.out, "ingest", {"raw": str(raw), "material": args.material,
                                              "adapter": args.adapter}, {"raw": raw})
     counts = {}
-    for sub, adapter in zip(subdirs, adapters):
-        material, count = ingest_material(sub, stage.out_dir, args.material or sub.name,
-                                          adapter=adapter)
-        counts[material] = count
+    for material, sequences in materials:
+        counts[material] = ingest_material(stage.out_dir, material, sequences)
         stage.outputs.append(f"{material}/manifest.json")
     write_file(stage.path("ingest_summary.json"),
                json_text({"materials": counts, "total_sequences": sum(counts.values())}))

@@ -652,16 +652,22 @@ def resolve_adapter(raw_dir: Path, name: str | None) -> str:
     return name
 
 
-def ingest_material(raw_dir: Path, out_dir: Path, material: str | None = None,
-                    adapter: str | None = None) -> tuple[str, int]:
-    """Convert one raw material directory into the canonical layout.
+def read_raw_material(raw_dir: Path, material: str | None = None,
+                      adapter: str | None = None) -> tuple[str, list[MeasuredSequence]]:
+    """Read and check one raw material directory; writes nothing.
 
-    Returns (material name, sequence count).
+    Returns (material name, sequences) for :func:`ingest_material`.
     """
     raw_dir = Path(raw_dir)
     material = material or raw_dir.name
     sequences = ADAPTERS[resolve_adapter(raw_dir, adapter)](raw_dir, material)
     if not sequences:
         raise DataError(f"no sequences found under {raw_dir}")
+    return material, sequences
+
+
+def ingest_material(out_dir: Path, material: str, sequences) -> int:
+    """Write what :func:`read_raw_material` read as a canonical material; returns the
+    sequence count."""
     write_material(out_dir, material, sequences)
-    return material, len(sequences)
+    return len(sequences)

@@ -47,7 +47,7 @@ from .autodiff import Tensor, _accum, _node, concat, dtype_of, reshape, tanh, ts
 from .cells import (LSTM_ARCHETYPES, GruParams, LstmParams, gru_sequence, gru_step,
                     lstm_sequence, lstm_step)
 from .dataset import FEATURE_WIDTH, DataError, MiniBatch, NormConstants
-from .physics import ja_initial_state, ja_params_from_theta, ja_step_euler, gru_jadp_step
+from .physics import ja_params_from_theta, ja_step_euler, gru_jadp_step
 
 if TYPE_CHECKING:
     from .training import TrainConfig
@@ -260,24 +260,24 @@ def _ja_open_loop(config: TrainConfig, params: dict, inputs: RolloutInputs):
     w..L-1, then one readout over the concatenated field columns."""
     w = inputs.warmup_length
     b_raw = inputs.drive_raw
-    ja = ja_initial_state(inputs.target_warm_raw[:, w - 1:w], b_raw[:, w - 1:w])
+    h = Tensor(inputs.target_warm_raw[:, w - 1:w], dtype=np.float64)
     if config.archetype == "ja":
         phys = ja_params_from_theta(reshape(params["theta_ja"], (1, 5)))
     else:
         g, _ = warmup(config, params, inputs)
         p = _cell(config).from_dict(params)
         dt = _dtype(params)
-    h = []
+    columns = []
     for t in range(w, inputs.x.shape[1]):
         b_k, b_k1 = b_raw[:, t - 1:t], b_raw[:, t:t + 1]
         # Looked up in this module at call time, where bench/tracing.py patches them.
         if config.archetype == "ja":
-            ja = ja_step_euler(ja, b_k, b_k1, phys)
+            h = ja_step_euler(h, b_k, b_k1, phys)
         else:
-            ja, g = gru_jadp_step(Tensor(inputs.x[:, t, :].astype(dt)), g, p, ja, b_k, b_k1)
-        h.append(ja.h)
-    pred = concat(h, axis=1) * (1.0 / inputs.target_max)
-    return pred, (ja if config.archetype == "ja" else (ja, g))
+            h, g = gru_jadp_step(Tensor(inputs.x[:, t, :].astype(dt)), g, p, h, b_k, b_k1)
+        columns.append(h)
+    pred = concat(columns, axis=1) * (1.0 / inputs.target_max)
+    return pred, (h if config.archetype == "ja" else (h, g))
 
 
 def rollout(config: TrainConfig, params: dict, inputs: RolloutInputs):
@@ -285,7 +285,7 @@ def rollout(config: TrainConfig, params: dict, inputs: RolloutInputs):
 
     ``params`` maps names to tape Tensors. Returns the normalized predictions as a tape
     Tensor of shape (rows, L - w) plus the final state: the hidden Tensor (GRU heads), a
-    (hidden, cell) pair (lstm-p), a (JaState, hidden) pair (gru-jadp) or a JaState (ja).
+    (hidden, cell) pair (lstm-p), a (field H, hidden) pair (gru-jadp) or the field H (ja).
     A warm block of width 0 raises :class:`WarmupError`.
     """
     if inputs.warmup_length < 1:

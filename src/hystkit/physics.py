@@ -8,7 +8,8 @@ flux trajectory B by explicit Euler over
 
 where dM/dH combines the anhysteretic magnetization (Langevin curve) with
 irreversible and reversible wall-motion terms gated by the flux direction.
-The magnetization state is closed through B = mu0 * (H + M). The five
+The state is H alone: each step closes the magnetization through
+B = mu0 * (H + M), as M = B_k / mu0 - H, before it uses it. The five
 physical parameters are produced from unconstrained values through a scaled
 sigmoid so they stay strictly inside (0, ETA) during optimization.
 
@@ -67,14 +68,6 @@ class PhysicsError(ValueError):
 
 class SingularityError(PhysicsError):
     """A JA denominator or the Euler bracket hit its pole."""
-
-
-@dataclass
-class JaState:
-    """Current field and magnetization estimate along a rollout."""
-
-    h: Tensor
-    m: Tensor
 
 
 def ja_params_from_theta(theta: Tensor) -> Tensor:
@@ -151,6 +144,7 @@ def _langevin_d2(x, parts=None):
 class JaStepTerms(NamedTuple):
     """One Euler step's intermediates, kept for the hand-written backward."""
 
+    m: np.ndarray        # magnetization B_k / mu0 - H
     x: np.ndarray        # effective field over the form factor, (H + alpha_w M) / a
     parts: tuple         # _langevin_parts(x), shared by L, L' and L''
     lv: np.ndarray       # Langevin L(x)
@@ -165,18 +159,21 @@ class JaStepTerms(NamedTuple):
     step: np.ndarray     # (B_{k+1} - B_k) / mu0
 
 
-def ja_euler_kernel(h, m, b_k, b_k1, m_s, a, alpha_w, k_p, c):
+def ja_euler_kernel(h, b_k, b_k1, m_s, a, alpha_w, k_p, c):
     """One explicit-Euler JA step on plain arrays; returns (H_{k+1}, terms).
 
-    ``h`` and ``m`` are arrays of one dtype, the five parameters are arrays
-    (or floats) in that dtype that broadcast against them. dM/dH uses the
+    ``h`` is an array, the five parameters are arrays (or floats) in its
+    dtype that broadcast against it. The magnetization is closed through
+    the flux, M = B_k / mu0 - H, in H's dtype. dM/dH uses the
     constant sign ``delta`` of the flux increment per element: elements with
     delta == 0 get exactly 0, and the irreversibility gate zeroes the wall
     term when the magnetization overshoots the anhysteretic curve against
     the drive direction.
     """
     dt = h.dtype
-    db = np.asarray(b_k1, dtype=np.float64) - np.asarray(b_k, dtype=np.float64)
+    b_k = np.asarray(b_k, dtype=np.float64)
+    db = np.asarray(b_k1, dtype=np.float64) - b_k
+    m = (b_k / MU0).astype(dt, copy=False) - h
     delta = np.empty(m.shape, dtype=dt)
     delta[...] = np.sign(db)
     x = (h + alpha_w * m) / a
@@ -203,37 +200,35 @@ def ja_euler_kernel(h, m, b_k, b_k1, m_s, a, alpha_w, k_p, c):
     bracket = 1.0 - r / one_plus
     step = (db / MU0).astype(dt)
     h_new = h + step * bracket
-    return h_new, JaStepTerms(x, parts, lv, ld, dman, delta, gate, den_safe, r, one_plus, bracket,
-                              step)
+    return h_new, JaStepTerms(m, x, parts, lv, ld, dman, delta, gate, den_safe, r, one_plus,
+                              bracket, step)
 
 
-def ja_step_euler(state: JaState, b_k, b_k1, z: Tensor) -> JaState:
+def ja_step_euler(h: Tensor, b_k, b_k1, z: Tensor) -> Tensor:
     """One explicit-Euler step of the inverse JA model across [B_k, B_{k+1}].
 
-    ``z`` is the (rows, 5) Tensor of (M_s, a, alpha_w, k_p, c) that
-    :func:`ja_params_from_theta` builds, or (1, 5) shared by all rows, in
-    the state's dtype; any other shape or dtype raises :class:`ShapeError`.
-    The model is rate-independent: the sampling period multiplies dB/dt and
-    cancels, so the step depends only on the flux increment. A constant-flux
-    step leaves H exactly unchanged. The magnetization is re-closed through
-    B = mu0 * (H + M) after the update.
+    ``h`` is the (rows, n) field H_k. ``z`` is the (rows, 5) Tensor of (M_s,
+    a, alpha_w, k_p, c) that :func:`ja_params_from_theta` builds, or (1, 5)
+    shared by all rows, in H's dtype; any other shape or dtype raises
+    :class:`ShapeError`. The model is rate-independent: the sampling period
+    multiplies dB/dt and cancels, so the step depends only on the flux
+    increment. A constant-flux step leaves H exactly unchanged.
 
-    H_{k+1} is one tape node whose backward is the analytic derivative with
-    respect to H, M and ``z``; the gate and the delta == 0 mask are
-    piecewise constant. M_{k+1} = B_{k+1} / mu0 - H_{k+1} is a second node.
+    H_{k+1} is one tape node with parents ``(h, z)`` whose backward is the
+    analytic derivative; the gate and the delta == 0 mask are piecewise
+    constant, and the path through M = B_k / mu0 - H is folded into H's
+    gradient.
     """
-    h, m = state.h, state.m
     dt = h.data.dtype
     rows = h.data.shape[0]
     if z.data.ndim != 2 or z.data.shape[1] != 5 or z.data.shape[0] not in (1, rows):
         raise ShapeError(f"JA parameters z must be (1, 5) or ({rows}, 5) for a state of "
                          f"shape {h.data.shape}, got {z.data.shape}")
-    if m.data.dtype != dt or z.data.dtype != dt:
-        raise ShapeError(f"JA step operands must all be {dt}: m is {m.data.dtype}, "
-                         f"z is {z.data.dtype}")
+    if z.data.dtype != dt:
+        raise ShapeError(f"JA step operands must all be {dt}: z is {z.data.dtype}")
     # contiguous (rows|1, 1) columns: strided views of z slow the elementwise work
     m_s, a, alpha_w, k_p, c = z.data.T.copy()[:, :, None]
-    h_new, t = ja_euler_kernel(h.data, m.data, b_k, b_k1, m_s, a, alpha_w, k_p, c)
+    h_new, t = ja_euler_kernel(h.data, b_k, b_k1, m_s, a, alpha_w, k_p, c)
 
     def backward(g):
         # h_new = h + step * (1 - r / (1 + r)); d(bracket)/dr = -bracket / (1 + r).
@@ -246,14 +241,15 @@ def ja_step_euler(state: JaState, b_k, b_k1, z: Tensor) -> JaState:
         g_e = (g_gated * m_s * t.ld + g_dman * (m_s / a) * _langevin_d2(t.x, t.parts)) / a
         if h.requires_grad:
             _accum(h, _unbroadcast(g + g_e, h.data.shape))
-        if m.requires_grad:
-            _accum(m, _unbroadcast(g_e * alpha_w - g_gated, m.data.shape))
+            # M = B_k / mu0 - H: M's gradient reaches H negated, as a second sum
+            # after the direct one (the pinned head gradients depend on this order)
+            _accum(h, _unbroadcast(-(g_e * alpha_w - g_gated), h.data.shape))
         if not z.requires_grad:
             return
         partials = (
             g_gated * t.lv + g_dman * t.ld / a,
             -(g_e * t.x + g_dman * t.dman / a),
-            g_r * t.r * t.r + g_e * m.data,
+            g_r * t.r * t.r + g_e * t.m,
             (g_num * c * t.dman - g_r * t.r / t.den_safe) * t.delta,
             g_num * k_p * t.delta * t.dman,
         )
@@ -261,27 +257,17 @@ def ja_step_euler(state: JaState, b_k, b_k1, z: Tensor) -> JaState:
         # + 0.0 turns -0 into +0, as a zero-filled scatter per column would
         _accum(z, np.concatenate([_unbroadcast(p, col) for p in partials], axis=1) + 0.0)
 
-    h_node = _node(h_new, (h, m, z), backward)
-    m_new = Tensor(np.asarray(b_k1, dtype=np.float64) / MU0, dtype=dt) - h_node
-    return JaState(h=h_node, m=m_new)
+    return _node(h_new, (h, z), backward)
 
 
-def ja_initial_state(h_known, b_known) -> JaState:
-    """Start integration at the last known sample: H = H_known, M = B/mu0 - H (float64)."""
-    h0 = np.asarray(h_known, dtype=np.float64)
-    b0 = np.asarray(b_known, dtype=np.float64)
-    return JaState(h=Tensor(h0), m=Tensor(b0 / MU0 - h0))
-
-
-def gru_jadp_step(x: Tensor, g_prev: Tensor, gru_params: GruParams, ja_state: JaState,
-                  b_k, b_k1):
+def gru_jadp_step(x: Tensor, g_prev: Tensor, gru_params: GruParams, h: Tensor, b_k, b_k1):
     """Coupled step: the GRU's first five hidden elements parameterize the JA substep.
 
-    Returns (new JaState, new hidden state). A hidden size below five raises
+    Returns (new field H, new hidden state). A hidden size below five raises
     the :class:`PhysicsError` of :func:`ja_params_from_theta`.
     """
     g = gru_step(x, g_prev, gru_params)
-    return ja_step_euler(ja_state, b_k, b_k1, ja_params_from_theta(g)), g
+    return ja_step_euler(h, b_k, b_k1, ja_params_from_theta(g)), g
 
 
 def pinn_ja_residual(h_traj: Tensor, b_traj, z: Tensor):
@@ -300,9 +286,8 @@ def pinn_ja_residual(h_traj: Tensor, b_traj, z: Tensor):
     if n_plus < 2 or b_traj.shape != h_traj.data.shape:
         raise PhysicsError("trajectories must be (rows, n+1) with n >= 1 and matching shapes")
     h_prev = h_traj[:, :-1]
-    state = JaState(h=h_prev, m=Tensor(b_traj[:, :-1] / MU0, dtype=h_traj.data.dtype) - h_prev)
-    stepped = ja_step_euler(state, b_traj[:, :-1], b_traj[:, 1:], z)
-    e = (stepped.h - h_prev) - (h_traj[:, 1:] - h_prev)
+    stepped = ja_step_euler(h_prev, b_traj[:, :-1], b_traj[:, 1:], z)
+    e = (stepped - h_prev) - (h_traj[:, 1:] - h_prev)
     l_ja_rows = sqrt(tsum(e * e, axis=1) * (1.0 / (n_plus - 1)))
     return e, l_ja_rows
 

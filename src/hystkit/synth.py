@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import DEFAULT_TAU_S, MeasuredSequence
-from .physics import MU0, ja_euler_kernel
+from .physics import ja_euler_kernel
 
 #: (M_s, a, alpha_w, k_p, c) for a plausible soft ferrite.
 DEFAULT_JA_PHYSICAL = (3.5e5, 30.0, 5e-5, 20.0, 0.25)
@@ -23,7 +23,7 @@ _TEMPS_C = (25.0, 50.0, 70.0)
 def ja_generate_field(b_rows: np.ndarray, temperatures=None) -> np.ndarray:
     """Integrate H along each flux row with :data:`DEFAULT_JA_PHYSICAL`.
 
-    H starts at 0 with M closed through B. With ``temperatures`` given,
+    H starts at 0, and each step closes M through B. With ``temperatures`` given,
     saturation and pinning shrink mildly as the core heats up.
     """
     b_rows = np.atleast_2d(np.asarray(b_rows, dtype=np.float64))
@@ -35,11 +35,9 @@ def ja_generate_field(b_rows: np.ndarray, temperatures=None) -> np.ndarray:
         k_p = k_p * (1.0 - 4.0e-3 * (t - 25.0))
     h = np.zeros((rows, n), dtype=np.float64)
     h_col = np.zeros((rows, 1))
-    m_col = b_rows[:, 0:1] / MU0
     for k in range(1, n):
-        b_k1 = b_rows[:, k:k + 1]
-        h_col, _ = ja_euler_kernel(h_col, m_col, b_rows[:, k - 1:k], b_k1, m_s, a, alpha_w, k_p, c)
-        m_col = b_k1 / MU0 - h_col
+        h_col, _ = ja_euler_kernel(h_col, b_rows[:, k - 1:k], b_rows[:, k:k + 1],
+                                   m_s, a, alpha_w, k_p, c)
         h[:, k] = h_col[:, 0]
     return h
 

@@ -26,7 +26,6 @@ from hystkit.physics import (
     HYSTERON_SHARPNESS,
     MU0,
     _DENOM_FLOOR,
-    JaState,
     SingularityError,
     _langevin_d1,
     _langevin_d2,
@@ -184,19 +183,20 @@ def tape_ja_params_from_theta(theta):
                                    dtype=theta.data.dtype)
 
 
-def tape_ja_step_euler(state, b_k, b_k1, z):
+def tape_ja_step_euler(h, b_k, b_k1, z):
     """The explicit-Euler JA step composed node by node (about 40 nodes), with one
     column take per parameter of the (rows|1, 5) ``z``.
 
-    dM/dH is exactly 0 where the flux is constant; the irreversibility gate
-    zeroes the wall term when M overshoots the anhysteretic curve against
-    the drive direction.
+    M = B_k / mu0 - H is a constant and a subtraction on the tape. dM/dH is
+    exactly 0 where the flux is constant; the irreversibility gate zeroes
+    the wall term when M overshoots the anhysteretic curve against the drive
+    direction.
     """
     m_s, a, alpha_w, k_p, c = (z[:, i:i + 1] for i in range(5))
     b_k = np.asarray(b_k, dtype=np.float64)
     b_k1 = np.asarray(b_k1, dtype=np.float64)
     db = b_k1 - b_k
-    h, m = state.h, state.m
+    m = Tensor(b_k / MU0, dtype=h.data.dtype) - h
     delta = np.broadcast_to(np.sign(db), m.data.shape).copy()
     x = (h + alpha_w * m) / a
     m_an = m_s * tape_langevin(x)
@@ -217,9 +217,7 @@ def tape_ja_step_euler(state, b_k, b_k1, z):
     if np.min(np.abs(one_plus.data)) < 1e-12:
         raise SingularityError("dM/dH = -1 pole in the Euler bracket")
     bracket = 1.0 - r / one_plus
-    h_new = h + Tensor(db / MU0, dtype=h.data.dtype) * bracket
-    m_new = Tensor(b_k1 / MU0, dtype=h.data.dtype) - h_new
-    return JaState(h=h_new, m=m_new)
+    return h + Tensor(db / MU0, dtype=h.data.dtype) * bracket
 
 
 # -- writer oracle -----------------------------------------------------------

@@ -20,8 +20,6 @@ from hystkit.cells import (
     GruParams,
     LstmParams,
     gru_step,
-    init_gru_params,
-    init_lstm_params,
     lstm_step,
     param_count,
 )
@@ -214,14 +212,14 @@ def test_c03_cell_oracle_equivalence():
             x = rng.uniform(-2, 2, (1, d_x))
             g_prev = rng.uniform(-1, 1, (1, d_g))
             if case % 2 == 0:
-                p = init_gru_params(d_g, d_x, rng)
+                p = GruParams.init(d_g, d_x, rng)
                 out = gru_step(Tensor(x), Tensor(g_prev), p.map(Tensor))
                 ref = scalar_gru_step(nested(x[0]), nested(g_prev[0]),
                                       {k: nested(v) for k, v in p.as_dict().items()})
                 np.testing.assert_allclose(out.data[0], ref, atol=1e-12, rtol=0)
             else:
                 c_prev = rng.uniform(-1, 1, (1, d_g))
-                p = init_lstm_params(d_g, d_x, rng)
+                p = LstmParams.init(d_g, d_x, rng)
                 g, c = lstm_step(Tensor(x), Tensor(g_prev), Tensor(c_prev), p.map(Tensor))
                 g_ref, c_ref = scalar_lstm_step(nested(x[0]), nested(g_prev[0]), nested(c_prev[0]),
                                                 {k: nested(v) for k, v in p.as_dict().items()})

@@ -11,8 +11,6 @@ from hystkit.cells import (
     LstmParams,
     gru_sequence,
     gru_step,
-    init_gru_params,
-    init_lstm_params,
     lstm_sequence,
     lstm_step,
     param_count,
@@ -24,11 +22,11 @@ def wrap(container):
 
 
 def zero_gru(d_g, d_x):
-    return init_gru_params(d_g, d_x, np.random.default_rng(0)).map(np.zeros_like)
+    return GruParams.init(d_g, d_x, np.random.default_rng(0)).map(np.zeros_like)
 
 
 def zero_lstm(d_g, d_x):
-    return init_lstm_params(d_g, d_x, np.random.default_rng(0)).map(np.zeros_like)
+    return LstmParams.init(d_g, d_x, np.random.default_rng(0)).map(np.zeros_like)
 
 
 class TestGruStep:
@@ -46,7 +44,7 @@ class TestGruStep:
 
     def test_closed_update_gate_returns_candidate(self):
         rng = np.random.default_rng(4)
-        p = init_gru_params(3, 2, rng)
+        p = GruParams.init(3, 2, rng)
         p.b_z = np.full(3, -50.0)
         x = rng.standard_normal((1, 2))
         g_prev = rng.standard_normal((1, 3))
@@ -59,7 +57,7 @@ class TestGruStep:
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(11)
-        p = init_gru_params(3, 2, rng)
+        p = GruParams.init(3, 2, rng)
         x = rng.standard_normal((1, 2))
         g_prev = rng.uniform(-1, 1, (1, 3))
         out = gru_step(Tensor(x), Tensor(g_prev), wrap(p))
@@ -69,7 +67,7 @@ class TestGruStep:
 
     def test_gates_bounded(self):
         rng = np.random.default_rng(12)
-        p = init_gru_params(4, 4, rng)
+        p = GruParams.init(4, 4, rng)
         for _ in range(20):
             x = Tensor(rng.uniform(-3, 3, (2, 4)))
             g_prev = Tensor(rng.uniform(-1, 1, (2, 4)))
@@ -84,7 +82,7 @@ class TestGruStep:
 
     def test_gradients_all_param_families(self):
         rng = np.random.default_rng(13)
-        base = init_gru_params(3, 2, rng)
+        base = GruParams.init(3, 2, rng)
         names = GruParams.names()
         x = rng.standard_normal((1, 2))
         g_prev = rng.uniform(-0.8, 0.8, (1, 3))
@@ -118,7 +116,7 @@ class TestLstmStep:
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(21)
-        p = init_lstm_params(3, 2, rng)
+        p = LstmParams.init(3, 2, rng)
         x = rng.standard_normal((1, 2))
         g_prev = rng.uniform(-1, 1, (1, 3))
         c_prev = rng.uniform(-1, 1, (1, 3))
@@ -134,7 +132,7 @@ class TestLstmStep:
 
     def test_gradients_all_param_families(self):
         rng = np.random.default_rng(22)
-        base = init_lstm_params(2, 2, rng)
+        base = LstmParams.init(2, 2, rng)
         names = LstmParams.names()
         x = rng.standard_normal((1, 2))
         g_prev = rng.uniform(-0.8, 0.8, (1, 2))
@@ -153,7 +151,7 @@ class TestLstmStep:
 def _case(lstm, rows, d_g, d_x, dtype, seed):
     """Random step operands as arrays: ([x, g_prev] or [x, g_prev, c_prev], params container)."""
     rng = np.random.default_rng(seed)
-    init = init_lstm_params if lstm else init_gru_params
+    init = (LstmParams if lstm else GruParams).init
     p = init(d_g, d_x, rng, dtype)
     p = p.map(lambda a: (a + rng.uniform(-0.3, 0.3, a.shape)).astype(dtype))  # nonzero biases
     states = [rng.uniform(-2, 2, (rows, d_x)), rng.uniform(-1, 1, (rows, d_g))]
@@ -251,7 +249,7 @@ class TestSequenceOracle:
     @staticmethod
     def _case(lstm, rows, d_x, d_g, steps, dtype):
         rng = np.random.default_rng([rows, d_x, d_g, steps, int(lstm)])
-        p = (init_lstm_params if lstm else init_gru_params)(d_g, d_x, rng, dtype)
+        p = (LstmParams if lstm else GruParams).init(d_g, d_x, rng, dtype)
         p = p.map(lambda a: (a + rng.uniform(-0.3, 0.3, a.shape)).astype(dtype))
         x = rng.uniform(-2, 2, (rows, steps, d_x))  # cast to dtype per step by both sides
         states = [rng.uniform(-1, 1, (rows, d_g)).astype(dtype) for _ in range(1 + lstm)]
@@ -386,10 +384,10 @@ class TestParamCount:
 
     def test_matches_actual_arrays(self):
         for d_g, d_x in [(4, 4), (8, 4), (5, 1)]:
-            p = init_gru_params(d_g, d_x, np.random.default_rng(0))
+            p = GruParams.init(d_g, d_x, np.random.default_rng(0))
             total = sum(v.size for v in p.as_dict().values())
             assert total == param_count("gru-p", d_g, d_x)
-            p = init_lstm_params(d_g, d_x, np.random.default_rng(0))
+            p = LstmParams.init(d_g, d_x, np.random.default_rng(0))
             total = sum(v.size for v in p.as_dict().values())
             assert total == param_count("lstm-p", d_g, d_x)
 

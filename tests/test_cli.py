@@ -118,6 +118,23 @@ class TestIngest:
             rc = main(["ingest", "--raw", str(tmp_path / "raw"), "--out", str(tmp_path / "out")])
             assert rc == 1
             assert "row 17" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    def test_corrupt_second_material_writes_nothing(self, tmp_path, capsys):
+        # the first material is good; the second is read and refused before staging
+        raw = tmp_path / "raw"
+        for name, b_rows in (("a_good", "0.1,0.2,0.3\n0.2,0.3,0.4\n"),
+                             ("b_bad", "0.1,0.2,0.3\n0.2,x,0.4\n")):
+            (raw / name).mkdir(parents=True)
+            (raw / name / "B_waveform[T].csv").write_text(b_rows)
+            (raw / name / "H_waveform[Am-1].csv").write_text("1,2,3\n2,3,4\n")
+            (raw / name / "Temperature[C].csv").write_text("25\n50\n")
+        out = tmp_path / "out"
+        rc = main(["ingest", "--raw", str(raw), "--out", str(out), "--adapter", "magnetx"])
+        assert rc == 1
+        bad_file = raw / "b_bad" / "B_waveform[T].csv"
+        assert capsys.readouterr().err == f"error: {bad_file}: corrupt row 2\n"
+        assert not out.exists()
 
 
 class TestTrain:

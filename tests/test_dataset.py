@@ -27,6 +27,7 @@ from hystkit.dataset import (
     list_materials,
     load_material,
     make_minibatches,
+    read_raw_material,
     read_sequence,
     resolve_adapter,
     reversed_minibatches,
@@ -327,7 +328,7 @@ class TestSequenceIO:
         (raw / "H_waveform[Am-1].csv").write_text("1,2,3\n0,0,-0\n")
         (raw / "Temperature[C].csv").write_text("25\n50\n")
         with pytest.raises(DataError, match=r"matZ: sequence 1: H is all zero"):
-            ingest_material(raw, tmp_path / "out")
+            read_raw_material(raw)
 
     def test_bad_header(self, tmp_path):
         (tmp_path / "s.csv").write_text("a,b,c\n1,2,3\n")
@@ -617,8 +618,8 @@ class TestAdapters:
         (raw / "Temperature[C].csv").write_text("25\n70\n")
         (raw / "Frequency[Hz].csv").write_text("50000\n125000\n")
         assert detect_adapter(raw) == "magnetx"
-        material, count = ingest_material(raw, tmp_path / "out")
-        assert (material, count) == ("matA", 2)
+        material, sequences = read_raw_material(raw)
+        assert (material, ingest_material(tmp_path / "out", material, sequences)) == ("matA", 2)
         seqs = load_material(tmp_path / "out", "matA")
         assert seqs[1].temperature_c == 70.0
         assert seqs[1].f_sw_hz == 125000.0
@@ -634,7 +635,7 @@ class TestAdapters:
         (raw / "Sampling_Time[s].csv").write_text(f"1e-06\n{tau}\n")
         with pytest.raises(DataError, match=rf"^{re.escape(str(raw))}: sequence 1: "
                                             r"sampling period must be positive$"):
-            ingest_material(raw, tmp_path / "out")
+            read_raw_material(raw)
 
     def test_unknown_layout(self, tmp_path):
         empty = tmp_path / "nothing"
@@ -661,7 +662,7 @@ class TestAdapters:
         for bad in ("bad", "nan", "inf", "-inf"):
             (raw / "B_waveform[T].csv").write_text(f"0.1,0.2\n{bad},0.3\n")
             with pytest.raises(DataError, match=r"B_waveform\[T\]\.csv: .*row 2"):
-                ingest_material(raw, tmp_path / "out")
+                read_raw_material(raw)
 
     @pytest.mark.parametrize("name", ["Frequency[Hz].csv", "Sampling_Time[s].csv"])
     def test_optional_matrix_row_count_named(self, tmp_path, name):
@@ -672,7 +673,7 @@ class TestAdapters:
         (raw / "Temperature[C].csv").write_text("25\n50\n")
         (raw / name).write_text("50000\n")
         with pytest.raises(DataError, match=r"\]\.csv: 1 rows for 2 sequences"):
-            ingest_material(raw, tmp_path / "out")
+            read_raw_material(raw)
 
     def test_canonical_passthrough(self, tmp_path):
         raw = tmp_path / "matC"
@@ -680,8 +681,9 @@ class TestAdapters:
         for i in range(2):
             write_sequence(raw / f"seq_{i:05d}.csv", ramp_sequence(n=16, seed=i))
         assert detect_adapter(raw) == "canonical"
-        material, count = ingest_material(raw, tmp_path / "out")
-        assert count == 2
+        material, sequences = read_raw_material(raw)
+        assert ingest_material(tmp_path / "out", material, sequences) == 2
+        assert len(load_material(tmp_path / "out", "matC")) == 2
 
 
 # Each writer: (write version v under a directory, the files it writes there).

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import digest
 from hystkit.autodiff import Tensor, concat
-from hystkit.cells import GruParams, LstmParams, gru_step, init_gru_params, init_lstm_params, lstm_step
+from hystkit.cells import GruParams, LstmParams, gru_step, lstm_step
 from hystkit.dataset import DataError, MeasuredSequence, NormConstants
 from hystkit.heads import (
     ARCHETYPES,
@@ -283,7 +283,7 @@ class TestJaHeads:
         assert len(columns._parents) == 5
         assert all(h._backward.__qualname__.startswith("ja_step_euler.")
                    for h in columns._parents)
-        assert columns._parents[-1] is (state if archetype == "ja" else state[0]).h
+        assert columns._parents[-1] is (state if archetype == "ja" else state[0])
 
     def test_single_precision_rejected(self):
         config = TrainConfig("gru-jadp", d_g=6, warmup_length=2)

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from conftest import ja_m_an, preisach_hysteron, tape_ja_params_from_theta, tape_ja_step_euler
 from hystkit.autodiff import (Graph, ShapeError, Tensor, _toposort, finite_diff_check, mul, reshape,
                               tsum)
-from hystkit.cells import GruParams, gru_step, init_gru_params
+from hystkit.cells import GruParams, gru_step
 from hystkit.physics import (
     ETA,
     HYSTERON_SHARPNESS,
     MU0,
-    JaState,
     PhysicsError,
     PreisachParams,
     SingularityError,
@@ -23,7 +22,6 @@ from hystkit.physics import (
     hysteron_states,
     init_preisach_params,
     ja_euler_kernel,
-    ja_initial_state,
     ja_params_from_theta,
     ja_step_euler,
     pinn_ja_residual,
@@ -50,7 +48,8 @@ def col(v):
 
 def susceptibility(h, m, delta, values=DEFAULT_JA_PHYSICAL):
     """dM/dH of the numpy kernel at (h, m) for a flux increment of sign ``delta``."""
-    _, terms = ja_euler_kernel(np.array([[h]]), np.array([[m]]), 0.0, delta, *values)
+    b_k = MU0 * (h + m)
+    _, terms = ja_euler_kernel(np.array([[h]]), b_k, b_k + delta, *values)
     return terms.r.item()
 
 
@@ -97,11 +96,10 @@ class TestParameterMapping:
 
 class TestSusceptibility:
     def test_direction_parameter(self):
-        state = ja_initial_state([[20.0]], [[0.1]])
-        rising = ja_step_euler(state, 0.1, 0.1001, phys_of())
-        falling = ja_step_euler(state, 0.1, 0.0999, phys_of())
-        assert rising.h.data.item() > 20.0
-        assert falling.h.data.item() < 20.0
+        rising = ja_step_euler(col(20.0), 0.1, 0.1001, phys_of())
+        falling = ja_step_euler(col(20.0), 0.1, 0.0999, phys_of())
+        assert rising.data.item() > 20.0
+        assert falling.data.item() < 20.0
 
     def test_gate_zero_when_falling_above_anhysteretic(self):
         # M_an > M and falling flux: irreversible term gated off, only the
@@ -123,8 +121,7 @@ class TestSusceptibility:
         # vanishing pinning with the gate closed leaves a zero denominator
         phys = phys_of((3.5e5, 30.0, 1e-3, 0.0, 0.0))
         with pytest.raises(SingularityError):
-            state = JaState(h=col(0.0), m=col(0.0))
-            ja_step_euler(state, 0.0, 1e-9, phys)
+            ja_step_euler(col(0.0), 0.0, 1e-9, phys)
 
 
 class TestEulerStep:
@@ -143,28 +140,27 @@ class TestEulerStep:
         z[:, 0] *= 1.0 - 1.5e-3 * (temps - 25.0)
         z[:, 3] *= 1.0 - 4.0e-3 * (temps - 25.0)
         phys = Tensor(z)
-        state = JaState(h=Tensor(np.zeros((3, 1))), m=Tensor(b[:, 0:1] / MU0))
+        h = Tensor(np.zeros((3, 1)))
         want = [np.zeros(3)]
         for k in range(1, b.shape[1]):
-            state = tape_ja_step_euler(state, b[:, k - 1:k], b[:, k:k + 1], phys)
-            want.append(state.h.data[:, 0])
+            h = tape_ja_step_euler(h, b[:, k - 1:k], b[:, k:k + 1], phys)
+            want.append(h.data[:, 0])
         got = ja_generate_field(b, temperatures=temps)
         assert got.tobytes() == np.stack(want, axis=1).tobytes()
 
     def test_constant_flux_keeps_field(self):
-        state = ja_initial_state([[37.5]], [[0.21]])
-        stepped = ja_step_euler(state, 0.21, 0.21, phys_of())
-        assert stepped.h.data.item() == 37.5  # exact
+        stepped = ja_step_euler(col(37.5), 0.21, 0.21, phys_of())
+        assert stepped.data.item() == 37.5  # exact
 
     def test_vacuum_response_when_susceptibility_zero(self):
         h = 50.0
         m = 0.0
         for _ in range(200):
             m = ja_m_an(np.array([[h + 5e-5 * m]]), 3.5e5, 30.0).data.item()
-        state = JaState(h=col(h), m=col(m))
+        b_k = MU0 * (h + m)
         db = 1e-6
-        stepped = ja_step_euler(state, 0.2, 0.2 + db, phys_of(NO_REVERSIBLE))
-        assert stepped.h.data.item() - h == pytest.approx(db / MU0, rel=1e-6)
+        stepped = ja_step_euler(col(h), b_k, b_k + db, phys_of(NO_REVERSIBLE))
+        assert stepped.data.item() - h == pytest.approx(db / MU0, rel=1e-6)
 
     @pytest.mark.parametrize("z, message", [
         (np.ones((3, 4)), "JA parameters z must be (1, 5) or (3, 5) for a state of shape (3, 1), "
@@ -174,18 +170,19 @@ class TestEulerStep:
         (np.ones((2, 5)), "JA parameters z must be (1, 5) or (3, 5) for a state of shape (3, 1), "
                           "got (2, 5)"),
         (np.ones((1, 5), dtype=np.float32),
-         "JA step operands must all be float64: m is float64, z is float32"),
+         "JA step operands must all be float64: z is float32"),
     ], ids=["width-4", "1-d", "row-mismatch", "float32"])
     def test_bad_parameters_refused(self, z, message):
-        state = ja_initial_state(np.full((3, 1), 10.0), np.full((3, 1), 0.05))
+        h = Tensor(np.full((3, 1), 10.0))
         with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
-            ja_step_euler(state, 0.05, 0.0503, Tensor(z))
+            ja_step_euler(h, 0.05, 0.0503, Tensor(z))
 
     def test_magnetization_closure(self):
-        state = ja_initial_state([[10.0]], [[0.05]])
-        stepped = ja_step_euler(state, 0.05, 0.0503, phys_of())
-        lhs = MU0 * (stepped.h.data.item() + stepped.m.data.item())
-        assert lhs == pytest.approx(0.0503, rel=1e-12)
+        # the step's M closes B_k = mu0 * (H_k + M_k) for every row
+        h, b_k = np.array([[10.0], [-40.0], [0.0]]), np.array([[0.05], [-0.12], [0.2]])
+        _, terms = ja_euler_kernel(h, b_k, b_k + 3e-4, *DEFAULT_JA_PHYSICAL)
+        assert terms.m.tobytes() == (b_k / MU0 - h).tobytes()
+        np.testing.assert_allclose(MU0 * (h + terms.m), b_k, rtol=1e-12)
 
     def test_loop_closes_and_area_positive(self):
         f = 100e3
@@ -230,7 +227,8 @@ class TestFusedJaStepOracle:
 
         Element i is rising, falling, constant, rising or falling for
         i % 5 = 0..4, with M below, above, on, above and below the
-        anhysteretic curve, so elements 3 and 4 have the gate closed.
+        anhysteretic curve, so elements 3 and 4 have the gate closed. M
+        enters the step through the flux B_k = mu0 (H + M).
         """
         rng = np.random.default_rng(seed)
         values = [np.asarray(v) * rng.uniform(0.8, 1.2, param_shape) for v in DEFAULT_JA_PHYSICAL]
@@ -246,22 +244,20 @@ class TestFusedJaStepOracle:
         b_k = MU0 * (h + m)
         direction = np.array([1.0, -1.0, 0.0, 1.0, -1.0])[regime]
         b_k1 = b_k + direction * rng.uniform(1e-4, 2e-3, shape)
-        return h, m, b_k, b_k1, values
+        return h, b_k, b_k1, values
 
     @staticmethod
-    def _run(step, h, m, b_k, b_k1, values, requires_grad=True):
-        """Leaves H, M and the (rows|1, 5) z of ``values``, and the step over them."""
+    def _run(step, h, b_k, b_k1, values, requires_grad=True):
+        """Leaves H and the (rows|1, 5) z of ``values``, and the step over them."""
         z = np.concatenate(values, axis=1)
-        leaves = [Tensor(v.copy(), requires_grad=requires_grad) for v in (h, m, z)]
-        state = JaState(h=leaves[0], m=leaves[1])
-        return leaves, step(state, b_k, b_k1, leaves[2])
+        leaves = [Tensor(v.copy(), requires_grad=requires_grad) for v in (h, z)]
+        return leaves, step(leaves[0], b_k, b_k1, leaves[1])
 
     def test_case_covers_every_regime(self):
         for shape, param_shape in self.SHAPES:
-            h, m, b_k, b_k1, values = self._case(shape, param_shape, seed=shape[1])
-            _, terms = ja_euler_kernel(h, m, b_k, b_k1, *values)
-            x = (h + values[2] * m) / values[1]
-            assert np.any(terms.delta == 0) and np.any(np.abs(x) < 0.1)
+            h, b_k, b_k1, values = self._case(shape, param_shape, seed=shape[1])
+            _, terms = ja_euler_kernel(h, b_k, b_k1, *values)
+            assert np.any(terms.delta == 0) and np.any(np.abs(terms.x) < 0.1)
             assert np.any((terms.delta > 0) & (terms.gate == 0))
             assert np.any((terms.delta < 0) & (terms.gate == 0))
             assert np.any((terms.delta != 0) & (terms.gate == 1))
@@ -271,8 +267,7 @@ class TestFusedJaStepOracle:
         case = self._case(shape, param_shape, seed=shape[1])
         _, fused = self._run(ja_step_euler, *case)
         _, ref = self._run(tape_ja_step_euler, *case)
-        assert fused.h.data.tobytes() == ref.h.data.tobytes()
-        assert fused.m.data.tobytes() == ref.m.data.tobytes()
+        assert fused.data.tobytes() == ref.data.tobytes()
 
     # A (1, 1) parameter against a (rows, n) state sums 30 terms that cancel
     # to a few percent of their magnitude, so that sum's max is no scale for
@@ -280,15 +275,14 @@ class TestFusedJaStepOracle:
     @pytest.mark.parametrize("shape, param_shape", SHAPES[:3])
     def test_gradients_match_tape(self, shape, param_shape):
         case = self._case(shape, param_shape, seed=shape[1] + 1)
-        rng = np.random.default_rng(shape[1])
-        probes = [rng.standard_normal(shape) for _ in range(2)]
+        probe = np.random.default_rng(shape[1]).standard_normal(shape)
 
         def grads(step):
             leaves, out = self._run(step, *case)
-            (tsum(mul(out.h, Tensor(probes[0]))) + tsum(mul(out.m, Tensor(probes[1])))).backward()
-            g_h, g_m, g_z = (t.grad for t in leaves)
+            tsum(mul(out, Tensor(probe))).backward()
+            g_h, g_z = (t.grad for t in leaves)
             # each parameter column on its own scale, as small as its own terms
-            return {"h": g_h, "m": g_m, **{n: g_z[:, i] for i, n in enumerate(self.NAMES)}}
+            return {"h": g_h, **{n: g_z[:, i] for i, n in enumerate(self.NAMES)}}
 
         got, want = grads(ja_step_euler), grads(tape_ja_step_euler)
         for name in want:
@@ -298,30 +292,27 @@ class TestFusedJaStepOracle:
             assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name
 
     def test_constant_parameters(self):
-        # a z that requires no gradient is a constant: only H and M get gradients
-        h, m, b_k, b_k1, _ = self._case((6, 1), (1, 1), seed=4)
+        # a z that requires no gradient is a constant: only H gets a gradient
+        h, b_k, b_k1, _ = self._case((6, 1), (1, 1), seed=4)
         outs = []
         for step in (ja_step_euler, tape_ja_step_euler):
-            h_t, m_t = Tensor(h, requires_grad=True), Tensor(m, requires_grad=True)
-            out = step(JaState(h=h_t, m=m_t), b_k, b_k1, phys_of())
-            out.h.sum().backward()
-            outs.append((out.h.data, h_t.grad, m_t.grad))
-        (fh, fgh, fgm), (rh, rgh, rgm) = outs
+            h_t = Tensor(h, requires_grad=True)
+            out = step(h_t, b_k, b_k1, phys_of())
+            out.sum().backward()
+            outs.append((out.data, h_t.grad))
+        (fh, fgh), (rh, rgh) = outs
         assert fh.tobytes() == rh.tobytes()
         np.testing.assert_allclose(fgh, rgh, rtol=0, atol=1e-12 * np.max(np.abs(rgh)))
-        np.testing.assert_allclose(fgm, rgm, rtol=0, atol=1e-12 * np.max(np.abs(rgm)))
 
     def test_frozen_step_records_no_parents(self):
         _, out = self._run(ja_step_euler, *self._case((6, 1), (6, 1), seed=2), requires_grad=False)
-        for t in (out.h, out.m):
-            assert not t.requires_grad
-            assert t._parents == () and t._backward is None
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
 
-    def test_two_nodes_per_step(self):
-        _, out = self._run(ja_step_euler, *self._case((6, 1), (6, 1), seed=3))
-        h_node = out.m._parents[1]
-        assert h_node is out.h
-        assert all(p._backward is None for p in h_node._parents)
+    def test_one_node_per_step(self):
+        leaves, out = self._run(ja_step_euler, *self._case((6, 1), (6, 1), seed=3))
+        assert out._parents == tuple(leaves)
+        assert all(p._backward is None for p in out._parents)
 
     # Parameters mapped from unconstrained values: per-row (rows, 5) values
     # against (rows, 1) states as in gru-jadp, and shared (1, 5) values
@@ -331,20 +322,19 @@ class TestFusedJaStepOracle:
 
     def _theta_case(self, shape, rows, seed):
         """The states of :meth:`_case` and the theta whose map gives its parameters."""
-        h, m, b_k, b_k1, values = self._case(shape, (rows, 1), seed)
+        h, b_k, b_k1, values = self._case(shape, (rows, 1), seed)
         frac = np.concatenate(values, axis=1) / np.array(ETA)
-        return h, m, b_k, b_k1, np.log(frac / (1.0 - frac))
+        return h, b_k, b_k1, np.log(frac / (1.0 - frac))
 
-    def _theta_grads(self, step, params_of, h, m, b_k, b_k1, theta, n_steps=1):
-        leaves = [Tensor(v.copy(), requires_grad=True) for v in (h, m, theta)]
-        phys = params_of(leaves[2])
-        state = JaState(h=leaves[0], m=leaves[1])
+    def _theta_grads(self, step, params_of, h, b_k, b_k1, theta, n_steps=1):
+        leaves = [Tensor(v.copy(), requires_grad=True) for v in (h, theta)]
+        phys = params_of(leaves[1])
+        out = leaves[0]
         for _ in range(n_steps):  # later steps run over the same flux increment
-            state = step(state, b_k, b_k1, phys)
-        rng = np.random.default_rng(7)
-        probes = [rng.standard_normal(h.shape) for _ in range(2)]
-        (tsum(mul(state.h, Tensor(probes[0]))) + tsum(mul(state.m, Tensor(probes[1])))).backward()
-        return state, dict(zip(("h", "m", "theta"), (t.grad for t in leaves)))
+            out = step(out, b_k, b_k1, phys)
+        probe = np.random.default_rng(7).standard_normal(h.shape)
+        tsum(mul(out, Tensor(probe))).backward()
+        return out, dict(zip(("h", "theta"), (t.grad for t in leaves)))
 
     @pytest.mark.parametrize("shape, rows", THETA_SHAPES)
     @pytest.mark.parametrize("n_steps", [1, 3])
@@ -354,8 +344,7 @@ class TestFusedJaStepOracle:
         case = self._theta_case(shape, rows, seed=shape[1] + 2)
         fused, got = self._theta_grads(ja_step_euler, ja_params_from_theta, *case, n_steps)
         ref, want = self._theta_grads(ja_step_euler, tape_ja_params_from_theta, *case, n_steps)
-        assert fused.h.data.tobytes() == ref.h.data.tobytes()
-        assert fused.m.data.tobytes() == ref.m.data.tobytes()
+        assert fused.data.tobytes() == ref.data.tobytes()
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
 
@@ -364,8 +353,7 @@ class TestFusedJaStepOracle:
         case = self._theta_case(shape, rows, seed=shape[1] + 4)
         fused, got = self._theta_grads(ja_step_euler, ja_params_from_theta, *case)
         ref, want = self._theta_grads(tape_ja_step_euler, tape_ja_params_from_theta, *case)
-        assert fused.h.data.tobytes() == ref.h.data.tobytes()
-        assert fused.m.data.tobytes() == ref.m.data.tobytes()
+        assert fused.data.tobytes() == ref.data.tobytes()
         for name in want:
             scale = np.max(np.abs(want[name]))
             assert scale > 0, name
@@ -375,35 +363,32 @@ class TestFusedJaStepOracle:
 class TestJadpCoupling:
     def _setup(self, d_g=6):
         rng = np.random.default_rng(8)
-        params = init_gru_params(d_g, 4, rng)
+        params = GruParams.init(d_g, 4, rng)
         x = rng.uniform(-0.5, 0.5, (1, 4))
         g_prev = rng.uniform(-0.5, 0.5, (1, d_g))
         return params, x, g_prev
 
     def test_needs_five_cells(self):
         params, x, g_prev = self._setup(d_g=4)
-        state = ja_initial_state([[10.0]], [[0.1]])
         with pytest.raises(PhysicsError):
-            gru_jadp_step(Tensor(x), Tensor(g_prev[:, :4]), params.map(Tensor), state,
+            gru_jadp_step(Tensor(x), Tensor(g_prev[:, :4]), params.map(Tensor), col(10.0),
                           0.1, 0.11)
 
     def test_constant_flux_keeps_field(self):
         params, x, g_prev = self._setup()
-        state = ja_initial_state([[10.0]], [[0.1]])
-        new_state, _ = gru_jadp_step(Tensor(x), Tensor(g_prev), params.map(Tensor),
-                                     state, 0.1, 0.1)
-        assert new_state.h.data.item() == 10.0
+        new_h, _ = gru_jadp_step(Tensor(x), Tensor(g_prev), params.map(Tensor),
+                                 col(10.0), 0.1, 0.1)
+        assert new_h.data.item() == 10.0
 
     def test_matches_manual_composition(self):
         params, x, g_prev = self._setup()
-        state = ja_initial_state([[10.0]], [[0.1]])
-        coupled_state, coupled_g = gru_jadp_step(Tensor(x), Tensor(g_prev), params.map(Tensor),
-                                                 state, 0.1, 0.1002)
+        coupled_h, coupled_g = gru_jadp_step(Tensor(x), Tensor(g_prev), params.map(Tensor),
+                                             col(10.0), 0.1, 0.1002)
         g_manual = gru_step(Tensor(x), Tensor(g_prev), params.map(Tensor))
         phys = ja_params_from_theta(g_manual[:, 0:5])
-        state_manual = ja_step_euler(ja_initial_state([[10.0]], [[0.1]]), 0.1, 0.1002, phys)
+        h_manual = ja_step_euler(col(10.0), 0.1, 0.1002, phys)
         np.testing.assert_array_equal(coupled_g.data, g_manual.data)
-        np.testing.assert_array_equal(coupled_state.h.data, state_manual.h.data)
+        np.testing.assert_array_equal(coupled_h.data, h_manual.data)
 
     def test_gradient_bit_identical_to_node_map(self):
         # the map reads and scatters into the first five hidden elements as a
@@ -414,14 +399,13 @@ class TestJadpCoupling:
         for node_map in (False, True):
             leaves = params.map(lambda v: Tensor(v, requires_grad=True))
             g_in = Tensor(g_prev, requires_grad=True)
-            state = ja_initial_state([[10.0]], [[0.1]])
             if node_map:
                 g = gru_step(Tensor(x), g_in, leaves)
                 phys = tape_ja_params_from_theta(g[:, 0:5])
-                out = ja_step_euler(state, b_k, b_k1, phys)
+                out = ja_step_euler(col(10.0), b_k, b_k1, phys)
             else:
-                out, g = gru_jadp_step(Tensor(x), g_in, leaves, state, b_k, b_k1)
-            (out.h * 3.0 + g.sum()).backward()
+                out, g = gru_jadp_step(Tensor(x), g_in, leaves, col(10.0), b_k, b_k1)
+            (out * 3.0 + g.sum()).backward()
             grads.append([g_in.grad] + [t.grad for t in leaves.as_dict().values()])
         for got, want in zip(*grads):
             assert got.tobytes() == want.tobytes()
@@ -429,37 +413,34 @@ class TestJadpCoupling:
     def test_nodes_per_step(self):
         params, x, g_prev = self._setup()
         g_prev = Tensor(g_prev, requires_grad=True)
-        state = ja_initial_state([[10.0]], [[0.1]])
-        new_state, g = gru_jadp_step(Tensor(x), g_prev,
-                                     params.map(lambda v: Tensor(v, requires_grad=True)),
-                                     state, 0.1, 0.1002)
-        recorded = [n for n in _toposort(new_state.m) if n._backward is not None]
-        # the GRU cell, the parameter map over its first five elements, H and M
-        assert len(recorded) == 4
-        h, m, z = new_state.h._parents
-        assert h is state.h and m is state.m and z._parents[0] is g
+        h_prev = col(10.0)
+        new_h, g = gru_jadp_step(Tensor(x), g_prev,
+                                 params.map(lambda v: Tensor(v, requires_grad=True)),
+                                 h_prev, 0.1, 0.1002)
+        recorded = [n for n in _toposort(new_h) if n._backward is not None]
+        # the GRU cell, the parameter map over its first five elements, and H
+        assert len(recorded) == 3
+        h, z = new_h._parents
+        assert h is h_prev and z._parents[0] is g
 
     def test_frozen_hidden_state_reduces_to_static_ja(self):
         params, x, g_prev = self._setup()
         params.b_z = np.full(6, 50.0)  # update gate saturated: g stays (numerically) g_prev
-        state = ja_initial_state([[10.0]], [[0.1]])
-        coupled_state, coupled_g = gru_jadp_step(Tensor(x), Tensor(g_prev), params.map(Tensor),
-                                                 state, 0.1, 0.1002)
+        coupled_h, coupled_g = gru_jadp_step(Tensor(x), Tensor(g_prev), params.map(Tensor),
+                                             col(10.0), 0.1, 0.1002)
         np.testing.assert_allclose(coupled_g.data, g_prev, atol=1e-15)
         phys = ja_params_from_theta(Tensor(coupled_g.data[:, 0:5]))
-        static = ja_step_euler(ja_initial_state([[10.0]], [[0.1]]), 0.1, 0.1002, phys)
-        np.testing.assert_array_equal(coupled_state.h.data, static.h.data)
+        static = ja_step_euler(col(10.0), 0.1, 0.1002, phys)
+        np.testing.assert_array_equal(coupled_h.data, static.data)
 
 
 class TestPinnResidual:
     def test_exact_ja_trajectory_gives_zero(self):
         b = 0.2 * np.sin(np.linspace(0, 1.2, 9))[None, :]
         phys = phys_of()
-        state = ja_initial_state([[0.0]], b[:, 0:1])
-        traj = [state.h]
+        traj = [col(0.0)]
         for k in range(1, 9):
-            state = ja_step_euler(state, b[:, k - 1:k], b[:, k:k + 1], phys)
-            traj.append(state.h)
+            traj.append(ja_step_euler(traj[-1], b[:, k - 1:k], b[:, k:k + 1], phys))
         from hystkit.autodiff import concat
         h_traj = concat(traj, axis=1)
         e, l_rows = pinn_ja_residual(h_traj, b, phys)
@@ -484,10 +465,8 @@ class TestPinnResidual:
             for r in range(h_vals.shape[0]):
                 manual = []
                 for k in range(1, h_vals.shape[1]):
-                    state = JaState(h=col(h_vals[r, k - 1]),
-                                    m=Tensor(np.array([[b[r, k - 1] / MU0 - h_vals[r, k - 1]]])))
-                    stepped = ja_step_euler(state, b[r, k - 1], b[r, k], phys)
-                    dh = stepped.h.data.item() - h_vals[r, k - 1]
+                    stepped = ja_step_euler(col(h_vals[r, k - 1]), b[r, k - 1], b[r, k], phys)
+                    dh = stepped.data.item() - h_vals[r, k - 1]
                     manual.append(dh - (h_vals[r, k] - h_vals[r, k - 1]))
                 np.testing.assert_allclose(e.data[r], manual, rtol=1e-12)
                 assert l_rows.data[r].item() == pytest.approx(
@@ -623,11 +602,11 @@ class TestPhysicsGradients:
 
         def fn(theta):
             phys = ja_params_from_theta(reshape(theta, (1, 5)))
-            state = ja_initial_state([[20.0]], b[:, 0:1])
+            h = col(20.0)
             preds = []
             for k in range(1, 9):
-                state = ja_step_euler(state, b[:, k - 1:k], b[:, k:k + 1], phys)
-                preds.append(state.h)
+                h = ja_step_euler(h, b[:, k - 1:k], b[:, k:k + 1], phys)
+                preds.append(h)
             from hystkit.autodiff import concat
             return (concat(preds, axis=1) * 1e-2).sum()
 

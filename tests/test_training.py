@@ -14,7 +14,7 @@ from hystkit.dataset import (DataError, MeasuredSequence, NormConstants,
                              compute_norm_constants, make_minibatches)
 from hystkit.heads import inputs_from_batch, rollout, wrap_params
 from hystkit.metrics import MetricReport
-from hystkit.physics import init_preisach_params
+from hystkit.physics import MU0, init_preisach_params
 from hystkit.synth import generate_ja_dataset
 from hystkit.training import (
     ADAM_BETAS,
@@ -443,8 +443,10 @@ def test_ja_head_rollout_and_gradients_pinned(archetype, w, rows):
     params = wrap_params(init_params(config))
     inputs = inputs_from_batch(batch, norm)
     pred, state = rollout(config, params, inputs)
-    ja, hidden = state if archetype == "gru-jadp" else (state, None)
-    states = {"h": ja.h.data, "m": ja.m.data, **({} if hidden is None else {"g": hidden.data})}
+    h, hidden = state if archetype == "gru-jadp" else (state, None)
+    # the magnetization that closes the last step: B_L / mu0 - H_L
+    states = {"h": h.data, "m": batch.b_raw[:, -1:] / MU0 - h.data,
+              **({} if hidden is None else {"g": hidden.data})}
     frozen, _ = rollout(config, wrap_params(init_params(config), False), inputs)
     assert frozen.data.tobytes() == pred.data.tobytes()
     batch_loss(config, params, batch, norm).backward()
