@@ -18,8 +18,11 @@ gradient with respect to the input, the previous state(s) and every
 parameter array.
 
 :func:`gru_sequence` and :func:`lstm_sequence` run every step of a
-``(rows, T, d_x)`` feature block as one tape node whose value is the hidden
-trajectory ``(rows, T, d_g)``. The forward repeats the step's numpy
+``(rows, T, d_x)`` feature block as one tape node. Its value records, per
+step, only the hidden elements the caller keeps (a rollout keeps those its
+readout reads: element 0, or gru-v's even elements), and the last full
+state comes back as a node of its own, so a frozen rollout holds no
+``(rows, T, d_g)`` trajectory. The forward repeats the step's numpy
 expressions step by step (a step's sigmoid gates share one stacked block,
 which gives the same bits); the backward is one reverse loop over the
 step's gradient expressions that sums each parameter's per-step gradients
@@ -242,13 +245,39 @@ def lstm_step(x: Tensor, g_prev: Tensor, c_prev: Tensor, p: LstmParams):
     return _node(g, (cell,), hidden_backward), cell
 
 
-def gru_sequence(x: np.ndarray, g0: Tensor, p: GruParams) -> Tensor:
+def _final_state(traj: Tensor, state: np.ndarray, holder: list) -> Tensor:
+    """The last full state of a sequence kernel as a node whose only parent is the
+    trajectory node ``traj``: its backward leaves its gradient in ``holder`` for the
+    trajectory's backward and makes sure that backward runs, so the graph holds no
+    reference cycle."""
+    def backward(d_state):
+        holder.append(d_state)
+        if traj.grad is None:
+            _accum(traj, np.zeros_like(traj.data))
+
+    return _node(state, (traj,), backward)
+
+
+def _full_grad(d_kept: np.ndarray, keep, d_g: int, final: list) -> np.ndarray:
+    """The gradient of the whole hidden trajectory ``(rows, T, d_g)`` from that of its
+    kept elements, plus the last state's gradient if ``final`` holds one."""
+    d_out = np.zeros(d_kept.shape[:2] + (d_g,), dtype=d_kept.dtype)
+    d_out[:, :, keep] = d_kept
+    if final:
+        d_out[:, -1] += final.pop()
+    return d_out
+
+
+def gru_sequence(x: np.ndarray, g0: Tensor, p: GruParams, keep=slice(None)):
     """``gru_step`` over every step of the feature block ``x`` ``(rows, T, d_x)`` from ``g0``.
 
-    Returns the hidden trajectory ``(rows, T, d_g)`` as one tape node; entry
-    ``t`` is the state after step ``t``. The features are cast step by step to
-    the parameters' dtype. Values and gradients are byte-equal to T chained
-    ``gru_step`` calls.
+    Returns (kept trajectory, last state). The kept trajectory is one tape node
+    holding the hidden elements ``keep`` (an index or a slice of the last axis)
+    after each step: ``(rows, T)`` for an index, ``(rows, T, width)`` for a slice.
+    The last full state ``(rows, d_g)`` is a node of its own (see
+    :func:`_final_state`). The features are cast step by step to the
+    parameters' dtype. Values and gradients are byte-equal to T chained
+    ``gru_step`` calls read out at ``keep``.
     """
     leaves = tuple(p.as_dict().values())
     train = g0.requires_grad or any(leaf.requires_grad for leaf in leaves)
@@ -259,7 +288,7 @@ def gru_sequence(x: np.ndarray, g0: Tensor, p: GruParams) -> Tensor:
     for t, xd in enumerate(_steps(x, p.w_z)):
         if out is None:
             _check_operands(xd, p.w_z, p.u_z, g0)
-            out = np.empty((xd.shape[0], x.shape[1], gd.shape[1]), dtype=gd.dtype)
+            out = np.empty((xd.shape[0], x.shape[1]) + gd[:, keep].shape[1:], dtype=gd.dtype)
         # both gates' pre-activations in one block, so one sigmoid serves them
         pre = np.empty((2,) + gd.shape, dtype=gd.dtype)
         np.add(xd @ w_z.T + b_z, gd @ u_z.T, out=pre[0])
@@ -271,9 +300,11 @@ def gru_sequence(x: np.ndarray, g0: Tensor, p: GruParams) -> Tensor:
         if train:
             saved.append((xd, gd, z, r, uh, cand, diff))
         gd = cand + z * diff
-        out[:, t] = gd
+        out[:, t] = gd[:, keep]
+    final = []
 
-    def backward(d_out):
+    def backward(d_kept):
+        d_out = _full_grad(d_kept, keep, g0.data.shape[1], final)
         stacks = _grad_stacks(leaves, len(saved))
         s_wz, s_uz, s_bz, s_wr, s_ur, s_br, s_w, s_u, s_b, s_bn = stacks
         carry = None
@@ -295,19 +326,20 @@ def gru_sequence(x: np.ndarray, g0: Tensor, p: GruParams) -> Tensor:
         _store_sums(leaves, stacks)
         _accum(g0, carry)
 
-    return _node(out, (g0,) + leaves, backward)
+    kept = _node(out, (g0,) + leaves, backward)
+    return kept, _final_state(kept, gd, final)
 
 
-def lstm_sequence(x: np.ndarray, g0: Tensor, c0: Tensor, p: LstmParams):
+def lstm_sequence(x: np.ndarray, g0: Tensor, c0: Tensor, p: LstmParams, keep=slice(None)):
     """``lstm_step`` over every step of the feature block ``x`` ``(rows, T, d_x)`` from (g0, c0).
 
-    Returns (hidden trajectory ``(rows, T, d_g)``, last cell state). The
-    trajectory node owns the backward; the cell node's only parent is the
-    trajectory node and it hands its gradient over in a holder, so the graph
-    holds no reference cycle. Values and gradients are byte-equal to T
-    chained ``lstm_step`` calls, except that when only the last cell state
-    carries a gradient, the output gate's last step adds an exact zero where
-    the chained calls add nothing.
+    Returns (kept trajectory, last hidden state, last cell state), the
+    trajectory holding the hidden elements ``keep`` as in :func:`gru_sequence`.
+    The trajectory node owns the backward; the last hidden and cell states
+    are nodes of their own (see :func:`_final_state`). Values and gradients
+    are byte-equal to T chained ``lstm_step`` calls read out at ``keep``,
+    except that when only the last cell state carries a gradient, the output
+    gate's last step adds an exact zero where the chained calls add nothing.
     """
     if c0 is None:
         raise ShapeError("lstm_sequence requires a cell state")
@@ -320,7 +352,7 @@ def lstm_sequence(x: np.ndarray, g0: Tensor, c0: Tensor, p: LstmParams):
     for t, xd in enumerate(_steps(x, p.w_i)):
         if out is None:
             _check_operands(xd, p.w_i, p.u_i, g0, c0)
-            out = np.empty((xd.shape[0], x.shape[1], gd.shape[1]), dtype=gd.dtype)
+            out = np.empty((xd.shape[0], x.shape[1]) + gd[:, keep].shape[1:], dtype=gd.dtype)
         # the three sigmoid gates' pre-activations in one block, so one sigmoid serves them
         pre = np.empty((3,) + gd.shape, dtype=gd.dtype)
         np.add(xd @ w_i.T + b_i, gd @ u_i.T, out=pre[0])
@@ -333,10 +365,11 @@ def lstm_sequence(x: np.ndarray, g0: Tensor, c0: Tensor, p: LstmParams):
         if train:
             saved.append((xd, gd, cd, i, f, m, o, tc))
         gd, cd = o * tc, c
-        out[:, t] = gd
-    cell_grad = []
+        out[:, t] = gd[:, keep]
+    final, cell_grad = [], []
 
-    def backward(d_out):
+    def backward(d_kept):
+        d_out = _full_grad(d_kept, keep, g0.data.shape[1], final)
         stacks = _grad_stacks(leaves, len(saved))
         carry_h = carry_c = None
         for k, t in enumerate(reversed(range(len(saved)))):
@@ -360,14 +393,8 @@ def lstm_sequence(x: np.ndarray, g0: Tensor, c0: Tensor, p: LstmParams):
         _accum(g0, carry_h)
         _accum(c0, carry_c)
 
-    hidden = _node(out, (g0, c0) + leaves, backward)
-
-    def cell_backward(dc):
-        cell_grad.append(dc)
-        if hidden.grad is None:
-            _accum(hidden, np.zeros_like(out))
-
-    return hidden, _node(cd, (hidden,), cell_backward)
+    kept = _node(out, (g0, c0) + leaves, backward)
+    return kept, _final_state(kept, gd, final), _final_state(kept, cd, cell_grad)
 
 
 def param_count(archetype: str, d_g: int, d_x: int) -> int:

@@ -40,6 +40,7 @@ from .training import (SETTING_TYPES, SWEEP_COLUMNS, ConfigError, TrainConfig, T
                        init_params, load_checkpoint, pareto_sweep, save_checkpoint,
                        sweep_medians, train, write_sweep_csv)
 from .heads import predict_window
+from .metrics import MetricError, check_scorable
 
 _SENTINEL = ".partial"
 #: Columns of the prediction CSVs that ``predict`` writes and ``plotdata`` reads.
@@ -183,10 +184,11 @@ def _load_splits(args, material: str, split_seed: int) -> tuple[dict, dict]:
 def _open_run(args, config: TrainConfig, split_seed: int) -> tuple[dict, dict]:
     """Opening of train and sweep: ``--material``'s splits and manifest input, refused
     unless the train split batches into ``config``'s windows, every eval sequence fits
-    its warmup and the train split can be normalized."""
+    its warmup and can be scored, and the train split can be normalized."""
     splits, inputs = _load_splits(args, args.material, split_seed)
     check_windows(splits["train"], config.subseq_len, config.batch_size, config.warmup_length)
     _require_warmup_fits(enumerate(splits["eval"]), config.warmup_length, "eval split: warmup")
+    _require_scorable(enumerate(splits["eval"]), config.warmup_length, "eval")
     try:
         compute_norm_constants(splits["train"])
     except DataError as exc:
@@ -255,6 +257,17 @@ def _require_warmup_fits(chosen, w: int, source: str) -> None:
                            f"sequence {i} has {len(seq)}")
 
 
+def _require_scorable(chosen, w: int, split: str) -> None:
+    """Refuse, before train, sweep or eval stages anything, an (index, sequence) pair of
+    ``split`` on which SRE or NERE over samples w..L-1 is undefined."""
+    for i, seq in chosen:
+        try:
+            check_scorable(seq.h, seq.b, w)
+        except MetricError as exc:
+            raise CliError(f"{split} split: sequence {i} cannot be scored over samples "
+                           f"{w}..{len(seq) - 1}: {exc}") from None
+
+
 def _checkpoint_split(args):
     """Opening of eval and predict: the checkpoint, its ``--split`` (an empty one is an
     error), and the config and inputs their manifests record."""
@@ -274,6 +287,7 @@ def _checkpoint_split(args):
 def cmd_eval(args) -> int:
     ckpt, sequences, config, inputs = _checkpoint_split(args)
     _require_warmup_fits(enumerate(sequences), ckpt.config.warmup_length, "checkpoint warmup")
+    _require_scorable(enumerate(sequences), ckpt.config.warmup_length, args.split)
     stage = OutputStage(args.out, "eval", config, inputs)
     report = evaluate_sequences(ckpt.config, ckpt.params, sequences, ckpt.norm)
     report.write_json(stage.path("report.json"))

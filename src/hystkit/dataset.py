@@ -13,15 +13,16 @@ On-disk layout (one directory per material):
 * ``seq_XXXXX.csv`` — header ``k,B_T,H_Am``, one row per sample
 * ``seq_XXXXX.json`` — ``{"material", "temperature_C", "f_sw_Hz", "tau_s"}``
 
-Numeric tables are written and read a whole file at a time. A sequence or
+Numeric tables are written a whole file at a time. A sequence or
 prediction CSV is formatted by one ``%`` operation (:func:`write_columns`);
 its bytes are those of the ``csv`` module writing each value with
-:func:`fmt`. The readers parse a file in one pass, one split and one
-``float`` conversion per column. A file that pass does not take cleanly
-(quotes, lone carriage returns, ragged or unparsable rows, non-finite
-values, undecodable bytes) goes to the ``csv`` module's row-by-row parser,
-which accepts the same files with the same values and is the only path
-that raises, naming the file and the row.
+:func:`fmt`. The readers parse a file in one pass: a sequence CSV with one
+split and one ``float`` conversion per column, a MagNetX matrix one line at
+a time, so only one row's fields exist as strings at once. A file that pass
+does not take cleanly (quotes, lone carriage returns, ragged or unparsable
+rows, non-finite values, undecodable bytes) goes to the ``csv`` module's
+row-by-row parser, which accepts the same files with the same values and is
+the only path that raises, naming the file and the row.
 """
 from __future__ import annotations
 
@@ -409,7 +410,9 @@ def _plain_lines(path: Path) -> list[str] | None:
     text = text.replace("\r\n", "\n")
     if not text or '"' in text or "\r" in text:
         return None
-    lines = text.removesuffix("\n").split("\n")
+    lines = text.split("\n")
+    if lines[-1] == "":  # a final line end starts no row; popping it copies no text
+        lines.pop()
     if max(map(len, lines)) > csv.field_size_limit():
         return None
     return lines
@@ -550,16 +553,24 @@ def list_materials(data_dir: Path) -> list[str]:
 # -- raw-layout adapters -----------------------------------------------------
 
 def _read_csv_matrix(path: Path) -> list[np.ndarray]:
-    """The rows of a numeric CSV matrix, parsed in one pass when the file is plain,
-    rectangular and finite, else by :func:`_matrix_rows`."""
+    """The rows of a numeric CSV matrix, parsed one line at a time when the file is
+    plain, rectangular and finite, else by :func:`_matrix_rows`.
+
+    Each line is split and converted on its own, so only one row's fields exist as
+    strings at any time.
+    """
     lines = _plain_lines(path)
     if lines is not None:
-        commas = set(map(str.count, lines, repeat(",")))
-        if len(commas) == 1:
-            width = commas.pop() + 1
-            values = _floats(",".join(lines).split(","), len(lines) * width)
-            if values is not None:
-                return list(values.reshape(len(lines), width))
+        width = lines[0].count(",") + 1
+        rows = []
+        for line in lines:
+            fields = line.split(",")
+            values = _floats(fields, width) if len(fields) == width else None
+            if values is None:
+                break
+            rows.append(values)
+        else:
+            return rows
     return _matrix_rows(path)
 
 

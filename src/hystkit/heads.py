@@ -7,9 +7,10 @@ steps w..L-1; each prediction step emits one normalized target estimate.
 Warmup makes one cell call per step, so a value can be injected between
 steps. Every head's open loop returns (predictions, final state) and reads
 all estimates out at once: the cell heads run it as one sequence node
-(``cells.gru_sequence``/``lstm_sequence``) and read its trajectory; the
-JA-family heads step it one sample at a time and scale the concatenated
-field columns by 1/H_max.
+(``cells.gru_sequence``/``lstm_sequence``) that records per step only the
+hidden elements the readout reads (element 0, or gru-v's even elements)
+and hands back the last full state beside them; the JA-family heads step it
+one sample at a time and scale the concatenated field columns by 1/H_max.
 
 Archetypes:
 
@@ -220,39 +221,46 @@ def warmup(config: TrainConfig, params: dict, inputs: RolloutInputs):
     return g, c
 
 
-def gru_v_readout(g: Tensor, drive) -> Tensor:
+#: The hidden elements gru-v's readout reads: the flat hidden state stores the
+#: (N+1)x(N+1) grid of 2-vectors contiguously, so their first components sit at
+#: the even indices.
+GRID_FIRST = slice(0, None, 2)
+
+
+def gru_v_readout(grid_first: Tensor, drive) -> Tensor:
     """Grid readout: drive minus the summed first components of the grid's 2-vectors.
 
-    The flat hidden state stores the (N+1)x(N+1) grid of 2-vectors
-    contiguously along the last axis, so the first components sit at even
-    indices. ``g`` is a state ``(rows, d_g)`` or a trajectory
-    ``(rows, T, d_g)``, and ``drive`` has its shape without the last axis.
+    ``grid_first`` holds those components (the hidden elements
+    :data:`GRID_FIRST`) of a state ``(rows, (N+1)^2)`` or a trajectory
+    ``(rows, T, (N+1)^2)``, and ``drive`` has its shape without the last axis.
     """
-    grid_sum = tsum(g[..., 0::2], axis=-1)
-    return Tensor(np.asarray(drive, dtype=g.data.dtype)) - grid_sum
+    grid_sum = tsum(grid_first, axis=-1)
+    return Tensor(np.asarray(drive, dtype=grid_first.data.dtype)) - grid_sum
 
 
 def _cell_open_loop(config: TrainConfig, params: dict, inputs: RolloutInputs):
     """(predictions, final state) of a cell head: one sequence node over steps
-    w..L-1, then one readout over its trajectory."""
+    w..L-1 that keeps only the hidden elements the readout reads, then one
+    readout over them; the final state is the kernel's last full state."""
     w = inputs.warmup_length
     g, c = warmup(config, params, inputs)
     p = _cell(config).from_dict(params)
     x = inputs.x[:, w:]
+    keep = GRID_FIRST if config.archetype == "gru-v" else 0
     if config.archetype in LSTM_ARCHETYPES:
-        traj, c = lstm_sequence(x, g, c, p)
-        return traj[:, :, 0], (traj[:, -1], c)
-    traj = gru_sequence(x, g, p)
-    drive = inputs.drive_norm[:, w:].astype(traj.data.dtype)
+        pred, g, c = lstm_sequence(x, g, c, p, keep)
+        return pred, (g, c)
+    kept, g = gru_sequence(x, g, p, keep)
+    drive = np.asarray(inputs.drive_norm[:, w:], dtype=kept.data.dtype)
     if config.archetype == "gru-v":
-        pred = gru_v_readout(traj, drive)
+        pred = gru_v_readout(kept, drive)
     elif config.archetype == "gru-m":
-        pred = tanh(Tensor(drive) - traj[:, :, 0])
+        pred = tanh(Tensor(drive) - kept)
     elif config.archetype == "gru-l":
-        pred = traj[:, :, 0] * Tensor(drive)
+        pred = kept * Tensor(drive)
     else:
-        pred = traj[:, :, 0]
-    return pred, traj[:, -1]
+        pred = kept
+    return pred, g
 
 
 def _ja_open_loop(config: TrainConfig, params: dict, inputs: RolloutInputs):

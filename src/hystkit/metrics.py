@@ -80,10 +80,33 @@ def sre(h_pred: np.ndarray, h_true: np.ndarray) -> float:
     h_true = np.asarray(h_true, dtype=np.float64)
     if h_pred.shape != h_true.shape:
         raise MetricError("length mismatch")
-    denom = float(np.sum(h_true ** 2))
+    return float(np.sqrt(np.sum((h_pred - h_true) ** 2) / _sre_denominator(h_true)))
+
+
+def _sre_denominator(h_true) -> float:
+    """sum(true^2), the denominator of SRE; zero raises MetricError."""
+    denom = float(np.sum(np.asarray(h_true, dtype=np.float64) ** 2))
     if denom == 0.0:
         raise MetricError("reference H is all zero")
-    return float(np.sqrt(np.sum((h_pred - h_true) ** 2) / denom))
+    return denom
+
+
+def _loop_energy(h_full, b_full) -> float:
+    """sum(dB * H) over a full sequence with dB_0 = 0, the denominator of NERE; zero
+    raises MetricError."""
+    b_full = np.asarray(b_full, dtype=np.float64)
+    h_full = np.asarray(h_full, dtype=np.float64)
+    denom = float(np.sum(np.diff(b_full, prepend=b_full[0]) * h_full))
+    if denom == 0.0:
+        raise MetricError("zero total loop energy")
+    return denom
+
+
+def check_scorable(h_full, b_full, w: int) -> None:
+    """Raise MetricError unless SRE and NERE are defined for a sequence (H, B) whose
+    samples w..L-1 are predicted, as :func:`sre` and :func:`nere` would find."""
+    _sre_denominator(np.asarray(h_full)[w:])
+    _loop_energy(h_full, b_full)
 
 
 def nere(h_pred: np.ndarray, h_true: np.ndarray, b_window_prev: np.ndarray,
@@ -99,13 +122,7 @@ def nere(h_pred: np.ndarray, h_true: np.ndarray, b_window_prev: np.ndarray,
     db = np.diff(np.asarray(b_window_prev, dtype=np.float64))
     if db.shape != h_pred.shape:
         raise MetricError("flux window does not match the prediction window")
-    b_full = np.asarray(b_full, dtype=np.float64)
-    h_full = np.asarray(h_full, dtype=np.float64)
-    db_full = np.diff(b_full, prepend=b_full[0])
-    denom = float(np.sum(db_full * h_full))
-    if denom == 0.0:
-        raise MetricError("zero total loop energy")
-    return float((np.sum(db * h_pred) - np.sum(db * h_true)) / denom)
+    return float((np.sum(db * h_pred) - np.sum(db * h_true)) / _loop_energy(h_full, b_full))
 
 
 def mse(h_pred, h_true) -> float:

@@ -241,9 +241,9 @@ class TestFusedStepOracle:
 class TestSequenceOracle:
     """The whole-sequence kernels against T chained step calls, byte for byte.
 
-    The loss reads the whole hidden trajectory, the last hidden state and (LSTM)
-    the last cell state through fixed random probes, so every per-step gradient
-    path is exercised.
+    The loss reads the kept hidden elements of every step, the last hidden state
+    and (LSTM) the last cell state through fixed random probes, so every
+    per-step gradient path is exercised.
     """
 
     @staticmethod
@@ -259,17 +259,20 @@ class TestSequenceOracle:
         return p, x, states, probes
 
     @staticmethod
-    def _run(sequence, lstm, p, x, states, probes, trainable_state):
+    def _run(sequence, lstm, p, x, states, probes, trainable_state, keep=slice(None)):
+        """(kept trajectory, last hidden state, last cell state or None) and the
+        gradients of the initial states and the parameters."""
         params = p.map(lambda a: Tensor(a, requires_grad=True))
         leaves = [Tensor(a, requires_grad=trainable_state) for a in states]
-        probe_traj, probe_last, probe_cell = (Tensor(a) for a in probes)
+        probe_last, probe_cell = (Tensor(a) for a in probes[1:])
+        probe_kept = probes[0][:, :, keep]
         if sequence:
             if lstm:
-                traj, cell = lstm_sequence(x, *leaves, params)
+                kept, g, cell = lstm_sequence(x, *leaves, params, keep)
             else:
-                traj, cell = gru_sequence(x, leaves[0], params), None
-            hidden = traj.data
-            loss = tsum(mul(traj, probe_traj)) + tsum(mul(traj[:, -1], probe_last))
+                (kept, g), cell = gru_sequence(x, leaves[0], params, keep), None
+            hidden = kept.data
+            loss = tsum(mul(kept, Tensor(probe_kept))) + tsum(mul(g, probe_last))
         else:
             g = leaves[0]
             cell = leaves[1] if lstm else None
@@ -280,9 +283,9 @@ class TestSequenceOracle:
                     g, cell = lstm_step(x_t, g, cell, params)
                 else:
                     g = gru_step(x_t, g, params)
-                term = tsum(mul(g, probe_traj[:, t]))
+                term = tsum(mul(g[:, keep], Tensor(probe_kept[:, t])))
                 loss = term if loss is None else loss + term
-                hidden.append(g.data)
+                hidden.append(g.data[:, keep])
             hidden = np.stack(hidden, axis=1)
             loss = loss + tsum(mul(g, probe_last))
         if lstm:
@@ -290,7 +293,21 @@ class TestSequenceOracle:
         loss.backward()
         grads = dict(zip(["g0", "c0"], (leaf.grad for leaf in leaves)),
                      **{k: t.grad for k, t in params.as_dict().items()})
-        return hidden, cell.data if lstm else None, grads
+        return (hidden, g.data, cell.data if lstm else None), grads
+
+    @staticmethod
+    def _assert_byte_equal(got, want, dtype):
+        for a, b in zip(got[0], want[0]):
+            if b is not None:
+                assert a.dtype == b.dtype == dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+        assert got[1].keys() == want[1].keys()
+        for name, g in want[1].items():
+            if g is None:
+                assert got[1][name] is None, name
+                continue
+            assert got[1][name].dtype == g.dtype and got[1][name].shape == g.shape, name
+            assert got[1][name].tobytes() == g.tobytes(), name
 
     @pytest.mark.parametrize("trainable_state", [False, True], ids=["frozen-state", "state"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["single", "double"])
@@ -302,19 +319,23 @@ class TestSequenceOracle:
     def test_byte_equal_to_chained_steps(self, lstm, rows, d_x, d_g, steps, dtype,
                                          trainable_state):
         case = self._case(lstm, rows, d_x, d_g, steps, dtype)
-        got = self._run(True, lstm, *case, trainable_state)
-        want = self._run(False, lstm, *case, trainable_state)
-        for a, b in zip(got[:2], want[:2]):
-            if b is not None:
-                assert a.dtype == b.dtype == dtype and a.shape == b.shape
-                assert a.tobytes() == b.tobytes()
-        assert got[2].keys() == want[2].keys()
-        for name, g in want[2].items():
-            if g is None:
-                assert got[2][name] is None, name
-                continue
-            assert got[2][name].dtype == g.dtype and got[2][name].shape == g.shape, name
-            assert got[2][name].tobytes() == g.tobytes(), name
+        self._assert_byte_equal(self._run(True, lstm, *case, trainable_state),
+                                self._run(False, lstm, *case, trainable_state), dtype)
+
+    @pytest.mark.parametrize("trainable_state", [False, True], ids=["frozen-state", "state"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["single", "double"])
+    @pytest.mark.parametrize("keep", [0, 3, slice(0, None, 2), slice(1, 4)],
+                             ids=["first", "fourth", "even", "block"])
+    @pytest.mark.parametrize("rows", [1, 16])
+    @pytest.mark.parametrize("lstm", [False, True], ids=["gru", "lstm"])
+    def test_kept_elements_byte_equal_to_chained_steps(self, lstm, rows, keep, dtype,
+                                                       trainable_state):
+        """A kernel that records only the elements ``keep`` gives the chained steps'
+        values there, their last states, and their gradients."""
+        case = self._case(lstm, rows, 4, 8, 37, dtype)
+        got = self._run(True, lstm, *case, trainable_state, keep)
+        assert got[0][0].shape == (rows, 37) + np.empty((1, 8))[:, keep].shape[1:]
+        self._assert_byte_equal(got, self._run(False, lstm, *case, trainable_state, keep), dtype)
 
     @pytest.mark.parametrize("lstm", [False, True], ids=["gru", "lstm"])
     def test_frozen_call_records_nothing_and_stores_no_steps(self, lstm):
@@ -328,7 +349,7 @@ class TestSequenceOracle:
             tracemalloc.start()
             try:
                 out = (lstm_sequence(x, *leaves, params) if lstm
-                       else (gru_sequence(x, leaves[0], params),))
+                       else gru_sequence(x, leaves[0], params))
                 return tracemalloc.get_traced_memory()[1], out
             finally:
                 tracemalloc.stop()

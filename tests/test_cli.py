@@ -282,7 +282,9 @@ def train_only_dir(tmp_path_factory):
     """Material m: twelve 96-sample sequences whose split leaves every one in the train
     split. Material short: eighteen 96-sample and two 12-sample sequences in one stratum,
     whose split with seed 29 puts a 12-sample sequence in the eval split. Material cold:
-    eight 96-sample sequences measured at 0 degrees C."""
+    eight 96-sample sequences measured at 0 degrees C. Materials flat and quiet: twenty
+    96-sample sequences in one stratum that no split can score, with a constant B (zero
+    loop energy) or with H zero from sample 4 on."""
     root = tmp_path_factory.mktemp("train_only")
     write_material(root, "m", generate_ja_dataset(12, 96, seed=1))
     short = generate_ja_dataset(18, 96, seed=1) + generate_ja_dataset(2, 12, seed=2)
@@ -294,6 +296,16 @@ def train_only_dir(tmp_path_factory):
     for s in cold:
         s.temperature_c = 0.0
     write_material(root, "cold", cold)
+    for material in ("flat", "quiet"):
+        seqs = generate_ja_dataset(20, 96, seed=3)
+        for s in seqs:
+            s.f_sw_hz = 100e3
+            s.temperature_c = 25.0
+            if material == "flat":
+                s.b.fill(0.1)
+            else:
+                s.h[4:] = 0.0
+        write_material(root, material, seqs)
     return root
 
 
@@ -301,6 +313,8 @@ SHORT_EVAL = ["--material", "short", "--split-seed", "29", "--subseq-len", "32",
               "--batch-size", "4", "--warmup-len", "16"]
 COLD = ["--material", "cold", "--subseq-len", "32", "--batch-size", "4", "--warmup-len", "4"]
 ZERO_TEMPERATURE = "train split: temperature_C is 0 in every sequence, so it cannot be normalized"
+WINDOWS_16 = ["--subseq-len", "32", "--batch-size", "4", "--warmup-len", "16"]
+UNSCORED = "eval split: sequence 0 cannot be scored over samples 16..95: "
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -334,12 +348,19 @@ ZERO_TEMPERATURE = "train split: temperature_C is 0 in every sequence, so it can
      "eval split: warmup 16 needs sequences of at least 18 samples: sequence 1 has 12"),
     (["train"] + COLD, ZERO_TEMPERATURE),
     (["sweep", "--sizes", "2"] + COLD, ZERO_TEMPERATURE),
+    (["train", "--material", "flat"] + WINDOWS_16, UNSCORED + "zero total loop energy"),
+    (["sweep", "--sizes", "2", "--material", "flat"] + WINDOWS_16,
+     UNSCORED + "zero total loop energy"),
+    (["train", "--material", "quiet"] + WINDOWS_16, UNSCORED + "reference H is all zero"),
+    (["sweep", "--sizes", "2", "--material", "quiet"] + WINDOWS_16,
+     UNSCORED + "reference H is all zero"),
 ], ids=["gru-v-size", "window-too-short", "window-too-long", "no-full-batch", "empty-eval",
         "sweep-nan-lr", "sweep-ja-single", "sweep-listed-ja-single", "sweep-window-too-long",
         "sweep-no-full-batch", "negative-seed", "negative-seed-and-split", "negative-split-seed",
         "unknown-archetype", "sweep-unknown-archetype", "sweep-empty-archetype",
         "eval-too-short", "sweep-eval-too-short", "zero-temperature",
-        "sweep-zero-temperature"])
+        "sweep-zero-temperature", "eval-flat", "sweep-eval-flat", "eval-quiet",
+        "sweep-eval-quiet"])
 def test_unusable_run_refused_before_staging(train_only_dir, tmp_path, capsys, argv, message):
     out = tmp_path / "o"
     rc = main(argv[:1] + ["--data", str(train_only_dir), "--material", "m", "--epochs", "1",
@@ -391,6 +412,19 @@ class TestEvalPredict:
         assert rc == 0
         meta = json.loads((out / "predictions_meta.json").read_text())
         assert next(iter(meta.values()))["k1"] == 1
+
+    @pytest.mark.parametrize("material, reason", [
+        ("flat", "zero total loop energy"), ("quiet", "reference H is all zero")])
+    def test_unscorable_split_refused_before_staging(self, train_only_dir, trained, tmp_path,
+                                                     capsys, material, reason):
+        out = tmp_path / "e"
+        rc = main(["eval", "--data", str(train_only_dir), "--material", material,
+                   "--checkpoint", str(trained / "model.json"), "--split", "eval",
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: eval split: sequence 0 cannot be scored over samples 4..95: {reason}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("warmup, message", [
         ("0", "--warmup-len must be >= 1, got 0"),

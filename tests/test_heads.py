@@ -1,4 +1,6 @@
 """Head tests: injection warmup, per-archetype readouts, rollout oracles."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from hystkit.cells import GruParams, LstmParams, gru_step, lstm_step
 from hystkit.dataset import DataError, MeasuredSequence, NormConstants
 from hystkit.heads import (
     ARCHETYPES,
+    GRID_FIRST,
     HeadError,
     RolloutInputs,
     WarmupError,
@@ -233,7 +236,7 @@ class TestGruV:
         g = np.zeros((1, 8))
         g[0, 4] = 0.1  # one grid site's first component
         g[0, 5] = -7.0  # second component never enters the sum
-        out = gru_v_readout(Tensor(g), np.array([[0.62]]))
+        out = gru_v_readout(Tensor(g[:, GRID_FIRST]), np.array([[0.62]]))
         assert out.data[0, 0] == pytest.approx(0.52, abs=1e-15)
 
     def test_no_injection_during_warmup(self):
@@ -317,6 +320,39 @@ class TestRolloutLossGradient:
         graph = Graph(fn, len(names))
         arrays = init_head_params(config, 62)
         assert finite_diff_check(graph, [arrays[n] for n in names]) < 1e-5
+
+
+@pytest.mark.parametrize("archetype", ["gru-p", "lstm-p", "gru-v"])
+def test_frozen_rollout_keeps_only_what_its_readout_reads(archetype):
+    """A frozen cell rollout never holds a whole hidden trajectory, and its predictions
+    and final state are those of chained step calls."""
+    rows, steps, d_g, w = 16, 400, 8, 4
+    config = TrainConfig(archetype, d_g=d_g, warmup_length=w)
+    params = wrapped(init_head_params(config, 5))
+    inputs = make_inputs(length=w + steps, w=w, rows=rows, seed=7)
+    tracemalloc.start()
+    try:
+        pred, final = rollout(config, params, inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * steps * d_g * 8, "the rollout held a (rows, T, d_g) trajectory"
+
+    lstm = archetype == "lstm-p"
+    p = (LstmParams if lstm else GruParams)(**params)
+    g, c = warmup(config, params, inputs)
+    read = []
+    for t in range(w, w + steps):
+        if lstm:
+            g, c = lstm_step(Tensor(inputs.x[:, t]), g, c, p)
+        else:
+            g = gru_step(Tensor(inputs.x[:, t]), g, p)
+        read.append(g.data[:, GRID_FIRST] if archetype == "gru-v" else g.data[:, 0])
+    read = np.stack(read, axis=1)
+    want = inputs.drive_norm[:, w:] - read.sum(axis=-1) if archetype == "gru-v" else read
+    assert pred.data.tobytes() == want.tobytes()
+    for got, chained in zip(final if lstm else (final,), (g, c) if lstm else (g,)):
+        assert got.data.tobytes() == chained.data.tobytes()
 
 
 class TestPredictWindow:
