@@ -339,9 +339,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
 def take(a: Tensor, key) -> Tensor:
     """Basic slicing; backward scatters the gradient into a zero array.
 
-    The result owns a copy, not a view, so keeping a small slice (a
-    rollout's readout or final state) does not keep the whole source array
-    alive.
+    The result owns a copy, not a view, so keeping a small slice does not
+    keep the whole source array alive.
     """
     out_data = a.data[key].copy()
 

@@ -20,9 +20,8 @@ parameter array.
 :func:`gru_sequence` and :func:`lstm_sequence` run every step of a
 ``(rows, T, d_x)`` feature block as one tape node. Its value records, per
 step, only the hidden elements the caller keeps (a rollout keeps those its
-readout reads: element 0, or gru-v's even elements), and the last full
-state comes back as a node of its own, so a frozen rollout holds no
-``(rows, T, d_g)`` trajectory. The forward repeats the step's numpy
+readout reads: element 0, or gru-v's even elements), so a frozen rollout
+holds no ``(rows, T, d_g)`` trajectory. The forward repeats the step's numpy
 expressions step by step (a step's sigmoid gates share one stacked block,
 which gives the same bits); the backward is one reverse loop over the
 step's gradient expressions that sums each parameter's per-step gradients
@@ -245,39 +244,22 @@ def lstm_step(x: Tensor, g_prev: Tensor, c_prev: Tensor, p: LstmParams):
     return _node(g, (cell,), hidden_backward), cell
 
 
-def _final_state(traj: Tensor, state: np.ndarray, holder: list) -> Tensor:
-    """The last full state of a sequence kernel as a node whose only parent is the
-    trajectory node ``traj``: its backward leaves its gradient in ``holder`` for the
-    trajectory's backward and makes sure that backward runs, so the graph holds no
-    reference cycle."""
-    def backward(d_state):
-        holder.append(d_state)
-        if traj.grad is None:
-            _accum(traj, np.zeros_like(traj.data))
-
-    return _node(state, (traj,), backward)
-
-
-def _full_grad(d_kept: np.ndarray, keep, d_g: int, final: list) -> np.ndarray:
+def _full_grad(d_kept: np.ndarray, keep, d_g: int) -> np.ndarray:
     """The gradient of the whole hidden trajectory ``(rows, T, d_g)`` from that of its
-    kept elements, plus the last state's gradient if ``final`` holds one."""
+    kept elements."""
     d_out = np.zeros(d_kept.shape[:2] + (d_g,), dtype=d_kept.dtype)
     d_out[:, :, keep] = d_kept
-    if final:
-        d_out[:, -1] += final.pop()
     return d_out
 
 
 def gru_sequence(x: np.ndarray, g0: Tensor, p: GruParams, keep=slice(None)):
     """``gru_step`` over every step of the feature block ``x`` ``(rows, T, d_x)`` from ``g0``.
 
-    Returns (kept trajectory, last state). The kept trajectory is one tape node
-    holding the hidden elements ``keep`` (an index or a slice of the last axis)
-    after each step: ``(rows, T)`` for an index, ``(rows, T, width)`` for a slice.
-    The last full state ``(rows, d_g)`` is a node of its own (see
-    :func:`_final_state`). The features are cast step by step to the
-    parameters' dtype. Values and gradients are byte-equal to T chained
-    ``gru_step`` calls read out at ``keep``.
+    Returns the kept trajectory: one tape node holding the hidden elements
+    ``keep`` (an index or a slice of the last axis) after each step, ``(rows, T)``
+    for an index, ``(rows, T, width)`` for a slice. The features are cast step
+    by step to the parameters' dtype. Values and gradients are byte-equal to T
+    chained ``gru_step`` calls read out at ``keep``.
     """
     leaves = tuple(p.as_dict().values())
     train = g0.requires_grad or any(leaf.requires_grad for leaf in leaves)
@@ -301,10 +283,9 @@ def gru_sequence(x: np.ndarray, g0: Tensor, p: GruParams, keep=slice(None)):
             saved.append((xd, gd, z, r, uh, cand, diff))
         gd = cand + z * diff
         out[:, t] = gd[:, keep]
-    final = []
 
     def backward(d_kept):
-        d_out = _full_grad(d_kept, keep, g0.data.shape[1], final)
+        d_out = _full_grad(d_kept, keep, g0.data.shape[1])
         stacks = _grad_stacks(leaves, len(saved))
         s_wz, s_uz, s_bz, s_wr, s_ur, s_br, s_w, s_u, s_b, s_bn = stacks
         carry = None
@@ -326,20 +307,15 @@ def gru_sequence(x: np.ndarray, g0: Tensor, p: GruParams, keep=slice(None)):
         _store_sums(leaves, stacks)
         _accum(g0, carry)
 
-    kept = _node(out, (g0,) + leaves, backward)
-    return kept, _final_state(kept, gd, final)
+    return _node(out, (g0,) + leaves, backward)
 
 
 def lstm_sequence(x: np.ndarray, g0: Tensor, c0: Tensor, p: LstmParams, keep=slice(None)):
     """``lstm_step`` over every step of the feature block ``x`` ``(rows, T, d_x)`` from (g0, c0).
 
-    Returns (kept trajectory, last hidden state, last cell state), the
-    trajectory holding the hidden elements ``keep`` as in :func:`gru_sequence`.
-    The trajectory node owns the backward; the last hidden and cell states
-    are nodes of their own (see :func:`_final_state`). Values and gradients
-    are byte-equal to T chained ``lstm_step`` calls read out at ``keep``,
-    except that when only the last cell state carries a gradient, the output
-    gate's last step adds an exact zero where the chained calls add nothing.
+    Returns the kept trajectory, the hidden elements ``keep`` after each step as
+    in :func:`gru_sequence`. Values and gradients are byte-equal to T chained
+    ``lstm_step`` calls read out at ``keep``.
     """
     if c0 is None:
         raise ShapeError("lstm_sequence requires a cell state")
@@ -366,10 +342,9 @@ def lstm_sequence(x: np.ndarray, g0: Tensor, c0: Tensor, p: LstmParams, keep=sli
             saved.append((xd, gd, cd, i, f, m, o, tc))
         gd, cd = o * tc, c
         out[:, t] = gd[:, keep]
-    final, cell_grad = [], []
 
     def backward(d_kept):
-        d_out = _full_grad(d_kept, keep, g0.data.shape[1], final)
+        d_out = _full_grad(d_kept, keep, g0.data.shape[1])
         stacks = _grad_stacks(leaves, len(saved))
         carry_h = carry_c = None
         for k, t in enumerate(reversed(range(len(saved)))):
@@ -378,8 +353,6 @@ def lstm_sequence(x: np.ndarray, g0: Tensor, c0: Tensor, p: LstmParams, keep=sli
             dc = dh * o * (1.0 - tc * tc)
             if carry_c is not None:
                 dc = dc + carry_c
-            elif cell_grad:
-                dc = dc + cell_grad.pop()
             gates = (dc * m * i * (1.0 - i), dc * cd * f * (1.0 - f), dc * i * (1.0 - m * m),
                      dh * tc * o * (1.0 - o))
             for j, da in enumerate(gates):
@@ -393,8 +366,7 @@ def lstm_sequence(x: np.ndarray, g0: Tensor, c0: Tensor, p: LstmParams, keep=sli
         _accum(g0, carry_h)
         _accum(c0, carry_c)
 
-    kept = _node(out, (g0, c0) + leaves, backward)
-    return kept, _final_state(kept, gd, final), _final_state(kept, cd, cell_grad)
+    return _node(out, (g0, c0) + leaves, backward)
 
 
 def param_count(archetype: str, d_g: int, d_x: int) -> int:

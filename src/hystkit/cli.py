@@ -31,15 +31,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import (DataError, check_windows, compute_norm_constants, fmt, ingest_material,
-                      json_text, load_material, read_csv_dicts, read_json_object,
-                      read_raw_material, resolve_adapter, split_dataset, write_columns,
-                      write_file, write_rows)
+from .dataset import (DataError, NormConstants, check_windows, compute_norm_constants, fmt,
+                      ingest_material, json_text, load_material, read_csv_dicts,
+                      read_json_object, read_raw_material, resolve_adapter, split_dataset,
+                      write_columns, write_file, write_rows)
 from .training import (SETTING_TYPES, SWEEP_COLUMNS, ConfigError, TrainConfig, TrainingError,
                        check_sweep_eval, config_param_count, decode_setting, evaluate_sequences,
                        init_params, load_checkpoint, pareto_sweep, save_checkpoint,
                        sweep_medians, train, write_sweep_csv)
-from .heads import predict_window
+from .heads import WarmupError, check_warmup_domain, predict_window
 from .metrics import MetricError, check_scorable
 
 _SENTINEL = ".partial"
@@ -181,19 +181,21 @@ def _load_splits(args, material: str, split_seed: int) -> tuple[dict, dict]:
     return {**splits, "all": sequences}, {"dataset": root / material}
 
 
-def _open_run(args, config: TrainConfig, split_seed: int) -> tuple[dict, dict]:
-    """Opening of train and sweep: ``--material``'s splits and manifest input, refused
-    unless the train split batches into ``config``'s windows, every eval sequence fits
-    its warmup and can be scored, and the train split can be normalized."""
+def _open_run(args, config: TrainConfig,
+              split_seed: int) -> tuple[dict, dict, NormConstants]:
+    """Opening of train and sweep: ``--material``'s splits, manifest input and the train
+    split's normalization, refused unless the train split batches into ``config``'s
+    windows, every eval sequence fits its warmup and can be scored, and the train split
+    can be normalized."""
     splits, inputs = _load_splits(args, args.material, split_seed)
     check_windows(splits["train"], config.subseq_len, config.batch_size, config.warmup_length)
     _require_warmup_fits(enumerate(splits["eval"]), config.warmup_length, "eval split: warmup")
     _require_scorable(enumerate(splits["eval"]), config.warmup_length, "eval")
     try:
-        compute_norm_constants(splits["train"])
+        norm = compute_norm_constants(splits["train"])
     except DataError as exc:
         raise CliError(f"train split: {exc}") from None
-    return splits, inputs
+    return splits, inputs, norm
 
 
 # -- commands ---------------------------------------------------------------
@@ -228,7 +230,8 @@ def cmd_train(args) -> int:
     resolved = _resolve_config(args)
     config = _train_config(resolved)
     init_params(config)  # an unusable model is refused before anything is staged
-    splits, inputs = _open_run(args, config, resolved["split_seed"])
+    splits, inputs, norm = _open_run(args, config, resolved["split_seed"])
+    _require_warmup_domain(list(enumerate(splits["eval"])), config, norm, "eval")
     stage = OutputStage(args.out, "train", {**resolved, "material": args.material}, inputs)
     result = train(config, splits["train"], splits["eval"])
     json_path, bin_path = save_checkpoint(stage.out_dir / "model", dataclasses.replace(
@@ -268,6 +271,16 @@ def _require_scorable(chosen, w: int, split: str) -> None:
                            f"{w}..{len(seq) - 1}: {exc}") from None
 
 
+def _require_warmup_domain(chosen: list, config: TrainConfig, norm: NormConstants,
+                           split: str) -> None:
+    """Refuse, before train, eval or predict stages anything, an (index, sequence) pair
+    of ``split`` whose warmup samples the head of ``config`` cannot invert."""
+    try:
+        check_warmup_domain(config, [seq for _, seq in chosen], norm)
+    except WarmupError as exc:
+        raise CliError(f"{split} split: sequence {chosen[exc.row][0]}: {exc}") from None
+
+
 def _checkpoint_split(args):
     """Opening of eval and predict: the checkpoint, its ``--split`` (an empty one is an
     error), and the config and inputs their manifests record."""
@@ -288,6 +301,7 @@ def cmd_eval(args) -> int:
     ckpt, sequences, config, inputs = _checkpoint_split(args)
     _require_warmup_fits(enumerate(sequences), ckpt.config.warmup_length, "checkpoint warmup")
     _require_scorable(enumerate(sequences), ckpt.config.warmup_length, args.split)
+    _require_warmup_domain(list(enumerate(sequences)), ckpt.config, ckpt.norm, args.split)
     stage = OutputStage(args.out, "eval", config, inputs)
     report = evaluate_sequences(ckpt.config, ckpt.params, sequences, ckpt.norm)
     report.write_json(stage.path("report.json"))
@@ -316,6 +330,7 @@ def cmd_predict(args) -> int:
     w = model.warmup_length
     _require_warmup_fits(chosen, w, "checkpoint warmup" if args.warmup_len is None
                          else "--warmup-len")
+    _require_warmup_domain(chosen, model, ckpt.norm, args.split)
     stage = OutputStage(args.out, "predict",
                         {**config, "index": args.index, "warmup_len": w}, inputs)
     results = predict_window(model, ckpt.params, [seq for _, seq in chosen], ckpt.norm)
@@ -348,7 +363,7 @@ def cmd_sweep(args) -> int:
     configs = [_train_config({**resolved, "archetype": a.strip()})
                for a in resolved["archetype"].split(",")]
     # every trial shares the windows, so one check covers them all
-    splits, inputs = _open_run(args, configs[0], resolved["split_seed"])
+    splits, inputs, _ = _open_run(args, configs[0], resolved["split_seed"])
     check_sweep_eval(splits["eval"])
     stage = OutputStage(args.out, "sweep",
                         {**resolved, "material": args.material,

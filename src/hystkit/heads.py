@@ -5,12 +5,12 @@ the warmup length w into a conditioning part (target values known) and an
 open-loop part. Warmup consumes feature steps 1..w-1, prediction consumes
 steps w..L-1; each prediction step emits one normalized target estimate.
 Warmup makes one cell call per step, so a value can be injected between
-steps. Every head's open loop returns (predictions, final state) and reads
-all estimates out at once: the cell heads run it as one sequence node
+steps. Every head's open loop returns its predictions alone and reads all
+estimates out at once: the cell heads run it as one sequence node
 (``cells.gru_sequence``/``lstm_sequence``) that records per step only the
-hidden elements the readout reads (element 0, or gru-v's even elements)
-and hands back the last full state beside them; the JA-family heads step it
-one sample at a time and scale the concatenated field columns by 1/H_max.
+hidden elements the readout reads (element 0, or gru-v's even elements);
+the JA-family heads step it one sample at a time and scale the
+concatenated field columns by 1/H_max.
 
 Archetypes:
 
@@ -70,7 +70,8 @@ class HeadError(ValueError):
 class WarmupError(HeadError):
     """A warmup sample lies outside the head's invertible domain.
 
-    ``row`` is the batch row of the offending window, when one is known.
+    ``row`` is the batch row of the offending window, when one is known; the
+    message names the warmup step, and callers name the row in their terms.
     """
 
     def __init__(self, message: str, row: int | None = None):
@@ -150,26 +151,42 @@ def wrap_params(arrays: dict, requires_grad: bool = True) -> dict:
 
 
 def _check_warmup(bad: np.ndarray, what: str) -> None:
-    """Raise a WarmupError naming the first (row, step) where ``bad`` holds."""
+    """Raise a WarmupError for the first (row, step) where ``bad`` holds."""
     if np.any(bad):
         row, step = (int(i) for i in np.argwhere(bad)[0])
-        raise WarmupError(f"{what} at warmup step {step} of row {row}", row=row)
+        raise WarmupError(f"{what} at warmup step {step}", row=row)
 
 
 def _inject_values(config: TrainConfig, inputs: RolloutInputs) -> np.ndarray:
-    """Per-step warmup injection values for element 0 of the hidden state."""
+    """Per-step warmup injection values for element 0 of the hidden state, from the
+    drive and warm target of ``inputs`` alone; a warmup sample outside the head's
+    invertible domain, or a non-finite value, raises a WarmupError."""
     w = inputs.warmup_length
     target = np.asarray(inputs.target_warm_norm, dtype=np.float64)
-    if config.archetype in ("gru-p", "lstm-p"):
-        return target
     drive = np.asarray(inputs.drive_norm[:, :w], dtype=np.float64)
-    if config.archetype == "gru-m":
+    if config.archetype in ("gru-p", "lstm-p"):
+        values = target
+    elif config.archetype == "gru-m":
         _check_warmup(np.abs(target) >= 1.0, "|H~| >= 1 (magnetization inverse undefined)")
-        return drive - np.arctanh(target)
-    if config.archetype == "gru-l":
+        values = drive - np.arctanh(target)
+    elif config.archetype == "gru-l":
         _check_warmup(np.abs(drive) <= EPS_B, f"|B~| <= {EPS_B} (permeability inverse undefined)")
-        return target / drive
-    raise HeadError(f"{config.archetype} does not use state injection")
+        values = target / drive
+    else:
+        raise HeadError(f"{config.archetype} does not use state injection")
+    _check_warmup(~np.isfinite(values), "non-finite injection value")
+    return values
+
+
+def check_warmup_domain(config: TrainConfig, seqs, norm: NormConstants) -> None:
+    """Raise the WarmupError a rollout of ``seqs`` would raise in its warmup, its ``row``
+    the index in ``seqs`` of the offending sequence: the samples 0..w-1 are normalized
+    as :func:`predict_window` normalizes them and checked by :func:`_inject_values`."""
+    if config.archetype in INJECTING and seqs:
+        w = config.warmup_length
+        drive = np.stack([seq.b[:w] for seq in seqs]) / norm.b_max
+        target = np.stack([seq.h[:w] for seq in seqs]) / norm.h_max
+        _inject_values(config, RolloutInputs(x=None, drive_norm=drive, target_warm_norm=target))
 
 
 def _inject(state: Tensor, column: np.ndarray) -> Tensor:
@@ -207,7 +224,6 @@ def warmup(config: TrainConfig, params: dict, inputs: RolloutInputs):
     inject = None
     if config.archetype in INJECTING:
         inject = _inject_values(config, inputs)
-        _check_warmup(~np.isfinite(inject), "non-finite injection value")
         g = _inject(g, inject[:, 0:1])
     for t in range(1, w):
         x_t = Tensor(inputs.x[:, t, :].astype(dt))
@@ -238,34 +254,30 @@ def gru_v_readout(grid_first: Tensor, drive) -> Tensor:
     return Tensor(np.asarray(drive, dtype=grid_first.data.dtype)) - grid_sum
 
 
-def _cell_open_loop(config: TrainConfig, params: dict, inputs: RolloutInputs):
-    """(predictions, final state) of a cell head: one sequence node over steps
-    w..L-1 that keeps only the hidden elements the readout reads, then one
-    readout over them; the final state is the kernel's last full state."""
+def _cell_open_loop(config: TrainConfig, params: dict, inputs: RolloutInputs) -> Tensor:
+    """Predictions of a cell head: one sequence node over steps w..L-1 that keeps
+    only the hidden elements the readout reads, then one readout over them."""
     w = inputs.warmup_length
     g, c = warmup(config, params, inputs)
     p = _cell(config).from_dict(params)
     x = inputs.x[:, w:]
     keep = GRID_FIRST if config.archetype == "gru-v" else 0
     if config.archetype in LSTM_ARCHETYPES:
-        pred, g, c = lstm_sequence(x, g, c, p, keep)
-        return pred, (g, c)
-    kept, g = gru_sequence(x, g, p, keep)
+        return lstm_sequence(x, g, c, p, keep)
+    kept = gru_sequence(x, g, p, keep)
     drive = np.asarray(inputs.drive_norm[:, w:], dtype=kept.data.dtype)
     if config.archetype == "gru-v":
-        pred = gru_v_readout(kept, drive)
-    elif config.archetype == "gru-m":
-        pred = tanh(Tensor(drive) - kept)
-    elif config.archetype == "gru-l":
-        pred = kept * Tensor(drive)
-    else:
-        pred = kept
-    return pred, g
+        return gru_v_readout(kept, drive)
+    if config.archetype == "gru-m":
+        return tanh(Tensor(drive) - kept)
+    if config.archetype == "gru-l":
+        return kept * Tensor(drive)
+    return kept
 
 
-def _ja_open_loop(config: TrainConfig, params: dict, inputs: RolloutInputs):
-    """(predictions, final state) of a JA-family head: one Euler step per sample
-    w..L-1, then one readout over the concatenated field columns."""
+def _ja_open_loop(config: TrainConfig, params: dict, inputs: RolloutInputs) -> Tensor:
+    """Predictions of a JA-family head: one Euler step per sample w..L-1, then one
+    readout over the concatenated field columns."""
     w = inputs.warmup_length
     b_raw = inputs.drive_raw
     h = Tensor(inputs.target_warm_raw[:, w - 1:w], dtype=np.float64)
@@ -284,17 +296,14 @@ def _ja_open_loop(config: TrainConfig, params: dict, inputs: RolloutInputs):
         else:
             h, g = gru_jadp_step(Tensor(inputs.x[:, t, :].astype(dt)), g, p, h, b_k, b_k1)
         columns.append(h)
-    pred = concat(columns, axis=1) * (1.0 / inputs.target_max)
-    return pred, (h if config.archetype == "ja" else (h, g))
+    return concat(columns, axis=1) * (1.0 / inputs.target_max)
 
 
-def rollout(config: TrainConfig, params: dict, inputs: RolloutInputs):
+def rollout(config: TrainConfig, params: dict, inputs: RolloutInputs) -> Tensor:
     """Full warmup + open-loop prediction for one batch of windows.
 
     ``params`` maps names to tape Tensors. Returns the normalized predictions as a tape
-    Tensor of shape (rows, L - w) plus the final state: the hidden Tensor (GRU heads), a
-    (hidden, cell) pair (lstm-p), a (field H, hidden) pair (gru-jadp) or the field H (ja).
-    A warm block of width 0 raises :class:`WarmupError`.
+    Tensor of shape (rows, L - w). A warm block of width 0 raises :class:`WarmupError`.
     """
     if inputs.warmup_length < 1:
         raise WarmupError("empty warmup window")
@@ -336,8 +345,7 @@ def _predict_group(config: TrainConfig, params: dict, seqs, norm: NormConstants)
         target_warm_raw=target_warm_raw,
         target_max=norm.h_max,
     )
-    pred_t, _ = rollout(config, params, inputs)
-    return pred_t.data.astype(np.float64)
+    return rollout(config, params, inputs).data.astype(np.float64)
 
 
 def predict_window(config: TrainConfig, params_arrays: dict, seqs,
@@ -351,7 +359,8 @@ def predict_window(config: TrainConfig, params_arrays: dict, seqs,
     takes a different BLAS kernel (gemv instead of gemm), so a sequence
     predicted alone can differ from the same sequence in a batch in the last
     bits. A sequence shorter than w + 2 samples raises :class:`DataError`,
-    and a :class:`WarmupError` names the input index of the offending sequence.
+    and a :class:`WarmupError` (see :func:`check_warmup_domain`), raised before any
+    rollout runs, names the input index of the offending sequence.
     """
     w = config.warmup_length
     groups: dict = {}
@@ -359,15 +368,14 @@ def predict_window(config: TrainConfig, params_arrays: dict, seqs,
         if len(seq) < w + 2:
             raise DataError(f"sequence {i} has {len(seq)} samples; warmup {w} needs >= {w + 2}")
         groups.setdefault(len(seq), []).append(i)
+    try:
+        check_warmup_domain(config, seqs, norm)
+    except WarmupError as exc:
+        raise WarmupError(f"sequence {exc.row}: {exc}") from exc
     params = wrap_params(params_arrays, requires_grad=False)
     results: list = [None] * len(seqs)
     for members in groups.values():
-        try:
-            pred_norm = _predict_group(config, params, [seqs[i] for i in members], norm)
-        except WarmupError as exc:
-            if exc.row is None:
-                raise
-            raise WarmupError(f"sequence {members[exc.row]}: {exc}") from exc
+        pred_norm = _predict_group(config, params, [seqs[i] for i in members], norm)
         pred = pred_norm * norm.h_max
         for row, i in enumerate(members):
             results[i] = RolloutResult(pred_norm=pred_norm[row], pred=pred[row])

@@ -170,7 +170,7 @@ def optimizer_step(params: dict, grads: dict, state: AdamState, lr: float, clip_
 def batch_loss(config: TrainConfig, params_t: dict, batch: MiniBatch, norm: NormConstants) -> Tensor:
     """Mini-batch objective: flux-weighted RMSE rows (+ physics penalty), meaned."""
     inputs = inputs_from_batch(batch, norm)
-    pred, _ = rollout(config, params_t, inputs)
+    pred = rollout(config, params_t, inputs)
     w = batch.warmup_length
     rows = weighted_loss_rows(batch.h_norm[:, w:], pred, batch.b_norm[:, w - 1:],
                               norm.h_max, batch.h_rms)
@@ -358,8 +358,8 @@ def load_checkpoint(json_path: Path) -> ModelCheckpoint:
     top-level ``archetype`` and ``seed`` override its own. The layout must list
     the names and shapes :func:`init_params` makes for that config; each array
     loads in the config's precision, whatever its wire dtype. A header that
-    does not describe its blob raises :class:`ConfigError` naming the file and
-    the field.
+    does not describe its blob, or an array holding a non-finite value, raises
+    :class:`ConfigError` naming the file and the field or layout entry.
     """
     json_path = Path(json_path)
     header = read_json_object(json_path)
@@ -428,6 +428,8 @@ def load_checkpoint(json_path: Path) -> ModelCheckpoint:
                       f"inside the {len(blob)}-byte blob")
         flat = np.frombuffer(blob, dtype=wire, count=want.size, offset=offset)
         params[entry["name"]] = flat.reshape(want.shape).astype(want.dtype)
+        if not np.all(np.isfinite(params[entry["name"]])):
+            raise bad(f"layout entry {entry['name']!r} holds a non-finite value")
     return ModelCheckpoint(config, params, NormConstants.from_dict(header["norm"]), split_seed,
                            material)
 

@@ -112,7 +112,7 @@ def _loss_fn_for(config: TrainConfig, inputs: RolloutInputs, target_norm):
 
     def fn(*tensors):
         params = dict(zip(names, tensors))
-        pred, _ = rollout(config, params, inputs)
+        pred = rollout(config, params, inputs)
         rows = weighted_loss_rows(target_norm[:, w:], pred, inputs.drive_norm[:, w - 1:],
                                   inputs.target_max, np.full(inputs.x.shape[0], 40.0))
         return batch_mean(rows)
@@ -252,7 +252,7 @@ def test_c04_warmup_contract():
                 x=np.zeros((1, 3, 4)),
                 drive_norm=np.full((1, 3), drive_level),
                 target_warm_norm=np.full((1, 2), target_level))
-            pred, _ = rollout(config, wrap_params(arrays), inputs)
+            pred = rollout(config, wrap_params(arrays), inputs)
             assert abs(pred.data[0, 0] - target_level) <= 1e-10, archetype
 
 
@@ -384,7 +384,7 @@ def test_c09_preliminary_comparison():
                 params_t = wrap_params(params)
                 inputs = RolloutInputs(x=batch.x, drive_norm=batch.b_norm,
                                        target_warm_norm=batch.h_norm[:, :w])
-                pred, _ = rollout(config, params_t, inputs)
+                pred = rollout(config, params_t, inputs)
                 rows = weighted_loss_rows(batch.h_norm[:, w:], pred, batch.b_norm[:, w - 1:],
                                           norm.b_max, batch.h_rms)
                 loss = batch_mean(rows)
@@ -400,7 +400,7 @@ def test_c09_preliminary_comparison():
                 b_norm = (seq.b / norm.b_max)[None, :]
                 inputs = RolloutInputs(x=h_norm[:, :, None], drive_norm=h_norm,
                                        target_warm_norm=b_norm[:, :w])
-                pred, _ = rollout(config, frozen, inputs)
+                pred = rollout(config, frozen, inputs)
                 scores["mse"].append(mse(pred.data[0], b_norm[0, w:]))
                 scores["mae"].append(mae(pred.data[0], b_norm[0, w:]))
                 scores["wce"].append(wce(pred.data[0], b_norm[0, w:]))

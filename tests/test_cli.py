@@ -18,7 +18,7 @@ import hystkit.cli as cli
 import hystkit.training as training
 from hystkit.autodiff import Tensor
 from hystkit.cli import _CONFIG_FIELDS, build_parser, main
-from hystkit.dataset import MeasuredSequence, write_material
+from hystkit.dataset import MeasuredSequence, NormConstants, write_material
 from hystkit.synth import generate_ja_dataset
 
 
@@ -284,7 +284,8 @@ def train_only_dir(tmp_path_factory):
     whose split with seed 29 puts a 12-sample sequence in the eval split. Material cold:
     eight 96-sample sequences measured at 0 degrees C. Materials flat and quiet: twenty
     96-sample sequences in one stratum that no split can score, with a constant B (zero
-    loop energy) or with H zero from sample 4 on."""
+    loop energy) or with H zero from sample 4 on. Material nullb: the same twenty
+    sequences with B zero at sample 2, which a gru-l warmup cannot invert."""
     root = tmp_path_factory.mktemp("train_only")
     write_material(root, "m", generate_ja_dataset(12, 96, seed=1))
     short = generate_ja_dataset(18, 96, seed=1) + generate_ja_dataset(2, 12, seed=2)
@@ -296,15 +297,17 @@ def train_only_dir(tmp_path_factory):
     for s in cold:
         s.temperature_c = 0.0
     write_material(root, "cold", cold)
-    for material in ("flat", "quiet"):
+    for material in ("flat", "quiet", "nullb"):
         seqs = generate_ja_dataset(20, 96, seed=3)
         for s in seqs:
             s.f_sw_hz = 100e3
             s.temperature_c = 25.0
             if material == "flat":
                 s.b.fill(0.1)
-            else:
+            elif material == "quiet":
                 s.h[4:] = 0.0
+            else:
+                s.b[2] = 0.0
         write_material(root, material, seqs)
     return root
 
@@ -314,6 +317,7 @@ SHORT_EVAL = ["--material", "short", "--split-seed", "29", "--subseq-len", "32",
 COLD = ["--material", "cold", "--subseq-len", "32", "--batch-size", "4", "--warmup-len", "4"]
 ZERO_TEMPERATURE = "train split: temperature_C is 0 in every sequence, so it cannot be normalized"
 WINDOWS_16 = ["--subseq-len", "32", "--batch-size", "4", "--warmup-len", "16"]
+WINDOWS_4 = ["--subseq-len", "32", "--batch-size", "4", "--warmup-len", "4"]
 UNSCORED = "eval split: sequence 0 cannot be scored over samples 16..95: "
 
 
@@ -354,13 +358,15 @@ UNSCORED = "eval split: sequence 0 cannot be scored over samples 16..95: "
     (["train", "--material", "quiet"] + WINDOWS_16, UNSCORED + "reference H is all zero"),
     (["sweep", "--sizes", "2", "--material", "quiet"] + WINDOWS_16,
      UNSCORED + "reference H is all zero"),
+    (["train", "--material", "nullb", "--archetype", "gru-l"] + WINDOWS_4,
+     "eval split: sequence 0: |B~| <= 1e-06 (permeability inverse undefined) at warmup step 2"),
 ], ids=["gru-v-size", "window-too-short", "window-too-long", "no-full-batch", "empty-eval",
         "sweep-nan-lr", "sweep-ja-single", "sweep-listed-ja-single", "sweep-window-too-long",
         "sweep-no-full-batch", "negative-seed", "negative-seed-and-split", "negative-split-seed",
         "unknown-archetype", "sweep-unknown-archetype", "sweep-empty-archetype",
         "eval-too-short", "sweep-eval-too-short", "zero-temperature",
         "sweep-zero-temperature", "eval-flat", "sweep-eval-flat", "eval-quiet",
-        "sweep-eval-quiet"])
+        "sweep-eval-quiet", "eval-warmup-outside-domain"])
 def test_unusable_run_refused_before_staging(train_only_dir, tmp_path, capsys, argv, message):
     out = tmp_path / "o"
     rc = main(argv[:1] + ["--data", str(train_only_dir), "--material", "m", "--epochs", "1",
@@ -368,6 +374,32 @@ def test_unusable_run_refused_before_staging(train_only_dir, tmp_path, capsys, a
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def outside_domain(tmp_path_factory):
+    """Material outside: eight 96-sample sequences, where sequence 0's B is 0 at sample 0
+    and sequence 5's H is 1.5 H_max at sample 2; and init_params checkpoints of gru-l and
+    gru-m (d_g 4, warmup 4), keyed by archetype, whose norm holds that H_max."""
+    root = tmp_path_factory.mktemp("outside")
+    seqs = generate_ja_dataset(8, 96, seed=1)
+    norm = NormConstants(h_max=2.0 * max(np.max(np.abs(s.h)) for s in seqs),
+                         b_max=max(np.max(np.abs(s.b)) for s in seqs), theta_max=70.0)
+    seqs[0].b = seqs[0].b - seqs[0].b[0]
+    seqs[5].h[2] = 1.5 * norm.h_max
+    write_material(root / "data", "outside", seqs)
+    checkpoints = {}
+    for archetype in ("gru-l", "gru-m"):
+        config = training.TrainConfig(archetype, d_g=4, warmup_length=4, precision="double")
+        (root / archetype).mkdir()
+        checkpoints[archetype], _ = training.save_checkpoint(
+            root / archetype / "model",
+            training.ModelCheckpoint(config, training.init_params(config), norm))
+    return root / "data", checkpoints
+
+
+B_ZERO = "|B~| <= 1e-06 (permeability inverse undefined) at warmup step 0"
+H_ONE = "|H~| >= 1 (magnetization inverse undefined) at warmup step 2"
 
 
 class TestEvalPredict:
@@ -424,6 +456,26 @@ class TestEvalPredict:
         assert rc == 1
         assert capsys.readouterr().err == (
             f"error: eval split: sequence 0 cannot be scored over samples 4..95: {reason}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, archetype, index, message", [
+        ("eval", "gru-l", [], "sequence 0: " + B_ZERO),
+        ("predict", "gru-l", [], "sequence 0: " + B_ZERO),
+        ("eval", "gru-m", [], "sequence 5: " + H_ONE),
+        ("predict", "gru-m", [], "sequence 5: " + H_ONE),
+        ("predict", "gru-m", ["--index", "5"], "sequence 5: " + H_ONE),
+    ], ids=["eval-gru-l", "predict-gru-l", "eval-gru-m", "predict-gru-m", "predict-index"])
+    def test_warmup_outside_domain_refused_before_staging(self, outside_domain, tmp_path,
+                                                          capsys, command, archetype, index,
+                                                          message):
+        # a warmup sample the head cannot invert names the split, the sequence's index
+        # in it and the warmup step
+        data, checkpoints = outside_domain
+        out = tmp_path / "o"
+        rc = main([command, "--data", str(data), "--material", "outside", "--checkpoint",
+                   str(checkpoints[archetype]), "--split", "all", "--out", str(out)] + index)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: all split: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("warmup, message", [
@@ -619,6 +671,21 @@ class TestEvalPredict:
         if section:
             message = "field 'train_config' describes no model: " + message
         assert capsys.readouterr().err == f"error: {run / 'model.json'}: checkpoint {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_refused_at_load(self, dataset_dir, trained, tmp_path, capsys,
+                                                  value):
+        # the blob's hash matches: only the values say the model is unusable
+        ckpt = training.load_checkpoint(trained / "model.json")
+        ckpt.params["w_z"][0, 0] = value
+        json_path, _ = training.save_checkpoint(tmp_path / "model", ckpt)
+        out = tmp_path / "out"
+        rc = main(["eval", "--data", str(dataset_dir), "--checkpoint", str(json_path),
+                   "--split", "all", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {json_path}: checkpoint layout entry 'w_z' holds a non-finite value\n")
         assert not out.exists()
 
     def test_gru_v_size_refused_at_load(self, dataset_dir, trained, tmp_path, capsys):

@@ -91,21 +91,21 @@ class TestGruP:
     def test_zero_weight_decay(self):
         config = TrainConfig("gru-p", d_g=5, warmup_length=1)
         inputs = make_inputs(w=1, length=3, target=[[0.4]])
-        pred, _ = rollout(config, wrapped(zero_params(config)), inputs)
+        pred = rollout(config, wrapped(zero_params(config)), inputs)
         assert pred.data[0, 0] == pytest.approx(0.2, abs=1e-15)
         assert pred.data[0, 1] == pytest.approx(0.1, abs=1e-15)
 
     def test_denormalization(self):
         config = TrainConfig("gru-p", d_g=5, warmup_length=1)
         inputs = make_inputs(w=1, length=2, target=[[0.4]])
-        pred, _ = rollout(config, wrapped(zero_params(config)), inputs)
+        pred = rollout(config, wrapped(zero_params(config)), inputs)
         assert pred.data[0, 0] * inputs.target_max == pytest.approx(20.0, abs=1e-12)
 
     def test_five_step_rollout_matches_hand_unrolled(self):
         config = TrainConfig("gru-p", d_g=4, warmup_length=3)
         arrays = init_head_params(config, 9)
         inputs = make_inputs(w=3, length=8, seed=13)
-        pred, final = rollout(config, wrapped(arrays), inputs)
+        pred = rollout(config, wrapped(arrays), inputs)
 
         p = GruParams(**{k: Tensor(v) for k, v in arrays.items()})
         g, _ = warmup(config, wrapped(arrays), inputs)
@@ -114,14 +114,13 @@ class TestGruP:
             g = gru_step(Tensor(inputs.x[:, t, :]), g, p)
             outs.append(g.data[:, 0:1])
         np.testing.assert_array_equal(pred.data, np.concatenate(outs, axis=1))
-        np.testing.assert_array_equal(final.data, g.data)
 
     def test_bit_reproducible(self):
         config = TrainConfig("gru-p", d_g=6, warmup_length=4)
         arrays = init_head_params(config, 1)
         inputs = make_inputs(w=4, length=12, seed=3)
-        a, _ = rollout(config, wrapped(arrays), inputs)
-        b, _ = rollout(config, wrapped(arrays), inputs)
+        a = rollout(config, wrapped(arrays), inputs)
+        b = rollout(config, wrapped(arrays), inputs)
         assert a.data.tobytes() == b.data.tobytes()
 
 
@@ -133,7 +132,7 @@ class TestGruM:
         drive = np.full((1, 3), 0.31)
         inputs = make_inputs(w=1, length=3, target=[[0.0]], drive=drive)
         arrays = zero_params(config)
-        pred, _ = rollout(config, wrapped(arrays), inputs)
+        pred = rollout(config, wrapped(arrays), inputs)
         # injected g0 = drive - atanh(0) = 0.31; zero weights halve it each step
         expect_first = np.tanh(0.31 - 0.5 * 0.31)
         assert pred.data[0, 0] == pytest.approx(expect_first, abs=1e-15)
@@ -145,7 +144,7 @@ class TestGruM:
         drive = np.array([[0.3, 0.3, 0.3]])
         target = np.array([[0.21, 0.21]])
         inputs = make_inputs(w=2, length=3, target=target, drive=drive)
-        pred, _ = rollout(config, wrapped(arrays), inputs)
+        pred = rollout(config, wrapped(arrays), inputs)
         assert pred.data[0, 0] == pytest.approx(0.21, abs=1e-10)
 
     def test_atanh_domain_edge(self):
@@ -162,7 +161,7 @@ class TestGruL:
     def test_zero_coefficient_zero_prediction(self):
         config = TrainConfig("gru-l", d_g=4, warmup_length=1)
         inputs = make_inputs(w=1, length=3, target=[[0.0]])
-        pred, _ = rollout(config, wrapped(zero_params(config)), inputs)
+        pred = rollout(config, wrapped(zero_params(config)), inputs)
         np.testing.assert_array_equal(pred.data, np.zeros((1, 2)))
 
     def test_warmup_roundtrip_with_frozen_state(self):
@@ -172,7 +171,7 @@ class TestGruL:
         drive = np.array([[0.4, 0.4, 0.4]])
         target = np.array([[0.3, 0.3]])
         inputs = make_inputs(w=2, length=3, target=target, drive=drive)
-        pred, _ = rollout(config, wrapped(arrays), inputs)
+        pred = rollout(config, wrapped(arrays), inputs)
         assert pred.data[0, 0] == pytest.approx(0.3, abs=1e-10)
 
     def test_division_guard_reports_index(self):
@@ -187,7 +186,7 @@ class TestLstmP:
     def test_zero_weights_first_prediction_zero(self):
         config = TrainConfig("lstm-p", d_g=4, warmup_length=1)
         inputs = make_inputs(w=1, length=3, target=[[0.4]])
-        pred, (g, c) = rollout(config, wrapped(zero_params(config)), inputs)
+        pred = rollout(config, wrapped(zero_params(config)), inputs)
         # o=0.5, c=0: prediction = 0.5*tanh(0) = 0
         np.testing.assert_array_equal(pred.data, np.zeros((1, 2)))
 
@@ -195,7 +194,7 @@ class TestLstmP:
         config = TrainConfig("lstm-p", d_g=4, warmup_length=2)
         arrays = init_head_params(config, 31)
         inputs = make_inputs(w=2, length=7, seed=17)
-        pred, _ = rollout(config, wrapped(arrays), inputs)
+        pred = rollout(config, wrapped(arrays), inputs)
 
         p = LstmParams(**{k: Tensor(v) for k, v in arrays.items()})
         target = inputs.target_warm_norm
@@ -213,7 +212,7 @@ class TestLstmP:
         config = TrainConfig("lstm-p", d_g=4, warmup_length=3)
         arrays = init_head_params(config, 32)
         inputs = make_inputs(w=3, length=5, seed=19)
-        _, (g, c) = rollout(config, wrapped(arrays), inputs)
+        _, c = warmup(config, wrapped(arrays), inputs)
         assert not np.allclose(c.data, 0.0)
 
 
@@ -229,7 +228,7 @@ class TestGruV:
     def test_zero_grid_predicts_drive(self):
         config = TrainConfig("gru-v", d_g=8, warmup_length=2)
         inputs = make_inputs(w=2, length=5, seed=23)
-        pred, _ = rollout(config, wrapped(zero_params(config)), inputs)
+        pred = rollout(config, wrapped(zero_params(config)), inputs)
         np.testing.assert_array_equal(pred.data, inputs.drive_norm[:, 2:])
 
     def test_single_site_readout(self):
@@ -245,8 +244,8 @@ class TestGruV:
         inputs_a = make_inputs(w=3, length=6, seed=29)
         inputs_b = make_inputs(w=3, length=6, seed=29)
         inputs_b.target_warm_norm = inputs_b.target_warm_norm + 0.1  # must be ignored
-        a, _ = rollout(config, wrapped(arrays), inputs_a)
-        b, _ = rollout(config, wrapped(arrays), inputs_b)
+        a = rollout(config, wrapped(arrays), inputs_a)
+        b = rollout(config, wrapped(arrays), inputs_b)
         np.testing.assert_array_equal(a.data, b.data)
 
 
@@ -263,7 +262,7 @@ class TestJaHeads:
         inputs = make_inputs(w=2, length=5, seed=31)
         inputs.drive_raw = np.full((1, 5), 0.2)  # constant flux: field never moves
         params = wrapped(init_head_params(config, 1))
-        pred, state = rollout(config, params, inputs)
+        pred = rollout(config, params, inputs)
         h_known = inputs.target_warm_raw[0, -1]
         np.testing.assert_allclose(pred.data * inputs.target_max, h_known, rtol=1e-12)
 
@@ -271,22 +270,21 @@ class TestJaHeads:
         config = TrainConfig("gru-jadp", d_g=6, warmup_length=2)
         arrays = init_head_params(config, 2)
         inputs = make_inputs(w=2, length=6, seed=37)
-        a, _ = rollout(config, wrapped(arrays), inputs)
-        b, _ = rollout(config, wrapped(arrays), inputs)
+        a = rollout(config, wrapped(arrays), inputs)
+        b = rollout(config, wrapped(arrays), inputs)
         assert a.data.tobytes() == b.data.tobytes()
         assert a.data.shape == (1, 4)
 
     @pytest.mark.parametrize("archetype, d_g", [("ja", 1), ("gru-jadp", 6)])
     def test_one_readout_over_the_field_columns(self, archetype, d_g):
         config = TrainConfig(archetype, d_g=d_g, warmup_length=2)
-        pred, state = rollout(config, wrap_params(init_head_params(config, 3)),
-                              make_inputs(w=2, length=7, seed=41))
+        pred = rollout(config, wrap_params(init_head_params(config, 3)),
+                       make_inputs(w=2, length=7, seed=41))
         columns = pred._parents[0]
         assert columns._backward.__qualname__.startswith("concat.")
         assert len(columns._parents) == 5
         assert all(h._backward.__qualname__.startswith("ja_step_euler.")
                    for h in columns._parents)
-        assert columns._parents[-1] is (state if archetype == "ja" else state[0])
 
     def test_single_precision_rejected(self):
         config = TrainConfig("gru-jadp", d_g=6, warmup_length=2)
@@ -311,7 +309,7 @@ class TestRolloutLossGradient:
 
         def fn(*tensors):
             params = dict(zip(names, tensors))
-            pred, _ = rollout(config, params, inputs)
+            pred = rollout(config, params, inputs)
             rows = weighted_loss_rows(target_full[:, 3:], pred, inputs.drive_norm[:, 2:],
                                       100.0, np.full(1, 40.0))
             return batch_mean(rows)
@@ -325,14 +323,14 @@ class TestRolloutLossGradient:
 @pytest.mark.parametrize("archetype", ["gru-p", "lstm-p", "gru-v"])
 def test_frozen_rollout_keeps_only_what_its_readout_reads(archetype):
     """A frozen cell rollout never holds a whole hidden trajectory, and its predictions
-    and final state are those of chained step calls."""
+    are those of chained step calls."""
     rows, steps, d_g, w = 16, 400, 8, 4
     config = TrainConfig(archetype, d_g=d_g, warmup_length=w)
     params = wrapped(init_head_params(config, 5))
     inputs = make_inputs(length=w + steps, w=w, rows=rows, seed=7)
     tracemalloc.start()
     try:
-        pred, final = rollout(config, params, inputs)
+        pred = rollout(config, params, inputs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -351,8 +349,6 @@ def test_frozen_rollout_keeps_only_what_its_readout_reads(archetype):
     read = np.stack(read, axis=1)
     want = inputs.drive_norm[:, w:] - read.sum(axis=-1) if archetype == "gru-v" else read
     assert pred.data.tobytes() == want.tobytes()
-    for got, chained in zip(final if lstm else (final,), (g, c) if lstm else (g,)):
-        assert got.data.tobytes() == chained.data.tobytes()
 
 
 class TestPredictWindow:
