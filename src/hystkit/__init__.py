@@ -18,9 +18,8 @@ from .dataset import (
     make_minibatches,
     split_dataset,
 )
-from .cells import (GruParams, LstmParams, gru_sequence, gru_step, lstm_sequence, lstm_step,
-                    param_count)
-from .heads import RolloutInputs, RolloutResult, predict_window, rollout
+from .cells import GruParams, LstmParams, gru_sequence, gru_step, lstm_sequence, lstm_step
+from .heads import RolloutInputs, RolloutResult, param_count, predict_window, rollout
 from .metrics import MetricReport, loss_rmse, mae, mse, nere, sre, wce
 from .physics import (
     PreisachParams,

@@ -1,4 +1,4 @@
-"""GRU and LSTM cell primitives with exact parameter accounting.
+"""GRU and LSTM cell primitives and their parameter records.
 
 Both cells operate on batched rows: inputs are ``(batch, d_x)``, hidden
 states ``(batch, d_g)``. Weight matrices follow the ``(d_g, d_x)`` /
@@ -38,7 +38,8 @@ whose fields list the arrays in draw order. The base supplies everything
 else (names, dict conversion, ``map``, construction from a name -> array
 mapping, and seeded initialization), and a field's name prefix fixes its
 shape: ``w*`` is ``(d_g, d_x)``, ``u*`` is ``(d_g, d_g)`` and ``b*`` is
-``(d_g,)``. A new cell array needs only a field.
+``(d_g,)``. A new cell array needs only a field: the heads' parameter counts
+(``heads.param_count``) are the sizes of the arrays a record draws.
 """
 from __future__ import annotations
 
@@ -47,10 +48,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .autodiff import ShapeError, Tensor, _accum, _node, _sigmoid
-
-GRU_ARCHETYPES = ("gru-p", "gru-m", "gru-l", "gru-v", "gru-jadp")
-LSTM_ARCHETYPES = ("lstm-p",)
-
 
 class CellParams:
     """Base of the per-cell parameter records; subclasses list only their fields."""
@@ -367,23 +364,4 @@ def lstm_sequence(x: np.ndarray, g0: Tensor, c0: Tensor, p: LstmParams, keep=sli
         _accum(c0, carry_c)
 
     return _node(out, (g0, c0) + leaves, backward)
-
-
-def param_count(archetype: str, d_g: int, d_x: int) -> int:
-    """Exact trainable-parameter count for one cell of the given archetype.
-
-    GRU family: 3*d_g*d_x + 3*d_g^2 + 4*d_g (three W, three U, three b plus b_n).
-    LSTM: 4*(d_g*d_x + d_g^2 + d_g).
-    ``ja`` has five scalar parameters and ignores the dimensions. Counts are
-    formula-exact; tallies from frameworks with other bias layouts can differ.
-    """
-    if d_g < 1 or d_x < 1:
-        raise ValueError("d_g and d_x must be >= 1")
-    if archetype in GRU_ARCHETYPES:
-        return 3 * d_g * d_x + 3 * d_g * d_g + 4 * d_g
-    if archetype in LSTM_ARCHETYPES:
-        return 4 * (d_g * d_x + d_g * d_g + d_g)
-    if archetype == "ja":
-        return 5
-    raise ValueError(f"unknown archetype {archetype!r}")
 

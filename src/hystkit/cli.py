@@ -354,14 +354,24 @@ def _positive_int(flag: str, text: str) -> int:
     return value
 
 
+def _distinct(source: str, values: list) -> list:
+    """``values`` if no two are equal; a repeated one is a CliError naming ``source``."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise CliError(f"{source} lists {value!r} twice")
+    return values
+
+
 def cmd_sweep(args) -> int:
     resolved = _resolve_config(args)
-    sizes = [_positive_int("--sizes", s) for s in args.sizes.split(",")]
+    sizes = _distinct("--sizes", [_positive_int("--sizes", s) for s in args.sizes.split(",")])
     n_seeds = _positive_int("--seeds", args.seeds)
     workers = _positive_int("--workers", args.workers)
+    archetypes = _distinct("--archetype" if args.archetype is not None
+                           else f"{args.config}: archetype",
+                           [a.strip() for a in resolved["archetype"].split(",")])
     # one config per listed archetype, each refused as `train` would refuse it
-    configs = [_train_config({**resolved, "archetype": a.strip()})
-               for a in resolved["archetype"].split(",")]
+    configs = [_train_config({**resolved, "archetype": a}) for a in archetypes]
     # every trial shares the windows, so one check covers them all
     splits, inputs, _ = _open_run(args, configs[0], resolved["split_seed"])
     check_sweep_eval(splits["eval"])

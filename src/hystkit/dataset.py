@@ -9,7 +9,8 @@ and the constant normalized temperature.
 
 On-disk layout (one directory per material):
 
-* ``manifest.json`` — ``{"material": ..., "sequences": [...], "count": n}``
+* ``manifest.json`` — ``{"material": ..., "sequences": [...], "count": n}``; each
+  sequence entry is a bare file name in the material directory, listed once
 * ``seq_XXXXX.csv`` — header ``k,B_T,H_Am``, one row per sample
 * ``seq_XXXXX.json`` — ``{"material", "temperature_C", "f_sw_Hz", "tau_s"}``
 
@@ -532,7 +533,8 @@ def write_material(out_dir: Path, material: str, sequences) -> Path:
 
 
 def load_material(data_dir: Path, material: str) -> list[MeasuredSequence]:
-    """Load every sequence listed in a material's manifest."""
+    """Load every sequence listed in a material's manifest, whose entries must be bare
+    file names in the material directory, each listed once (else :class:`DataError`)."""
     mat_dir = Path(data_dir) / material
     manifest_path = mat_dir / "manifest.json"
     if not manifest_path.exists():
@@ -540,6 +542,12 @@ def load_material(data_dir: Path, material: str) -> list[MeasuredSequence]:
     names = read_json_object(manifest_path).get("sequences")
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise DataError(f"{manifest_path}: field 'sequences' must be a list of file names")
+    seen = set()
+    for name in names:
+        if Path(name).name != name or name in ("", "..") or name in seen:
+            raise DataError(f"{manifest_path}: entry {name!r} of 'sequences' is " + (
+                "listed twice" if name in seen else f"not a file name inside {mat_dir}"))
+        seen.add(name)
     return [read_sequence(mat_dir / name) for name in names]
 
 

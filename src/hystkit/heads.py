@@ -35,7 +35,10 @@ Archetypes:
 The functions here that take a config take the run's
 :class:`~hystkit.training.TrainConfig` and read three of its fields:
 ``archetype``, ``d_g`` (the hidden size) and ``warmup_length``. A cell head's
-input weights are drawn for :data:`~hystkit.dataset.FEATURE_WIDTH` features.
+arrays are drawn by its cell record (``cells.LstmParams`` for ``lstm-p``,
+``cells.GruParams`` for the others), its input weights for
+:data:`~hystkit.dataset.FEATURE_WIDTH` features; ``ja``'s block is drawn by
+``physics.init_ja_theta``. :func:`param_count` counts what they draw.
 """
 from __future__ import annotations
 
@@ -45,10 +48,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .autodiff import Tensor, _accum, _node, concat, dtype_of, reshape, tanh, tsum
-from .cells import (LSTM_ARCHETYPES, GruParams, LstmParams, gru_sequence, gru_step,
-                    lstm_sequence, lstm_step)
+from .cells import GruParams, LstmParams, gru_sequence, gru_step, lstm_sequence, lstm_step
 from .dataset import FEATURE_WIDTH, DataError, MiniBatch, NormConstants
-from .physics import ja_params_from_theta, ja_step_euler, gru_jadp_step
+from .physics import init_ja_theta, ja_params_from_theta, ja_step_euler, gru_jadp_step
 
 if TYPE_CHECKING:
     from .training import TrainConfig
@@ -58,6 +60,8 @@ ARCHETYPES = ("gru-p", "gru-m", "gru-l", "lstm-p", "gru-v", "gru-jadp", "ja")
 INJECTING = ("gru-p", "gru-m", "gru-l", "lstm-p")
 #: Heads that integrate the Jiles-Atherton model in raw units.
 JA_FAMILY = ("ja", "gru-jadp")
+#: Heads whose recurrent cell is an LSTM; the other cell heads run a GRU.
+LSTM_ARCHETYPES = ("lstm-p",)
 
 #: Division guard for the inverse-permeability warmup.
 EPS_B = 1e-6
@@ -121,9 +125,27 @@ def inputs_from_batch(batch: MiniBatch, norm: NormConstants) -> RolloutInputs:
     )
 
 
-def _cell(config: TrainConfig):
+def _cell(archetype: str):
     """The parameter record of the archetype's recurrent cell."""
-    return LstmParams if config.archetype in LSTM_ARCHETYPES else GruParams
+    return LstmParams if archetype in LSTM_ARCHETYPES else GruParams
+
+
+def _draw(archetype: str, d_g: int, d_x: int, rng: np.random.Generator, dtype) -> dict:
+    """The archetype's named parameter arrays: its cell record's, or ``ja``'s JA block."""
+    if archetype == "ja":
+        return init_ja_theta(rng, dtype)
+    return _cell(archetype).init(d_g, d_x, rng, dtype).as_dict()
+
+
+def param_count(archetype: str, d_g: int, d_x: int) -> int:
+    """Trainable values of one head over ``d_x`` features: the sizes of the arrays it
+    draws, also at hidden sizes :func:`init_head_params` refuses (``ja`` ignores both)."""
+    if d_g < 1 or d_x < 1:
+        raise ValueError("d_g and d_x must be >= 1")
+    if archetype not in ARCHETYPES:
+        raise ValueError(f"unknown archetype {archetype!r}")
+    arrays = _draw(archetype, d_g, d_x, np.random.default_rng(0), np.float64)
+    return sum(a.size for a in arrays.values())
 
 
 def init_head_params(config: TrainConfig, seed, precision: str = "double") -> dict:
@@ -140,10 +162,7 @@ def init_head_params(config: TrainConfig, seed, precision: str = "double") -> di
     if config.archetype == "gru-jadp" and config.d_g < 5:
         raise HeadError("gru-jadp needs d_g >= 5")
     dt = dtype_of(precision)
-    rng = np.random.default_rng(seed)
-    if config.archetype == "ja":
-        return {"theta_ja": rng.normal(0.0, 0.5, size=5).astype(dt)}
-    return _cell(config).init(config.d_g, FEATURE_WIDTH, rng, dt).as_dict()
+    return _draw(config.archetype, config.d_g, FEATURE_WIDTH, np.random.default_rng(seed), dt)
 
 
 def wrap_params(arrays: dict, requires_grad: bool = True) -> dict:
@@ -218,7 +237,7 @@ def warmup(config: TrainConfig, params: dict, inputs: RolloutInputs):
     dt = _dtype(params)
     rows, w = inputs.x.shape[0], inputs.warmup_length
     lstm = config.archetype in LSTM_ARCHETYPES
-    p = _cell(config).from_dict(params)
+    p = _cell(config.archetype).from_dict(params)
     g = Tensor(np.zeros((rows, config.d_g), dtype=dt))
     c = Tensor(np.zeros((rows, config.d_g), dtype=dt)) if lstm else None
     inject = None
@@ -259,7 +278,7 @@ def _cell_open_loop(config: TrainConfig, params: dict, inputs: RolloutInputs) ->
     only the hidden elements the readout reads, then one readout over them."""
     w = inputs.warmup_length
     g, c = warmup(config, params, inputs)
-    p = _cell(config).from_dict(params)
+    p = _cell(config.archetype).from_dict(params)
     x = inputs.x[:, w:]
     keep = GRID_FIRST if config.archetype == "gru-v" else 0
     if config.archetype in LSTM_ARCHETYPES:
@@ -285,7 +304,7 @@ def _ja_open_loop(config: TrainConfig, params: dict, inputs: RolloutInputs) -> T
         phys = ja_params_from_theta(reshape(params["theta_ja"], (1, 5)))
     else:
         g, _ = warmup(config, params, inputs)
-        p = _cell(config).from_dict(params)
+        p = _cell(config.archetype).from_dict(params)
         dt = _dtype(params)
     columns = []
     for t in range(w, inputs.x.shape[1]):

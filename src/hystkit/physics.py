@@ -96,6 +96,12 @@ def ja_params_from_theta(theta: Tensor) -> Tensor:
     return _node(sig * eta_row, (theta,), backward)
 
 
+def init_ja_theta(rng: np.random.Generator, dtype) -> dict:
+    """The JA block ``{"theta_ja": ...}`` of the ``ja`` head and the physics regularizer:
+    one unconstrained value per parameter of :func:`ja_params_from_theta`, from N(0, 0.5)."""
+    return {"theta_ja": rng.normal(0.0, 0.5, size=5).astype(dtype)}
+
+
 # -- Jiles-Atherton Euler step ------------------------------------------------
 # The Langevin function L(x) = coth(x) - 1/x and its first two derivatives.
 # Below |x| < _LANGEVIN_CUT each switches to its Taylor series, so values and
@@ -308,7 +314,7 @@ class PreisachParams:
         return len(self.mu)
 
     def count(self) -> int:
-        return len(self.mu) + 3
+        return self.mu.size + self.omega.size
 
 
 def preisach_grid(n_levels: int = 17):

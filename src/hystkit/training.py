@@ -20,14 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor, concat, dtype_of, reshape
-from .cells import param_count
 from .dataset import (FEATURE_WIDTH, MiniBatch, NormConstants, compute_norm_constants, fmt,
                       json_text, make_minibatches, read_json_object, reversed_minibatches,
                       write_file, write_rows)
-from .heads import (ARCHETYPES, JA_FAMILY, init_head_params, inputs_from_batch, predict_window,
-                    rollout, wrap_params)
+from .heads import (ARCHETYPES, JA_FAMILY, WarmupError, init_head_params, inputs_from_batch,
+                    param_count, predict_window, rollout, wrap_params)
 from .metrics import MetricReport, batch_mean, mae, mse, sre, nere, wce, weighted_loss_rows
-from .physics import ETA, ja_params_from_theta, pinn_ja_residual, preisach_predict
+from .physics import ETA, init_ja_theta, ja_params_from_theta, pinn_ja_residual, preisach_predict
 
 CHECKPOINT_FORMAT_VERSION = 1
 #: Adam's moment decay rates and denominator guard.
@@ -113,11 +112,15 @@ def decode_setting(key: str, value, kind: type):
     return value
 
 
+def _regularizer_block(config: TrainConfig) -> bool:
+    """Whether the physics regularizer adds a JA block, ``theta_ja``, to the head's arrays."""
+    return config.lambda_w > 0 and config.archetype != "ja"
+
+
 def config_param_count(config: TrainConfig) -> int:
+    """Trainable values :func:`init_params` draws, also at sizes the head refuses."""
     n = param_count(config.archetype, config.d_g, FEATURE_WIDTH)
-    if config.lambda_w > 0 and config.archetype != "ja":
-        n += 5  # co-trained JA parameters of the physics regularizer
-    return n
+    return n + param_count("ja", config.d_g, FEATURE_WIDTH) if _regularizer_block(config) else n
 
 
 # -- optimizer ---------------------------------------------------------------
@@ -168,9 +171,15 @@ def optimizer_step(params: dict, grads: dict, state: AdamState, lr: float, clip_
 # -- loss assembly -----------------------------------------------------------
 
 def batch_loss(config: TrainConfig, params_t: dict, batch: MiniBatch, norm: NormConstants) -> Tensor:
-    """Mini-batch objective: flux-weighted RMSE rows (+ physics penalty), meaned."""
-    inputs = inputs_from_batch(batch, norm)
-    pred = rollout(config, params_t, inputs)
+    """Mini-batch objective: flux-weighted RMSE rows (+ physics penalty), meaned. A window
+    whose warmup the head cannot invert raises :class:`WarmupError` naming its train-split
+    sequence (``batch.sources``) and first sample."""
+    try:
+        pred = rollout(config, params_t, inputs_from_batch(batch, norm))
+    except WarmupError as exc:
+        seq, start = (int(v) for v in batch.sources[exc.row])
+        raise WarmupError(f"train split: sequence {seq}, window starting at sample {start}: "
+                          f"{exc}") from None
     w = batch.warmup_length
     rows = weighted_loss_rows(batch.h_norm[:, w:], pred, batch.b_norm[:, w - 1:],
                               norm.h_max, batch.h_rms)
@@ -185,9 +194,9 @@ def batch_loss(config: TrainConfig, params_t: dict, batch: MiniBatch, norm: Norm
 
 def init_params(config: TrainConfig) -> dict:
     arrays = init_head_params(config, [config.seed, 0], config.precision)
-    if config.lambda_w > 0 and config.archetype != "ja":
-        rng = np.random.default_rng([config.seed, 5])
-        arrays["theta_ja"] = rng.normal(0.0, 0.5, size=5).astype(dtype_of(config.precision))
+    if _regularizer_block(config):
+        arrays.update(init_ja_theta(np.random.default_rng([config.seed, 5]),
+                                    dtype_of(config.precision)))
     return arrays
 
 

@@ -21,13 +21,13 @@ from hystkit.cells import (
     LstmParams,
     gru_step,
     lstm_step,
-    param_count,
 )
 from hystkit.dataset import compute_norm_constants, reversed_minibatches, list_materials, load_material, split_dataset
 from hystkit.heads import (
     RolloutInputs,
     _inject,
     init_head_params,
+    param_count,
     rollout,
     wrap_params,
 )

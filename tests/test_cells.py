@@ -13,8 +13,10 @@ from hystkit.cells import (
     gru_step,
     lstm_sequence,
     lstm_step,
-    param_count,
 )
+from hystkit.dataset import FEATURE_WIDTH
+from hystkit.heads import init_head_params, param_count
+from hystkit.training import TrainConfig
 
 
 def wrap(container):
@@ -399,6 +401,20 @@ class TestParamCount:
             p = LstmParams.init(d_g, d_x, np.random.default_rng(0))
             total = sum(v.size for v in p.as_dict().values())
             assert total == param_count("lstm-p", d_g, d_x)
+        # every archetype at a hidden size its head accepts
+        for archetype, d_g in [("gru-p", 8), ("gru-m", 3), ("gru-l", 5), ("lstm-p", 6),
+                               ("gru-v", 18), ("gru-jadp", 7), ("ja", 4)]:
+            arrays = init_head_params(TrainConfig(archetype=archetype, d_g=d_g), seed=0)
+            total = sum(v.size for v in arrays.values())
+            assert total == param_count(archetype, d_g, FEATURE_WIDTH), archetype
+
+    def test_documented_formulas(self):
+        for d_g, d_x in [(1, 1), (2, 4), (8, 4), (18, 3)]:
+            gru = 3 * d_g * d_x + 3 * d_g * d_g + 4 * d_g
+            for archetype in ("gru-p", "gru-m", "gru-l", "gru-v", "gru-jadp"):
+                assert param_count(archetype, d_g, d_x) == gru
+            assert param_count("lstm-p", d_g, d_x) == 4 * (d_g * d_x + d_g * d_g + d_g)
+            assert param_count("ja", d_g, d_x) == 5
 
     def test_invalid(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ import hystkit.cli as cli
 import hystkit.training as training
 from hystkit.autodiff import Tensor
 from hystkit.cli import _CONFIG_FIELDS, build_parser, main
-from hystkit.dataset import MeasuredSequence, NormConstants, write_material
+from hystkit.dataset import MeasuredSequence, NormConstants, split_dataset, write_material
 from hystkit.synth import generate_ja_dataset
 
 
@@ -346,6 +346,10 @@ UNSCORED = "eval split: sequence 0 cannot be scored over samples 16..95: "
     (["train", "--archetype", "nope"], "unknown archetype 'nope'"),
     (["sweep", "--sizes", "2", "--archetype", "gru-p,nope"], "unknown archetype 'nope'"),
     (["sweep", "--sizes", "2", "--archetype", "gru-p,"], "unknown archetype ''"),
+    (["sweep", "--sizes", "2,4,2"], "--sizes lists 2 twice"),
+    (["sweep", "--sizes", "2,02"], "--sizes lists 2 twice"),
+    (["sweep", "--sizes", "2", "--archetype", "gru-p,lstm-p, gru-p"],
+     "--archetype lists 'gru-p' twice"),
     (["train"] + SHORT_EVAL,
      "eval split: warmup 16 needs sequences of at least 18 samples: sequence 1 has 12"),
     (["sweep", "--sizes", "2"] + SHORT_EVAL,
@@ -364,6 +368,7 @@ UNSCORED = "eval split: sequence 0 cannot be scored over samples 16..95: "
         "sweep-nan-lr", "sweep-ja-single", "sweep-listed-ja-single", "sweep-window-too-long",
         "sweep-no-full-batch", "negative-seed", "negative-seed-and-split", "negative-split-seed",
         "unknown-archetype", "sweep-unknown-archetype", "sweep-empty-archetype",
+        "sweep-repeated-size", "sweep-repeated-size-spelling", "sweep-repeated-archetype",
         "eval-too-short", "sweep-eval-too-short", "zero-temperature",
         "sweep-zero-temperature", "eval-flat", "sweep-eval-flat", "eval-quiet",
         "sweep-eval-quiet", "eval-warmup-outside-domain"])
@@ -374,6 +379,37 @@ def test_unusable_run_refused_before_staging(train_only_dir, tmp_path, capsys, a
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_repeated_config_archetype_refused_before_staging(train_only_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"archetype": "gru-p,gru-p"}))
+    out = tmp_path / "o"
+    rc = main(["sweep", "--data", str(train_only_dir), "--material", "m", "--sizes", "2",
+               "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {cfg}: archetype lists 'gru-p' twice\n"
+    assert not out.exists()
+
+
+def test_training_window_outside_domain_named(tmp_path, capsys):
+    seqs = generate_ja_dataset(24, 259, seed=501)
+    write_material(tmp_path, "m", seqs)
+    out = tmp_path / "o"
+    rc = main(["train", "--data", str(tmp_path), "--material", "m", "--out", str(out),
+               "--archetype", "gru-m", "--subseq-len", "60", "--warmup-len", "16",
+               "--batch-size", "4", "--epochs", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    found = re.fullmatch(r"error: train split: sequence (\d+), window starting at sample (\d+): "
+                         r"\|H~\| >= 1 \(magnetization inverse undefined\) at warmup step (\d+)\n",
+                         err)
+    assert found, err
+    seq, start, step = (int(v) for v in found.groups())
+    train_split = split_dataset(seqs, seed=0)[0]
+    h_max = max(np.max(np.abs(s.h)) for s in train_split)
+    assert abs(train_split[seq].h[start + step]) / h_max >= 1.0
+    assert step < 16 and start + 60 <= len(train_split[seq])
 
 
 @pytest.fixture(scope="module")
@@ -588,6 +624,30 @@ class TestEvalPredict:
         assert rc == 1
         err = capsys.readouterr().err
         assert f"error: {target}: " in err and field in err
+
+    @pytest.mark.parametrize("entry", ["../other/seq_00001.csv", "ABSOLUTE", "", ".", "..",
+                                       "seq_00003.csv"],
+                             ids=["sibling", "absolute", "empty", "dot", "dotdot", "repeated"])
+    def test_manifest_entry_outside_or_repeated_refused(self, dataset_dir, tmp_path, capsys,
+                                                        entry):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        shutil.copytree(data / "synthA", data / "other")
+        if entry == "ABSOLUTE":
+            entry = str(data / "other" / "seq_00001.csv")
+        manifest = data / "synthA" / "manifest.json"
+        content = json.loads(manifest.read_text())
+        content["sequences"][1] = entry
+        manifest.write_text(json.dumps(content))
+        out = tmp_path / "out"
+        rc = main(["train", "--data", str(data), "--material", "synthA",
+                   "--out", str(out)] + TRAIN_FLAGS)
+        assert rc == 1
+        reason = ("is listed twice" if entry == "seq_00003.csv"
+                  else f"is not a file name inside {data / 'synthA'}")
+        assert capsys.readouterr().err == (f"error: {manifest}: entry {entry!r} of "
+                                           f"'sequences' {reason}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key",["norm.h_max", "norm.b_max", "norm.theta_max",
                                      "train_config.d_g",

@@ -12,7 +12,7 @@ from conftest import digest
 from hystkit.autodiff import _toposort
 from hystkit.dataset import (DataError, MeasuredSequence, NormConstants,
                              compute_norm_constants, make_minibatches)
-from hystkit.heads import inputs_from_batch, rollout, wrap_params
+from hystkit.heads import HeadError, inputs_from_batch, param_count, rollout, wrap_params
 from hystkit.metrics import MetricReport
 from hystkit.physics import init_preisach_params
 from hystkit.synth import generate_ja_dataset
@@ -121,6 +121,24 @@ class TestTrainConfig:
     def test_param_count_includes_pinn_theta(self):
         assert config_param_count(TrainConfig(archetype="gru-p", d_g=8)) == 320
         assert config_param_count(TrainConfig(archetype="gru-p", d_g=8, lambda_w=0.1)) == 325
+
+    @pytest.mark.parametrize("lambda_w", [0.0, 0.1])
+    def test_param_count_matches_init_params(self, lambda_w):
+        for archetype, d_g in [("gru-p", 8), ("gru-m", 3), ("gru-l", 5), ("lstm-p", 6),
+                               ("gru-v", 18), ("gru-jadp", 7), ("ja", 4)]:
+            config = TrainConfig(archetype=archetype, d_g=d_g, lambda_w=lambda_w)
+            total = sum(a.size for a in init_params(config).values())
+            assert config_param_count(config) == total, archetype
+
+    @pytest.mark.parametrize("archetype, d_g, count", [("gru-v", 12, 624), ("gru-jadp", 4, 112)])
+    def test_param_count_at_sizes_the_head_refuses(self, archetype, d_g, count):
+        # a failed sweep row still reports the size of the model it would have drawn
+        with pytest.raises(HeadError):
+            init_params(TrainConfig(archetype=archetype, d_g=d_g))
+        assert param_count(archetype, d_g, 4) == count
+        assert config_param_count(TrainConfig(archetype=archetype, d_g=d_g)) == count
+        regularized = TrainConfig(archetype=archetype, d_g=d_g, lambda_w=0.1)
+        assert config_param_count(regularized) == count + 5
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -534,7 +552,6 @@ class TestParetoSweep:
         seqs = tiny_dataset(n=6)
         rows, medians = pareto_sweep([small_config(epochs=1)], [2, 4], 3, seqs[:4], seqs[4:])
         assert len(rows) == 6
-        from hystkit.cells import param_count
         for row in rows:
             assert row["params"] == param_count("gru-p", row["d_g"], 4)
             assert row["status"] == "ok"
