@@ -9,29 +9,30 @@ The GRU update uses the convex-combination form
 second bias ``b_n`` inside the reset product: ``r_k * (U g_{k-1} + b_n)``.
 Folding ``b_n`` into ``b`` changes the function; do not.
 
-Each step is one tape node with a hand-written backward (an LSTM step is
-two: the cell node, which owns the backward, and the hidden node on top of
-it). The forward runs the numpy operations of the primitive-by-primitive
-composition (matmul, add, sigmoid, tanh, mul) in the same order, so its
-values match that composition bit for bit; the backward is the analytic
-gradient with respect to the input, the previous state(s) and every
-parameter array.
+Each cell's step is written once, as a forward and a backward on arrays
+(``_gru_forward``/``_gru_backward``, ``_lstm_forward``/``_lstm_backward``),
+which the step functions and the sequence kernels both call. The forward
+runs the numpy operations of the primitive-by-primitive composition
+(matmul, add, sigmoid, tanh, mul) in the same order, so its values match
+that composition bit for bit (the sigmoid gates share one stacked block,
+which gives the same bits); the backward is the analytic gradient with
+respect to the previous state(s) and every parameter array. Every GEMM
+keeps its per-step shape: stacking gate matrices or steps into one GEMM
+changes the last bits.
 
-:func:`gru_sequence` and :func:`lstm_sequence` run every step of a
-``(rows, T, d_x)`` feature block as one tape node. Its value records, per
-step, only the hidden elements the caller keeps (a rollout keeps those its
-readout reads: element 0, or gru-v's even elements), so a frozen rollout
-holds no ``(rows, T, d_g)`` trajectory. The forward repeats the step's numpy
-expressions step by step (a step's sigmoid gates share one stacked block,
-which gives the same bits); the backward is one reverse loop over the
-step's gradient expressions that sums each parameter's per-step gradients
-in reverse time order, so values and gradients are byte-equal to chained
-step calls. Every per-step GEMM keeps its shape: stacking gate matrices or
-steps into one GEMM changes the last bits. Without a parameter or initial
-state that requires a gradient, the kernels store no per-step arrays. The
-step functions stay the per-step interface (a rollout's warmup injects a
-value between steps) and the reference the sequence kernels are tested
-against.
+:func:`gru_step` is one tape node and :func:`lstm_step` two (the cell node,
+which owns the backward, and the hidden node on top of it); they also pass
+the gradient on to the input, and are the per-step interface (a rollout's
+warmup injects a value between steps). :func:`gru_sequence` and
+:func:`lstm_sequence` run every step of a ``(rows, T, d_x)`` feature block
+as one tape node whose value records, per step, only the hidden elements
+the caller keeps (a rollout keeps those its readout reads: element 0, or
+gru-v's even elements), so a frozen rollout holds no ``(rows, T, d_g)``
+trajectory. Their backward is one reverse loop over the step backward that
+sums each parameter's per-step gradients in reverse time order, so values
+and gradients are byte-equal to chained step calls. Without a parameter or
+initial state that requires a gradient, the kernels store no per-step
+arrays.
 
 Each cell's parameters are one record, a dataclass over :class:`CellParams`
 whose fields list the arrays in draw order. The base supplies everything
@@ -75,7 +76,8 @@ class CellParams:
         return cls(**{k: draw(k) for k in cls.names()})
 
     def as_dict(self):
-        return {k: getattr(self, k) for k in self.names()}
+        # the instance's attributes are the fields, set by ``__init__`` in field order
+        return dict(vars(self))
 
     def map(self, fn):
         return type(self)(**{k: fn(v) for k, v in self.as_dict().items()})
@@ -156,42 +158,90 @@ def _store_sums(leaves, stacks) -> None:
             leaf.grad = np.add.accumulate(stack, axis=0, out=stack)[-1].copy()
 
 
-def _gate_backward(da, x: Tensor, g_prev: Tensor, w: Tensor, u: Tensor, b: Tensor) -> None:
-    """Accumulate W, U and bias gradients of one gate from its pre-activation gradient ``da``."""
-    _accum(w, da.T @ x.data)
-    _accum(u, da.T @ g_prev.data)
-    _accum(b, da.sum(axis=0))
+def _param_grads(out, pairs) -> None:
+    """Write each parameter's gradient, ``da.T @ operand`` or for a bias (operand None)
+    ``da`` summed over rows, into the list ``out`` in field order; None entries are allocated."""
+    for k, (da, operand) in enumerate(pairs):
+        out[k] = (np.add.reduce(da, axis=0, out=out[k]) if operand is None
+                  else np.matmul(da.T, operand, out=out[k]))
+
+
+def _gru_forward(xd, gd, w_z, u_z, b_z, w_r, u_r, b_r, w, u, b, b_n):
+    """One GRU step on arrays: the new state and the terms its backward reads."""
+    pre = np.empty((2,) + gd.shape, dtype=gd.dtype)
+    np.add(xd @ w_z.T + b_z, gd @ u_z.T, out=pre[0])
+    np.add(xd @ w_r.T + b_r, gd @ u_r.T, out=pre[1])
+    z, r = _sigmoid(pre)
+    uh = gd @ u.T + b_n
+    cand = np.tanh(xd @ w.T + b + r * uh)
+    diff = gd - cand
+    return cand + z * diff, (xd, gd, z, r, uh, cand, diff, u_z, u_r, u)
+
+
+def _gru_backward(dh, terms, out):
+    """One GRU step's backward from its output's gradient ``dh``: writes the parameter
+    gradients into ``out`` (see :func:`_param_grads`) and returns the previous state's
+    gradient and the update, reset and candidate pre-activation gradients."""
+    xd, gd, z, r, uh, cand, diff, u_z, u_r, u = terms
+    dh_z = dh * z
+    da_z = dh * diff * z * (1.0 - z)
+    da_n = (dh - dh_z) * (1.0 - cand * cand)
+    da_u = da_n * r
+    da_r = da_n * uh * r * (1.0 - r)
+    _param_grads(out, ((da_z, xd), (da_z, gd), (da_z, None), (da_r, xd), (da_r, gd),
+                       (da_r, None), (da_n, xd), (da_u, gd), (da_n, None), (da_u, None)))
+    return dh_z + da_z @ u_z + da_r @ u_r + da_u @ u, (da_z, da_r, da_n)
+
+
+def _lstm_forward(xd, gd, cd, w_i, u_i, b_i, w_f, u_f, b_f, w_m, u_m, b_m, w_o, u_o, b_o):
+    """One LSTM step on arrays: new hidden and cell states, and the terms its backward reads."""
+    pre = np.empty((3,) + gd.shape, dtype=gd.dtype)
+    np.add(xd @ w_i.T + b_i, gd @ u_i.T, out=pre[0])
+    np.add(xd @ w_f.T + b_f, gd @ u_f.T, out=pre[1])
+    np.add(xd @ w_o.T + b_o, gd @ u_o.T, out=pre[2])
+    i, f, o = _sigmoid(pre)
+    m = np.tanh(xd @ w_m.T + b_m + gd @ u_m.T)
+    c = f * cd + i * m
+    tc = np.tanh(c)
+    return o * tc, c, (xd, gd, cd, i, f, m, o, tc, u_i, u_f, u_m, u_o)
+
+
+def _lstm_hidden_backward(dh, terms):
+    """The cell state's gradient through the hidden output ``o * tanh(c)``."""
+    o, tc = terms[6:8]
+    return dh * o * (1.0 - tc * tc)
+
+
+def _lstm_backward(dh, dc, terms, out):
+    """One LSTM step's backward from the gradients of its hidden output ``dh`` and its
+    cell state ``dc`` (the hidden path included): writes the parameter gradients into
+    ``out`` (see :func:`_param_grads`) and returns the previous hidden and cell states'
+    gradients and the gates' pre-activation gradients. ``dh`` is None when the hidden
+    output got no gradient; the output gate's arrays then get none either."""
+    xd, gd, cd, i, f, m, o, tc, u_i, u_f, u_m, u_o = terms
+    gates = [dc * m * i * (1.0 - i), dc * cd * f * (1.0 - f), dc * i * (1.0 - m * m)]
+    if dh is not None:
+        gates.append(dh * tc * o * (1.0 - o))
+    _param_grads(out, [(da, operand) for da in gates for operand in (xd, gd, None)])
+    return sum(da @ uk for da, uk in zip(gates, (u_i, u_f, u_m, u_o))), dc * f, gates
 
 
 def gru_step(x: Tensor, g_prev: Tensor, p: GruParams) -> Tensor:
     """One GRU step: gates from (x, g_prev), then the convex update; one tape node."""
     _check_operands(x.data, p.w_z, p.u_z, g_prev)
-    xd, gd = x.data, g_prev.data
-    z = _sigmoid(xd @ p.w_z.data.T + p.b_z.data + gd @ p.u_z.data.T)
-    r = _sigmoid(xd @ p.w_r.data.T + p.b_r.data + gd @ p.u_r.data.T)
-    uh = gd @ p.u.data.T + p.b_n.data
-    cand = np.tanh(xd @ p.w.data.T + p.b.data + r * uh)
-    diff = gd - cand
-    out = cand + z * diff
+    leaves = tuple(p.as_dict().values())
+    out, terms = _gru_forward(x.data, g_prev.data, *[leaf.data for leaf in leaves])
 
     def backward(dh):
-        da_z = dh * diff * z * (1.0 - z)
-        da_n = (dh - dh * z) * (1.0 - cand * cand)
-        da_u = da_n * r
-        da_r = da_n * uh * r * (1.0 - r)
-        _gate_backward(da_z, x, g_prev, p.w_z, p.u_z, p.b_z)
-        _gate_backward(da_r, x, g_prev, p.w_r, p.u_r, p.b_r)
-        _accum(p.w, da_n.T @ xd)
-        _accum(p.b, da_n.sum(axis=0))
-        _accum(p.u, da_u.T @ gd)
-        _accum(p.b_n, da_u.sum(axis=0))
+        grads = [None] * len(leaves)
+        d_prev, (da_z, da_r, da_n) = _gru_backward(dh, terms, grads)
+        for leaf, grad in zip(leaves, grads):
+            _accum(leaf, grad)
         if x.requires_grad:
             _accum(x, da_z @ p.w_z.data + da_r @ p.w_r.data + da_n @ p.w.data)
-        if g_prev.requires_grad:
-            _accum(g_prev, dh * z + da_z @ p.u_z.data + da_r @ p.u_r.data + da_u @ p.u.data)
+        _accum(g_prev, d_prev)
 
-    return _node(out, (x, g_prev, p.w_z, p.u_z, p.b_z, p.w_r, p.u_r, p.b_r,
-                       p.w, p.u, p.b, p.b_n), backward)
+    return _node(out, (x, g_prev) + leaves, backward)
 
 
 def lstm_step(x: Tensor, g_prev: Tensor, c_prev: Tensor, p: LstmParams):
@@ -207,36 +257,26 @@ def lstm_step(x: Tensor, g_prev: Tensor, c_prev: Tensor, p: LstmParams):
     if c_prev is None:
         raise ShapeError("lstm_step requires a cell state")
     _check_operands(x.data, p.w_i, p.u_i, g_prev, c_prev)
-    xd, gd, cd = x.data, g_prev.data, c_prev.data
-    i = _sigmoid(xd @ p.w_i.data.T + p.b_i.data + gd @ p.u_i.data.T)
-    f = _sigmoid(xd @ p.w_f.data.T + p.b_f.data + gd @ p.u_f.data.T)
-    m = np.tanh(xd @ p.w_m.data.T + p.b_m.data + gd @ p.u_m.data.T)
-    o = _sigmoid(xd @ p.w_o.data.T + p.b_o.data + gd @ p.u_o.data.T)
-    c = f * cd + i * m
-    tc = np.tanh(c)
-    g = o * tc
+    leaves = tuple(p.as_dict().values())
+    g, c, terms = _lstm_forward(x.data, g_prev.data, c_prev.data, *[leaf.data for leaf in leaves])
     hidden_grad = []
 
     def cell_backward(dc):
-        gates = [(dc * m * i * (1.0 - i), p.w_i, p.u_i, p.b_i),
-                 (dc * cd * f * (1.0 - f), p.w_f, p.u_f, p.b_f),
-                 (dc * i * (1.0 - m * m), p.w_m, p.u_m, p.b_m)]
-        if hidden_grad:
-            gates.append((hidden_grad.pop() * tc * o * (1.0 - o), p.w_o, p.u_o, p.b_o))
-        for da, w, u, b in gates:
-            _gate_backward(da, x, g_prev, w, u, b)
+        grads = [None] * len(leaves)
+        dh = hidden_grad.pop() if hidden_grad else None
+        d_prev, dc_prev, gates = _lstm_backward(dh, dc, terms, grads)
+        for leaf, grad in zip(leaves, grads[:3 * len(gates)]):
+            _accum(leaf, grad)
         if x.requires_grad:
-            _accum(x, sum(da @ w.data for da, w, _, _ in gates))
-        if g_prev.requires_grad:
-            _accum(g_prev, sum(da @ u.data for da, _, u, _ in gates))
-        _accum(c_prev, dc * f)
+            _accum(x, sum(da @ w.data for da, w in zip(gates, (p.w_i, p.w_f, p.w_m, p.w_o))))
+        _accum(g_prev, d_prev)
+        _accum(c_prev, dc_prev)
 
-    cell = _node(c, (x, g_prev, c_prev, p.w_i, p.u_i, p.b_i, p.w_f, p.u_f, p.b_f,
-                     p.w_m, p.u_m, p.b_m, p.w_o, p.u_o, p.b_o), cell_backward)
+    cell = _node(c, (x, g_prev, c_prev) + leaves, cell_backward)
 
     def hidden_backward(dg):
         hidden_grad.append(dg)
-        _accum(cell, dg * o * (1.0 - tc * tc))
+        _accum(cell, _lstm_hidden_backward(dg, terms))
 
     return _node(g, (cell,), hidden_backward), cell
 
@@ -260,7 +300,7 @@ def gru_sequence(x: np.ndarray, g0: Tensor, p: GruParams, keep=slice(None)):
     """
     leaves = tuple(p.as_dict().values())
     train = g0.requires_grad or any(leaf.requires_grad for leaf in leaves)
-    w_z, u_z, b_z, w_r, u_r, b_r, w, u, b, b_n = (leaf.data for leaf in leaves)
+    arrays = [leaf.data for leaf in leaves]
     saved = []
     gd = g0.data
     out = None
@@ -268,39 +308,18 @@ def gru_sequence(x: np.ndarray, g0: Tensor, p: GruParams, keep=slice(None)):
         if out is None:
             _check_operands(xd, p.w_z, p.u_z, g0)
             out = np.empty((xd.shape[0], x.shape[1]) + gd[:, keep].shape[1:], dtype=gd.dtype)
-        # both gates' pre-activations in one block, so one sigmoid serves them
-        pre = np.empty((2,) + gd.shape, dtype=gd.dtype)
-        np.add(xd @ w_z.T + b_z, gd @ u_z.T, out=pre[0])
-        np.add(xd @ w_r.T + b_r, gd @ u_r.T, out=pre[1])
-        z, r = _sigmoid(pre)
-        uh = gd @ u.T + b_n
-        cand = np.tanh(xd @ w.T + b + r * uh)
-        diff = gd - cand
+        gd, terms = _gru_forward(xd, gd, *arrays)
         if train:
-            saved.append((xd, gd, z, r, uh, cand, diff))
-        gd = cand + z * diff
+            saved.append(terms)
         out[:, t] = gd[:, keep]
 
     def backward(d_kept):
         d_out = _full_grad(d_kept, keep, g0.data.shape[1])
         stacks = _grad_stacks(leaves, len(saved))
-        s_wz, s_uz, s_bz, s_wr, s_ur, s_br, s_w, s_u, s_b, s_bn = stacks
         carry = None
         for k, t in enumerate(reversed(range(len(saved)))):
-            xd, gd, z, r, uh, cand, diff = saved[t]
             dh = d_out[:, t] if carry is None else d_out[:, t] + carry
-            dh_z = dh * z
-            da_z = dh * diff * z * (1.0 - z)
-            da_n = (dh - dh_z) * (1.0 - cand * cand)
-            da_u = da_n * r
-            da_r = da_n * uh * r * (1.0 - r)
-            for stack, da, operand in ((s_wz, da_z, xd), (s_uz, da_z, gd), (s_wr, da_r, xd),
-                                       (s_ur, da_r, gd), (s_w, da_n, xd), (s_u, da_u, gd)):
-                np.matmul(da.T, operand, out=stack[k])
-            for stack, da in ((s_bz, da_z), (s_br, da_r), (s_b, da_n), (s_bn, da_u)):
-                np.add.reduce(da, axis=0, out=stack[k])
-            if t > 0 or g0.requires_grad:
-                carry = dh_z + da_z @ u_z + da_r @ u_r + da_u @ u
+            carry, _ = _gru_backward(dh, saved[t], [stack[k] for stack in stacks])
         _store_sums(leaves, stacks)
         _accum(g0, carry)
 
@@ -318,7 +337,7 @@ def lstm_sequence(x: np.ndarray, g0: Tensor, c0: Tensor, p: LstmParams, keep=sli
         raise ShapeError("lstm_sequence requires a cell state")
     leaves = tuple(p.as_dict().values())
     train = g0.requires_grad or c0.requires_grad or any(leaf.requires_grad for leaf in leaves)
-    w_i, u_i, b_i, w_f, u_f, b_f, w_m, u_m, b_m, w_o, u_o, b_o = (leaf.data for leaf in leaves)
+    arrays = [leaf.data for leaf in leaves]
     saved = []
     gd, cd = g0.data, c0.data
     out = None
@@ -326,18 +345,9 @@ def lstm_sequence(x: np.ndarray, g0: Tensor, c0: Tensor, p: LstmParams, keep=sli
         if out is None:
             _check_operands(xd, p.w_i, p.u_i, g0, c0)
             out = np.empty((xd.shape[0], x.shape[1]) + gd[:, keep].shape[1:], dtype=gd.dtype)
-        # the three sigmoid gates' pre-activations in one block, so one sigmoid serves them
-        pre = np.empty((3,) + gd.shape, dtype=gd.dtype)
-        np.add(xd @ w_i.T + b_i, gd @ u_i.T, out=pre[0])
-        np.add(xd @ w_f.T + b_f, gd @ u_f.T, out=pre[1])
-        np.add(xd @ w_o.T + b_o, gd @ u_o.T, out=pre[2])
-        i, f, o = _sigmoid(pre)
-        m = np.tanh(xd @ w_m.T + b_m + gd @ u_m.T)
-        c = f * cd + i * m
-        tc = np.tanh(c)
+        gd, cd, terms = _lstm_forward(xd, gd, cd, *arrays)
         if train:
-            saved.append((xd, gd, cd, i, f, m, o, tc))
-        gd, cd = o * tc, c
+            saved.append(terms)
         out[:, t] = gd[:, keep]
 
     def backward(d_kept):
@@ -345,23 +355,12 @@ def lstm_sequence(x: np.ndarray, g0: Tensor, c0: Tensor, p: LstmParams, keep=sli
         stacks = _grad_stacks(leaves, len(saved))
         carry_h = carry_c = None
         for k, t in enumerate(reversed(range(len(saved)))):
-            xd, gd, cd, i, f, m, o, tc = saved[t]
             dh = d_out[:, t] if carry_h is None else d_out[:, t] + carry_h
-            dc = dh * o * (1.0 - tc * tc)
-            if carry_c is not None:
-                dc = dc + carry_c
-            gates = (dc * m * i * (1.0 - i), dc * cd * f * (1.0 - f), dc * i * (1.0 - m * m),
-                     dh * tc * o * (1.0 - o))
-            for j, da in enumerate(gates):
-                np.matmul(da.T, xd, out=stacks[3 * j][k])
-                np.matmul(da.T, gd, out=stacks[3 * j + 1][k])
-                np.add.reduce(da, axis=0, out=stacks[3 * j + 2][k])
-            if t > 0 or g0.requires_grad:
-                carry_h = sum(da @ uk for da, uk in zip(gates, (u_i, u_f, u_m, u_o)))
-            carry_c = dc * f
+            dc = _lstm_hidden_backward(dh, saved[t])
+            dc = dc if carry_c is None else dc + carry_c
+            carry_h, carry_c, _ = _lstm_backward(dh, dc, saved[t], [stack[k] for stack in stacks])
         _store_sums(leaves, stacks)
         _accum(g0, carry_h)
         _accum(c0, carry_c)
 
     return _node(out, (g0, c0) + leaves, backward)
-

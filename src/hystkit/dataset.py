@@ -352,7 +352,7 @@ def read_json(path: Path):
     """Parse a JSON file; malformed text raises :class:`DataError` naming the file."""
     try:
         return json.loads(Path(path).read_text())
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # bad text or encoding; deep nesting
         raise DataError(f"{path}: malformed JSON: {exc}") from None
 
 

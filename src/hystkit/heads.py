@@ -104,6 +104,13 @@ class RolloutInputs:
     def warmup_length(self) -> int:
         return self.target_warm_norm.shape[1]
 
+    @classmethod
+    def from_raw(cls, x, drive_raw, target_warm_raw, norm: NormConstants) -> RolloutInputs:
+        """The inputs of raw-unit drive and warm-target rows, normalized by ``norm``."""
+        return cls(x=x, drive_norm=drive_raw / norm.b_max,
+                   target_warm_norm=target_warm_raw / norm.h_max, drive_raw=drive_raw,
+                   target_warm_raw=target_warm_raw, target_max=norm.h_max)
+
 
 @dataclass
 class RolloutResult:
@@ -114,15 +121,7 @@ class RolloutResult:
 
 
 def inputs_from_batch(batch: MiniBatch, norm: NormConstants) -> RolloutInputs:
-    w = batch.warmup_length
-    return RolloutInputs(
-        x=batch.x,
-        drive_norm=batch.b_norm,
-        target_warm_norm=batch.h_norm[:, :w],
-        drive_raw=batch.b_raw,
-        target_warm_raw=batch.h_raw[:, :w],
-        target_max=norm.h_max,
-    )
+    return RolloutInputs.from_raw(batch.x, batch.b_raw, batch.h_raw[:, :batch.warmup_length], norm)
 
 
 def _cell(archetype: str):
@@ -203,9 +202,8 @@ def check_warmup_domain(config: TrainConfig, seqs, norm: NormConstants) -> None:
     as :func:`predict_window` normalizes them and checked by :func:`_inject_values`."""
     if config.archetype in INJECTING and seqs:
         w = config.warmup_length
-        drive = np.stack([seq.b[:w] for seq in seqs]) / norm.b_max
-        target = np.stack([seq.h[:w] for seq in seqs]) / norm.h_max
-        _inject_values(config, RolloutInputs(x=None, drive_norm=drive, target_warm_norm=target))
+        _inject_values(config, RolloutInputs.from_raw(None, np.stack([seq.b[:w] for seq in seqs]),
+                                                      np.stack([seq.h[:w] for seq in seqs]), norm))
 
 
 def _inject(state: Tensor, column: np.ndarray) -> Tensor:
@@ -356,14 +354,7 @@ def _predict_group(config: TrainConfig, params: dict, seqs, norm: NormConstants)
         x[row] = features
         drive_raw[row] = seq.b
         target_warm_raw[row] = seq.h[:w]
-    inputs = RolloutInputs(
-        x=x,
-        drive_norm=drive_raw / norm.b_max,
-        target_warm_norm=target_warm_raw / norm.h_max,
-        drive_raw=drive_raw,
-        target_warm_raw=target_warm_raw,
-        target_max=norm.h_max,
-    )
+    inputs = RolloutInputs.from_raw(x, drive_raw, target_warm_raw, norm)
     return rollout(config, params, inputs).data.astype(np.float64)
 
 

@@ -76,11 +76,7 @@ def batch_mean(rows: Tensor) -> Tensor:
 
 def sre(h_pred: np.ndarray, h_true: np.ndarray) -> float:
     """Relative L2 error sqrt(sum((pred-true)^2) / sum(true^2))."""
-    h_pred = np.asarray(h_pred, dtype=np.float64)
-    h_true = np.asarray(h_true, dtype=np.float64)
-    if h_pred.shape != h_true.shape:
-        raise MetricError("length mismatch")
-    return float(np.sqrt(np.sum((h_pred - h_true) ** 2) / _sre_denominator(h_true)))
+    return float(np.sqrt(np.sum(_norm_err(h_pred, h_true) ** 2) / _sre_denominator(h_true)))
 
 
 def _sre_denominator(h_true) -> float:

@@ -173,6 +173,20 @@ def _run(step, states, p, requires_grad=True):
 SHAPES = [(1, 1), (3, 2), (8, 4), (5, 1)]
 
 
+def _assert_gradients_match(got: dict, want: dict) -> None:
+    """Double-precision gradients against a tape reference's: each within 1e-12 of the
+    reference's largest magnitude, and None where the reference's is None (the output
+    gate's arrays when only an LSTM cell state is consumed)."""
+    assert got.keys() == want.keys()
+    for name in want:
+        if want[name] is None:
+            assert got[name] is None, name
+            continue
+        scale = np.max(np.abs(want[name]))
+        assert got[name].shape == want[name].shape, name
+        assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name
+
+
 class TestFusedStepOracle:
     """The one-node cell steps against their primitive-by-primitive tape references."""
 
@@ -211,16 +225,8 @@ class TestFusedStepOracle:
         rng = np.random.default_rng(rows)
         probes = [rng.standard_normal((rows, d_g)) for _ in consume]
         fused, ref = (lstm_step, tape_lstm_step) if lstm else (gru_step, tape_gru_step)
-        got = self._gradients(fused, states, p, consume, probes)
-        want = self._gradients(ref, states, p, consume, probes)
-        assert got.keys() == want.keys()
-        for name in want:
-            if want[name] is None:  # the output gate's arrays when only the cell is consumed
-                assert got[name] is None, name
-                continue
-            scale = np.max(np.abs(want[name]))
-            assert got[name].shape == want[name].shape, name
-            assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name
+        _assert_gradients_match(self._gradients(fused, states, p, consume, probes),
+                                self._gradients(ref, states, p, consume, probes))
 
     @pytest.mark.parametrize("lstm", [False, True], ids=["gru", "lstm"])
     @pytest.mark.parametrize("bad", ["rows", "dtype", "ndim"])
@@ -241,7 +247,8 @@ class TestFusedStepOracle:
 
 
 class TestSequenceOracle:
-    """The whole-sequence kernels against T chained step calls, byte for byte.
+    """The whole-sequence kernels against T chained step calls, byte for byte, and
+    against T chained tape references, which share no code with the step bodies.
 
     The loss reads the kept hidden elements of every step through a fixed
     random probe, so every per-step gradient path is exercised.
@@ -258,13 +265,14 @@ class TestSequenceOracle:
         return p, x, states, probe
 
     @staticmethod
-    def _run(sequence, lstm, p, x, states, probe, trainable_state, keep=slice(None)):
+    def _run(chain, lstm, p, x, states, probe, trainable_state, keep=slice(None)):
         """The kept trajectory and the gradients of the initial states and the
-        parameters."""
+        parameters, from the kernel (``chain`` None) or from T calls of the step
+        function ``chain``."""
         params = p.map(lambda a: Tensor(a, requires_grad=True))
         leaves = [Tensor(a, requires_grad=trainable_state) for a in states]
         probe_kept = probe[:, :, keep]
-        if sequence:
+        if chain is None:
             kept = (lstm_sequence(x, *leaves, params, keep) if lstm
                     else gru_sequence(x, leaves[0], params, keep))
             hidden = kept.data
@@ -276,9 +284,9 @@ class TestSequenceOracle:
             for t in range(x.shape[1]):
                 x_t = Tensor(x[:, t].astype(p.as_dict()["b_" + ("i" if lstm else "z")].dtype))
                 if lstm:
-                    g, cell = lstm_step(x_t, g, cell, params)
+                    g, cell = chain(x_t, g, cell, params)
                 else:
-                    g = gru_step(x_t, g, params)
+                    g = chain(x_t, g, params)
                 term = tsum(mul(g[:, keep], Tensor(probe_kept[:, t])))
                 loss = term if loss is None else loss + term
                 hidden.append(g.data[:, keep])
@@ -310,8 +318,13 @@ class TestSequenceOracle:
     def test_byte_equal_to_chained_steps(self, lstm, rows, d_x, d_g, steps, dtype,
                                          trainable_state):
         case = self._case(lstm, rows, d_x, d_g, steps, dtype)
-        self._assert_byte_equal(self._run(True, lstm, *case, trainable_state),
-                                self._run(False, lstm, *case, trainable_state), dtype)
+        got = self._run(None, lstm, *case, trainable_state)
+        self._assert_byte_equal(got, self._run(lstm_step if lstm else gru_step, lstm, *case,
+                                               trainable_state), dtype)
+        tape = self._run(tape_lstm_step if lstm else tape_gru_step, lstm, *case, trainable_state)
+        assert got[0].tobytes() == tape[0].tobytes()
+        if dtype == np.float64:
+            _assert_gradients_match(got[1], tape[1])
 
     @pytest.mark.parametrize("trainable_state", [False, True], ids=["frozen-state", "state"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["single", "double"])
@@ -324,9 +337,10 @@ class TestSequenceOracle:
         """A kernel that records only the elements ``keep`` gives the chained steps'
         values there and their gradients."""
         case = self._case(lstm, rows, 4, 8, 37, dtype)
-        got = self._run(True, lstm, *case, trainable_state, keep)
+        got = self._run(None, lstm, *case, trainable_state, keep)
         assert got[0].shape == (rows, 37) + np.empty((1, 8))[:, keep].shape[1:]
-        self._assert_byte_equal(got, self._run(False, lstm, *case, trainable_state, keep), dtype)
+        self._assert_byte_equal(got, self._run(lstm_step if lstm else gru_step, lstm, *case,
+                                               trainable_state, keep), dtype)
 
     @pytest.mark.parametrize("lstm", [False, True], ids=["gru", "lstm"])
     def test_frozen_call_records_nothing_and_stores_no_steps(self, lstm):

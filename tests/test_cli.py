@@ -607,6 +607,26 @@ class TestEvalPredict:
         assert rc == 1
         assert f"error: {target}: malformed JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["config", "model.json", "manifest.json"])
+    def test_deeply_nested_json_names_file(self, dataset_dir, trained, tmp_path, capsys, name):
+        """JSON nested past the decoder's recursion limit is refused like other malformed
+        JSON, before the out dir is made."""
+        data, run, out = tmp_path / "data", tmp_path / "run", tmp_path / "out"
+        shutil.copytree(dataset_dir, data)
+        shutil.copytree(trained, run)
+        target = {"config": tmp_path / "deep.json", "model.json": run / "model.json",
+                  "manifest.json": data / "synthA" / "manifest.json"}[name]
+        target.write_text("[" * 100000)
+        if name == "config":
+            argv = ["train", "--material", "synthA", "--config", str(target)] + TRAIN_FLAGS
+        else:
+            argv = ["eval", "--checkpoint", str(run / "model.json"), "--split", "all"]
+        rc = main(argv + ["--data", str(data), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {target}: malformed JSON: maximum recursion depth exceeded")
+        assert err.count("\n") == 1 and not out.exists()
+
     @pytest.mark.parametrize("name, content, field", [
         ("manifest.json", {"material": "synthA"}, "'sequences'"),
         ("manifest.json", {"sequences": "seq_00000.csv"}, "'sequences'"),
