@@ -38,10 +38,12 @@ The functions here that take a config take the run's
 arrays are drawn by its cell record (``cells.LstmParams`` for ``lstm-p``,
 ``cells.GruParams`` for the others), its input weights for
 :data:`~hystkit.dataset.FEATURE_WIDTH` features; ``ja``'s block is drawn by
-``physics.init_ja_theta``. :func:`param_count` counts what they draw.
+``physics.init_ja_theta``. :func:`param_shapes` states the shapes they draw
+without drawing, and :func:`param_count` sums them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -50,7 +52,7 @@ import numpy as np
 from .autodiff import Tensor, _accum, _node, concat, dtype_of, reshape, tanh, tsum
 from .cells import GruParams, LstmParams, gru_sequence, gru_step, lstm_sequence, lstm_step
 from .dataset import FEATURE_WIDTH, DataError, MiniBatch, NormConstants
-from .physics import init_ja_theta, ja_params_from_theta, ja_step_euler, gru_jadp_step
+from .physics import JA_SHAPES, init_ja_theta, ja_params_from_theta, ja_step_euler, gru_jadp_step
 
 if TYPE_CHECKING:
     from .training import TrainConfig
@@ -129,39 +131,43 @@ def _cell(archetype: str):
     return LstmParams if archetype in LSTM_ARCHETYPES else GruParams
 
 
-def _draw(archetype: str, d_g: int, d_x: int, rng: np.random.Generator, dtype) -> dict:
-    """The archetype's named parameter arrays: its cell record's, or ``ja``'s JA block."""
-    if archetype == "ja":
-        return init_ja_theta(rng, dtype)
-    return _cell(archetype).init(d_g, d_x, rng, dtype).as_dict()
-
-
-def param_count(archetype: str, d_g: int, d_x: int) -> int:
-    """Trainable values of one head over ``d_x`` features: the sizes of the arrays it
-    draws, also at hidden sizes :func:`init_head_params` refuses (``ja`` ignores both)."""
+def param_shapes(archetype: str, d_g: int, d_x: int) -> dict:
+    """The shape of each array of one head over ``d_x`` features, by name in draw order:
+    its cell record's, or ``ja``'s JA block. Nothing is allocated, and hidden sizes
+    :func:`check_hidden_size` refuses are described too (``ja`` ignores both sizes)."""
     if d_g < 1 or d_x < 1:
         raise ValueError("d_g and d_x must be >= 1")
     if archetype not in ARCHETYPES:
         raise ValueError(f"unknown archetype {archetype!r}")
-    arrays = _draw(archetype, d_g, d_x, np.random.default_rng(0), np.float64)
-    return sum(a.size for a in arrays.values())
+    return dict(JA_SHAPES) if archetype == "ja" else _cell(archetype).shapes(d_g, d_x)
 
 
-def init_head_params(config: TrainConfig, seed, precision: str = "double") -> dict:
-    """Named parameter arrays for one archetype, deterministically seeded.
+def param_count(archetype: str, d_g: int, d_x: int) -> int:
+    """Trainable values of one head over ``d_x`` features: the sizes of its
+    :func:`param_shapes`."""
+    return sum(math.prod(shape) for shape in param_shapes(archetype, d_g, d_x).values())
 
-    A hidden size the archetype cannot read raises :class:`HeadError`: gru-v
-    reads ``d_g`` as an (N+1)x(N+1) grid of 2-vectors, and gru-jadp reads
-    five JA parameters from it.
-    """
+
+def check_hidden_size(config: TrainConfig) -> None:
+    """Raise :class:`HeadError` for a hidden size the archetype cannot read: gru-v reads
+    ``d_g`` as an (N+1)x(N+1) grid of 2-vectors, and gru-jadp reads five JA parameters
+    from it."""
     if config.archetype == "gru-v":
         side = np.sqrt(config.d_g / 2.0)
         if side != int(side) or int(side) < 2:
             raise HeadError(f"gru-v needs d_g = 2*(N+1)^2 with N >= 1, got d_g={config.d_g}")
     if config.archetype == "gru-jadp" and config.d_g < 5:
         raise HeadError("gru-jadp needs d_g >= 5")
-    dt = dtype_of(precision)
-    return _draw(config.archetype, config.d_g, FEATURE_WIDTH, np.random.default_rng(seed), dt)
+
+
+def init_head_params(config: TrainConfig, seed, precision: str = "double") -> dict:
+    """Named parameter arrays for one archetype, deterministically seeded; a hidden size
+    it cannot read raises :class:`HeadError` (see :func:`check_hidden_size`)."""
+    check_hidden_size(config)
+    rng, dt = np.random.default_rng(seed), dtype_of(precision)
+    if config.archetype == "ja":
+        return init_ja_theta(rng, dt)
+    return _cell(config.archetype).init(config.d_g, FEATURE_WIDTH, rng, dt).as_dict()
 
 
 def wrap_params(arrays: dict, requires_grad: bool = True) -> dict:

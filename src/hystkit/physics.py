@@ -96,10 +96,14 @@ def ja_params_from_theta(theta: Tensor) -> Tensor:
     return _node(sig * eta_row, (theta,), backward)
 
 
+#: The shape of the JA block of the ``ja`` head and the physics regularizer: one
+#: unconstrained value per parameter of :func:`ja_params_from_theta`.
+JA_SHAPES = {"theta_ja": (5,)}
+
+
 def init_ja_theta(rng: np.random.Generator, dtype) -> dict:
-    """The JA block ``{"theta_ja": ...}`` of the ``ja`` head and the physics regularizer:
-    one unconstrained value per parameter of :func:`ja_params_from_theta`, from N(0, 0.5)."""
-    return {"theta_ja": rng.normal(0.0, 0.5, size=5).astype(dtype)}
+    """The JA block (:data:`JA_SHAPES`), drawn from N(0, 0.5)."""
+    return {k: rng.normal(0.0, 0.5, size=shape).astype(dtype) for k, shape in JA_SHAPES.items()}
 
 
 # -- Jiles-Atherton Euler step ------------------------------------------------
@@ -351,9 +355,11 @@ def hysteron_states(h: np.ndarray, params: PreisachParams) -> np.ndarray:
     for k in range(n):
         h_k = h[:, k:k + 1]
         rising = h_k > h_prev
-        up = np.clip(gamma + np.tanh((h_k - params.beta[None, :]) / HYSTERON_SHARPNESS), -1.0, 1.0)
-        down = np.clip(gamma - np.tanh((params.alpha[None, :] - h_k) / HYSTERON_SHARPNESS), -1.0, 1.0)
-        gamma = np.where(rising, up, down)
+        # one tanh per element, of the branch its row takes; gamma + (-1) * t has the
+        # bits of gamma - t
+        push = np.tanh(np.where(rising, h_k - params.beta[None, :],
+                                params.alpha[None, :] - h_k) / HYSTERON_SHARPNESS)
+        gamma = np.clip(gamma + np.where(rising, 1.0, -1.0) * push, -1.0, 1.0)
         out[:, k, :] = gamma
         h_prev = h_k
     return out

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
@@ -23,10 +24,11 @@ from .autodiff import Tensor, concat, dtype_of, reshape
 from .dataset import (FEATURE_WIDTH, MiniBatch, NormConstants, compute_norm_constants, fmt,
                       json_text, make_minibatches, read_json_object, reversed_minibatches,
                       write_file, write_rows)
-from .heads import (ARCHETYPES, JA_FAMILY, WarmupError, init_head_params, inputs_from_batch,
-                    param_count, predict_window, rollout, wrap_params)
+from .heads import (ARCHETYPES, JA_FAMILY, WarmupError, check_hidden_size, init_head_params,
+                    inputs_from_batch, param_shapes, predict_window, rollout, wrap_params)
 from .metrics import MetricReport, batch_mean, mae, mse, sre, nere, wce, weighted_loss_rows
-from .physics import ETA, init_ja_theta, ja_params_from_theta, pinn_ja_residual, preisach_predict
+from .physics import (ETA, JA_SHAPES, init_ja_theta, ja_params_from_theta, pinn_ja_residual,
+                      preisach_predict)
 
 CHECKPOINT_FORMAT_VERSION = 1
 #: Adam's moment decay rates and denominator guard.
@@ -86,7 +88,11 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.precision is None:
             self.precision = "double" if self._uses_ja() else "single"
-        dtype_of(self.precision)
+        largest = float(np.finfo(dtype_of(self.precision)).max)
+        if self.lr > largest:
+            # Adam multiplies the arrays by lr in their dtype, where this lr is inf
+            raise ConfigError(f"lr {self.lr} exceeds the largest {self.precision}-precision "
+                              f"value {largest:g}")
         if self._uses_ja() and self.precision != "double":
             raise ConfigError(f"{self.archetype!r}/lambda_w>0 requires double precision")
 
@@ -117,10 +123,16 @@ def _regularizer_block(config: TrainConfig) -> bool:
     return config.lambda_w > 0 and config.archetype != "ja"
 
 
+def config_shapes(config: TrainConfig) -> dict:
+    """The shape of each array :func:`init_params` draws, by name, without drawing; also
+    at sizes the head refuses."""
+    shapes = param_shapes(config.archetype, config.d_g, FEATURE_WIDTH)
+    return {**shapes, **JA_SHAPES} if _regularizer_block(config) else shapes
+
+
 def config_param_count(config: TrainConfig) -> int:
     """Trainable values :func:`init_params` draws, also at sizes the head refuses."""
-    n = param_count(config.archetype, config.d_g, FEATURE_WIDTH)
-    return n + param_count("ja", config.d_g, FEATURE_WIDTH) if _regularizer_block(config) else n
+    return sum(math.prod(shape) for shape in config_shapes(config).values())
 
 
 # -- optimizer ---------------------------------------------------------------
@@ -365,8 +377,9 @@ def load_checkpoint(json_path: Path) -> ModelCheckpoint:
 
     Each ``train_config`` setting is read by :func:`decode_setting`, and the
     top-level ``archetype`` and ``seed`` override its own. The layout must list
-    the names and shapes :func:`init_params` makes for that config; each array
-    loads in the config's precision, whatever its wire dtype. A header that
+    the names and shapes :func:`config_shapes` gives for that config, so no
+    model is drawn; each array comes from the blob alone, in the config's
+    precision, whatever its wire dtype. A header that
     does not describe its blob, or an array holding a non-finite value, raises
     :class:`ConfigError` naming the file and the field or layout entry.
     """
@@ -409,7 +422,8 @@ def load_checkpoint(json_path: Path) -> ModelCheckpoint:
             raise ConfigError(f"split_seed must be >= 0, got {split_seed}")
         config = TrainConfig(**{**settings, "archetype": header["archetype"],
                                 "seed": header["seed"]})
-        expected = init_params(config)
+        check_hidden_size(config)
+        expected = config_shapes(config)
     except (TypeError, ValueError) as exc:
         raise bad(f"field 'train_config' describes no model: {exc}") from None
     layout = header["layout"]
@@ -426,17 +440,18 @@ def load_checkpoint(json_path: Path) -> ModelCheckpoint:
     if hashlib.sha256(blob).hexdigest() != header["blob_sha256"]:
         raise bad("blob hash mismatch")
     params = {}
+    dtype = dtype_of(config.precision)
     for entry in layout:
-        want = expected[entry["name"]]
-        wire, offset = entry.get("dtype"), entry.get("offset")
-        nbytes = want.size * (8 if wire == "<f8" else 4)
-        if (entry.get("shape") != list(want.shape) or wire not in ("<f4", "<f8")
+        shape = expected[entry["name"]]
+        wire, offset, size = entry.get("dtype"), entry.get("offset"), math.prod(shape)
+        nbytes = size * (8 if wire == "<f8" else 4)
+        if (entry.get("shape") != list(shape) or wire not in ("<f4", "<f8")
                 or type(offset) is not int or not 0 <= offset <= len(blob) - nbytes):
             raise bad(f"layout entry {entry} does not fit: train_config expects shape "
-                      f"{list(want.shape)}, dtype '<f4' or '<f8', and {nbytes} bytes "
+                      f"{list(shape)}, dtype '<f4' or '<f8', and {nbytes} bytes "
                       f"inside the {len(blob)}-byte blob")
-        flat = np.frombuffer(blob, dtype=wire, count=want.size, offset=offset)
-        params[entry["name"]] = flat.reshape(want.shape).astype(want.dtype)
+        flat = np.frombuffer(blob, dtype=wire, count=size, offset=offset)
+        params[entry["name"]] = flat.reshape(shape).astype(dtype)
         if not np.all(np.isfinite(params[entry["name"]])):
             raise bad(f"layout entry {entry['name']!r} holds a non-finite value")
     return ModelCheckpoint(config, params, NormConstants.from_dict(header["norm"]), split_seed,

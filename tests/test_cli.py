@@ -276,6 +276,26 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_lr_the_precision_cannot_hold_refused_before_staging(self, dataset_dir, tmp_path,
+                                                                 capsys, via):
+        # in single precision Adam's lr * m_hat would cast 1e300 to inf and diverge
+        base = [x for pair in zip(TRAIN_FLAGS[::2], TRAIN_FLAGS[1::2])
+                if pair[0] not in ("--lr", "--precision") for x in pair]
+        if via == "flag":
+            given = ["--lr", "1e300"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"lr": 1e300}))
+            given = ["--config", str(cfg)]
+        out = tmp_path / "o"
+        rc = main(["train", "--data", str(dataset_dir), "--material", "synthA",
+                   "--out", str(out), "--precision", "single"] + base + given)
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: lr 1e+300 exceeds the largest "
+                                           "single-precision value 3.40282e+38\n")
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def train_only_dir(tmp_path_factory):
@@ -783,6 +803,22 @@ class TestEvalPredict:
         assert capsys.readouterr().err == (
             f"error: {run / 'model.json'}: checkpoint field 'train_config' describes no model: "
             "gru-v needs d_g = 2*(N+1)^2 with N >= 1, got d_g=12\n")
+        assert not out.exists()
+
+    def test_unallocatable_size_refused_at_load(self, dataset_dir, trained, tmp_path, capsys):
+        # the layout is checked against shapes alone: a model of this size is never drawn
+        run = tmp_path / "run"
+        shutil.copytree(trained, run)
+        header = json.loads((run / "model.json").read_text())
+        header["train_config"]["d_g"] = 10 ** 6
+        (run / "model.json").write_text(json.dumps(header))
+        out = tmp_path / "out"
+        rc = main(["eval", "--data", str(dataset_dir), "--checkpoint", str(run / "model.json"),
+                   "--split", "all", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run / 'model.json'}: checkpoint layout entry ")
+        assert "'name': 'b'" in err and "train_config expects shape [1000000]," in err
         assert not out.exists()
 
     def test_integral_number_header_evaluates_as_int(self, dataset_dir, trained, tmp_path):

@@ -517,6 +517,25 @@ class TestHysteron:
         states = hysteron_states(h, params)
         assert states.min() >= -1.0 and states.max() <= 1.0
 
+    def test_rows_taking_different_branches_byte_equal_to_both_branch_select(self):
+        # each row computes only its branch; the bytes are those of computing both
+        # branches for every row and selecting, as the scalar hysteron does
+        params = init_preisach_params(n_levels=9)
+        rng = np.random.default_rng(7)
+        h = np.cumsum(rng.standard_normal((6, 40)), axis=1) / 4
+        h[2, 5:9] = h[2, 4]  # flat input takes the falling branch
+        gamma = np.full((6, params.n_hysterons), -1.0)
+        h_prev = np.full((6, 1), -np.inf)
+        want = []
+        for k in range(h.shape[1]):
+            h_k = h[:, k:k + 1]
+            up = np.clip(gamma + np.tanh((h_k - params.beta) / HYSTERON_SHARPNESS), -1.0, 1.0)
+            down = np.clip(gamma - np.tanh((params.alpha - h_k) / HYSTERON_SHARPNESS), -1.0, 1.0)
+            gamma = np.where(h_k > h_prev, up, down)
+            want.append(gamma)
+            h_prev = h_k
+        assert hysteron_states(h, params).tobytes() == np.stack(want, axis=1).tobytes()
+
     def test_wiping_out(self):
         params = init_preisach_params(n_levels=9)
         sweep = np.concatenate([np.linspace(-1.5, 1.5, 25), np.linspace(1.5, -1.5, 25)])

@@ -8,8 +8,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import hystkit.heads as heads
+import hystkit.training as training
 from conftest import digest
 from hystkit.autodiff import _toposort
+from hystkit.cells import CellParams
 from hystkit.dataset import (DataError, MeasuredSequence, NormConstants,
                              compute_norm_constants, make_minibatches)
 from hystkit.heads import HeadError, inputs_from_batch, param_count, rollout, wrap_params
@@ -153,6 +156,14 @@ class TestTrainConfig:
     def test_unusable_value_named(self, name, value):
         with pytest.raises(ConfigError, match=f"^{name} must be"):
             TrainConfig(**{name: value})
+
+    def test_lr_the_precision_cannot_hold_refused(self):
+        largest = float(np.finfo(np.float32).max)
+        assert TrainConfig(lr=largest, precision="single").lr == largest
+        assert TrainConfig(lr=1e300, precision="double").lr == 1e300
+        with pytest.raises(ConfigError, match="^lr 1e\\+300 exceeds the largest "
+                                              "single-precision value 3.40282e\\+38$"):
+            TrainConfig(lr=1e300, precision="single")
 
     @pytest.mark.parametrize("kind, value, decoded", [
         (int, 2, 2), (int, 2.0, 2), (float, 1, 1.0), (float, 0.5, 0.5), (str, "x", "x"),
@@ -522,6 +533,23 @@ class TestCheckpoint:
         for name, arr in loaded.params.items():
             assert arr.dtype == dtype
             assert arr.tobytes() == result.params[name].astype(wire).astype(dtype).tobytes()
+
+    def test_load_draws_no_model(self, tmp_path, monkeypatch):
+        result = train(small_config(epochs=1, lambda_w=0.1), tiny_dataset(n=4))
+        json_path, _ = save_checkpoint(tmp_path / "model", result.checkpoint())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a checkpoint load drew a model")
+
+        for module, name in [(training, "init_params"), (training, "init_head_params"),
+                             (training, "init_ja_theta"), (heads, "init_head_params"),
+                             (heads, "init_ja_theta"), (np.random, "default_rng")]:
+            monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(CellParams, "init", classmethod(refuse))
+        loaded = load_checkpoint(json_path)
+        assert set(loaded.params) == set(result.params) and "theta_ja" in loaded.params
+        for name, arr in loaded.params.items():
+            assert arr.tobytes() == result.params[name].tobytes(), name
 
     def test_corrupt_blob_detected(self, tmp_path):
         seqs = tiny_dataset(n=4)
