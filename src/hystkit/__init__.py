@@ -12,6 +12,7 @@ from .dataset import (
     MeasuredSequence,
     MiniBatch,
     NormConstants,
+    RolloutInputs,
     compute_norm_constants,
     featurize,
     load_material,
@@ -19,7 +20,7 @@ from .dataset import (
     split_dataset,
 )
 from .cells import GruParams, LstmParams, gru_sequence, gru_step, lstm_sequence, lstm_step
-from .heads import RolloutInputs, RolloutResult, param_count, predict_window, rollout
+from .heads import RolloutResult, param_count, predict_window, rollout
 from .metrics import MetricReport, loss_rmse, mae, mse, nere, sre, wce
 from .physics import (
     PreisachParams,

@@ -36,10 +36,10 @@ from .dataset import (DataError, NormConstants, check_windows, compute_norm_cons
                       read_json_object, read_raw_material, resolve_adapter, split_dataset,
                       write_columns, write_file, write_rows)
 from .training import (SETTING_TYPES, SWEEP_COLUMNS, ConfigError, TrainConfig, TrainingError,
-                       check_sweep_eval, config_param_count, decode_setting, evaluate_sequences,
-                       init_params, load_checkpoint, pareto_sweep, save_checkpoint,
+                       check_allocatable, check_sweep_eval, config_param_count, decode_setting,
+                       evaluate_sequences, load_checkpoint, pareto_sweep, save_checkpoint,
                        sweep_medians, train, write_sweep_csv)
-from .heads import WarmupError, check_warmup_domain, predict_window
+from .heads import WarmupError, check_hidden_size, check_warmup_domain, predict_window
 from .metrics import MetricError, check_scorable
 
 _SENTINEL = ".partial"
@@ -229,7 +229,8 @@ def cmd_ingest(args) -> int:
 def cmd_train(args) -> int:
     resolved = _resolve_config(args)
     config = _train_config(resolved)
-    init_params(config)  # an unusable model is refused before anything is staged
+    check_hidden_size(config)  # an unusable model is refused before anything is staged
+    check_allocatable(config)
     splits, inputs, norm = _open_run(args, config, resolved["split_seed"])
     _require_warmup_domain(list(enumerate(splits["eval"])), config, norm, "eval")
     stage = OutputStage(args.out, "train", {**resolved, "material": args.material}, inputs)
@@ -372,6 +373,9 @@ def cmd_sweep(args) -> int:
                            [a.strip() for a in resolved["archetype"].split(",")])
     # one config per listed archetype, each refused as `train` would refuse it
     configs = [_train_config({**resolved, "archetype": a}) for a in archetypes]
+    for config in configs:  # a size the head cannot read is a failed trial, not a refusal
+        for d_g in sizes:
+            check_allocatable(dataclasses.replace(config, d_g=d_g))
     # every trial shares the windows, so one check covers them all
     splits, inputs, _ = _open_run(args, configs[0], resolved["split_seed"])
     check_sweep_eval(splits["eval"])

@@ -7,6 +7,11 @@ maximum absolute value. Model inputs are four feature rows per time step:
 normalized B, its first and second backward differences (unit time step),
 and the constant normalized temperature.
 
+A training :class:`MiniBatch` is a :class:`RolloutInputs`, what a rollout
+reads, plus what only the loss reads: the whole normalized target, each
+row's source RMS and its source. :func:`make_minibatches` draws an epoch's
+windows when called and builds each batch when it is asked for.
+
 On-disk layout (one directory per material):
 
 * ``manifest.json`` — ``{"material": ..., "sequences": [...], "count": n}``; each
@@ -33,7 +38,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -103,23 +109,44 @@ class NormConstants:
 
 
 @dataclass
-class MiniBatch:
-    """One training batch of aligned subsequences.
+class RolloutInputs:
+    """What a rollout reads of one batch of aligned windows, in either direction: the
+    ``drive`` is read every step (normalized flux when predicting field), ``target_warm``
+    is the known normalized target over the warmup, and only JA-family heads read raw units."""
 
-    All blocks are ``(b, l)``; ``x`` is ``(b, l, FEATURE_WIDTH)``. ``h_rms``
-    is the RMS of raw H over each row's *full* source sequence. Rows may come
-    from sequences with different sampling periods: features use a unit time
-    step and the Jiles-Atherton step is rate-independent.
-    """
+    x: np.ndarray               # (rows, L, FEATURE_WIDTH)
+    drive_norm: np.ndarray      # (rows, L)
+    target_warm_norm: np.ndarray  # (rows, w)
+    drive_raw: np.ndarray | None = None
+    target_warm_raw: np.ndarray | None = None
+    target_max: float | None = None
 
-    x: np.ndarray
-    b_norm: np.ndarray
-    b_raw: np.ndarray
-    h_norm: np.ndarray
-    h_raw: np.ndarray
+    @property
+    def warmup_length(self) -> int:
+        return self.target_warm_norm.shape[1]
+
+    @classmethod
+    def from_raw(cls, x, drive_raw, target_warm_raw, norm: NormConstants) -> RolloutInputs:
+        """The inputs of raw-unit drive and warm-target rows, normalized by ``norm``."""
+        return cls(x=x, drive_norm=drive_raw / norm.b_max,
+                   target_warm_norm=target_warm_raw / norm.h_max, drive_raw=drive_raw,
+                   target_warm_raw=target_warm_raw, target_max=norm.h_max)
+
+
+@dataclass(kw_only=True)
+class MiniBatch(RolloutInputs):
+    """The rollout inputs of one training batch plus what only the loss reads: the whole
+    window's ``target_norm`` (the warm target is its first columns) and ``h_rms``, the raw
+    target's RMS over each row's *full* source sequence. Rows may mix sampling periods:
+    features use a unit time step and the Jiles-Atherton step is rate-independent."""
+
+    target_norm: np.ndarray  # (b, l)
     h_rms: np.ndarray  # (b,)
     sources: np.ndarray  # (b, 2) int: (sequence index, window offset)
-    warmup_length: int
+
+    #: Read-only aliases of ``drive_norm`` and ``target_norm``.
+    b_norm = property(lambda self: self.drive_norm)
+    h_norm = property(lambda self: self.target_norm)
 
 
 def compute_norm_constants(sequences) -> NormConstants:
@@ -232,14 +259,14 @@ def check_windows(sequences, subseq_len: int, batch_size: int, warmup_length: in
 
 
 def make_minibatches(sequences, subseq_len: int, batch_size: int, rng_seed,
-                     warmup_length: int, norm: NormConstants) -> list[MiniBatch]:
-    """Chop sequences into length-l subsequences and group them into batches.
+                     warmup_length: int, norm: NormConstants) -> Iterator[MiniBatch]:
+    """Chop sequences into length-l subsequences and yield them in batches, one at a time.
 
     Each call draws a fresh random window offset per sequence and a fresh
     row ordering (pass a per-epoch seed to regenerate), so successive epochs
     see a new set of subsequences. Rows that do not fill a final batch are
     dropped to keep shapes fixed. Settings :func:`check_windows` refuses
-    raise its :class:`DataError`.
+    raise its :class:`DataError` at the call, before any batch is built.
     """
     sequences = list(sequences)
     check_windows(sequences, subseq_len, batch_size, warmup_length)
@@ -252,42 +279,31 @@ def make_minibatches(sequences, subseq_len: int, batch_size: int, rng_seed,
         rows.extend((si, offset + j * subseq_len) for j in range(n_sub))
     order = rng.permutation(len(rows))
 
-    batches = []
-    for start in range(0, len(rows) - batch_size + 1, batch_size):
-        chosen = [rows[i] for i in order[start:start + batch_size]]
-        b_raw = np.stack([sequences[si].b[off:off + subseq_len] for si, off in chosen])
-        h_raw = np.stack([sequences[si].h[off:off + subseq_len] for si, off in chosen])
-        theta = np.array([sequences[si].temperature_c for si, _ in chosen]) / norm.theta_max
-        b_norm = b_raw / norm.b_max
-        h_norm = h_raw / norm.h_max
-        batches.append(MiniBatch(
-            x=feature_rows(b_norm, theta),
-            b_norm=b_norm, b_raw=b_raw, h_norm=h_norm, h_raw=h_raw,
-            h_rms=np.array([sequences[si].h_rms() for si, _ in chosen]),
-            sources=np.array(chosen, dtype=np.int64),
-            warmup_length=warmup_length,
-        ))
-    return batches
+    def batches():
+        for start in range(0, len(rows) - batch_size + 1, batch_size):
+            chosen = [rows[i] for i in order[start:start + batch_size]]
+            b_raw = np.stack([sequences[si].b[off:off + subseq_len] for si, off in chosen])
+            h_raw = np.stack([sequences[si].h[off:off + subseq_len] for si, off in chosen])
+            theta = np.array([sequences[si].temperature_c for si, _ in chosen]) / norm.theta_max
+            b_norm = b_raw / norm.b_max
+            h_norm = h_raw / norm.h_max
+            yield MiniBatch(x=feature_rows(b_norm, theta), drive_norm=b_norm, drive_raw=b_raw,
+                            target_warm_norm=h_norm[:, :warmup_length], target_norm=h_norm,
+                            target_warm_raw=h_raw[:, :warmup_length].copy(),
+                            target_max=norm.h_max, sources=np.array(chosen, dtype=np.int64),
+                            h_rms=np.array([sequences[si].h_rms() for si, _ in chosen]))
+    return batches()
 
 
 def reversed_minibatches(sequences, subseq_len: int, batch_size: int, rng_seed,
-                         warmup_length: int, norm: NormConstants) -> list[MiniBatch]:
-    """Batches for the flux-from-field direction (drive H~, predict B~).
-
-    Mirrors :func:`make_minibatches` with the signal roles swapped: the
-    ``b_*`` blocks hold the drive (H) and the ``h_*`` blocks the prediction
-    target (B), ``h_rms`` is the full-sequence RMS of raw B, and ``x`` is the
-    single-feature drive row (d_x = 1).
-    """
-    swapped = [MeasuredSequence(b=s.h, h=s.b, temperature_c=s.temperature_c, tau_s=s.tau_s,
-                                material_id=s.material_id, f_sw_hz=s.f_sw_hz)
-               for s in sequences]
+                         warmup_length: int, norm: NormConstants) -> Iterator[MiniBatch]:
+    """Batches for the flux-from-field direction (drive H~, predict B~): those of
+    :func:`make_minibatches` with the signal roles swapped, so ``h_rms`` is the full-sequence
+    RMS of raw B, and ``x`` is the single-feature drive row (d_x = 1)."""
     swapped_norm = NormConstants(h_max=norm.b_max, b_max=norm.h_max, theta_max=norm.theta_max)
-    batches = make_minibatches(swapped, subseq_len, batch_size, rng_seed,
-                               warmup_length, swapped_norm)
-    for batch in batches:
-        batch.x = batch.b_norm[:, :, None].copy()
-    return batches
+    batches = make_minibatches([replace(s, b=s.h, h=s.b) for s in sequences], subseq_len,
+                               batch_size, rng_seed, warmup_length, swapped_norm)
+    return (replace(batch, x=batch.drive_norm[:, :, None].copy()) for batch in batches)
 
 
 # -- artifact writing ---------------------------------------------------------

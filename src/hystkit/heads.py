@@ -10,7 +10,8 @@ estimates out at once: the cell heads run it as one sequence node
 (``cells.gru_sequence``/``lstm_sequence``) that records per step only the
 hidden elements the readout reads (element 0, or gru-v's even elements);
 the JA-family heads step it one sample at a time and scale the
-concatenated field columns by 1/H_max.
+concatenated field columns by 1/H_max. A rollout reads a ``dataset.RolloutInputs``
+(imported here), and a training ``dataset.MiniBatch`` is one.
 
 Archetypes:
 
@@ -51,7 +52,7 @@ import numpy as np
 
 from .autodiff import Tensor, _accum, _node, concat, dtype_of, reshape, tanh, tsum
 from .cells import GruParams, LstmParams, gru_sequence, gru_step, lstm_sequence, lstm_step
-from .dataset import FEATURE_WIDTH, DataError, MiniBatch, NormConstants
+from .dataset import FEATURE_WIDTH, DataError, NormConstants, RolloutInputs
 from .physics import JA_SHAPES, init_ja_theta, ja_params_from_theta, ja_step_euler, gru_jadp_step
 
 if TYPE_CHECKING:
@@ -86,44 +87,11 @@ class WarmupError(HeadError):
 
 
 @dataclass
-class RolloutInputs:
-    """One batch of aligned windows, direction-agnostic.
-
-    ``drive`` is the signal the model reads every step (normalized flux in the
-    standard field-prediction direction) and ``target_warm`` holds the known
-    normalized target values over the warmup part, whose width is the warmup
-    length. The raw-unit context is only required by the JA-family heads.
-    """
-
-    x: np.ndarray               # (rows, L, FEATURE_WIDTH)
-    drive_norm: np.ndarray      # (rows, L)
-    target_warm_norm: np.ndarray  # (rows, w)
-    drive_raw: np.ndarray | None = None
-    target_warm_raw: np.ndarray | None = None
-    target_max: float | None = None
-
-    @property
-    def warmup_length(self) -> int:
-        return self.target_warm_norm.shape[1]
-
-    @classmethod
-    def from_raw(cls, x, drive_raw, target_warm_raw, norm: NormConstants) -> RolloutInputs:
-        """The inputs of raw-unit drive and warm-target rows, normalized by ``norm``."""
-        return cls(x=x, drive_norm=drive_raw / norm.b_max,
-                   target_warm_norm=target_warm_raw / norm.h_max, drive_raw=drive_raw,
-                   target_warm_raw=target_warm_raw, target_max=norm.h_max)
-
-
-@dataclass
 class RolloutResult:
     """Open-loop predictions over one window, normalized and in raw units."""
 
     pred_norm: np.ndarray
     pred: np.ndarray
-
-
-def inputs_from_batch(batch: MiniBatch, norm: NormConstants) -> RolloutInputs:
-    return RolloutInputs.from_raw(batch.x, batch.b_raw, batch.h_raw[:, :batch.warmup_length], norm)
 
 
 def _cell(archetype: str):

@@ -25,7 +25,7 @@ from .dataset import (FEATURE_WIDTH, MiniBatch, NormConstants, compute_norm_cons
                       json_text, make_minibatches, read_json_object, reversed_minibatches,
                       write_file, write_rows)
 from .heads import (ARCHETYPES, JA_FAMILY, WarmupError, check_hidden_size, init_head_params,
-                    inputs_from_batch, param_shapes, predict_window, rollout, wrap_params)
+                    param_shapes, predict_window, rollout, wrap_params)
 from .metrics import MetricReport, batch_mean, mae, mse, sre, nere, wce, weighted_loss_rows
 from .physics import (ETA, JA_SHAPES, init_ja_theta, ja_params_from_theta, pinn_ja_residual,
                       preisach_predict)
@@ -135,6 +135,16 @@ def config_param_count(config: TrainConfig) -> int:
     return sum(math.prod(shape) for shape in config_shapes(config).values())
 
 
+def check_allocatable(config: TrainConfig) -> None:
+    """Refuse (ConfigError naming ``d_g``) a model whose arrays cannot be allocated."""
+    count = config_param_count(config)
+    try:  # an empty block, freed unwritten; ValueError: more than an array can index
+        np.empty(count, dtype=dtype_of(config.precision))
+    except (MemoryError, ValueError):
+        raise ConfigError(f"d_g={config.d_g}: the {count} {config.precision}-precision "
+                          f"values of a {config.archetype} model cannot be allocated") from None
+
+
 # -- optimizer ---------------------------------------------------------------
 
 @dataclass
@@ -187,19 +197,19 @@ def batch_loss(config: TrainConfig, params_t: dict, batch: MiniBatch, norm: Norm
     whose warmup the head cannot invert raises :class:`WarmupError` naming its train-split
     sequence (``batch.sources``) and first sample."""
     try:
-        pred = rollout(config, params_t, inputs_from_batch(batch, norm))
+        pred = rollout(config, params_t, batch)
     except WarmupError as exc:
         seq, start = (int(v) for v in batch.sources[exc.row])
         raise WarmupError(f"train split: sequence {seq}, window starting at sample {start}: "
                           f"{exc}") from None
     w = batch.warmup_length
-    rows = weighted_loss_rows(batch.h_norm[:, w:], pred, batch.b_norm[:, w - 1:],
-                              norm.h_max, batch.h_rms)
+    rows = weighted_loss_rows(batch.target_norm[:, w:], pred,
+                              batch.drive_norm[:, w - 1:], norm.h_max, batch.h_rms)
     if config.lambda_w > 0:
         phys = ja_params_from_theta(reshape(params_t["theta_ja"], (1, 5)))
-        anchor = Tensor(batch.h_raw[:, w - 1:w].astype(pred.data.dtype))
+        anchor = Tensor(batch.target_warm_raw[:, w - 1:].astype(pred.data.dtype))
         h_traj = concat([anchor, pred * norm.h_max], axis=1)
-        _, l_ja_rows = pinn_ja_residual(h_traj, batch.b_raw[:, w - 1:], phys)
+        _, l_ja_rows = pinn_ja_residual(h_traj, batch.drive_raw[:, w - 1:], phys)
         rows = rows + config.lambda_w * l_ja_rows
     return batch_mean(rows)
 
@@ -475,10 +485,10 @@ def train_preisach(preisach, train_seqs, norm: NormConstants, subseq_len: int = 
     adam = AdamState()
 
     def loss_of(params_t, batch):
-        pred = preisach_predict(batch.b_norm, preisach, params_t["mu"], params_t["omega"])
+        pred = preisach_predict(batch.drive_norm, preisach, params_t["mu"], params_t["omega"])
         w = batch.warmup_length
-        return batch_mean(weighted_loss_rows(batch.h_norm[:, w:], pred[:, w:],
-                                             batch.b_norm[:, w - 1:], norm.b_max, batch.h_rms))
+        return batch_mean(weighted_loss_rows(batch.target_norm[:, w:], pred[:, w:],
+                                             batch.drive_norm[:, w - 1:], norm.b_max, batch.h_rms))
 
     losses = []
     for epoch in range(epochs):

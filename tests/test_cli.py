@@ -339,6 +339,9 @@ ZERO_TEMPERATURE = "train split: temperature_C is 0 in every sequence, so it can
 WINDOWS_16 = ["--subseq-len", "32", "--batch-size", "4", "--warmup-len", "16"]
 WINDOWS_4 = ["--subseq-len", "32", "--batch-size", "4", "--warmup-len", "4"]
 UNSCORED = "eval split: sequence 0 cannot be scored over samples 16..95: "
+#: 10**6 hidden units: terabytes of parameters, which no machine running the tests holds.
+UNALLOCATABLE = ("d_g=1000000: the 3000016000000 single-precision values of a gru-p model "
+                 "cannot be allocated")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -384,6 +387,11 @@ UNSCORED = "eval split: sequence 0 cannot be scored over samples 16..95: "
      UNSCORED + "reference H is all zero"),
     (["train", "--material", "nullb", "--archetype", "gru-l"] + WINDOWS_4,
      "eval split: sequence 0: |B~| <= 1e-06 (permeability inverse undefined) at warmup step 2"),
+    (["train", "--hidden-size", "1000000"] + WINDOWS_4, UNALLOCATABLE),
+    (["train", "--hidden-size", "1000000", "--archetype", "lstm-p", "--precision", "double"]
+     + WINDOWS_4,
+     "d_g=1000000: the 4000020000000 double-precision values of a lstm-p model cannot be "
+     "allocated"),
 ], ids=["gru-v-size", "window-too-short", "window-too-long", "no-full-batch", "empty-eval",
         "sweep-nan-lr", "sweep-ja-single", "sweep-listed-ja-single", "sweep-window-too-long",
         "sweep-no-full-batch", "negative-seed", "negative-seed-and-split", "negative-split-seed",
@@ -391,7 +399,8 @@ UNSCORED = "eval split: sequence 0 cannot be scored over samples 16..95: "
         "sweep-repeated-size", "sweep-repeated-size-spelling", "sweep-repeated-archetype",
         "eval-too-short", "sweep-eval-too-short", "zero-temperature",
         "sweep-zero-temperature", "eval-flat", "sweep-eval-flat", "eval-quiet",
-        "sweep-eval-quiet", "eval-warmup-outside-domain"])
+        "sweep-eval-quiet", "eval-warmup-outside-domain", "unallocatable-size",
+        "unallocatable-lstm-size"])
 def test_unusable_run_refused_before_staging(train_only_dir, tmp_path, capsys, argv, message):
     out = tmp_path / "o"
     rc = main(argv[:1] + ["--data", str(train_only_dir), "--material", "m", "--epochs", "1",
@@ -409,6 +418,17 @@ def test_repeated_config_archetype_refused_before_staging(train_only_dir, tmp_pa
                "--config", str(cfg), "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {cfg}: archetype lists 'gru-p' twice\n"
+    assert not out.exists()
+
+
+def test_sweep_unallocatable_size_refused_before_staging(dataset_dir, tmp_path, capsys):
+    # a size the head cannot read is a failed trial; one that cannot be allocated is
+    # refused before any trial runs (synthA has an eval split, so the sweep could run)
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--data", str(dataset_dir), "--material", "synthA", "--sizes",
+               "2,1000000", "--epochs", "1", "--out", str(out)] + WINDOWS_4)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {UNALLOCATABLE}\n"
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 """Data pipeline tests: normalization, features, batching, splits, file I/O."""
+import collections
 import contextlib
 import csv
 import io
@@ -143,12 +144,12 @@ class TestMiniBatches:
 
     def test_length_2l_gives_two_subsequences(self):
         seqs = [ramp_sequence(n=64)]
-        batches = make_minibatches(seqs, 32, 1, 0, 4, self.norm)
+        batches = list(make_minibatches(seqs, 32, 1, 0, 4, self.norm))
         assert len(batches) == 2
 
     def test_seed_determinism(self):
-        b1 = make_minibatches(self.seqs, 16, 2, 123, 4, self.norm)
-        b2 = make_minibatches(self.seqs, 16, 2, 123, 4, self.norm)
+        b1 = list(make_minibatches(self.seqs, 16, 2, 123, 4, self.norm))
+        b2 = list(make_minibatches(self.seqs, 16, 2, 123, 4, self.norm))
         assert len(b1) == len(b2)
         for x, y in zip(b1, b2):
             np.testing.assert_array_equal(x.sources, y.sources)
@@ -156,18 +157,37 @@ class TestMiniBatches:
 
     def test_drop_last_partial_batch(self):
         # 4 sequences of 64 at l=36 -> 1 subsequence each = 4 rows; b=3 -> 1 batch
-        batches = make_minibatches(self.seqs, 36, 3, 0, 4, self.norm)
+        batches = list(make_minibatches(self.seqs, 36, 3, 0, 4, self.norm))
         assert len(batches) == 1
         # 7 rows, b=2 -> 3 batches
         seqs = [ramp_sequence(n=64, seed=9)] * 3 + [ramp_sequence(n=40, seed=10)]
         counts = sum(len(s) // 32 for s in seqs)
         assert counts == 7
-        batches = make_minibatches(seqs, 32, 2, 0, 4, self.norm)
+        batches = list(make_minibatches(seqs, 32, 2, 0, 4, self.norm))
         assert len(batches) == 3
 
-    def test_sequence_too_short(self):
-        with pytest.raises(DataError):
-            make_minibatches([ramp_sequence(n=8)], 16, 1, 0, 4, self.norm)
+    @pytest.mark.parametrize("batcher", [make_minibatches, reversed_minibatches])
+    def test_sequence_too_short(self, batcher):
+        with pytest.raises(DataError):  # at the call, before the first batch is asked for
+            batcher([ramp_sequence(n=8)], 16, 1, 0, 4, self.norm)
+
+    def test_batches_built_one_at_a_time(self):
+        # 8 sequences of 4096 samples: 256 windows of 128, 10 full batches of 25 rows
+        seqs = [ramp_sequence(n=4096, seed=i) for i in range(8)]
+        norm = compute_norm_constants(seqs)
+        batches = list(make_minibatches(seqs, 128, 25, 0, 16, norm))
+        assert len(batches) == 10
+        # the bytes a batch owns; a view, such as the warm target, owns none
+        nbytes = sum(v.nbytes for v in vars(batches[0]).values()
+                     if isinstance(v, np.ndarray) and v.base is None)
+        del batches
+        tracemalloc.start()
+        try:
+            collections.deque(make_minibatches(seqs, 128, 25, 0, 16, norm), maxlen=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * nbytes, f"peak {peak} B for batches of {nbytes} B each"
 
     def test_rms_matches_independent_computation(self):
         batches = make_minibatches(self.seqs, 16, 2, 7, 4, self.norm)
@@ -179,25 +199,25 @@ class TestMiniBatches:
                 assert batch.h_rms[row] == pytest.approx(expect, rel=1e-12)
 
     def test_row_content_matches_source(self):
-        batches = make_minibatches(self.seqs, 16, 2, 7, 4, self.norm)
-        batch = batches[0]
+        batch = next(make_minibatches(self.seqs, 16, 2, 7, 4, self.norm))
         si, off = batch.sources[0]
-        np.testing.assert_array_equal(batch.b_raw[0], self.seqs[si].b[off:off + 16])
+        np.testing.assert_array_equal(batch.drive_raw[0], self.seqs[si].b[off:off + 16])
         np.testing.assert_allclose(batch.h_norm[0] * self.norm.h_max,
                                    self.seqs[si].h[off:off + 16], rtol=1e-12)
 
     def test_epochs_differ(self):
-        b1 = make_minibatches(self.seqs, 16, 2, [0, 1, 0], 4, self.norm)
-        b2 = make_minibatches(self.seqs, 16, 2, [0, 1, 1], 4, self.norm)
+        b1 = list(make_minibatches(self.seqs, 16, 2, [0, 1, 0], 4, self.norm))
+        b2 = list(make_minibatches(self.seqs, 16, 2, [0, 1, 1], 4, self.norm))
         assert any(not np.array_equal(x.sources, y.sources) for x, y in zip(b1, b2))
 
     def test_reversed_direction(self):
-        batches = reversed_minibatches(self.seqs, 16, 2, 7, 4, self.norm)
-        batch = batches[0]
+        batch = next(reversed_minibatches(self.seqs, 16, 2, 7, 4, self.norm))
         assert batch.x.shape[2] == 1
         si, off = batch.sources[0]
-        np.testing.assert_array_equal(batch.b_raw[0], self.seqs[si].h[off:off + 16])
-        np.testing.assert_array_equal(batch.h_raw[0], self.seqs[si].b[off:off + 16])
+        np.testing.assert_array_equal(batch.drive_raw[0], self.seqs[si].h[off:off + 16])
+        np.testing.assert_array_equal(batch.target_warm_raw[0], self.seqs[si].b[off:off + 4])
+        np.testing.assert_array_equal(batch.target_norm[0],
+                                      self.seqs[si].b[off:off + 16] / self.norm.b_max)
         b = self.seqs[si].b
         assert batch.h_rms[0] == pytest.approx(np.sqrt(np.mean(b ** 2)), rel=1e-12)
 

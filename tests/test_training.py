@@ -15,7 +15,7 @@ from hystkit.autodiff import _toposort
 from hystkit.cells import CellParams
 from hystkit.dataset import (DataError, MeasuredSequence, NormConstants,
                              compute_norm_constants, make_minibatches)
-from hystkit.heads import HeadError, inputs_from_batch, param_count, rollout, wrap_params
+from hystkit.heads import HeadError, param_count, rollout, wrap_params
 from hystkit.metrics import MetricReport
 from hystkit.physics import init_preisach_params
 from hystkit.synth import generate_ja_dataset
@@ -262,8 +262,8 @@ class TestTrainLoop:
 
         seqs = (generate_ja_dataset(n_sequences=2, length=64, seed=3, tau=62.5e-9)
                 + generate_ja_dataset(n_sequences=2, length=64, seed=4, tau=125e-9))
-        batches = make_minibatches(seqs, 32, 8, 0, 4, compute_norm_constants(seqs))
-        assert {seqs[si].tau_s for si in batches[0].sources[:, 0]} == {62.5e-9, 125e-9}
+        batch = next(make_minibatches(seqs, 32, 8, 0, 4, compute_norm_constants(seqs)))
+        assert {seqs[si].tau_s for si in batch.sources[:, 0]} == {62.5e-9, 125e-9}
         result = train(small_config(archetype="gru-jadp", d_g=6, batch_size=8, epochs=1), seqs)
         assert len(result.train_losses) == 1 and np.isfinite(result.train_losses[0])
 
@@ -290,14 +290,14 @@ class TestTrainLoop:
 
     def test_zero_regularization_weight_equals_plain_objective(self):
         from hystkit.dataset import compute_norm_constants, make_minibatches
-        from hystkit.heads import inputs_from_batch, rollout, wrap_params
+        from hystkit.heads import rollout, wrap_params
         from hystkit.training import batch_loss, init_params
 
         seqs = tiny_dataset(n=4)
         norm = compute_norm_constants(seqs)
         plain = small_config(epochs=1)
         pinn = small_config(epochs=1, lambda_w=0.0)
-        batch = make_minibatches(seqs, 32, 4, 0, 4, norm)[0]
+        batch = next(make_minibatches(seqs, 32, 4, 0, 4, norm))
         arrays = init_params(plain)
         a = batch_loss(plain, wrap_params(arrays), batch, norm)
         b = batch_loss(pinn, wrap_params(arrays), batch, norm)
@@ -319,8 +319,8 @@ class TestGraphLifetime:
         that records a backward (``gru_step``, ``gru_sequence``, ...) put in it."""
         seqs = tiny_dataset()
         norm = compute_norm_constants(seqs)
-        batch = make_minibatches(seqs, config.subseq_len, config.batch_size, [0, 1],
-                                 config.warmup_length, norm)[0]
+        batch = next(make_minibatches(seqs, config.subseq_len, config.batch_size, [0, 1],
+                                      config.warmup_length, norm))
         loss = batch_loss(config, wrap_params(init_params(config)), batch, norm)
         loss.backward()
         nodes = _toposort(loss)
@@ -365,8 +365,8 @@ class TestLossGradientsPinned:
         config = small_config(**overrides)
         seqs = tiny_dataset()
         norm = compute_norm_constants(seqs)
-        batch = make_minibatches(seqs, config.subseq_len, config.batch_size, [0, 1],
-                                 config.warmup_length, norm)[0]
+        batch = next(make_minibatches(seqs, config.subseq_len, config.batch_size, [0, 1],
+                                      config.warmup_length, norm))
         params = wrap_params(init_params(config))
         batch_loss(config, params, batch, norm).backward()
         assert digest({name: t.grad for name, t in params.items()}) == sha
@@ -431,11 +431,10 @@ def test_cell_head_rollout_and_gradients_pinned(archetype, w, rows, precision):
                          b_max=max(np.max(np.abs(s.b)) for s in seqs), theta_max=70.0)
     config = TrainConfig(archetype=archetype, d_g=8, subseq_len=40, batch_size=rows,
                          warmup_length=w, precision=precision)
-    batch = make_minibatches(seqs, 40, rows, [0, 1], w, norm)[0]
+    batch = next(make_minibatches(seqs, 40, rows, [0, 1], w, norm))
     params = wrap_params(init_params(config))
-    inputs = inputs_from_batch(batch, norm)
-    pred = rollout(config, params, inputs)
-    frozen = rollout(config, wrap_params(init_params(config), False), inputs)
+    pred = rollout(config, params, batch)
+    frozen = rollout(config, wrap_params(init_params(config), False), batch)
     assert frozen.data.tobytes() == pred.data.tobytes()
     batch_loss(config, params, batch, norm).backward()
     got = digest({"pred": pred.data, **{k: t.grad for k, t in params.items()}})
@@ -469,11 +468,10 @@ def test_ja_head_rollout_and_gradients_pinned(archetype, w, rows):
                          b_max=max(np.max(np.abs(s.b)) for s in seqs), theta_max=70.0)
     config = TrainConfig(archetype=archetype, d_g=8, subseq_len=40, batch_size=rows,
                          warmup_length=w, precision="double")
-    batch = make_minibatches(seqs, 40, rows, [0, 1], w, norm)[0]
+    batch = next(make_minibatches(seqs, 40, rows, [0, 1], w, norm))
     params = wrap_params(init_params(config))
-    inputs = inputs_from_batch(batch, norm)
-    pred = rollout(config, params, inputs)
-    frozen = rollout(config, wrap_params(init_params(config), False), inputs)
+    pred = rollout(config, params, batch)
+    frozen = rollout(config, wrap_params(init_params(config), False), batch)
     assert frozen.data.tobytes() == pred.data.tobytes()
     batch_loss(config, params, batch, norm).backward()
     got = digest({"pred": pred.data, **{k: t.grad for k, t in params.items()}})
