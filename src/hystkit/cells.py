@@ -33,15 +33,17 @@ warmup injects a value between steps). :func:`gru_sequence` and
 :func:`lstm_sequence` run every step of a ``(rows, T, d_x)`` feature block
 as one tape node whose value records, per step, only the hidden elements
 the caller keeps (a rollout keeps those its readout reads: element 0, or
-gru-v's even elements). They project every step's inputs with 3-D matmuls
-before the time loop, which then runs only the recurrence. Their backward
-is one reverse loop that carries the state gradient and writes each step's
-pre-activation gradients into ``(T, rows, d_g)`` stacks; after it, one 3-D
-call per parameter forms the per-step parameter gradients, which are summed
-in reverse time order. So values and gradients are byte-equal to chained
-step calls. Without a parameter or initial state that requires a gradient,
-the kernels store no per-step arrays and project :data:`FROZEN_CHUNK` steps
-at a time, so a frozen rollout holds no ``(T, rows, d_g)`` block.
+gru-v's even elements). Both are one driver, ``_cell_sequence``, given the
+cell's input projections, step forward, reverse step and gradient pairs. Its
+one forward loop projects a block of steps' inputs with 3-D matmuls, then runs
+only the recurrence over the block: with a parameter or initial state that
+requires a gradient, the block is all T steps, whose hidden states and terms
+it stores; without one, it is :data:`FROZEN_CHUNK` steps and nothing is
+stored, so a frozen rollout holds no ``(T, rows, d_g)`` block. Its one reverse
+loop carries the state gradient(s) and writes each step's pre-activation
+gradients into ``(T, rows, d_g)`` stacks; after it, one 3-D call per parameter
+forms the per-step parameter gradients, which are summed in reverse time
+order. So values and gradients are byte-equal to chained step calls.
 
 Each cell's parameters are one record, a dataclass over :class:`CellParams`
 whose fields list the arrays in draw order. The base supplies everything
@@ -54,6 +56,7 @@ parameter counts (``heads.param_count``) and the checkpoint loader all read it.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -209,6 +212,11 @@ def _gru_backward(dh, terms, arrays, da=(None,) * 4):
     return dh_z + da_z @ u_z + da_r @ u_r + da_u @ u, (da_z, da_r, da_n, da_u)
 
 
+def _gru_reverse(dh, carry, terms, arrays, da):
+    """A sequence kernel's reverse step: the previous state's gradient, as a 1-tuple."""
+    return _gru_backward(dh, terms, arrays, da)[:1]
+
+
 def _gru_grad_pairs(da, xb, gb):
     """The (pre-activation gradient, operand) of each GRU parameter, in field order."""
     da_z, da_r, da_n, da_u = da
@@ -260,6 +268,13 @@ def _lstm_backward(dh, dc, terms, arrays, da=(None,) * 4):
     if dh is not None:
         gates.append(np.multiply(dh * tc * o, 1.0 - o, out=da[3]))
     return sum(d @ uk for d, uk in zip(gates, (u_i, u_f, u_m, u_o))), dc * f, gates
+
+
+def _lstm_reverse(dh, carry, terms, arrays, da):
+    """A sequence kernel's reverse step: the previous hidden and cell states' gradients,
+    the cell's from the hidden hop plus the carried one (``carry`` None at the last step)."""
+    dc = _lstm_hidden_backward(dh, terms)
+    return _lstm_backward(dh, dc if carry is None else dc + carry[1], terms, arrays, da)[:2]
 
 
 def _lstm_grad_pairs(da, xb, gb):
@@ -332,50 +347,54 @@ def _step_block(x: np.ndarray, start: int, stop: int, dtype) -> np.ndarray:
     return x[:, start:stop].swapaxes(0, 1).astype(dtype, order="C")
 
 
-def _run_sequence(x, states, leaves, keep, inputs, forward):
-    """The forward of a sequence kernel: the cell's ``forward`` over every step of the
-    feature block ``x`` ``(rows, T, d_x)`` from the state tensors ``states`` (hidden
-    first), with the input projections ``inputs`` of whole blocks of steps.
+def _cell_sequence(x, states, p, keep, inputs, forward, reverse, grad_pairs):
+    """The tape node of both sequence kernels: the cell's ``forward`` over every step of
+    the feature block ``x`` ``(rows, T, d_x)`` from the state tensors ``states`` (hidden
+    first), recording the hidden elements ``keep`` after each step.
 
-    Returns the kept trajectory and, when anything requires a gradient, what
-    the backward reads: the ``(T, rows, d_x)`` feature block, the ``(T + 1,
-    rows, d_g)`` block of hidden states (``g0`` first) and each step's terms.
-    A frozen call returns None for these and projects :data:`FROZEN_CHUNK`
-    steps at a time.
+    The one forward loop runs over blocks of steps, each projected by ``inputs``. A
+    call in which anything requires a gradient makes all T steps one block and stores
+    the ``(T + 1, rows, d_g)`` hidden states (``g0`` first) and each step's terms; a
+    frozen call projects :data:`FROZEN_CHUNK` steps per block and stores nothing. The
+    one reverse loop calls ``reverse`` with a step's hidden-output gradient and the
+    carried state gradients (None at the last step), which returns the previous
+    states' gradients; ``grad_pairs`` then names each parameter's per-step operands.
     """
     x = np.asarray(x)
     if x.ndim != 3 or x.shape[1] < 1:
         raise ShapeError(f"cell sequence: features {x.shape} are not (rows, T >= 1, d_x)")
-    train = any(t.requires_grad for t in states + leaves)
+    leaves = tuple(p.as_dict().values())
     arrays = [leaf.data for leaf in leaves]
-    steps, dtype = x.shape[1], arrays[0].dtype
-    xb = _step_block(x, 0, steps if train else FROZEN_CHUNK, dtype)
-    _check_operands(xb[0], leaves[0], leaves[1], *states)
+    (rows, steps, _), dtype = x.shape, arrays[0].dtype
+    _check_operands(x[:, 0].astype(dtype), leaves[0], leaves[1], *states)
+    train = any(t.requires_grad for t in states + leaves)
+    block = steps if train else min(steps, FROZEN_CHUNK)
     data = tuple(s.data for s in states)
-    if train:
-        hidden = np.empty((steps + 1,) + data[0].shape, dtype=dtype)
-        hidden[0] = data[0]
-        saved = []
-        for t, a in enumerate(zip(*inputs(xb, arrays))):
-            data, terms = forward(a, data, arrays, hidden[t + 1])
+    # a frozen call reuses one block's hidden states and drops each step's terms
+    hidden = np.empty((block + 1,) + data[0].shape, dtype=dtype)
+    hidden[0] = data[0]
+    saved = [] if train else deque(maxlen=0)
+    out = np.empty((rows, steps) + hidden[0][:, keep].shape[1:], dtype=dtype)
+    for start in range(0, steps, block):
+        xb = _step_block(x, start, start + block, dtype)
+        for t, a in enumerate(zip(*inputs(xb, arrays)), 1):
+            data, terms = forward(a, data, arrays, hidden[t])
             saved.append(terms)
-        return np.moveaxis(hidden[1:, :, keep], 0, 1).copy(), (xb, hidden, saved)
-    out = np.empty((xb.shape[1], steps) + data[0][:, keep].shape[1:], dtype=dtype)
-    for start in range(0, steps, FROZEN_CHUNK):
-        if start:
-            xb = _step_block(x, start, start + FROZEN_CHUNK, dtype)
-        for t, a in enumerate(zip(*inputs(xb, arrays)), start):
-            data, _ = forward(a, data, arrays)
-            out[:, t] = data[0][:, keep]
-    return out, None
+        out[:, start:start + len(xb)] = hidden[1:len(xb) + 1, :, keep].swapaxes(0, 1)
 
+    def backward(d_kept):
+        d_out = np.zeros(d_kept.shape[:2] + hidden.shape[2:], dtype=d_kept.dtype)
+        d_out[:, :, keep] = d_kept
+        da = np.empty((4,) + hidden[1:].shape, dtype=dtype)
+        carry = None
+        for t in reversed(range(steps)):
+            dh = d_out[:, t] if carry is None else d_out[:, t] + carry[0]
+            carry = reverse(dh, carry, saved[t], arrays, da[:, t])
+        _store_sums(leaves, _param_grads(grad_pairs(da, xb, hidden[:-1])))
+        for state, grad in zip(states, carry):
+            _accum(state, grad)
 
-def _full_grad(d_kept: np.ndarray, keep, d_g: int) -> np.ndarray:
-    """The gradient of the whole hidden trajectory ``(rows, T, d_g)`` from that of its
-    kept elements."""
-    d_out = np.zeros(d_kept.shape[:2] + (d_g,), dtype=d_kept.dtype)
-    d_out[:, :, keep] = d_kept
-    return d_out
+    return _node(out, states + leaves, backward)
 
 
 def gru_sequence(x: np.ndarray, g0: Tensor, p: GruParams, keep=slice(None)):
@@ -387,22 +406,8 @@ def gru_sequence(x: np.ndarray, g0: Tensor, p: GruParams, keep=slice(None)):
     parameters' dtype. Values and gradients are byte-equal to T chained
     ``gru_step`` calls read out at ``keep``.
     """
-    leaves = tuple(p.as_dict().values())
-    out, saved = _run_sequence(x, (g0,), leaves, keep, _gru_inputs, _gru_forward)
-
-    def backward(d_kept):
-        xb, hidden, terms = saved
-        arrays = [leaf.data for leaf in leaves]
-        d_out = _full_grad(d_kept, keep, hidden.shape[2])
-        da = np.empty((4,) + hidden[1:].shape, dtype=hidden.dtype)
-        carry = None
-        for t in reversed(range(len(terms))):
-            dh = d_out[:, t] if carry is None else d_out[:, t] + carry
-            carry, _ = _gru_backward(dh, terms[t], arrays, da[:, t])
-        _store_sums(leaves, _param_grads(_gru_grad_pairs(da, xb, hidden[:-1])))
-        _accum(g0, carry)
-
-    return _node(out, (g0,) + leaves, backward)
+    return _cell_sequence(x, (g0,), p, keep, _gru_inputs, _gru_forward, _gru_reverse,
+                          _gru_grad_pairs)
 
 
 def lstm_sequence(x: np.ndarray, g0: Tensor, c0: Tensor, p: LstmParams, keep=slice(None)):
@@ -414,22 +419,5 @@ def lstm_sequence(x: np.ndarray, g0: Tensor, c0: Tensor, p: LstmParams, keep=sli
     """
     if c0 is None:
         raise ShapeError("lstm_sequence requires a cell state")
-    leaves = tuple(p.as_dict().values())
-    out, saved = _run_sequence(x, (g0, c0), leaves, keep, _lstm_inputs, _lstm_forward)
-
-    def backward(d_kept):
-        xb, hidden, terms = saved
-        arrays = [leaf.data for leaf in leaves]
-        d_out = _full_grad(d_kept, keep, hidden.shape[2])
-        da = np.empty((4,) + hidden[1:].shape, dtype=hidden.dtype)
-        carry_h = carry_c = None
-        for t in reversed(range(len(terms))):
-            dh = d_out[:, t] if carry_h is None else d_out[:, t] + carry_h
-            dc = _lstm_hidden_backward(dh, terms[t])
-            dc = dc if carry_c is None else dc + carry_c
-            carry_h, carry_c, _ = _lstm_backward(dh, dc, terms[t], arrays, da[:, t])
-        _store_sums(leaves, _param_grads(_lstm_grad_pairs(da, xb, hidden[:-1])))
-        _accum(g0, carry_h)
-        _accum(c0, carry_c)
-
-    return _node(out, (g0, c0) + leaves, backward)
+    return _cell_sequence(x, (g0, c0), p, keep, _lstm_inputs, _lstm_forward, _lstm_reverse,
+                          _lstm_grad_pairs)

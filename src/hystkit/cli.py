@@ -31,15 +31,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import (DataError, NormConstants, check_windows, compute_norm_constants, fmt,
-                      ingest_material, json_text, load_material, read_csv_dicts,
+from .autodiff import DTYPES
+from .dataset import (ADAPTERS, DataError, NormConstants, check_windows, compute_norm_constants,
+                      fmt, ingest_material, json_text, load_material, read_csv_dicts,
                       read_json_object, read_raw_material, resolve_adapter, split_dataset,
                       write_columns, write_file, write_rows)
 from .training import (SETTING_TYPES, SWEEP_COLUMNS, ConfigError, TrainConfig, TrainingError,
                        check_allocatable, check_sweep_eval, config_param_count, decode_setting,
                        evaluate_sequences, load_checkpoint, pareto_sweep, save_checkpoint,
                        sweep_medians, train, write_sweep_csv)
-from .heads import WarmupError, check_hidden_size, check_warmup_domain, predict_window
+from .heads import ARCHETYPES, WarmupError, check_hidden_size, check_warmup_domain, predict_window
 from .metrics import MetricError, check_scorable
 
 _SENTINEL = ".partial"
@@ -133,10 +134,12 @@ _CONFIG_FIELDS = {
     "patience": "patience", "eval_every": "eval_every", "clip_norm": "clip_norm",
 }
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
-_HELP = {"archetype": "model archetype (gru-p, gru-m, gru-l, lstm-p, gru-v, gru-jadp, ja)",
+_HELP = {"archetype": f"model archetype ({', '.join(ARCHETYPES)})",
          "hidden_size": "hidden state size d_g", "seed": "training seed",
          "split_seed": "seed of the train/eval/test split (default: --seed)",
          "lambda_w": "physics regularization weight"}
+#: The splits ``--split`` names: those of :func:`split_dataset`, then every sequence.
+_SPLITS = ("train", "eval", "test", "all")
 
 
 def _file_settings(path: str) -> dict:
@@ -169,16 +172,16 @@ def _train_config(resolved: dict) -> TrainConfig:
 
 
 def _load_splits(args, material: str, split_seed: int) -> tuple[dict, dict]:
-    """``material``'s sequences under the dataset root by split ("train", "eval", "test"
-    and "all"), and the manifest input that names the material's directory."""
+    """``material``'s sequences under the dataset root by split (:data:`_SPLITS`), and
+    the manifest input that names the material's directory."""
     if split_seed < 0:
         raise CliError(f"split_seed must be >= 0, got {split_seed}")
     root = _data_root(args)
     sequences = load_material(root, material)
     if not sequences:
         raise CliError(f"material {material} holds no sequences")
-    splits = dict(zip(("train", "eval", "test"), split_dataset(sequences, seed=split_seed)))
-    return {**splits, "all": sequences}, {"dataset": root / material}
+    splits = (*split_dataset(sequences, seed=split_seed), sequences)
+    return dict(zip(_SPLITS, splits)), {"dataset": root / material}
 
 
 def _open_run(args, config: TrainConfig,
@@ -460,7 +463,7 @@ def cmd_plotdata(args) -> int:
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     for key, name in _CONFIG_FIELDS.items():
         p.add_argument("--" + key.replace("_", "-"), dest=key, type=SETTING_TYPES[name],
-                       choices=("single", "double") if key == "precision" else None,
+                       choices=tuple(DTYPES) if key == "precision" else None,
                        help=_HELP.get(key))
     p.add_argument("--config", help="JSON config file of the same settings (flags override it)")
 
@@ -475,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--material")
-    p.add_argument("--adapter", choices=["magnetx", "canonical"])
+    p.add_argument("--adapter", choices=tuple(ADAPTERS))
     p.set_defaults(fn=cmd_ingest)
 
     p = sub.add_parser("train", help="train one model on one material")
@@ -489,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data")
     p.add_argument("--material")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", default="test", choices=["train", "eval", "test", "all"])
+    p.add_argument("--split", default="test", choices=_SPLITS)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_eval)
 
@@ -497,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data")
     p.add_argument("--material")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", default="test", choices=["train", "eval", "test", "all"])
+    p.add_argument("--split", default="test", choices=_SPLITS)
     p.add_argument("--index", type=int, help="single sequence index (default: all)")
     p.add_argument("--warmup-len", dest="warmup_len", type=int,
                    help="override the warmup length (e.g. 1 for single-step warmup data)")

@@ -268,6 +268,12 @@ def make_minibatches(sequences, subseq_len: int, batch_size: int, rng_seed,
     dropped to keep shapes fixed. Settings :func:`check_windows` refuses
     raise its :class:`DataError` at the call, before any batch is built.
     """
+    return _batches(sequences, subseq_len, batch_size, rng_seed, warmup_length, norm,
+                    feature_rows)
+
+
+def _batches(sequences, subseq_len, batch_size, rng_seed, warmup_length, norm, features):
+    """:func:`make_minibatches` with each batch's ``x`` built by ``features(b_norm, theta)``."""
     sequences = list(sequences)
     check_windows(sequences, subseq_len, batch_size, warmup_length)
     rng = np.random.default_rng(rng_seed)
@@ -287,7 +293,7 @@ def make_minibatches(sequences, subseq_len: int, batch_size: int, rng_seed,
             theta = np.array([sequences[si].temperature_c for si, _ in chosen]) / norm.theta_max
             b_norm = b_raw / norm.b_max
             h_norm = h_raw / norm.h_max
-            yield MiniBatch(x=feature_rows(b_norm, theta), drive_norm=b_norm, drive_raw=b_raw,
+            yield MiniBatch(x=features(b_norm, theta), drive_norm=b_norm, drive_raw=b_raw,
                             target_warm_norm=h_norm[:, :warmup_length], target_norm=h_norm,
                             target_warm_raw=h_raw[:, :warmup_length].copy(),
                             target_max=norm.h_max, sources=np.array(chosen, dtype=np.int64),
@@ -301,9 +307,9 @@ def reversed_minibatches(sequences, subseq_len: int, batch_size: int, rng_seed,
     :func:`make_minibatches` with the signal roles swapped, so ``h_rms`` is the full-sequence
     RMS of raw B, and ``x`` is the single-feature drive row (d_x = 1)."""
     swapped_norm = NormConstants(h_max=norm.b_max, b_max=norm.h_max, theta_max=norm.theta_max)
-    batches = make_minibatches([replace(s, b=s.h, h=s.b) for s in sequences], subseq_len,
-                               batch_size, rng_seed, warmup_length, swapped_norm)
-    return (replace(batch, x=batch.drive_norm[:, :, None].copy()) for batch in batches)
+    return _batches([replace(s, b=s.h, h=s.b) for s in sequences], subseq_len, batch_size,
+                    rng_seed, warmup_length, swapped_norm,
+                    lambda drive_norm, _: drive_norm[:, :, None].copy())
 
 
 # -- artifact writing ---------------------------------------------------------

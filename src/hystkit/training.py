@@ -540,7 +540,7 @@ def pareto_sweep(configs, d_g_values, n_seeds: int, train_seqs, eval_seqs, worke
             for config in configs for d_g in d_g_values for i in range(n_seeds)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             rows = list(pool.map(_run_trial, jobs))
     else:
         rows = [_run_trial(j) for j in jobs]

@@ -376,12 +376,18 @@ class TestSequenceOracle:
     @pytest.mark.parametrize("lstm", [False, True], ids=["gru", "lstm"])
     def test_frozen_call_byte_equal_to_chained_frozen_steps(self, lstm, rows, steps, dtype):
         """A call without gradients projects its inputs a few steps at a time; every
-        chunk's steps give the chained steps' bytes."""
+        chunk's steps give the chained steps' bytes, and those of a trained call, whose
+        one block is every step."""
         p, x, states, _ = self._case(lstm, rows, 4, 8, steps, dtype)
-        params = wrap(p)
         leaves = [Tensor(a) for a in states]
-        got = (lstm_sequence(x, *leaves, params) if lstm
-               else gru_sequence(x, leaves[0], params)).data
+
+        def kept(params):
+            return (lstm_sequence(x, *leaves, params) if lstm
+                    else gru_sequence(x, leaves[0], params)).data
+
+        params = wrap(p)
+        got = kept(params)
+        assert got.tobytes() == kept(p.map(lambda a: Tensor(a, requires_grad=True))).tobytes()
         g, cell = leaves[0], leaves[-1]
         want = []
         for t in range(steps):

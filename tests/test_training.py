@@ -316,7 +316,8 @@ class TestGraphLifetime:
     @staticmethod
     def _loss_graph_refs(config):
         """Weak references to the loss graph's nodes, and how many nodes each function
-        that records a backward (``gru_step``, ``gru_sequence``, ...) put in it."""
+        that records a backward (``gru_step``, the sequence kernels' ``_cell_sequence``,
+        ...) put in it."""
         seqs = tiny_dataset()
         norm = compute_norm_constants(seqs)
         batch = next(make_minibatches(seqs, config.subseq_len, config.batch_size, [0, 1],
@@ -334,8 +335,8 @@ class TestGraphLifetime:
         warm, open_loop = config.warmup_length - 1, config.subseq_len - config.warmup_length
         # the walk reached every recurrent node: each warmup step (two nodes per LSTM
         # step), the cell heads' sequence node and each JA-family open-loop step
-        expected = {"gru-p": {"gru_step": warm, "gru_sequence": 1},
-                    "lstm-p": {"lstm_step": 2 * warm, "lstm_sequence": 1},
+        expected = {"gru-p": {"gru_step": warm, "_cell_sequence": 1},
+                    "lstm-p": {"lstm_step": 2 * warm, "_cell_sequence": 1},
                     "gru-jadp": {"gru_step": warm + open_loop, "ja_step_euler": open_loop},
                     "ja": {"ja_step_euler": open_loop}}[archetype]
         was_enabled = gc.isenabled()
@@ -653,6 +654,33 @@ class TestParetoSweep:
         seq_rows, _ = pareto_sweep(configs, [2], 2, seqs[:4], seqs[4:], workers=1)
         par_rows, _ = pareto_sweep(configs, [2], 2, seqs[:4], seqs[4:], workers=2)
         assert seq_rows == par_rows
+
+    def test_workers_capped_at_trial_count(self, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+
+        class SerialPool:
+            """Records its worker count and maps in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        seqs = tiny_dataset(n=6)
+        configs = [small_config(epochs=1)]
+        rows, medians = pareto_sweep(configs, [2], 2, seqs[:4], seqs[4:], workers=64)
+        assert pools == [2]
+        assert (rows, medians) == pareto_sweep(configs, [2], 2, seqs[:4], seqs[4:])
 
     def test_csv_format(self, tmp_path):
         rows = [{"archetype": "gru-p", "d_g": 4, "params": 116, "seed": 0,
